@@ -5,11 +5,11 @@
 // writes the whole record to BENCH_engine.json — the repo's perf-trajectory
 // baseline (see docs/PERFORMANCE.md for how to read it).
 //
-// Each grid entry also runs an --engine-jobs ablation (parallel plan refresh
-// + speculative scoring, docs/PARALLELISM.md) and records it under a
-// "parallel" key: wall time, speedup vs the serial engine, the speculation
-// commit/abort counters, and whether the schedules stayed byte-identical —
-// the bench doubles as a determinism gate for the parallel path.
+// Each grid entry also runs an --engine-jobs ablation (parallel plan
+// refresh, docs/PARALLELISM.md) and records it under a "parallel" key: wall
+// time, speedup vs the serial engine, and whether the schedules stayed
+// byte-identical — the bench doubles as a determinism gate for the parallel
+// path.
 //
 // Extra flags on top of the shared bench set:
 //   --out=PATH       JSON output path (default BENCH_engine.json)
@@ -47,8 +47,6 @@ constexpr const char* kCounters[] = {
     "engine.invalidations_self",
     "engine.invalidations_checked",
     "engine.invalidations_scan_equiv",
-    "engine.spec_commits",
-    "engine.spec_aborts",
     "dijkstra.heap_pops",
     "dijkstra.relaxations",
 };
@@ -134,7 +132,7 @@ void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
 
 int main(int argc, char** argv) {
   benchtool::BenchSetup setup;
-  std::vector<std::string> extra{"out", "grid"};
+  std::vector<std::string> extra{"out", "grid", "engine-jobs"};
   CliFlags flags;  // re-parse only the extra flags; shared ones go to setup
   if (!benchtool::parse_bench_flags(argc, argv, setup, extra)) return 1;
   if (!flags.parse(argc, argv,
@@ -164,7 +162,7 @@ int main(int argc, char** argv) {
   const SchedulerSpec spec{HeuristicKind::kFullOne, CostCriterion::kC4};
 
   Table table({"size", "incr ms", "paranoid ms", "speedup", "inval reduction",
-               "ej ms", "ej speedup", "spec abort", "identical"});
+               "ej ms", "ej speedup", "identical"});
 
   std::FILE* f = toolflags::open_output_cfile(out_path, "bench output");
   if (f == nullptr) return 2;
@@ -198,17 +196,10 @@ int main(int argc, char** argv) {
     const double reduction = checked > 0.0 ? scan_equiv / checked : 0.0;
     const double ej_ms = static_cast<double>(parallel.wall_ns) / 1e6;
     const double ej_speedup = parallel.wall_ns > 0 ? incr_ms / ej_ms : 0.0;
-    const auto spec_commits =
-        static_cast<double>(parallel.counter("engine.spec_commits"));
-    const auto spec_aborts =
-        static_cast<double>(parallel.counter("engine.spec_aborts"));
-    const double spec_total = spec_commits + spec_aborts;
-    const double spec_abort_rate = spec_total > 0.0 ? spec_aborts / spec_total : 0.0;
 
     table.add_row({entry.name, format_double(incr_ms, 1), format_double(par_ms, 1),
                    format_double(speedup, 2), format_double(reduction, 2),
                    format_double(ej_ms, 1), format_double(ej_speedup, 2),
-                   format_double(spec_abort_rate, 2),
                    identical && parallel_identical ? "yes" : "NO"});
 
     std::fprintf(f,
@@ -226,10 +217,8 @@ int main(int argc, char** argv) {
                  ",\n      \"parallel_ablation\": {\n"
                  "        \"engine_jobs\": %zu,\n"
                  "        \"speedup_vs_serial\": %s,\n"
-                 "        \"spec_abort_rate\": %s,\n"
                  "        \"schedules_identical\": %s\n      },\n",
                  engine_jobs, obs::json_number(ej_speedup).c_str(),
-                 obs::json_number(spec_abort_rate).c_str(),
                  parallel_identical ? "true" : "false");
     std::fprintf(f,
                  "      \"schedules_identical\": %s,\n"

@@ -50,19 +50,15 @@ struct StagingEngine::Instr {
   obs::Counter dijkstra_relaxations;
   obs::Counter dijkstra_capacity_rejections;
   obs::Counter guard_trips;
-  /// Speculation verdicts: plans whose speculative refresh survived the next
-  /// commit (kept) vs plans the commit re-invalidated (recomputed again).
-  /// Logical batches, so the values are identical at any engine_jobs.
-  obs::Counter spec_commits;
-  obs::Counter spec_aborts;
-  /// Wall nanoseconds blocked in refresh (join + merge). Incremented only
-  /// when a phase timer is attached — wall time is not byte-comparable, and
-  /// the deterministic documents (harness per-case registries) have none.
-  obs::Counter refresh_parallel_ns;
+  /// Wall nanoseconds in refresh_plans (collect + compute + merge).
+  /// Incremented only when a phase timer is attached — wall time is not
+  /// byte-comparable, and the deterministic documents (harness per-case
+  /// registries) have none.
+  obs::Counter refresh_ns;
   /// Deadline margin (seconds) of each satisfied request, recorded at finish.
   obs::Histogram* satisfied_slack_seconds;
   /// Per-round refresh latency (microseconds); phase-timer-gated like
-  /// refresh_parallel_ns.
+  /// refresh_ns.
   obs::Histogram* refresh_batch_usec;
 
   explicit Instr(obs::MetricsRegistry& m)
@@ -83,9 +79,7 @@ struct StagingEngine::Instr {
         dijkstra_relaxations(m.counter("dijkstra.relaxations")),
         dijkstra_capacity_rejections(m.counter("dijkstra.capacity_rejections")),
         guard_trips(m.counter("engine.guard_trips")),
-        spec_commits(m.counter("engine.spec_commits")),
-        spec_aborts(m.counter("engine.spec_aborts")),
-        refresh_parallel_ns(m.counter("engine.refresh_parallel_ns")),
+        refresh_ns(m.counter("engine.refresh_ns")),
         satisfied_slack_seconds(&m.histogram("engine.satisfied_slack_seconds",
                                              {0.1, 1.0, 10.0, 60.0, 600.0, 3600.0})),
         refresh_batch_usec(&m.histogram(
@@ -216,16 +210,7 @@ StagingEngine::StagingEngine(const Scenario& scenario, EngineOptions options)
   }
 }
 
-StagingEngine::~StagingEngine() {
-  if (batch_async_) {
-    try {
-      pool_->join();
-    } catch (...) {
-      // A speculative recompute failed after the engine was abandoned; there
-      // is no caller left to care and nothing may escape a destructor.
-    }
-  }
-}
+StagingEngine::~StagingEngine() = default;
 
 ThreadPool* StagingEngine::ensure_pool() {
   if (pool_ == nullptr) {
@@ -249,56 +234,39 @@ void StagingEngine::refresh_plans() {
     // is about to go stale — drop them wholesale instead of popping one by
     // one later.
     best_heap_.clear();
-    refresh_jobs_.clear();
-    for (std::size_t i = 0; i < plans_.size(); ++i) {
-      const ItemId item(static_cast<std::int32_t>(i));
-      if (plans_[i].exhausted) continue;
-      if (!tracker_.any_pending(item)) {
-        retire_plan(i);
-        continue;
-      }
-      RefreshJob job;
-      job.plan = i;
-      job.old_candidates = plans_[i].candidates.size();
-      refresh_jobs_.push_back(job);
-    }
     dirty_queue_.clear();
-    run_refresh_batch();
-    merge_refresh_jobs();
-    last_round_cache_hits_ = 0;
-  } else if (batch_collected_) {
-    // The dirty set was already collected (and its compute dispatched) by
-    // the speculative launch at the end of the last commit; nothing can have
-    // dirtied a plan since. Join the workers and replay the merge.
-    DS_ASSERT_MSG(dirty_queue_.empty(),
-                  "plans dirtied while a speculative batch was in flight");
-    if (batch_async_) {
-      batch_async_ = false;
-      pool_->join();
+    for (std::size_t i = 0; i < plans_.size(); ++i) {
+      if (plans_[i].exhausted) continue;
+      plans_[i].dirty = true;
+      dirty_queue_.push_back(i);
     }
-    const std::size_t recomputed = refresh_jobs_.size();
-    merge_refresh_jobs();
-    last_round_cache_hits_ = active_plans_ - recomputed;
-    if (instr_ != nullptr) instr_->cache_hits.inc(last_round_cache_hits_);
-  } else {
-    // Incremental mode without a speculative batch: collect the dirty set,
-    // compute (parallel when worthwhile), merge in ascending plan order.
-    collect_refresh_jobs();
-    run_refresh_batch();
-    const std::size_t recomputed = refresh_jobs_.size();
-    merge_refresh_jobs();
-    // Every live plan not recomputed this round reused its cached tree; the
-    // cache is provably identical to a recompute (see the header note).
-    last_round_cache_hits_ = active_plans_ - recomputed;
-    if (instr_ != nullptr) instr_->cache_hits.inc(last_round_cache_hits_);
   }
+  collect_refresh_jobs();
+  if (parallel_enabled_ && refresh_jobs_.size() >= kParallelRefreshMinJobs) {
+    const std::function<void(std::size_t, std::size_t)> job =
+        [this](std::size_t worker, std::size_t j) {
+          compute_refresh_job(refresh_jobs_[j], refresh_ws_[worker]);
+        };
+    ensure_pool()->parallel_for(refresh_jobs_.size(), job);
+  } else {
+    for (RefreshJob& job : refresh_jobs_) {
+      compute_refresh_job(job, refresh_ws_.front());
+    }
+  }
+  // Ascending plan order (collect drains the sorted queue), replaying the
+  // exact shared-state sequence a serial refresh would have produced.
+  for (RefreshJob& job : refresh_jobs_) merge_refresh_job(job);
+  // Every live plan not recomputed this round reused its cached tree; the
+  // cache is provably identical to a recompute (see the header note).
+  last_round_cache_hits_ = active_plans_ - refresh_jobs_.size();
+  if (instr_ != nullptr) instr_->cache_hits.inc(last_round_cache_hits_);
   if (phases_ != nullptr) {
     const std::int64_t ns = steady_clock_nanos() - t0;
     if (instr_ != nullptr) {
-      instr_->refresh_parallel_ns.inc(static_cast<std::uint64_t>(ns));
+      instr_->refresh_ns.inc(static_cast<std::uint64_t>(ns));
       instr_->refresh_batch_usec->observe(static_cast<double>(ns) / 1000.0);
     }
-    phases_->add_nanos("engine.refresh_parallel", ns);
+    phases_->add_nanos("engine.refresh", ns);
   }
 }
 
@@ -323,94 +291,6 @@ void StagingEngine::collect_refresh_jobs() {
     refresh_jobs_.push_back(job);
   }
   dirty_queue_.clear();
-  // Every commit-triggered batch is a speculation round: the next commit's
-  // invalidation delivers each plan's keep/abort verdict. Batches are
-  // logical — recorded whether the compute runs inline or on the pool — so
-  // the verdict counters are identical at any engine_jobs.
-  if (iterations_ > 0) {
-    spec_batch_.clear();
-    for (const RefreshJob& job : refresh_jobs_) spec_batch_.push_back(job.plan);
-    spec_pending_ = true;
-  }
-}
-
-void StagingEngine::run_refresh_batch() {
-  if (parallel_enabled_ && refresh_jobs_.size() >= kParallelRefreshMinJobs) {
-    const std::function<void(std::size_t, std::size_t)> job =
-        [this](std::size_t worker, std::size_t j) {
-          compute_refresh_job(refresh_jobs_[j], refresh_ws_[worker]);
-        };
-    ensure_pool()->parallel_for(refresh_jobs_.size(), job);
-  } else {
-    for (RefreshJob& job : refresh_jobs_) {
-      compute_refresh_job(job, refresh_ws_.front());
-    }
-  }
-}
-
-void StagingEngine::merge_refresh_jobs() {
-  // Ascending plan order (collect drains the sorted queue), replaying the
-  // exact shared-state sequence a serial refresh would have produced.
-  for (RefreshJob& job : refresh_jobs_) merge_refresh_job(job);
-  refresh_jobs_.clear();
-  batch_collected_ = false;
-}
-
-void StagingEngine::complete_pending_refresh() {
-  if (!batch_collected_) return;
-  if (batch_async_) {
-    batch_async_ = false;
-    pool_->join();
-  }
-  merge_refresh_jobs();
-}
-
-void StagingEngine::abandon_refresh_batch() {
-  if (batch_async_) {
-    batch_async_ = false;
-    pool_->join();
-  }
-  batch_collected_ = false;
-  refresh_jobs_.clear();
-}
-
-void StagingEngine::launch_speculative_refresh() {
-  if (!parallel_enabled_ || options_.paranoid || guard_tripped_) return;
-  // The commit is fully applied and the network state is stable until the
-  // next apply_*, which can only run after a refresh joins this batch — so
-  // workers read a frozen NetworkState/topology and write plan-local state.
-  const std::int64_t t0 = phases_ != nullptr ? steady_clock_nanos() : 0;
-  collect_refresh_jobs();
-  batch_collected_ = true;
-  if (refresh_jobs_.size() >= kParallelRefreshMinJobs) {
-    batch_async_ = true;
-    ensure_pool()->begin(refresh_jobs_.size(),
-                         [this](std::size_t worker, std::size_t j) {
-                           compute_refresh_job(refresh_jobs_[j],
-                                               refresh_ws_[worker]);
-                         });
-  } else {
-    for (RefreshJob& job : refresh_jobs_) {
-      compute_refresh_job(job, refresh_ws_.front());
-    }
-  }
-  if (phases_ != nullptr) {
-    phases_->add_nanos("engine.refresh_speculate", steady_clock_nanos() - t0);
-  }
-}
-
-void StagingEngine::resolve_spec_batch() {
-  if (!spec_pending_) return;
-  spec_pending_ = false;
-  std::size_t aborts = 0;
-  for (const std::size_t p : spec_batch_) {
-    if (plans_[p].dirty) ++aborts;
-  }
-  if (instr_ != nullptr) {
-    instr_->spec_aborts.inc(aborts);
-    instr_->spec_commits.inc(spec_batch_.size() - aborts);
-  }
-  spec_batch_.clear();
 }
 
 void StagingEngine::retire_plan(std::size_t plan_index) {
@@ -810,7 +690,6 @@ void StagingEngine::apply_hop(const Candidate& candidate) {
   const AppliedTransfer applied = commit_edge(candidate.item, candidate.hop);
   invalidate(candidate.item, std::span(&applied, 1));
   count_iteration();
-  launch_speculative_refresh();
 }
 
 void StagingEngine::apply_full_path_one(const Candidate& candidate) {
@@ -839,7 +718,6 @@ void StagingEngine::apply_full_path_one(const Candidate& candidate) {
   }
   invalidate(candidate.item, applied_scratch_);
   count_iteration();
-  launch_speculative_refresh();
 }
 
 void StagingEngine::apply_full_path_all(const Candidate& candidate) {
@@ -879,7 +757,6 @@ void StagingEngine::apply_full_path_all(const Candidate& candidate) {
   }
   invalidate(candidate.item, applied_scratch_);
   count_iteration();
-  launch_speculative_refresh();
 }
 
 void StagingEngine::invalidate(ItemId scheduled_item,
@@ -946,10 +823,6 @@ void StagingEngine::invalidate(ItemId scheduled_item,
     }
   }
 
-  // The dirty flags are final for this commit: deliver the previous
-  // speculation batch's verdicts (re-dirtied plans aborted, the rest kept).
-  resolve_spec_batch();
-
   if (!record) return;
   if (instr_ != nullptr) {
     instr_->invalidations_checked.inc(examined);
@@ -990,9 +863,6 @@ void StagingEngine::count_iteration() {
 }
 
 const RouteTree& StagingEngine::plan_tree(ItemId item) {
-  // A speculative batch may cover this plan (its dirty flag is already
-  // cleared); merge it first so the tree below is the committed one.
-  complete_pending_refresh();
   ItemPlan& plan = plans_[item.index()];
   if (plan.dirty || options_.paranoid) recompute_plan_now(item);
   return plan.tree;
@@ -1081,10 +951,6 @@ void StagingEngine::observe_finish() {
 }
 
 StagingResult StagingEngine::finish() {
-  // A caller that stops mid-loop may leave a speculative batch in flight.
-  // Discard it unmerged: the serial path would not have refreshed either, so
-  // counters and trace stay serial-equivalent.
-  abandon_refresh_batch();
   if (instr_ != nullptr || trace_ != nullptr) observe_finish();
   StagingResult result;
   result.schedule = std::move(schedule_);

@@ -81,67 +81,17 @@ struct EngineOptions {
   /// default — keeps the hot loop free of any metric or trace work; set, it
   /// never changes scheduling decisions, only records them.
   obs::RunObserver* observer = nullptr;
-  /// Worker threads for intra-scenario parallelism (plan refresh +
-  /// speculative cross-round scoring). 1 = serial; 0 = one per hardware
-  /// thread. Schedules, metrics and traces are byte-identical at any value —
-  /// parallel workers only ever write plan-local state and all shared-state
-  /// effects are merged in ascending plan order (see docs/PARALLELISM.md).
+  /// Worker threads for intra-scenario parallelism (the per-round plan
+  /// refresh). 1 = serial; 0 = one per hardware thread. Schedules, metrics
+  /// and traces are byte-identical at any value — parallel workers only ever
+  /// write plan-local state and all shared-state effects are merged in
+  /// ascending plan order (see docs/PARALLELISM.md).
   std::size_t engine_jobs = default_engine_jobs();
   /// Optional externally owned worker pool. Non-null wins over engine_jobs:
   /// long-lived callers (DynamicStager, datastage_serve) keep one pool across
   /// replans instead of paying thread spawn per engine instance. The caller
   /// must keep the pool alive for the engine's lifetime.
   ThreadPool* engine_pool = nullptr;
-};
-
-/// Fluent construction of EngineOptions, so every call site wires weighting,
-/// criterion, guard, paranoid mode and observability the same way instead of
-/// mutating a default-constructed struct field by field. Tools should prefer
-/// toolflags::make_engine_options, which layers flag parsing on top.
-///
-///   EngineOptions options = EngineOptionsBuilder()
-///                               .weighting(PriorityWeighting::w_1_5_10())
-///                               .criterion(CostCriterion::kC1)
-///                               .observer(&observer)
-///                               .build();
-class EngineOptionsBuilder {
- public:
-  EngineOptionsBuilder& weighting(const PriorityWeighting& weighting) {
-    options_.weighting = weighting;
-    return *this;
-  }
-  EngineOptionsBuilder& criterion(CostCriterion criterion) {
-    options_.criterion = criterion;
-    return *this;
-  }
-  EngineOptionsBuilder& eu(const EUWeights& eu) {
-    options_.eu = eu;
-    return *this;
-  }
-  EngineOptionsBuilder& paranoid(bool paranoid = true) {
-    options_.paranoid = paranoid;
-    return *this;
-  }
-  EngineOptionsBuilder& max_iterations(std::size_t max_iterations) {
-    options_.max_iterations = max_iterations;
-    return *this;
-  }
-  EngineOptionsBuilder& observer(obs::RunObserver* observer) {
-    options_.observer = observer;
-    return *this;
-  }
-  EngineOptionsBuilder& engine_jobs(std::size_t jobs) {
-    options_.engine_jobs = jobs;
-    return *this;
-  }
-  EngineOptionsBuilder& engine_pool(ThreadPool* pool) {
-    options_.engine_pool = pool;
-    return *this;
-  }
-  EngineOptions build() const { return options_; }
-
- private:
-  EngineOptions options_;
 };
 
 /// A valid next communication step: move `item` over `hop` (the shared first
@@ -274,41 +224,21 @@ class StagingEngine {
   };
 
   /// Brings every plan up to date: recomputes the dirty set (incremental
-  /// mode) or every pending plan (paranoid mode), retiring exhausted plans.
-  /// Three phases — collect (serial: dirty set -> jobs), compute (parallel:
-  /// route trees + candidate lists into plan-local storage), merge (serial,
-  /// ascending plan order: index subscriptions, tournament pushes, counters,
-  /// trace events) — so output is byte-identical at any thread count.
+  /// mode) or every live plan (paranoid mode marks them all dirty first),
+  /// retiring exhausted plans. Three phases — collect (serial: dirty set ->
+  /// jobs), compute (on the pool when the batch has at least
+  /// kParallelRefreshMinJobs plans, inline otherwise: route trees +
+  /// candidate lists into plan-local storage), merge (serial, ascending plan
+  /// order: index subscriptions, tournament pushes, counters, trace events)
+  /// — so output is byte-identical at any thread count.
   void refresh_plans();
   /// Serial collect: drains dirty_queue_ (sorted, dup-skipped) into
-  /// refresh_jobs_, retiring plans with no pending requests and recording the
-  /// batch for speculation accounting.
+  /// refresh_jobs_, retiring plans with no pending requests.
   void collect_refresh_jobs();
-  /// Runs the compute phase over refresh_jobs_ — on the pool when the batch
-  /// is big enough, inline (workspace 0) otherwise. Either way results are
-  /// identical: compute writes only plan-local state and its own job record.
-  void run_refresh_batch();
   void compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws);
   /// Serial merge of one computed job, replaying the exact shared-state
-  /// effect sequence of the old serial recompute_plan.
+  /// effect sequence of a serial recompute.
   void merge_refresh_job(RefreshJob& job);
-  void merge_refresh_jobs();
-  /// Joins an in-flight speculative batch and merges it (plan_tree and any
-  /// other entry point that must observe a consistent engine).
-  void complete_pending_refresh();
-  /// Joins and discards an in-flight speculative batch without merging —
-  /// finish()/destruction only. Counters stay serial-equivalent because the
-  /// serial path would not have refreshed either.
-  void abandon_refresh_batch();
-  /// Speculative cross-round scoring: after a commit, eagerly collects the
-  /// freshly invalidated plans and dispatches their recompute on the pool.
-  /// The next refresh_plans() (or the next commit's invalidation) decides
-  /// each plan's fate: untouched neighborhoods keep the speculative result
-  /// (spec_commit), re-dirtied plans are recomputed again (spec_abort).
-  void launch_speculative_refresh();
-  /// Resolves the previous speculation batch at the end of invalidate():
-  /// plans the new commit re-dirtied are aborts, the rest commits.
-  void resolve_spec_batch();
   /// Lazily creates the owned pool (first batch that wants it).
   ThreadPool* ensure_pool();
   /// Serial recompute of a single plan (plan_tree's paranoid/dirty path):
@@ -355,8 +285,7 @@ class StagingEngine {
   std::vector<BestEntry> best_heap_;
   /// Per-worker compute scratch; [0] is the serial path's workspace.
   std::vector<RefreshWorkspace> refresh_ws_;
-  /// The current refresh batch (reused buffer). Must not grow while a
-  /// speculative batch is in flight on the pool.
+  /// The current refresh batch (reused buffer).
   std::vector<RefreshJob> refresh_jobs_;
   /// Worker pool for the compute phase: the caller's engine_pool, or an
   /// owned pool created lazily once a batch is worth parallelizing.
@@ -364,12 +293,6 @@ class StagingEngine {
   std::unique_ptr<ThreadPool> owned_pool_;
   std::size_t engine_jobs_resolved_ = 1;  ///< engine_jobs with 0 -> hardware
   bool parallel_enabled_ = false;  ///< pool available or engine_jobs > 1
-  bool batch_collected_ = false;   ///< refresh_jobs_ computed but not merged
-  bool batch_async_ = false;       ///< ... and still running on pool_
-  /// Plans refreshed by the last commit-triggered batch, awaiting their
-  /// speculation verdict at the next commit's invalidation.
-  std::vector<std::size_t> spec_batch_;
-  bool spec_pending_ = false;
   /// Epoch-stamped per-machine marks: the allocation-free node_seen set used
   /// by full-tree commits (candidate building uses the per-worker copies).
   std::vector<std::uint64_t> node_mark_;

@@ -196,6 +196,27 @@ bool DynamicStager::copy_is_permanent(const TrackedItem& item,
   return false;
 }
 
+std::vector<StorageTimeline> DynamicStager::permanent_charge() const {
+  std::vector<StorageTimeline> charge;
+  charge.reserve(base_.machine_count());
+  for (const Machine& machine : base_.machines) {
+    charge.emplace_back(machine.capacity_bytes);
+  }
+  // Every permanent copy was capacity-checked with an infinite hold when it
+  // was created, so they always fit together.
+  for (const TrackedItem& item : items_) {
+    for (const Copy& copy : item.copies) {
+      if (!copy_is_permanent(item, copy)) continue;
+      const Interval hold{copy.available_at, SimTime::infinity()};
+      StorageTimeline& st = charge[copy.machine.index()];
+      DS_ASSERT_MSG(st.fits(item.size_bytes, hold),
+                    "permanent copies must always fit");
+      st.allocate(item.size_bytes, hold);
+    }
+  }
+  return charge;
+}
+
 void DynamicStager::run_garbage_collection() {
   // The static model's rule (§4.4): intermediate copies are removed γ after
   // the latest deadline of the item's requests — here, the latest deadline
@@ -244,24 +265,9 @@ Scenario DynamicStager::residual_scenario() const {
   // + γ). A feasibility pre-pass drops intermediate copies that no longer
   // fit — an ad-hoc request can extend gc windows beyond what was
   // capacity-checked when the copy was staged.
-  std::vector<StorageTimeline> charge;
-  charge.reserve(base_.machine_count());
-  for (const Machine& machine : base_.machines) {
-    charge.emplace_back(machine.capacity_bytes);
-  }
-
-  // Pass 1: permanent copies across all items. Every one was capacity-checked
-  // with an infinite hold when it was created, so they always fit together.
-  for (const TrackedItem& item : items_) {
-    for (const Copy& copy : item.copies) {
-      if (!copy_is_permanent(item, copy)) continue;
-      const Interval hold{copy.available_at, SimTime::infinity()};
-      StorageTimeline& st = charge[copy.machine.index()];
-      DS_ASSERT_MSG(st.fits(item.size_bytes, hold),
-                    "permanent copies must always fit");
-      st.allocate(item.size_bytes, hold);
-    }
-  }
+  //
+  // Pass 1: permanent copies across all items.
+  std::vector<StorageTimeline> charge = permanent_charge();
 
   // Pass 2: intermediate copies, dropped if they no longer fit.
   for (const TrackedItem& item : items_) {
@@ -366,13 +372,20 @@ void DynamicStager::on_event(const StagingEvent& event) {
     DS_ASSERT_MSG(item != nullptr, "ad-hoc request for unknown item");
     TrackedRequest tracked{new_request->request, false, false, SimTime::infinity()};
     // If the destination already holds a copy, the request resolves on the
-    // spot (the data is there; on time iff it is already usable).
+    // spot (the data is there; on time iff it is already usable). Serving it
+    // makes the copy a destination copy, held forever: a relayed copy that
+    // cannot be held forever next to the permanent copies cannot serve the
+    // request, which then closes unsatisfied and leaves the copy transient.
     for (const Copy& copy : item->copies) {
-      if (copy.machine == tracked.request.destination) {
-        tracked.resolved = true;
-        tracked.arrival = copy.available_at;
-        tracked.satisfied = copy.available_at <= tracked.request.deadline;
+      if (copy.machine != tracked.request.destination) continue;
+      tracked.resolved = true;
+      if (!copy_is_permanent(*item, copy) &&
+          !permanent_charge()[copy.machine.index()].fits(
+              item->size_bytes, Interval{copy.available_at, SimTime::infinity()})) {
+        continue;
       }
+      tracked.arrival = copy.available_at;
+      tracked.satisfied = copy.available_at <= tracked.request.deadline;
     }
     item->requests.push_back(tracked);
   } else if (const auto* outage = std::get_if<LinkOutageEvent>(&event.body)) {

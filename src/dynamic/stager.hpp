@@ -33,6 +33,7 @@
 #include "dynamic/events.hpp"
 #include "model/fault.hpp"
 #include "model/scenario.hpp"
+#include "net/storage_timeline.hpp"
 #include "util/interval.hpp"
 
 namespace datastage {
@@ -196,6 +197,9 @@ class DynamicStager {
   /// True for copies that persist to the end of the run: original sources
   /// and destinations that received the item.
   bool copy_is_permanent(const TrackedItem& item, const Copy& copy) const;
+  /// Per-machine storage charged by every permanent copy, each held from its
+  /// availability forever.
+  std::vector<StorageTimeline> permanent_charge() const;
   void run_garbage_collection();
   void replan();
   /// `reason` labels the requeue trace events ("link_outage"/"link_degrade").

@@ -17,8 +17,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    DS_ASSERT_MSG(job_ == nullptr && !async_in_flight_,
-                  "destroying ThreadPool with a batch in flight (missing join)");
+    DS_ASSERT_MSG(job_ == nullptr, "destroying ThreadPool with a batch in flight");
     stop_ = true;
   }
   work_cv_.notify_all();
@@ -32,7 +31,7 @@ std::size_t ThreadPool::hardware_jobs() {
 
 void ThreadPool::start_batch_locked(
     std::size_t job_count, const std::function<void(std::size_t, std::size_t)>* job) {
-  DS_ASSERT_MSG(job_ == nullptr && !async_in_flight_, "batch already in flight");
+  DS_ASSERT_MSG(job_ == nullptr, "batch already in flight");
   job_ = job;
   job_count_ = job_count;
   // One chunk per lock acquisition: big batches claim ranges to keep mutex
@@ -76,49 +75,6 @@ void ThreadPool::parallel_for(
   }
   work_cv_.notify_all();
   wait_batch_and_rethrow();
-}
-
-void ThreadPool::begin(std::size_t job_count,
-                       std::function<void(std::size_t, std::size_t)> job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (job_count == 0) {
-      DS_ASSERT_MSG(job_ == nullptr && !async_in_flight_, "batch already in flight");
-      async_in_flight_ = true;  // empty batch: nothing dispatched, join is a no-op
-      return;
-    }
-    owned_job_ = std::move(job);
-    start_batch_locked(job_count, &owned_job_);
-    async_in_flight_ = true;
-  }
-  work_cv_.notify_all();
-}
-
-void ThreadPool::join() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!async_in_flight_) return;
-    if (job_ == nullptr) {  // empty batch recorded by begin(0, ...)
-      async_in_flight_ = false;
-      return;
-    }
-  }
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return completed_ == job_count_; });
-    job_ = nullptr;
-    async_in_flight_ = false;
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  owned_job_ = nullptr;  // release captures outside the lock
-  if (error != nullptr) std::rethrow_exception(error);
-}
-
-bool ThreadPool::batch_in_flight() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return async_in_flight_ || job_ != nullptr;
 }
 
 void ThreadPool::worker_loop(std::size_t worker) {

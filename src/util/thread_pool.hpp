@@ -7,19 +7,15 @@
 // f(i)` and reduce in index order therefore get bit-identical output for any
 // thread count (see harness/parallel.hpp for that contract).
 //
-// Three entry points share the batch machinery:
-//   * run_indexed()   — the original blocking form, `job(index)`;
-//   * parallel_for()  — blocking, `job(worker, index)` with chunked index
-//     claiming; the worker id (0..thread_count-1) lets callers keep
-//     per-worker scratch (Dijkstra workspaces) without thread-locals;
-//   * begin()/join()  — the asynchronous pair behind the engine's
-//     speculative refresh: begin() dispatches the batch and returns
-//     immediately, join() blocks until it drains. Exactly one batch may be
-//     in flight; the pool owns the job function between begin and join.
+// Two blocking entry points share the batch machinery:
+//   * run_indexed()   — `job(index)`;
+//   * parallel_for()  — `job(worker, index)` with chunked index claiming;
+//     the worker id (0..thread_count-1) lets callers keep per-worker
+//     scratch (Dijkstra workspaces) without thread-locals.
 //
 // Exceptions thrown by jobs are captured and the one with the lowest job
-// index is rethrown from the blocking call (or join()) after the batch
-// drains — again independent of thread scheduling.
+// index is rethrown from the blocking call after the batch drains — again
+// independent of thread scheduling.
 #pragma once
 
 #include <condition_variable>
@@ -38,7 +34,7 @@ class ThreadPool {
   /// Spawns `threads` workers (at least one).
   explicit ThreadPool(std::size_t threads);
   /// Joins all workers. Must not be called while a batch is in flight
-  /// (asserted) — callers that used begin() must join() first.
+  /// (asserted).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -61,21 +57,6 @@ class ThreadPool {
   void parallel_for(std::size_t job_count,
                     const std::function<void(std::size_t, std::size_t)>& job);
 
-  /// Dispatches a batch asynchronously and returns immediately; the pool
-  /// takes ownership of `job` until the matching join(). At most one batch
-  /// may be in flight (asserted) — including against the blocking entry
-  /// points. begin(0, ...) records an empty batch; join() is still required
-  /// and returns immediately.
-  void begin(std::size_t job_count, std::function<void(std::size_t, std::size_t)> job);
-
-  /// Blocks until the batch dispatched by begin() drains, releases the job,
-  /// and rethrows the lowest-index exception, if any. No-op without a
-  /// matching begin().
-  void join();
-
-  /// True between begin() and join().
-  bool batch_in_flight() const;
-
   /// std::thread::hardware_concurrency with a floor of 1 (the function may
   /// return 0 on platforms that cannot report it).
   static std::size_t hardware_jobs();
@@ -88,15 +69,12 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 
-  std::mutex batch_mutex_;  ///< serializes blocking (run_indexed/parallel_for) callers
+  std::mutex batch_mutex_;  ///< serializes run_indexed/parallel_for callers
 
-  mutable std::mutex mutex_;  ///< guards everything below
+  std::mutex mutex_;  ///< guards everything below
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   const std::function<void(std::size_t, std::size_t)>* job_ = nullptr;
-  /// Owned storage for asynchronous batches; `job_` points here after begin().
-  std::function<void(std::size_t, std::size_t)> owned_job_;
-  bool async_in_flight_ = false;
   std::size_t job_count_ = 0;
   std::size_t chunk_ = 1;      ///< indices claimed per lock acquisition
   std::size_t next_index_ = 0;

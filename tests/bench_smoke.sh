@@ -19,22 +19,17 @@ for bench in "$BENCH_DIR"/*; do
         failures=$((failures + 1))
       fi
       ;;
-    perf_scale)
-      # The default tier set ends at `huge` (500k requests) — far past a
-      # smoke budget. The small tier exercises the same code path.
-      out="$("$bench" --tier=small --out=/dev/null 2>&1)" || {
-        echo "FAILED: $name" >&2
-        echo "$out" >&2
-        failures=$((failures + 1))
-        continue
-      }
-      echo "$out" | grep -q '|' || {
-        echo "FAILED (no table): $name" >&2
-        failures=$((failures + 1))
-      }
-      ;;
     *)
-      out="$("$bench" --cases=1 2>&1)" || {
+      case "$name" in
+        # The default tier set ends at `huge` (500k requests) — far past a
+        # smoke budget. The small tier exercises the same code path.
+        perf_scale) args="--tier=small --out=/dev/null" ;;
+        # Also exercises the documented --engine-jobs flag (parallel refresh).
+        perf_engine) args="--grid=small --cases=1 --engine-jobs=2 --out=/dev/null" ;;
+        *) args="--cases=1" ;;
+      esac
+      # shellcheck disable=SC2086  # args is a flag list, split on purpose
+      out="$("$bench" $args 2>&1)" || {
         echo "FAILED: $name" >&2
         echo "$out" >&2
         failures=$((failures + 1))

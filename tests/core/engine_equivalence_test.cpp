@@ -161,9 +161,8 @@ TEST(EngineEquivalenceJobsTest, Jobs1MatchesJobs8) {
 //
 // The parallel refresh path must be *byte-identical* to the serial engine in
 // every observable output — not just the schedule and outcomes, but the full
-// metrics registry (including the speculation counters, which are defined
-// over logical batches) and the structured trace stream. Any divergence means
-// the deterministic-merge contract broke.
+// metrics registry and the structured trace stream. Any divergence means the
+// deterministic-merge contract broke.
 
 StagingResult run_observed(const SchedulerSpec& spec, const Scenario& scenario,
                            std::size_t engine_jobs, std::string* metrics_json,
@@ -262,8 +261,7 @@ bool candidate_order(const Candidate& a, const Candidate& b) {
   return ka < kb;
 }
 
-// all_candidates()/candidate_count() share best_candidate()'s refresh path —
-// including the merge of a speculative batch launched by the previous commit.
+// all_candidates()/candidate_count() share best_candidate()'s refresh path.
 // After every commit (= one invalidation wave) the enumeration must agree
 // with the tournament winner and with the maintained count, in both serial
 // and parallel modes.

@@ -154,6 +154,44 @@ TEST(DynamicStagerMoreTest, StagedCopyStillPresentBeforeGcServesAdHoc) {
   EXPECT_TRUE(record->satisfied);
 }
 
+TEST(DynamicStagerMoreTest, AdHocRequestAtRelayThatCannotKeepTheCopyIsRejected) {
+  // Regression: M1 relays d0 (hold until gc at minute 16) and will receive
+  // d1's original copy at minute 30; it has room for one item at a time. An
+  // ad-hoc d0 request at M1 would turn the relayed copy into a destination
+  // copy held forever, which collides with d1's. The request must close
+  // unsatisfied instead of making the copy permanent — the next replan used
+  // to abort on "permanent copies must always fit".
+  const Scenario s = ScenarioBuilder()
+                         .machine(kGB).machine(1'500'000).machine(kGB)
+                         .link(0, 1, 8'000'000, Interval{SimTime::zero(), at_min(5)})
+                         .link(1, 2, 8'000'000, kAlways)
+                         .gamma(SimDuration::minutes(6))
+                         .item(1'000'000)
+                         .source(0, SimTime::zero())
+                         .request(2, at_min(10))
+                         .item(1'000'000)
+                         .source(1, at_min(30))
+                         .request(2, at_min(60))
+                         .build();
+  DynamicStager stager(s, spec(), options());
+  stager.on_event(StagingEvent{
+      at_min(12),
+      NewRequestEvent{"d0", Request{MachineId(1), at_min(60), kPriorityHigh}}});
+  EXPECT_EQ(stager.request_status("d0", MachineId(1)),
+            DynamicRequestStatus::kUnsatisfied);
+  const DynamicResult result = stager.finish();
+  const auto* adhoc = find_record(result, "d0", 1);
+  ASSERT_NE(adhoc, nullptr);
+  EXPECT_FALSE(adhoc->satisfied);
+  EXPECT_TRUE(adhoc->arrival.is_infinite());
+  const auto* relayed = find_record(result, "d0", 2);
+  ASSERT_NE(relayed, nullptr);
+  EXPECT_TRUE(relayed->satisfied);
+  const auto* other = find_record(result, "d1", 2);
+  ASSERT_NE(other, nullptr);
+  EXPECT_TRUE(other->satisfied);
+}
+
 TEST(DynamicStagerMoreTest, FailedLateTransferKeepsEarlierDelivery) {
   // Regression: two committed transfers deliver the same item to one
   // destination — a fast one (arrives first) and a slow one (still in

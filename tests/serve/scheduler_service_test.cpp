@@ -13,6 +13,7 @@ namespace datastage {
 namespace {
 
 using testing::ScenarioBuilder;
+using testing::at_min;
 using testing::at_sec;
 using testing::chain_scenario;
 
@@ -136,6 +137,31 @@ TEST(SchedulerServiceTest, CancelFreesTheSlotForResubmission) {
       service.submit(submit_at(at_sec(2), "d0", 1, at_sec(600)));
   EXPECT_EQ(second.outcome, AdmissionOutcome::kAlreadySatisfied);
   EXPECT_TRUE(second.admitted());
+}
+
+TEST(SchedulerServiceTest, SubmitAtRelayThatCannotKeepTheCopyIsRejected) {
+  // M1 relays d0 until its gc at minute 16 and receives d1's original copy
+  // at minute 30, with room for one item at a time. A d0 request at M1
+  // would need the relayed copy held forever next to d1's: it is rejected,
+  // where the replan used to abort on "permanent copies must always fit".
+  const Scenario s = ScenarioBuilder()
+                         .machine(1 << 30).machine(1'500'000).machine(1 << 30)
+                         .link(0, 1, 8'000'000, Interval{SimTime::zero(), at_min(5)})
+                         .link(1, 2, 8'000'000, Interval{SimTime::zero(), at_min(120)})
+                         .gamma(SimDuration::minutes(6))
+                         .item(1'000'000)
+                         .source(0, SimTime::zero())
+                         .request(2, at_min(10))
+                         .item(1'000'000)
+                         .source(1, at_min(30))
+                         .request(2, at_min(60))
+                         .build();
+  SchedulerService service(s, {});
+  const AdmissionDecision decision =
+      service.submit(submit_at(at_min(12), "d0", 1, at_min(60)));
+  EXPECT_EQ(decision.outcome, AdmissionOutcome::kFullReject);
+  EXPECT_EQ(service.request_status("d0", MachineId(1)),
+            DynamicRequestStatus::kUnsatisfied);
 }
 
 TEST(SchedulerServiceTest, SubmitAtFaultInstantSeesPostFaultWorld) {

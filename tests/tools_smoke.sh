@@ -128,6 +128,24 @@ test "$status" -eq 1
 grep -q "engine.tree_recomputes" "$WORK_DIR/benchdiff.txt"
 "$TOOLS_DIR/datastage_benchdiff" "$WORK_DIR/metrics.json" \
     "$WORK_DIR/metrics_perturbed.json" --warn-only > /dev/null
+# Under --warn-only a missing, empty or unparsable baseline is a warning
+# (exit 0); an unparsable current document still fails (exit 2).
+: > "$WORK_DIR/empty.json"
+printf '{"broken": \n' > "$WORK_DIR/broken.json"
+for baseline in "$WORK_DIR/empty.json" "$WORK_DIR/broken.json" \
+    "$WORK_DIR/no-such-baseline.json"; do
+  "$TOOLS_DIR/datastage_benchdiff" "$baseline" "$WORK_DIR/metrics.json" \
+      --warn-only > "$WORK_DIR/benchdiff.txt" 2>&1
+  grep -q "nothing compared" "$WORK_DIR/benchdiff.txt"
+  status=0
+  "$TOOLS_DIR/datastage_benchdiff" "$baseline" "$WORK_DIR/metrics.json" \
+      > /dev/null 2>&1 || status=$?
+  test "$status" -eq 2
+done
+status=0
+"$TOOLS_DIR/datastage_benchdiff" "$WORK_DIR/metrics.json" \
+    "$WORK_DIR/empty.json" --warn-only > /dev/null 2>&1 || status=$?
+test "$status" -eq 2
 
 # A bad output path must fail eagerly with exit 2 and name the path.
 for flag in --metrics-out --trace-out --chrome-trace-out; do

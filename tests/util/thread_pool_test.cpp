@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -112,7 +111,6 @@ TEST(ThreadPoolParallelForTest, EmptyRangeIsANoOp) {
   bool ran = false;
   pool.parallel_for(0, [&](std::size_t, std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
-  EXPECT_FALSE(pool.batch_in_flight());
 }
 
 TEST(ThreadPoolParallelForTest, LowestIndexExceptionWins) {
@@ -138,79 +136,6 @@ TEST(ThreadPoolParallelForTest, PerWorkerScratchNeverShared) {
     in_use[worker].fetch_sub(1);
   });
   EXPECT_FALSE(collision.load());
-}
-
-TEST(ThreadPoolAsyncTest, BeginJoinRunsAllJobs) {
-  ThreadPool pool(4);
-  constexpr std::size_t kJobs = 50;
-  std::vector<std::atomic<int>> hits(kJobs);
-  pool.begin(kJobs, [&](std::size_t, std::size_t i) { hits[i].fetch_add(1); });
-  EXPECT_TRUE(pool.batch_in_flight());
-  pool.join();
-  EXPECT_FALSE(pool.batch_in_flight());
-  for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPoolAsyncTest, EmptyBeginStillRequiresOnlyCheapJoin) {
-  ThreadPool pool(2);
-  pool.begin(0, [&](std::size_t, std::size_t) { FAIL() << "dispatched a job"; });
-  EXPECT_TRUE(pool.batch_in_flight());
-  pool.join();
-  EXPECT_FALSE(pool.batch_in_flight());
-}
-
-TEST(ThreadPoolAsyncTest, JoinWithoutBeginIsANoOp) {
-  ThreadPool pool(2);
-  pool.join();
-  pool.join();
-  EXPECT_FALSE(pool.batch_in_flight());
-}
-
-TEST(ThreadPoolAsyncTest, JoinRethrowsLowestIndexException) {
-  ThreadPool pool(4);
-  pool.begin(16, [](std::size_t, std::size_t i) {
-    if (i >= 3) throw std::runtime_error(std::to_string(i));
-  });
-  try {
-    pool.join();
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "3");
-  }
-  EXPECT_FALSE(pool.batch_in_flight());
-  // Pool stays usable after an async failure.
-  std::atomic<int> sum{0};
-  pool.parallel_for(10, [&](std::size_t, std::size_t i) {
-    sum.fetch_add(static_cast<int>(i));
-  });
-  EXPECT_EQ(sum.load(), 45);
-}
-
-TEST(ThreadPoolAsyncTest, JobReleasedAfterJoin) {
-  // The pool owns the job closure between begin and join; join must release
-  // it so captured resources (here a shared_ptr) are freed promptly.
-  ThreadPool pool(2);
-  auto token = std::make_shared<int>(7);
-  std::weak_ptr<int> watch = token;
-  pool.begin(4, [token](std::size_t, std::size_t) {});
-  token.reset();
-  pool.join();
-  EXPECT_TRUE(watch.expired());
-}
-
-TEST(ThreadPoolAsyncTest, InterleavedAsyncAndBlockingBatches) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<int> async_results(5, -1);
-    pool.begin(async_results.size(),
-               [&](std::size_t, std::size_t i) { async_results[i] = round; });
-    pool.join();
-    std::vector<int> sync_results(5, -1);
-    pool.parallel_for(sync_results.size(),
-                      [&](std::size_t, std::size_t i) { sync_results[i] = round; });
-    for (const int r : async_results) ASSERT_EQ(r, round);
-    for (const int r : sync_results) ASSERT_EQ(r, round);
-  }
 }
 
 }  // namespace

@@ -158,12 +158,12 @@ EngineOptions make_engine_options(const CliFlags& flags,
                                   Observability& observability) {
   // Every tool prices the E-U axis at 10^--ratio with the paper's mid-axis
   // default of 10^1; tools without a --ratio flag get that default too.
-  return EngineOptionsBuilder()
-      .weighting(weighting)
-      .eu(EUWeights::from_log10_ratio(flags.get_double("ratio", 1.0)))
-      .paranoid(flags.get_bool("paranoid", false))
-      .observer(observability.observer())
-      .build();
+  EngineOptions options;
+  options.weighting = weighting;
+  options.eu = EUWeights::from_log10_ratio(flags.get_double("ratio", 1.0));
+  options.paranoid = flags.get_bool("paranoid", false);
+  options.observer = observability.observer();
+  return options;
 }
 
 }  // namespace datastage::toolflags

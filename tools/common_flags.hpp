@@ -119,7 +119,7 @@ class Observability {
 /// The one place observability/guard/paranoid wiring turns into
 /// EngineOptions: weighting from the caller (already parsed), --ratio (the
 /// paper's mid-axis 10^1 when absent), --paranoid, and the Observability
-/// observer. Tool-specific knobs layer on top via EngineOptionsBuilder.
+/// observer. Tools set their own knobs on the returned struct.
 EngineOptions make_engine_options(const CliFlags& flags,
                                   const PriorityWeighting& weighting,
                                   Observability& observability);

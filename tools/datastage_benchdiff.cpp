@@ -13,13 +13,17 @@
 //                       on shared CI runners is noisy
 //   --thresholds=S      per-metric overrides "substr=frac[,substr=frac...]";
 //                       the first matching substring wins
-//   --warn-only         print regressions but exit 0 (CI soak-in mode)
+//   --warn-only         print regressions but exit 0 (CI soak-in mode); a
+//                       missing, empty or unparsable baseline is a warning
+//                       too (nothing to compare against yet)
 //
 // Metrics present on only one side are listed but never fail the diff (new
 // counters appear as instrumentation grows; that is not a regression).
 //
 // Exit status: 0 when every shared metric is within threshold (or
-// --warn-only), 1 when at least one deviates, 2 on file or parse errors.
+// --warn-only), 1 when at least one deviates, 2 on file or parse errors —
+// except a bad baseline under --warn-only, which exits 0. An unreadable
+// current document always exits 2.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -153,10 +157,16 @@ int main(int argc, char** argv) {
 
   const std::optional<std::vector<Metric>> baseline =
       load_metrics(flags.positional()[0]);
-  if (!baseline.has_value()) return 2;
   const std::optional<std::vector<Metric>> current =
       load_metrics(flags.positional()[1]);
   if (!current.has_value()) return 2;
+  if (!baseline.has_value()) {
+    if (!warn_only) return 2;
+    std::printf("benchdiff: warning: baseline %s unusable, nothing compared "
+                "(--warn-only: exit 0)\n",
+                flags.positional()[0].c_str());
+    return 0;
+  }
 
   const auto threshold_for = [&](const std::string& path) {
     for (const Override& o : *overrides) {

@@ -111,11 +111,9 @@ int main(int argc, char** argv) {
         double low = 0.0;
         double medium = 0.0;
         double high = 0.0;
-        const EngineOptions options =
-            EngineOptionsBuilder()
-                .weighting(scheme)
-                .eu(EUWeights::from_log10_ratio(1.0))
-                .build();
+        EngineOptions options;
+        options.weighting = scheme;
+        options.eu = EUWeights::from_log10_ratio(1.0);
         for (const CaseResult& result :
              run_cases(cases, {kind, CostCriterion::kC4}, options)) {
           low += static_cast<double>(result.by_class[0]);

@@ -140,11 +140,9 @@ int run_fault_sweep_mode(const Scenario& scenario, const PriorityWeighting& weig
   FaultSweepConfig config;
   config.fault_seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 9000));
 
-  const EngineOptions options =
-      EngineOptionsBuilder()
-          .weighting(weighting)
-          .eu(EUWeights::from_log10_ratio(flags.get_double("ratio", 1.0)))
-          .build();
+  EngineOptions options;
+  options.weighting = weighting;
+  options.eu = EUWeights::from_log10_ratio(flags.get_double("ratio", 1.0));
 
   const FaultSweepResult sweep = run_fault_sweep(cases, specs, config, options);
 
