@@ -13,18 +13,29 @@
 //
 // Extra flags on top of the shared bench set:
 //   --out=PATH   JSON output path (default BENCH_scale.json)
-//   --tier=T     "small", "medium", "large", "xlarge", "huge" or "all"
-//                (default all; CI's perf-smoke runs --tier=small)
+//   --tier=T     comma-separated tiers out of "small", "medium", "large",
+//                "xlarge" and "huge", or "all" (default all; CI's
+//                perf-smoke runs --tier=small)
+//
+// The JSON records the host's core count and the build type next to the
+// rows, so a curve is only compared against one from the same kind of host.
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "bench_common.hpp"
 #include "common_flags.hpp"
 #include "core/registry.hpp"
 #include "core/satisfaction.hpp"
 #include "gen/generator.hpp"
+#include "util/thread_pool.hpp"
 #include "util/time.hpp"
+
+#ifndef DATASTAGE_BUILD_TYPE
+#define DATASTAGE_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
@@ -60,7 +71,22 @@ struct Tier {
   GeneratorConfig config;
 };
 
+/// Tiers named in the comma-separated `which` ("all" names every tier), in
+/// ascending size order whatever the list order. Empty if a name is unknown.
 std::vector<Tier> build_tiers(const std::string& which) {
+  static constexpr const char* kNames[] = {"small", "medium", "large", "xlarge", "huge",
+                                           "all"};
+  std::vector<std::string> names;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = which.find(',', start);
+    names.push_back(which.substr(start, comma - start));
+    if (std::find(std::begin(kNames), std::end(kNames), names.back()) == std::end(kNames)) {
+      return {};
+    }
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+
   // large: the paper's topology shape pushed to 64 machines (legacy sampling,
   // like every pre-scale grid). xlarge: first scalable-sampling tier — the
   // huge preset's shape at 1/5 the machine count.
@@ -77,8 +103,9 @@ std::vector<Tier> build_tiers(const std::string& which) {
   xlarge.max_requests_per_machine = 50;
 
   std::vector<Tier> tiers;
-  const auto want = [&which](const char* name) {
-    return which == name || which == "all";
+  const auto want = [&names](const char* name) {
+    return std::find(names.begin(), names.end(), name) != names.end() ||
+           std::find(names.begin(), names.end(), "all") != names.end();
   };
   if (want("small")) tiers.push_back({"small", GeneratorConfig::light()});
   if (want("medium")) tiers.push_back({"medium", GeneratorConfig::paper()});
@@ -103,8 +130,8 @@ int main(int argc, char** argv) {
   const std::vector<Tier> tiers = build_tiers(tier_name);
   if (tiers.empty()) {
     std::fprintf(stderr,
-                 "unknown --tier '%s' (use small, medium, large, xlarge, huge "
-                 "or all)\n",
+                 "unknown --tier '%s' (use a comma-separated list of small, "
+                 "medium, large, xlarge and huge, or all)\n",
                  tier_name.c_str());
     return 1;
   }
@@ -127,9 +154,11 @@ int main(int argc, char** argv) {
   if (f == nullptr) return 2;
   std::fprintf(f,
                "{\n  \"bench\": \"perf_scale\",\n  \"scheduler\": \"%s\",\n"
-               "  \"seed\": %llu,\n  \"tiers\": [\n",
+               "  \"seed\": %llu,\n  \"host_cores\": %zu,\n  \"build_type\": \"%s\",\n"
+               "  \"tiers\": [\n",
                spec.name().c_str(),
-               static_cast<unsigned long long>(setup.config.seed));
+               static_cast<unsigned long long>(setup.config.seed),
+               ThreadPool::hardware_jobs(), DATASTAGE_BUILD_TYPE);
 
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     const Tier& tier = tiers[t];

@@ -267,6 +267,7 @@ void generate_items_scalable(const GeneratorConfig& config, Rng& rng, Scenario& 
     item.size_bytes = size;
     const SimTime start =
         SimTime::zero() + rng.uniform_duration(SimDuration::zero(), config.max_item_start);
+    item.sources.reserve(sources.size());
     for (const std::int32_t machine : sources) {
       item.sources.push_back(SourceLocation{MachineId(machine), start});
       reserved[static_cast<std::size_t>(machine)] += size;
@@ -298,6 +299,7 @@ void generate_items_scalable(const GeneratorConfig& config, Rng& rng, Scenario& 
     }
     DS_ASSERT(!dests.empty());
 
+    item.requests.reserve(dests.size());
     for (const std::int32_t d : dests) {
       Request request;
       request.destination = MachineId(d);
@@ -371,6 +373,7 @@ void generate_items(const GeneratorConfig& config, Rng& rng, Scenario& s) {
     const SimTime start =
         SimTime::zero() + rng.uniform_duration(SimDuration::zero(), config.max_item_start);
     std::vector<bool> is_source(static_cast<std::size_t>(m), false);
+    item.sources.reserve(n_sources);
     for (std::size_t j = 0; j < n_sources; ++j) {
       const std::int32_t machine = eligible[j];
       item.sources.push_back(SourceLocation{MachineId(machine), start});
@@ -390,6 +393,7 @@ void generate_items(const GeneratorConfig& config, Rng& rng, Scenario& s) {
                   static_cast<std::size_t>(total_requests - assigned)});
     DS_ASSERT(n_dests >= 1);
 
+    item.requests.reserve(n_dests);
     for (std::size_t j = 0; j < n_dests; ++j) {
       Request request;
       request.destination = MachineId(dest_pool[j]);
@@ -536,6 +540,11 @@ Scenario generate_scenario(const GeneratorConfig& config, Rng& rng) {
   } else {
     generate_items(config, rng, s);
   }
+  // Drop push_back growth slack. These counts are only known once their
+  // draws are done; each item's sources and requests are reserved exactly.
+  s.phys_links.shrink_to_fit();
+  s.virt_links.shrink_to_fit();
+  s.items.shrink_to_fit();
 
   s.check_valid();
   DS_ASSERT(Topology(s).strongly_connected());

@@ -7,49 +7,51 @@
 namespace datastage {
 
 StorageTimeline::StorageTimeline(std::int64_t capacity_bytes)
-    : capacity_(capacity_bytes) {
+    : points_{Breakpoint{SimTime::zero(), 0}}, block_max_{0}, capacity_(capacity_bytes) {
   DS_ASSERT(capacity_bytes >= 0);
-  base_.push_back(Breakpoint{SimTime::zero(), 0});
 }
 
-std::int64_t StorageTimeline::base_at(SimTime t) const {
+std::size_t StorageTimeline::first_after(SimTime t) const {
   const auto it = std::upper_bound(
-      base_.begin(), base_.end(), t,
+      points_.begin(), points_.end(), t,
       [](SimTime value, const Breakpoint& bp) { return value < bp.time; });
-  if (it == base_.begin()) return 0;  // before time zero
-  return std::prev(it)->usage;
-}
-
-std::int64_t StorageTimeline::pending_at(SimTime t) const {
-  std::int64_t total = 0;
-  for (const auto& [iv, bytes] : pending_) {
-    if (iv.contains(t)) total += bytes;
-  }
-  return total;
+  return static_cast<std::size_t>(it - points_.begin());
 }
 
 std::int64_t StorageTimeline::usage_at(SimTime t) const {
-  return base_at(t) + pending_at(t);
+  const std::size_t i = first_after(t);
+  return i == 0 ? 0 : points_[i - 1].usage;
 }
 
 std::int64_t StorageTimeline::max_usage(const Interval& iv) const {
   if (iv.empty()) return 0;
-  // The maximum of a step function over [begin, end) is attained at the
-  // window begin, at a base breakpoint inside it, or where a pending
-  // allocation starts inside it — usage only rises at those instants.
-  std::int64_t best = usage_at(iv.begin);
-  const auto first = std::upper_bound(
-      base_.begin(), base_.end(), iv.begin,
-      [](SimTime value, const Breakpoint& bp) { return value < bp.time; });
-  for (auto it = first; it != base_.end() && it->time < iv.end; ++it) {
-    best = std::max(best, it->usage + pending_at(it->time));
-  }
-  for (const auto& [piv, bytes] : pending_) {
-    if (piv.begin > iv.begin && piv.begin < iv.end) {
-      best = std::max(best, usage_at(piv.begin));
+  // The maximum of a step function over [begin, end) is the level in effect
+  // at begin or the level of a breakpoint strictly inside the window.
+  std::size_t i = first_after(iv.begin);
+  const auto stop = static_cast<std::size_t>(
+      std::lower_bound(points_.begin() + static_cast<std::ptrdiff_t>(i), points_.end(),
+                       iv.end,
+                       [](const Breakpoint& bp, SimTime value) { return bp.time < value; }) -
+      points_.begin());
+  std::int64_t best = i == 0 ? 0 : points_[i - 1].usage;
+  while (i < stop) {
+    if (i % kBlock == 0 && i + kBlock <= stop) {
+      best = std::max(best, block_max_[i / kBlock]);
+      i += kBlock;
+    } else {
+      best = std::max(best, points_[i].usage);
+      ++i;
     }
   }
   return best;
+}
+
+std::size_t StorageTimeline::split(SimTime t) {
+  const std::size_t i = first_after(t);
+  if (i > 0 && points_[i - 1].time == t) return i - 1;
+  const std::int64_t level = i == 0 ? 0 : points_[i - 1].usage;
+  points_.insert(points_.begin() + static_cast<std::ptrdiff_t>(i), Breakpoint{t, level});
+  return i;
 }
 
 void StorageTimeline::allocate(std::int64_t bytes, const Interval& iv) {
@@ -58,51 +60,28 @@ void StorageTimeline::allocate(std::int64_t bytes, const Interval& iv) {
   DS_ASSERT_MSG(max_usage(iv) + bytes <= capacity_,
                 "storage allocation exceeds machine capacity (caller must "
                 "check fits() first)");
-  pending_.emplace_back(iv, bytes);
-  if (pending_.size() >= kMaxPending) compact();
-}
+  const std::size_t first = split(iv.begin);
+  const std::size_t last = split(iv.end);
+  for (std::size_t i = first; i < last; ++i) points_[i].usage += bytes;
+  // Only the window edges can now repeat their left neighbour's level; drop
+  // them (right edge first, so `first` stays valid) to keep levels distinct.
+  const auto erase_if_flat = [this](std::size_t i) {
+    if (i > 0 && points_[i].usage == points_[i - 1].usage) {
+      points_.erase(points_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  };
+  erase_if_flat(last);
+  erase_if_flat(first);
 
-void StorageTimeline::compact() {
-  if (pending_.empty()) return;
-
-  // Delta events: +bytes where an allocation begins, -bytes where it ends.
-  std::vector<std::pair<SimTime, std::int64_t>> events;
-  events.reserve(pending_.size() * 2);
-  for (const auto& [iv, bytes] : pending_) {
-    events.emplace_back(iv.begin, bytes);
-    events.emplace_back(iv.end, -bytes);
+  block_max_.resize((points_.size() + kBlock - 1) / kBlock);
+  for (std::size_t b = first / kBlock; b < block_max_.size(); ++b) {
+    const auto lo = points_.begin() + static_cast<std::ptrdiff_t>(b * kBlock);
+    const auto hi = points_.begin() +
+                    static_cast<std::ptrdiff_t>(std::min(points_.size(), (b + 1) * kBlock));
+    block_max_[b] = std::max_element(lo, hi, [](const Breakpoint& x, const Breakpoint& y) {
+                      return x.usage < y.usage;
+                    })->usage;
   }
-  std::sort(events.begin(), events.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  std::vector<Breakpoint> merged;
-  merged.reserve(base_.size() + events.size());
-  std::size_t bi = 0;
-  std::size_t ei = 0;
-  std::int64_t base_level = 0;
-  std::int64_t delta = 0;
-  while (bi < base_.size() || ei < events.size()) {
-    SimTime t = bi < base_.size() ? base_[bi].time : events[ei].first;
-    if (ei < events.size() && events[ei].first < t) t = events[ei].first;
-    if (bi < base_.size() && base_[bi].time == t) {
-      base_level = base_[bi].usage;
-      ++bi;
-    }
-    while (ei < events.size() && events[ei].first == t) {
-      delta += events[ei].second;
-      ++ei;
-    }
-    // Each time is visited exactly once; drop breakpoints that do not change
-    // the level to keep adjacent values distinct.
-    const std::int64_t level = base_level + delta;
-    if (merged.empty() || merged.back().usage != level) {
-      merged.push_back(Breakpoint{t, level});
-    }
-  }
-  DS_ASSERT(delta == 0);  // every pending begin has a matching end
-
-  base_ = std::move(merged);
-  pending_.clear();
 }
 
 }  // namespace datastage

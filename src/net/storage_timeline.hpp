@@ -5,16 +5,17 @@
 // track *usage* as a piecewise-constant step function keyed by breakpoints;
 // free capacity over a window is capacity minus the maximum usage inside it.
 //
-// Layout: a flat sorted breakpoint vector (`base_`) plus a small bounded
-// overlay of not-yet-merged allocations (`pending_`). Queries combine both;
-// once the overlay fills up it is folded into the base in one linear merge
-// (amortized batch compaction). Compared to the previous std::map this
-// removes the per-breakpoint node allocations and pointer chasing that
-// dominated at 5k+ machines, while keeping allocate() amortized O(base/k).
+// Layout: one sorted breakpoint vector plus the maximum usage of each fixed
+// block of kBlock consecutive breakpoints. max_usage() binary-searches both
+// window ends, scans the partial head and tail blocks and reads the whole
+// blocks in between from the maxima: O(log B + B / kBlock + 2 * kBlock) for
+// B breakpoints. allocate() edits the breakpoints in place and recomputes the
+// maxima from the first block it touched, O(B); it is far rarer than queries,
+// since every routing relaxation asks fits() for the hold window.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "util/interval.hpp"
@@ -53,21 +54,19 @@ class StorageTimeline {
     std::int64_t usage;
   };
 
-  // Pending allocations folded into `base_` once the overlay reaches this
-  // size: every query scans the overlay linearly, so it must stay small.
-  static constexpr std::size_t kMaxPending = 16;
+  // Breakpoints per block of `block_max_`.
+  static constexpr std::size_t kBlock = 32;
 
-  // Base usage level in effect at `t` (ignores the pending overlay).
-  std::int64_t base_at(SimTime t) const;
-  // Sum of pending deltas whose interval contains `t`.
-  std::int64_t pending_at(SimTime t) const;
-  // Folds `pending_` into `base_` with a single two-pointer merge.
-  void compact();
+  // Index of the first breakpoint later than `t`.
+  std::size_t first_after(SimTime t) const;
+  // Index of the breakpoint at `t`, inserting one at the current level.
+  std::size_t split(SimTime t);
 
-  // Invariant: contains time SimTime::zero() (items never exist before time
-  // 0), times strictly ascending, adjacent usage values differ.
-  std::vector<Breakpoint> base_;
-  std::vector<std::pair<Interval, std::int64_t>> pending_;
+  // Invariant: times strictly ascending, adjacent usage values differ, usage
+  // is 0 before the first breakpoint (the constructor places one at time 0).
+  std::vector<Breakpoint> points_;
+  // block_max_[b] = max usage over points_[b * kBlock, (b + 1) * kBlock).
+  std::vector<std::int64_t> block_max_;
   std::int64_t capacity_;
 };
 

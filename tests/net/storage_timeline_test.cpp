@@ -82,9 +82,9 @@ TEST(StorageTimelineTest, ManyAdjacentAllocations) {
   EXPECT_EQ(st.max_usage(iv(0, 100)), 15);
 }
 
-// Oracle for the flat-vector + pending-overlay layout: every query must give
-// the same answer as a brute-force sum over the raw allocation list, across
-// enough allocations to cross the batch-compaction threshold several times.
+// Oracle: every query must give the same answer as a brute-force sum over
+// the raw allocation list, with queries interleaved between allocations so a
+// stale block maximum would show up at once.
 TEST(StorageTimelineTest, RandomAllocationsMatchBruteForce) {
   constexpr std::int64_t kDomain = 500;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -115,6 +115,80 @@ TEST(StorageTimelineTest, RandomAllocationsMatchBruteForce) {
       for (std::int64_t u = qa; u < qb; ++u) best = std::max(best, brute_at(u));
       EXPECT_EQ(st.max_usage(iv(qa, qb)), best)
           << "seed " << seed << " step " << step << " [" << qa << "," << qb << ")";
+    }
+  }
+}
+
+// The same oracle over hundreds of live breakpoints, so windows span many
+// 32-breakpoint blocks. Holds may run forever, a coarse time grid with few
+// byte sizes makes adjacent levels coincide (and merge) often, and the windows
+// start and end exactly on the live breakpoints around every block edge, run
+// to infinity, or begin before time zero.
+TEST(StorageTimelineTest, ManyBlocksMatchBruteForce) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    StorageTimeline st(std::int64_t{1} << 40);
+    std::vector<std::pair<Interval, std::int64_t>> raw;
+    const auto brute_at = [&](SimTime t) {
+      std::int64_t total = 0;
+      for (const auto& [alloc_iv, bytes] : raw) {
+        if (alloc_iv.contains(t)) total += bytes;
+      }
+      return total;
+    };
+
+    for (int round = 0; round < 8; ++round) {
+      for (int step = 0; step < 60; ++step) {
+        const std::int64_t a = 10 * rng.uniform_i64(0, 600);
+        const SimTime end = rng.uniform_i64(0, 9) == 0
+                                ? SimTime::infinity()
+                                : SimTime::from_usec(a + 10 * rng.uniform_i64(1, 30));
+        const Interval alloc_iv{SimTime::from_usec(a), end};
+        const std::int64_t bytes = rng.uniform_i64(1, 3);
+        st.allocate(bytes, alloc_iv);
+        raw.emplace_back(alloc_iv, bytes);
+      }
+
+      // Live breakpoints with their levels: time 0, then every allocation
+      // endpoint whose level differs from the one before it.
+      std::vector<SimTime> times{SimTime::zero()};
+      for (const auto& [alloc_iv, bytes] : raw) {
+        times.push_back(alloc_iv.begin);
+        times.push_back(alloc_iv.end);
+      }
+      std::sort(times.begin(), times.end());
+      times.erase(std::unique(times.begin(), times.end()), times.end());
+      std::vector<std::pair<SimTime, std::int64_t>> live;
+      for (const SimTime t : times) {
+        const std::int64_t level = brute_at(t);
+        if (live.empty() || live.back().second != level) live.emplace_back(t, level);
+      }
+      const auto brute_max = [&](const Interval& w) {
+        std::int64_t best = brute_at(w.begin);
+        for (const auto& [t, level] : live) {
+          if (w.begin < t && t < w.end) best = std::max(best, level);
+        }
+        return best;
+      };
+      const auto check = [&](const Interval& w) {
+        EXPECT_EQ(st.max_usage(w), brute_max(w))
+            << "seed " << seed << " round " << round << " " << w.to_string();
+      };
+
+      for (std::size_t k = 0; k < live.size(); ++k) {
+        const SimTime t = live[k].first;
+        EXPECT_EQ(st.usage_at(t), live[k].second) << "seed " << seed << " k " << k;
+        if (k % 32 > 1 && k % 32 != 31) continue;  // around block edges only
+        for (const std::size_t span : {1U, 31U, 32U, 33U, 64U, 65U, 96U}) {
+          if (k + span < live.size()) check(Interval{t, live[k + span].first});
+        }
+        check(Interval{t, SimTime::infinity()});
+        check(Interval{SimTime::from_usec(-50), t});
+      }
+      check(Interval{SimTime::from_usec(-50), SimTime::infinity()});
+      if (round == 7) {
+        EXPECT_GE(live.size(), 300U) << "seed " << seed;
+      }
     }
   }
 }
