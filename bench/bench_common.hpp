@@ -23,6 +23,12 @@
 #include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
+
+// Set per bench target from CMAKE_BUILD_TYPE (bench/CMakeLists.txt).
+#ifndef DATASTAGE_BUILD_TYPE
+#define DATASTAGE_BUILD_TYPE "unknown"
+#endif
 
 namespace datastage::benchtool {
 
@@ -106,6 +112,13 @@ inline void print_header(const std::string& title, const BenchSetup& setup) {
   std::printf("cases=%zu seed=%llu weighting=%s\n\n", setup.config.cases,
               static_cast<unsigned long long>(setup.config.seed),
               setup.weighting.to_string().c_str());
+}
+
+/// Writes the host facts every perf JSON records next to its timings, as two
+/// top-level members: the cores the process may use and the build type.
+inline void write_host_json(std::FILE* f) {
+  std::fprintf(f, "  \"host_cores\": %zu,\n  \"build_type\": \"%s\",\n",
+               ThreadPool::hardware_jobs(), DATASTAGE_BUILD_TYPE);
 }
 
 }  // namespace datastage::benchtool

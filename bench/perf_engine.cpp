@@ -49,6 +49,8 @@ constexpr const char* kCounters[] = {
     "engine.invalidations_scan_equiv",
     "dijkstra.heap_pops",
     "dijkstra.relaxations",
+    "dijkstra.link_searches",
+    "dijkstra.storage_checks",
 };
 
 struct ModeResult {
@@ -168,9 +170,11 @@ int main(int argc, char** argv) {
   if (f == nullptr) return 2;
   std::fprintf(f,
                "{\n  \"bench\": \"perf_engine\",\n  \"scheduler\": \"%s\",\n"
-               "  \"cases\": %zu,\n  \"seed\": %llu,\n  \"grid\": [\n",
+               "  \"cases\": %zu,\n  \"seed\": %llu,\n",
                spec.name().c_str(), setup.config.cases,
                static_cast<unsigned long long>(setup.config.seed));
+  benchtool::write_host_json(f);
+  std::fprintf(f, "  \"grid\": [\n");
 
   bool all_identical = true;
   for (std::size_t g = 0; g < grid.size(); ++g) {

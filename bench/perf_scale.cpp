@@ -30,12 +30,7 @@
 #include "core/registry.hpp"
 #include "core/satisfaction.hpp"
 #include "gen/generator.hpp"
-#include "util/thread_pool.hpp"
 #include "util/time.hpp"
-
-#ifndef DATASTAGE_BUILD_TYPE
-#define DATASTAGE_BUILD_TYPE "unknown"
-#endif
 
 namespace {
 
@@ -154,11 +149,11 @@ int main(int argc, char** argv) {
   if (f == nullptr) return 2;
   std::fprintf(f,
                "{\n  \"bench\": \"perf_scale\",\n  \"scheduler\": \"%s\",\n"
-               "  \"seed\": %llu,\n  \"host_cores\": %zu,\n  \"build_type\": \"%s\",\n"
-               "  \"tiers\": [\n",
+               "  \"seed\": %llu,\n",
                spec.name().c_str(),
-               static_cast<unsigned long long>(setup.config.seed),
-               ThreadPool::hardware_jobs(), DATASTAGE_BUILD_TYPE);
+               static_cast<unsigned long long>(setup.config.seed));
+  benchtool::write_host_json(f);
+  std::fprintf(f, "  \"tiers\": [\n");
 
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     const Tier& tier = tiers[t];

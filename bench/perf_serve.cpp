@@ -187,9 +187,11 @@ int main(int argc, char** argv) {
   if (f == nullptr) return 2;
   std::fprintf(f,
                "{\n  \"bench\": \"perf_serve\",\n  \"preset\": \"congested\",\n"
-               "  \"cases\": %zu,\n  \"seed\": %llu,\n  \"modes\": {\n",
+               "  \"cases\": %zu,\n  \"seed\": %llu,\n",
                setup.config.cases,
                static_cast<unsigned long long>(setup.config.seed));
+  benchtool::write_host_json(f);
+  std::fprintf(f, "  \"modes\": {\n");
   write_mode_json(f, "quick", quick);
   std::fprintf(f, ",\n");
   write_mode_json(f, "full", full);

@@ -47,7 +47,9 @@ struct StagingEngine::Instr {
   obs::Counter invalidations_checked;     ///< index entries examined
   obs::Counter invalidations_scan_equiv;  ///< entries a full scan would examine
   obs::Counter dijkstra_pops;
-  obs::Counter dijkstra_relaxations;
+  obs::Counter dijkstra_relaxations;     ///< outgoing virtual links examined
+  obs::Counter dijkstra_link_searches;   ///< relaxations past the departure bound
+  obs::Counter dijkstra_storage_checks;  ///< link fits checked with can_hold
   obs::Counter dijkstra_capacity_rejections;
   obs::Counter guard_trips;
   /// Wall nanoseconds in refresh_plans (collect + compute + merge).
@@ -77,6 +79,8 @@ struct StagingEngine::Instr {
         invalidations_scan_equiv(m.counter("engine.invalidations_scan_equiv")),
         dijkstra_pops(m.counter("dijkstra.heap_pops")),
         dijkstra_relaxations(m.counter("dijkstra.relaxations")),
+        dijkstra_link_searches(m.counter("dijkstra.link_searches")),
+        dijkstra_storage_checks(m.counter("dijkstra.storage_checks")),
         dijkstra_capacity_rejections(m.counter("dijkstra.capacity_rejections")),
         guard_trips(m.counter("engine.guard_trips")),
         refresh_ns(m.counter("engine.refresh_ns")),
@@ -300,13 +304,13 @@ void StagingEngine::retire_plan(std::size_t plan_index) {
   ++plan.generation;  // any tournament entry for this plan is now stale
   plan.best = kNoBest;
   candidate_total_ -= plan.candidates.size();
-  // Release, don't just clear: a retired plan must neither hold candidate or
-  // interval memory for the rest of the run nor keep stale index
+  // Release, don't just clear: a retired plan must neither hold tree,
+  // candidate or interval memory for the rest of the run nor keep stale index
   // subscriptions that would attract invalidation dispatches.
+  plan.tree = RouteTree(0);
   plan.candidates = {};
   plan.used_links = {};
   plan.used_storage = {};
-  plan.groups = {};
   index_.unsubscribe_all(plan_index);
   --active_plans_;
 }
@@ -343,6 +347,8 @@ void StagingEngine::merge_refresh_job(RefreshJob& job) {
     instr_->tree_recomputes.inc();
     instr_->dijkstra_pops.inc(job.stats.pops);
     instr_->dijkstra_relaxations.inc(job.stats.relaxations);
+    instr_->dijkstra_link_searches.inc(job.stats.link_searches);
+    instr_->dijkstra_storage_checks.inc(job.stats.storage_checks);
     instr_->dijkstra_capacity_rejections.inc(job.stats.capacity_rejections);
   }
   if (trace_ != nullptr) {
@@ -457,7 +463,8 @@ void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
   // ascending r, insertion order within a group — without its per-round node
   // allocations (every machine has a unique parent edge, so all entries of a
   // group share the same hop).
-  std::vector<ItemPlan::GroupEntry>& groups = plan.groups;
+  using GroupEntry = RefreshWorkspace::GroupEntry;
+  std::vector<GroupEntry>& groups = ws.groups;
   groups.clear();
 
   for (const std::int32_t k : tracker_.pending_of(item)) {
@@ -484,11 +491,11 @@ void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
     eval.slack_seconds = eval.sat ? (request.deadline - at).as_seconds() : 0.0;
 
     const TreeEdge& hop = plan.tree.first_hop(dest);
-    groups.push_back(ItemPlan::GroupEntry{hop.to.value(), hop, eval});
+    groups.push_back(GroupEntry{hop.to.value(), hop, eval});
   }
 
   std::stable_sort(groups.begin(), groups.end(),
-                   [](const ItemPlan::GroupEntry& a, const ItemPlan::GroupEntry& b) {
+                   [](const GroupEntry& a, const GroupEntry& b) {
                      return a.r < b.r;
                    });
 
@@ -864,7 +871,7 @@ void StagingEngine::count_iteration() {
 
 const RouteTree& StagingEngine::plan_tree(ItemId item) {
   ItemPlan& plan = plans_[item.index()];
-  if (plan.dirty || options_.paranoid) recompute_plan_now(item);
+  if (!plan.exhausted && (plan.dirty || options_.paranoid)) recompute_plan_now(item);
   return plan.tree;
 }
 

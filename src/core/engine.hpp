@@ -149,7 +149,8 @@ class StagingEngine {
   std::size_t iterations() const { return iterations_; }
   /// The (fresh) route tree of an item; recomputes if dirty. The tree is
   /// exact on the item's pending destinations and their paths; labels of
-  /// other machines may be tentative (target-set early termination).
+  /// other machines may be tentative (target-set early termination). A
+  /// retired item (no pending destinations) has an empty tree.
   const RouteTree& plan_tree(ItemId item);
 
  private:
@@ -172,14 +173,6 @@ class StagingEngine {
     /// Item whose commit most recently dirtied this plan (-1: none). Only
     /// maintained when lifecycle tracing is on; feeds `lost_to` attribution.
     std::int32_t last_invalidated_by = -1;
-    /// Reusable first-hop grouping buffer (replaces the per-round std::map
-    /// allocations build_candidates used to make).
-    struct GroupEntry {
-      std::int32_t r;  ///< first-hop receiver (the paper's r in Drq[i,r])
-      TreeEdge hop;
-      DestinationEval eval;
-    };
-    std::vector<GroupEntry> groups;
   };
 
   /// Tournament-heap entry: a snapshot of one plan's best candidate under the
@@ -215,7 +208,17 @@ class StagingEngine {
   /// walks). refresh_ws_[0] doubles as the serial path's scratch, so serial
   /// and parallel runs share one code path.
   struct RefreshWorkspace {
+    /// One pending destination in the first-hop grouping of a candidate
+    /// rebuild (replaces the per-round std::map allocations
+    /// build_candidates used to make).
+    struct GroupEntry {
+      std::int32_t r;  ///< first-hop receiver (the paper's r in Drq[i,r])
+      TreeEdge hop;
+      DestinationEval eval;
+    };
+
     DijkstraWorkspace ws;
+    std::vector<GroupEntry> groups;
     std::vector<MachineId> targets;
     std::vector<std::uint64_t> node_mark;
     std::uint64_t node_mark_epoch = 0;

@@ -66,9 +66,6 @@ std::vector<std::string> Scenario::validate() const {
     if (vl.bandwidth_bps <= 0 || vl.bandwidth_bps > pl.bandwidth_bps) {
       error(os.str() + "bandwidth exceeds physical link or is non-positive");
     }
-    if (vl.latency != pl.latency) {
-      error(os.str() + "latency disagrees with physical link");
-    }
     if (vl.window.empty()) error(os.str() + "empty availability window");
   }
 

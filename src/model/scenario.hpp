@@ -33,13 +33,12 @@ struct PhysicalLink {
 
 /// A virtual link L[i,j][k]: one contiguous availability window of a physical
 /// link (paper §3: a link available in nl disjoint intervals is modeled as nl
-/// virtual links).
+/// virtual links). Its latency is always the physical link's.
 struct VirtualLink {
   PhysLinkId phys;
   MachineId from;
   MachineId to;
   std::int64_t bandwidth_bps = 0;
-  SimDuration latency = SimDuration::zero();
   Interval window;  ///< [Lst, Let)
 };
 
@@ -62,9 +61,15 @@ struct SourceLocation {
 
 /// One request for a data item: Request[i,k], Rft[i,k], Priority[i,k].
 struct Request {
+  Request() = default;
+  Request(MachineId destination_, SimTime deadline_, Priority priority_ = kPriorityLow)
+      : destination(destination_), priority(priority_), deadline(deadline_) {}
+
+  // The two 4-byte fields sit together so a request takes 16 bytes, not 24;
+  // the constructor keeps the (destination, deadline, priority) order.
   MachineId destination;
-  SimTime deadline;
   Priority priority = kPriorityLow;
+  SimTime deadline;
 };
 
 /// A requested data item Rq[i] with its initial sources and requests.

@@ -9,7 +9,8 @@ LinkSchedule::LinkSchedule(const Scenario& scenario)
 
 SimDuration LinkSchedule::occupancy(VirtLinkId link, std::int64_t item_bytes) const {
   const VirtualLink& vl = scenario_->vlink(link);
-  return transfer_duration(item_bytes, vl.bandwidth_bps) + vl.latency;
+  return transfer_duration(item_bytes, vl.bandwidth_bps) +
+         scenario_->plink(vl.phys).latency;
 }
 
 std::optional<LinkFit> LinkSchedule::earliest_fit(VirtLinkId link,

@@ -99,6 +99,9 @@ std::optional<SimTime> NetworkState::hold_begin(ItemId item, MachineId machine) 
 bool NetworkState::can_hold(ItemId item, MachineId machine, SimTime start) const {
   const std::int64_t bytes = scenario_->item(item).size_bytes;
   const StorageTimeline& st = storage_[machine.index()];
+  // Fitting next to the peak means fitting any hold window: skip the hold
+  // lookups and the window query.
+  if (bytes <= st.headroom()) return true;
   const std::optional<SimTime> existing = hold_begin(item, machine);
   if (existing.has_value()) {
     // Already held; only the extension to an earlier start needs new space.

@@ -81,6 +81,7 @@ void StorageTimeline::allocate(std::int64_t bytes, const Interval& iv) {
     block_max_[b] = std::max_element(lo, hi, [](const Breakpoint& x, const Breakpoint& y) {
                       return x.usage < y.usage;
                     })->usage;
+    peak_ = std::max(peak_, block_max_[b]);
   }
 }
 

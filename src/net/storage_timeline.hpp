@@ -10,8 +10,14 @@
 // window ends, scans the partial head and tail blocks and reads the whole
 // blocks in between from the maxima: O(log B + B / kBlock + 2 * kBlock) for
 // B breakpoints. allocate() edits the breakpoints in place and recomputes the
-// maxima from the first block it touched, O(B); it is far rarer than queries,
-// since every routing relaxation asks fits() for the hold window.
+// maxima from the first block it touched, O(B); it is far rarer than queries.
+//
+// Headroom: the timeline also keeps its peak, the maximum usage at any
+// instant, refreshed by allocate() from the block maxima it recomputes.
+// fits() answers true at once when the bytes fit next to the peak
+// (bytes <= capacity - peak), since then they fit in every window; only when
+// that cheap test fails does it pay for the window query. Most fits() calls
+// from routing take the shortcut, as machines run far below capacity.
 #pragma once
 
 #include <cstddef>
@@ -35,9 +41,16 @@ class StorageTimeline {
   /// Free bytes guaranteed throughout `iv`.
   std::int64_t min_free(const Interval& iv) const { return capacity_ - max_usage(iv); }
 
-  /// True iff `bytes` fit throughout `iv`.
+  /// Maximum usage at any instant.
+  std::int64_t peak() const { return peak_; }
+
+  /// Free bytes guaranteed at every instant: `bytes` up to this fit in any
+  /// window.
+  std::int64_t headroom() const { return capacity_ - peak_; }
+
+  /// True iff `bytes` fit throughout `iv`. O(1) when they fit the headroom.
   bool fits(std::int64_t bytes, const Interval& iv) const {
-    return bytes <= min_free(iv);
+    return bytes <= headroom() || bytes <= min_free(iv);
   }
 
   /// Adds `bytes` of usage throughout `iv`. Asserts the result never exceeds
@@ -67,6 +80,8 @@ class StorageTimeline {
   std::vector<Breakpoint> points_;
   // block_max_[b] = max usage over points_[b * kBlock, (b + 1) * kBlock).
   std::vector<std::int64_t> block_max_;
+  // Max of block_max_: usage only grows, so allocate() raises it in place.
+  std::int64_t peak_ = 0;
   std::int64_t capacity_;
 };
 

@@ -37,6 +37,7 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
                              DijkstraStats* stats) {
   const Scenario& scenario = state.scenario();
   const std::size_t n = scenario.machine_count();
+  const std::int64_t item_bytes = scenario.item(item).size_bytes;
   DijkstraWorkspace& ws = workspace;
   ws.begin_run(n);
 
@@ -107,13 +108,29 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
       const std::size_t vi = v.index();
       const bool labeled = ws.stamp[vi] == ws.epoch;
       if (labeled && ws.settled[vi] != 0) continue;
+      const SimTime current = labeled ? ws.arrival[vi] : SimTime::infinity();
 
+      // Cheap tests first. No fit departs before `earliest` or arrives before
+      // `earliest + occupancy`, so a link these bounds reject would fail the
+      // same checks after the search; only survivors pay for it.
+      const SimTime earliest = max(ready, vl.window.begin);
+      if (earliest >= sender_hold_end || earliest >= current ||
+          earliest > options.prune_after) {
+        continue;
+      }
+      const SimTime earliest_arrival =
+          earliest + state.links().occupancy(link_id, item_bytes);
+      if (earliest_arrival >= current || earliest_arrival > options.prune_after) {
+        continue;
+      }
+
+      if (stats != nullptr) ++stats->link_searches;
       const std::optional<LinkFit> fit = state.earliest_fit(item, link_id, ready);
       if (!fit.has_value()) continue;
       if (fit->start >= sender_hold_end) continue;
-      const SimTime current = labeled ? ws.arrival[vi] : SimTime::infinity();
       if (fit->arrival >= current) continue;
       if (fit->arrival > options.prune_after) continue;
+      if (stats != nullptr) ++stats->storage_checks;
       if (!state.can_hold(item, v, fit->start)) {
         if (stats != nullptr) ++stats->capacity_rejections;
         continue;
@@ -132,16 +149,29 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
     }
   }
 
-  // Compact the labeled slots into the sparse tree, ascending by machine id.
-  // Tentative (unsettled) labels are included, exactly as the dense layout
-  // retained them; root entries get a value-initialized edge so the tree's
-  // bytes never depend on stale scratch contents.
+  // Compact into the sparse tree, ascending by machine id. A full run keeps
+  // every labeled slot, tentative ones included. A targeted run keeps only
+  // what its caller reads: the labeled targets and their ancestors, which are
+  // settled (parent edges leave settled machines). Root entries never read
+  // the (stale) scratch edge.
   tree.reset(n);
+  if (!options.targets.empty()) {
+    ws.touched.clear();
+    ++ws.target_epoch;  // re-used as the "kept" mark
+    for (const MachineId t : options.targets) {
+      for (std::size_t i = t.index();
+           ws.stamp[i] == ws.epoch && ws.target_stamp[i] != ws.target_epoch;) {
+        ws.target_stamp[i] = ws.target_epoch;
+        ws.touched.push_back(MachineId(static_cast<std::int32_t>(i)));
+        if (ws.has_parent[i] == 0) break;
+        i = ws.edge[i].from.index();
+      }
+    }
+  }
   std::sort(ws.touched.begin(), ws.touched.end());
   for (const MachineId machine : ws.touched) {
     const std::size_t i = machine.index();
-    tree.append(machine, ws.arrival[i], ws.has_parent[i] != 0,
-                ws.has_parent[i] != 0 ? ws.edge[i] : TreeEdge{});
+    tree.append(machine, ws.arrival[i], ws.has_parent[i] != 0, ws.edge[i]);
   }
 }
 

@@ -8,7 +8,11 @@
 //   (3) copy availability times at the roots.
 //
 // Edge departures are FIFO (waiting never lets a transfer arrive earlier), so
-// label-setting Dijkstra computes exact earliest arrivals.
+// label-setting Dijkstra computes exact earliest arrivals when storage is not
+// binding. Tight storage can break FIFO: a later departure shortens the
+// receiver's hold window and may fit where an earlier one does not, so there
+// the forest is the paper's greedy label-setting result, not the optimum over
+// all paths.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +36,17 @@ struct DijkstraOptions {
   /// When non-empty, the search stops as soon as every target is settled —
   /// arrival times and parent edges of *settled* machines (which includes
   /// every ancestor on a path to a settled target) equal those of a full
-  /// run; labels of other machines may be tentative. Empty span (the
-  /// default) computes the full forest. The span must stay alive for the
-  /// duration of the call only.
+  /// run — and the tree keeps only the labeled targets and their ancestors.
+  /// Empty span (the default) computes the full forest. The span must stay
+  /// alive for the duration of the call only.
   std::span<const MachineId> targets;
 };
 
 struct DijkstraStats {
   std::size_t pops = 0;
-  std::size_t relaxations = 0;
+  std::size_t relaxations = 0;     ///< outgoing virtual links examined
+  std::size_t link_searches = 0;   ///< links past the departure bound: searched
+  std::size_t storage_checks = 0;  ///< link fits that improve a label: can_hold
   std::size_t capacity_rejections = 0;
 };
 
@@ -68,7 +74,8 @@ struct DijkstraWorkspace {
   std::vector<TreeEdge> edge;            ///< parent edges (valid iff has_parent)
   std::uint64_t target_epoch = 0;        ///< separate epoch for the target set
   std::vector<std::uint64_t> target_stamp;
-  std::vector<MachineId> touched;  ///< machines labeled this run (unsorted)
+  std::vector<MachineId> touched;  ///< machines labeled this run (unsorted);
+                                   ///< a targeted run refills it with the kept ones
 
   /// Bumps the epoch, grows the arrays to `machine_count`, clears the heap
   /// and the touched list.

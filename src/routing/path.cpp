@@ -13,18 +13,18 @@ void RouteTree::reset(std::size_t machine_count) {
   machine_count_ = machine_count;
 }
 
-const RouteTree::Entry* RouteTree::find(MachineId machine) const {
+const TreeEdge* RouteTree::find(MachineId machine) const {
   const auto it = std::lower_bound(
       entries_.begin(), entries_.end(), machine,
-      [](const Entry& e, MachineId m) { return e.machine < m; });
-  if (it == entries_.end() || it->machine != machine) return nullptr;
+      [](const TreeEdge& e, MachineId m) { return e.to < m; });
+  if (it == entries_.end() || it->to != machine) return nullptr;
   return &*it;
 }
 
 const TreeEdge& RouteTree::parent_edge(MachineId machine) const {
-  const Entry* e = find(machine);
-  DS_ASSERT(e != nullptr && e->has_parent);
-  return e->edge;
+  const TreeEdge* e = find(machine);
+  DS_ASSERT(e != nullptr && e->from.valid());
+  return *e;
 }
 
 const TreeEdge& RouteTree::first_hop(MachineId dest) const {
@@ -56,9 +56,15 @@ void RouteTree::path_to_into(MachineId dest, std::vector<TreeEdge>& out) const {
 
 void RouteTree::append(MachineId machine, SimTime arrival, bool has_parent,
                        const TreeEdge& edge) {
-  DS_ASSERT_MSG(entries_.empty() || entries_.back().machine < machine,
+  DS_ASSERT_MSG(entries_.empty() || entries_.back().to < machine,
                 "RouteTree entries must be appended in ascending machine order");
-  entries_.push_back(Entry{machine, arrival, has_parent, edge});
+  if (has_parent) {
+    DS_ASSERT(edge.from.valid() && edge.to == machine && edge.arrival == arrival);
+    entries_.push_back(edge);
+  } else {
+    entries_.push_back(TreeEdge{MachineId::invalid(), machine, VirtLinkId::invalid(),
+                                SimTime::zero(), arrival});
+  }
 }
 
 }  // namespace datastage

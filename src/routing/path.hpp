@@ -5,13 +5,13 @@
 // it is not a copy holder already) the hop that attains it. Paths and first
 // hops are recovered by walking parent pointers.
 //
-// Storage is sparse: one entry per *labeled* machine, sorted by machine id.
-// Deadline pruning and target early-termination keep the labeled set tiny
-// compared to the machine count, and the engine holds one tree per item plan
-// — a dense per-machine layout cost O(items x machines) memory (tens of GB
-// at the huge scale tier) and an O(machines) clear per refresh. The dense
-// per-machine scratch now lives in DijkstraWorkspace, shared by every item a
-// worker refreshes.
+// Storage is sparse: one entry per *labeled* machine, sorted by machine id —
+// and for a targeted search only the targets and their ancestors, the part
+// the engine reads. Each entry is just the machine's parent edge (32 bytes).
+// The engine holds one tree per live item plan — a dense per-machine layout
+// cost O(items x machines) memory (tens of GB at the huge scale tier) and an
+// O(machines) clear per refresh. The dense per-machine scratch lives in
+// DijkstraWorkspace, shared by every item a worker refreshes.
 #pragma once
 
 #include <cstdint>
@@ -45,26 +45,26 @@ class RouteTree {
 
   std::size_t machine_count() const { return machine_count_; }
 
-  /// Number of labeled machines (the sparse entry count).
+  /// Number of machines the tree holds an entry for.
   std::size_t labeled_count() const { return entries_.size(); }
 
   /// Earliest arrival of the item at `machine` (A_T when `machine` is a
   /// requesting destination). SimTime::infinity() if unreachable.
   SimTime arrival(MachineId machine) const {
-    const Entry* e = find(machine);
+    const TreeEdge* e = find(machine);
     return e != nullptr ? e->arrival : SimTime::infinity();
   }
 
   bool reached(MachineId machine) const {
-    const Entry* e = find(machine);
+    const TreeEdge* e = find(machine);
     return e != nullptr && !e->arrival.is_infinite();
   }
 
   /// True iff `machine` was reached via a transfer (false for copy holders,
   /// which are roots of the forest).
   bool has_parent(MachineId machine) const {
-    const Entry* e = find(machine);
-    return e != nullptr && e->has_parent;
+    const TreeEdge* e = find(machine);
+    return e != nullptr && e->from.valid();
   }
 
   const TreeEdge& parent_edge(MachineId machine) const;
@@ -82,21 +82,18 @@ class RouteTree {
   void path_to_into(MachineId dest, std::vector<TreeEdge>& out) const;
 
   /// Bulk-build interface for the Dijkstra driver: entries must be appended
-  /// in strictly ascending machine order after a reset().
+  /// in strictly ascending machine order after a reset(). With a parent,
+  /// `edge` must end at `machine` with `arrival`; without one it is ignored.
   void append(MachineId machine, SimTime arrival, bool has_parent,
               const TreeEdge& edge);
 
  private:
-  struct Entry {
-    MachineId machine;
-    SimTime arrival;
-    bool has_parent;
-    TreeEdge edge;  // parent edge (valid iff has_parent)
-  };
+  const TreeEdge* find(MachineId machine) const;
 
-  const Entry* find(MachineId machine) const;
-
-  std::vector<Entry> entries_;  // sorted by machine id
+  // One entry per labeled machine, sorted by machine id: the parent edge
+  // with `to` = the machine and `arrival` = its label. A root's entry has an
+  // invalid `from` and no link.
+  std::vector<TreeEdge> entries_;
   std::size_t machine_count_ = 0;
 };
 

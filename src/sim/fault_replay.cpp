@@ -208,7 +208,7 @@ class FaultReplay {
                        ? len
                        : floor_mul_div(len, bps, vl.bandwidth_bps);
     }
-    const SimTime arrival = finish + vl.latency;
+    const SimTime arrival = finish + scenario_.plink(vl.phys).latency;
     const Interval realized{step.start, arrival};
     if (!fits || !vl.window.contains(realized)) {
       ++report_.dropped_window;

@@ -102,7 +102,7 @@ class Simulator {
       }
       const SimDuration expected =
           transfer_duration(scenario_.item(step.item).size_bytes, vl.bandwidth_bps) +
-          vl.latency;
+          scenario_.plink(vl.phys).latency;
       if (step.arrival - step.start != expected) {
         issue(step_tag(s, tag_step) + ": duration mismatch (expected " +
               expected.to_string() + ", got " + (step.arrival - step.start).to_string() +

@@ -203,5 +203,14 @@ TEST(StagingEngineTest, PlanTreeExposesRouting) {
   EXPECT_EQ(tree.arrival(MachineId(2)), at_sec(2));
 }
 
+TEST(StagingEngineTest, RetiredPlanReleasesItsTree) {
+  const Scenario s = testing::chain_scenario();
+  StagingEngine engine(s, c4_options());
+  EXPECT_GT(engine.plan_tree(ItemId(0)).labeled_count(), 0u);
+  while (const auto best = engine.best_candidate()) engine.apply_hop(*best);
+  EXPECT_FALSE(engine.tracker().any_pending(ItemId(0)));
+  EXPECT_EQ(engine.plan_tree(ItemId(0)).labeled_count(), 0u);
+}
+
 }  // namespace
 }  // namespace datastage

@@ -81,9 +81,6 @@ TEST(GeneratorConfigTest, LatencyRangeIsHonored) {
     EXPECT_GE(pl.latency, SimDuration::milliseconds(100));
     EXPECT_LE(pl.latency, SimDuration::milliseconds(400));
   }
-  for (const VirtualLink& vl : s.virt_links) {
-    EXPECT_EQ(vl.latency, s.plink(vl.phys).latency);
-  }
 }
 
 TEST(GeneratorConfigTest, FivePriorityClasses) {

@@ -111,6 +111,31 @@ TEST(NetworkStateTest, CanHoldRejectsTightReceiver) {
   EXPECT_FALSE(state.can_apply(ItemId(1), VirtLinkId(0), at_min(1)));
 }
 
+TEST(NetworkStateTest, CanHoldAtTheHeadroomEdge) {
+  // M1 keeps item 0 forever, leaving exactly 500'000 bytes of headroom: an
+  // item of that size fits on the shortcut, one byte more fails the window
+  // query.
+  const Scenario s = ScenarioBuilder()
+                         .machine(kGB)
+                         .machine(1'500'000)
+                         .link(0, 1, 8'000'000, kAlways)
+                         .item(1'000'000)
+                         .source(0, SimTime::zero())
+                         .request(1, at_min(30))
+                         .item(500'000)
+                         .source(0, SimTime::zero())
+                         .request(1, at_min(40))
+                         .item(500'001)
+                         .source(0, SimTime::zero())
+                         .request(1, at_min(40))
+                         .build();
+  NetworkState state(s);
+  state.apply_transfer(ItemId(0), VirtLinkId(0), SimTime::zero());
+  EXPECT_EQ(state.storage(MachineId(1)).headroom(), 500'000);
+  EXPECT_TRUE(state.can_hold(ItemId(1), MachineId(1), at_min(1)));
+  EXPECT_FALSE(state.can_hold(ItemId(2), MachineId(1), at_min(1)));
+}
+
 TEST(NetworkStateTest, EarlierArrivalExtendsExistingHold) {
   // Two windows: a late fast one was used first; then an earlier transfer
   // lands the copy sooner and only the extension is charged.
@@ -168,11 +193,9 @@ TEST(NetworkStateTest, DijkstraRespectsExpiringSource) {
   const PhysicalLink& p0 = s.phys_links[0];
   const PhysicalLink& p1 = s.phys_links[1];
   s.virt_links.push_back(VirtualLink{PhysLinkId(0), p0.from, p0.to,
-                                     p0.bandwidth_bps, p0.latency,
-                                     Interval{at_min(15), at_min(60)}});
+                                     p0.bandwidth_bps, Interval{at_min(15), at_min(60)}});
   s.virt_links.push_back(VirtualLink{PhysLinkId(1), p1.from, p1.to,
-                                     p1.bandwidth_bps, p1.latency,
-                                     Interval{at_min(15), at_min(60)}});
+                                     p1.bandwidth_bps, Interval{at_min(15), at_min(60)}});
   s.check_valid();
   Topology topo(s);
   NetworkState state(s);

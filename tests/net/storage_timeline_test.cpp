@@ -193,6 +193,78 @@ TEST(StorageTimelineTest, ManyBlocksMatchBruteForce) {
   }
 }
 
+// Headroom oracle: the peak equals the brute-force maximum over all time,
+// and fits() answers exactly `bytes <= capacity - max_usage(iv)` on both
+// sides of the headroom shortcut, including bytes == capacity - peak. The
+// capacity is tight and allocations land anywhere on the axis, so the peak
+// moves in blocks before, at and after the first block an allocation edits.
+TEST(StorageTimelineTest, PeakAndFitsMatchBruteForce) {
+  constexpr std::int64_t kCapacity = 400;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    StorageTimeline st(kCapacity);
+    std::vector<std::pair<Interval, std::int64_t>> raw;
+    const auto brute_at = [&](SimTime t) {
+      std::int64_t total = 0;
+      for (const auto& [alloc_iv, bytes] : raw) {
+        if (alloc_iv.contains(t)) total += bytes;
+      }
+      return total;
+    };
+    // The maximum of the step function over [w.begin, w.end): its level at
+    // w.begin or at an allocation endpoint strictly inside.
+    const auto brute_max = [&](const Interval& w) {
+      if (w.empty()) return std::int64_t{0};
+      std::int64_t best = brute_at(w.begin);
+      for (const auto& [alloc_iv, bytes] : raw) {
+        for (const SimTime t : {alloc_iv.begin, alloc_iv.end}) {
+          if (w.begin < t && t < w.end) best = std::max(best, brute_at(t));
+        }
+      }
+      return best;
+    };
+    const Interval all{SimTime::from_usec(-10), SimTime::infinity()};
+
+    int placed = 0;
+    for (int step = 0; step < 400; ++step) {
+      const std::int64_t a = rng.uniform_i64(0, 2000);
+      const SimTime end = rng.uniform_i64(0, 15) == 0
+                              ? SimTime::infinity()
+                              : SimTime::from_usec(a + rng.uniform_i64(1, 120));
+      const Interval alloc_iv{SimTime::from_usec(a), end};
+      const std::int64_t bytes = rng.uniform_i64(1, 40);
+      const bool expect_fit = bytes <= kCapacity - brute_max(alloc_iv);
+      ASSERT_EQ(st.fits(bytes, alloc_iv), expect_fit)
+          << "seed " << seed << " step " << step;
+      if (expect_fit) {
+        st.allocate(bytes, alloc_iv);
+        raw.emplace_back(alloc_iv, bytes);
+        ++placed;
+      }
+
+      const std::int64_t peak = brute_max(all);
+      ASSERT_EQ(st.peak(), peak) << "seed " << seed << " step " << step;
+      EXPECT_EQ(st.headroom(), kCapacity - peak);
+
+      const std::int64_t qa = rng.uniform_i64(-5, 2100);
+      const Interval q{SimTime::from_usec(qa),
+                       SimTime::from_usec(qa + rng.uniform_i64(0, 200))};
+      const std::int64_t free_q = kCapacity - brute_max(q);
+      for (const std::int64_t b : {kCapacity - peak, kCapacity - peak + 1, free_q,
+                                   free_q + 1, rng.uniform_i64(0, kCapacity)}) {
+        EXPECT_EQ(st.fits(b, q), b <= kCapacity - st.max_usage(q))
+            << "seed " << seed << " step " << step << " bytes " << b;
+        EXPECT_EQ(st.fits(b, q), b <= free_q)
+            << "seed " << seed << " step " << step << " bytes " << b;
+      }
+    }
+    // Tight enough that some allocations are refused, loose enough that the
+    // timeline spans many blocks.
+    EXPECT_LT(placed, 400) << "seed " << seed;
+    EXPECT_GT(placed, 200) << "seed " << seed;
+  }
+}
+
 TEST(StorageTimelineDeathTest, OverCapacityAllocationAborts) {
   StorageTimeline st(100);
   st.allocate(80, iv(0, 50));

@@ -34,7 +34,7 @@ ScenarioBuilder& ScenarioBuilder::window(Interval window) {
   const auto p = static_cast<std::int32_t>(scenario_.phys_links.size() - 1);
   const PhysicalLink& pl = scenario_.phys_links.back();
   scenario_.virt_links.push_back(VirtualLink{PhysLinkId(p), pl.from, pl.to,
-                                             pl.bandwidth_bps, pl.latency, window});
+                                             pl.bandwidth_bps, window});
   return *this;
 }
 

@@ -128,6 +128,17 @@ test "$status" -eq 1
 grep -q "engine.tree_recomputes" "$WORK_DIR/benchdiff.txt"
 "$TOOLS_DIR/datastage_benchdiff" "$WORK_DIR/metrics.json" \
     "$WORK_DIR/metrics_perturbed.json" --warn-only > /dev/null
+# The host facts every BENCH_*.json records (host_cores, build_type) label
+# the run: documents from different hosts diff clean and never list them.
+python3 - "$WORK_DIR/metrics.json" "$WORK_DIR/host_a.json" "$WORK_DIR/host_b.json" <<'PYEOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for path, cores, build in ((sys.argv[2], 4, "Release"), (sys.argv[3], 64, "Debug")):
+    json.dump(dict(doc, host_cores=cores, build_type=build), open(path, "w"))
+PYEOF
+"$TOOLS_DIR/datastage_benchdiff" "$WORK_DIR/host_a.json" "$WORK_DIR/host_b.json" \
+    > "$WORK_DIR/benchdiff.txt"
+if grep -q "host_cores" "$WORK_DIR/benchdiff.txt"; then exit 1; fi
 # Under --warn-only a missing, empty or unparsable baseline is a warning
 # (exit 0); an unparsable current document still fails (exit 2).
 : > "$WORK_DIR/empty.json"

@@ -4,8 +4,9 @@
 //   $ datastage_benchdiff BENCH_engine.json BENCH_new.json
 //
 // Both files are flattened to dotted numeric leaves (arrays by index, bools
-// as 0/1) and each metric's relative deviation |cur-base|/|base| is checked
-// against a per-kind threshold:
+// as 0/1; `host_cores`, like the string `build_type`, labels the host and is
+// no metric) and each metric's relative deviation |cur-base|/|base| is
+// checked against a per-kind threshold:
 //
 //   --threshold=F       deterministic metrics (counters), default 0.10
 //   --time-threshold=F  wall-clock metrics (path contains "wall"/"speedup"
@@ -60,6 +61,7 @@ void flatten(const obs::JsonValue& value, const std::string& prefix,
       break;
     case Kind::kObject:
       for (const auto& [key, child] : value.object) {
+        if (key == "host_cores") continue;  // a host fact, not a measurement
         flatten(child, prefix.empty() ? key : prefix + '.' + key, out);
       }
       break;
