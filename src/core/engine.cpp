@@ -47,8 +47,8 @@ struct StagingEngine::Instr {
   obs::Counter invalidations_checked;     ///< index entries examined
   obs::Counter invalidations_scan_equiv;  ///< entries a full scan would examine
   obs::Counter dijkstra_pops;
-  obs::Counter dijkstra_relaxations;     ///< outgoing virtual links examined
-  obs::Counter dijkstra_link_searches;   ///< relaxations past the departure bound
+  obs::Counter dijkstra_relaxations;     ///< out-links examined in unsettled groups
+  obs::Counter dijkstra_link_searches;   ///< relaxations past the cheap bounds
   obs::Counter dijkstra_storage_checks;  ///< link fits checked with can_hold
   obs::Counter dijkstra_capacity_rejections;
   obs::Counter guard_trips;

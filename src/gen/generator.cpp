@@ -547,7 +547,7 @@ Scenario generate_scenario(const GeneratorConfig& config, Rng& rng) {
   s.items.shrink_to_fit();
 
   s.check_valid();
-  DS_ASSERT(Topology(s).strongly_connected());
+  DS_ASSERT(strongly_connected(s));
   return s;
 }
 

@@ -131,12 +131,12 @@ std::vector<std::string> Scenario::validate() const {
 }
 
 SimTime copy_hold_end(const Scenario& scenario, ItemId item, MachineId machine,
-                      bool is_destination) {
+                      bool is_destination, SimTime gc_time) {
   if (is_destination) return SimTime::infinity();
   for (const SourceLocation& src : scenario.item(item).sources) {
     if (src.machine == machine) return src.hold_until;
   }
-  return scenario.gc_time(item);
+  return gc_time;
 }
 
 void Scenario::check_valid() const {

@@ -128,9 +128,15 @@ struct Scenario {
 /// (§4.4): a destination keeps its data to the end of the simulation, an
 /// initial source until its hold_until, any other machine until gc_time
 /// (latest deadline + γ). `is_destination` is supplied by the caller because
-/// each resource tracker derives it differently. Shared by NetworkState, the
-/// replay simulator and the fault replay so the hold rules cannot diverge.
+/// each resource tracker derives it differently; `gc_time` is
+/// `scenario.gc_time(item)`, which a caller asking for many machines computes
+/// once. Shared by NetworkState, the routing scan, the replay simulator and
+/// the fault replay so the hold rules cannot diverge.
 SimTime copy_hold_end(const Scenario& scenario, ItemId item, MachineId machine,
-                      bool is_destination);
+                      bool is_destination, SimTime gc_time);
+inline SimTime copy_hold_end(const Scenario& scenario, ItemId item, MachineId machine,
+                             bool is_destination) {
+  return copy_hold_end(scenario, item, machine, is_destination, scenario.gc_time(item));
+}
 
 }  // namespace datastage

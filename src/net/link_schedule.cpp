@@ -16,12 +16,8 @@ SimDuration LinkSchedule::occupancy(VirtLinkId link, std::int64_t item_bytes) co
 std::optional<LinkFit> LinkSchedule::earliest_fit(VirtLinkId link,
                                                   std::int64_t item_bytes,
                                                   SimTime ready_at) const {
-  const VirtualLink& vl = scenario_->vlink(link);
-  const SimDuration dur = occupancy(link, item_bytes);
-  const std::optional<SimTime> start =
-      busy_[link.index()].earliest_fit(ready_at, dur, vl.window);
-  if (!start.has_value()) return std::nullopt;
-  return LinkFit{*start, *start + dur};
+  return earliest_fit(link, scenario_->vlink(link).window, occupancy(link, item_bytes),
+                      ready_at);
 }
 
 void LinkSchedule::reserve(VirtLinkId link, std::int64_t item_bytes, SimTime start) {

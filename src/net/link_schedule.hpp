@@ -34,6 +34,16 @@ class LinkSchedule {
   std::optional<LinkFit> earliest_fit(VirtLinkId link, std::int64_t item_bytes,
                                       SimTime ready_at) const;
 
+  /// The same search for a caller that already holds the link's window and
+  /// the transfer's occupancy (the routing scan computes both per link).
+  std::optional<LinkFit> earliest_fit(VirtLinkId link, const Interval& window,
+                                      SimDuration occupancy, SimTime ready_at) const {
+    const std::optional<SimTime> start =
+        busy_[link.index()].earliest_fit(ready_at, occupancy, window);
+    if (!start.has_value()) return std::nullopt;
+    return LinkFit{*start, *start + occupancy};
+  }
+
   /// Occupancy duration of `item_bytes` on `link` (transfer + latency).
   SimDuration occupancy(VirtLinkId link, std::int64_t item_bytes) const;
 

@@ -6,48 +6,71 @@
 
 namespace datastage {
 
-Topology::Topology(const Scenario& scenario) : scenario_(&scenario) {
-  outgoing_.resize(scenario.machine_count());
-  for (std::size_t v = 0; v < scenario.virt_links.size(); ++v) {
+Topology::Topology(const Scenario& scenario) {
+  const std::size_t n = scenario.machine_count();
+  const std::size_t links = scenario.virt_links.size();
+  DS_ASSERT(links <= UINT32_MAX);
+
+  // One flat sort of (sender, receiver, window begin, link id) keys, then a
+  // single pass lays out the edges and cuts a group at each new receiver.
+  struct Key {
+    std::int32_t from;
+    std::int32_t to;
+    SimTime begin;
+    std::int32_t link;
+    auto operator<=>(const Key&) const = default;
+  };
+  std::vector<Key> keys;
+  keys.reserve(links);
+  for (std::size_t v = 0; v < links; ++v) {
     const VirtualLink& vl = scenario.virt_links[v];
-    outgoing_[vl.from.index()].push_back(VirtLinkId(static_cast<std::int32_t>(v)));
+    keys.push_back({vl.from.value(), vl.to.value(), vl.window.begin,
+                    static_cast<std::int32_t>(v)});
   }
-  for (auto& links : outgoing_) {
-    std::sort(links.begin(), links.end(), [&](VirtLinkId a, VirtLinkId b) {
-      const VirtualLink& va = scenario.vlink(a);
-      const VirtualLink& vb = scenario.vlink(b);
-      if (va.to != vb.to) return va.to < vb.to;
-      if (va.window.begin != vb.window.begin) return va.window.begin < vb.window.begin;
-      return a < b;
-    });
+  std::sort(keys.begin(), keys.end());
+
+  edges_.reserve(links);
+  group_start_.assign(n + 1, 0);
+  for (const Key& key : keys) {
+    const VirtualLink& vl = scenario.virt_links[static_cast<std::size_t>(key.link)];
+    const auto at = static_cast<std::uint32_t>(edges_.size());
+    if (at == 0 || keys[at - 1].from != key.from || keys[at - 1].to != key.to) {
+      if (!groups_.empty()) groups_.back().end = at;
+      groups_.push_back({vl.to, at, at});
+      ++group_start_[static_cast<std::size_t>(key.from) + 1];
+    }
+    edges_.push_back({vl.window, vl.bandwidth_bps, scenario.plink(vl.phys).latency,
+                      VirtLinkId(key.link)});
   }
+  if (!groups_.empty()) groups_.back().end = static_cast<std::uint32_t>(edges_.size());
+  for (std::size_t m = 0; m < n; ++m) group_start_[m + 1] += group_start_[m];
 
   // Distinct-neighbor out-degrees: sort all (from, to) pairs once and count
   // unique destinations per source in a single pass — no per-machine
   // allocations, no red-black trees.
-  out_degree_.assign(scenario.machine_count(), 0);
-  std::vector<std::pair<std::int32_t, std::int32_t>> edges;
-  edges.reserve(scenario.phys_links.size());
+  out_degree_.assign(n, 0);
+  std::vector<std::pair<std::int32_t, std::int32_t>> pairs;
+  pairs.reserve(scenario.phys_links.size());
   for (const PhysicalLink& pl : scenario.phys_links) {
-    edges.emplace_back(pl.from.value(), pl.to.value());
+    pairs.emplace_back(pl.from.value(), pl.to.value());
   }
-  std::sort(edges.begin(), edges.end());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (i == 0 || edges[i] != edges[i - 1]) {
-      ++out_degree_[static_cast<std::size_t>(edges[i].first)];
+  std::sort(pairs.begin(), pairs.end());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (i == 0 || pairs[i] != pairs[i - 1]) {
+      ++out_degree_[static_cast<std::size_t>(pairs[i].first)];
     }
   }
 }
 
-bool Topology::strongly_connected() const {
-  const std::size_t n = machine_count();
+bool strongly_connected(const Scenario& scenario) {
+  const std::size_t n = scenario.machine_count();
   if (n == 0) return false;
   if (n == 1) return true;
 
   // Physical adjacency (forward and reverse).
   std::vector<std::vector<std::int32_t>> fwd(n);
   std::vector<std::vector<std::int32_t>> rev(n);
-  for (const PhysicalLink& pl : scenario_->phys_links) {
+  for (const PhysicalLink& pl : scenario.phys_links) {
     fwd[pl.from.index()].push_back(pl.to.value());
     rev[pl.to.index()].push_back(pl.from.value());
   }

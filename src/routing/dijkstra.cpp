@@ -7,12 +7,56 @@
 namespace datastage {
 namespace {
 
-// Min-heap by arrival; machine id breaks ties so the expansion order (and
+// Indexed binary min-heap over ws.heap / ws.heap_pos, keyed by the live
+// arrival label. The machine id breaks ties so the expansion order (and
 // therefore the tree under equal arrivals) is deterministic.
-bool heap_after(const DijkstraWorkspace::HeapEntry& a,
-                const DijkstraWorkspace::HeapEntry& b) {
-  if (a.arrival != b.arrival) return a.arrival > b.arrival;
-  return a.machine > b.machine;
+bool queued_before(const DijkstraWorkspace& ws, MachineId a, MachineId b) {
+  const SimTime x = ws.arrival[a.index()];
+  const SimTime y = ws.arrival[b.index()];
+  return x < y || (x == y && a < b);
+}
+
+void place(DijkstraWorkspace& ws, std::uint32_t slot, MachineId machine) {
+  ws.heap[slot] = machine;
+  ws.heap_pos[machine.index()] = slot;
+}
+
+/// Queues `machine` under its current label, or moves it up after the label
+/// dropped.
+void push_or_decrease(DijkstraWorkspace& ws, MachineId machine) {
+  std::uint32_t slot = ws.heap_pos[machine.index()];
+  if (slot == DijkstraWorkspace::kNotQueued) {
+    slot = static_cast<std::uint32_t>(ws.heap.size());
+    ws.heap.push_back(machine);
+  }
+  while (slot > 0) {
+    const std::uint32_t parent = (slot - 1) / 2;
+    const MachineId above = ws.heap[parent];
+    if (!queued_before(ws, machine, above)) break;
+    place(ws, slot, above);
+    slot = parent;
+  }
+  place(ws, slot, machine);
+}
+
+MachineId pop_min(DijkstraWorkspace& ws) {
+  const MachineId top = ws.heap.front();
+  ws.heap_pos[top.index()] = DijkstraWorkspace::kNotQueued;
+  const MachineId last = ws.heap.back();
+  ws.heap.pop_back();
+  const auto size = static_cast<std::uint32_t>(ws.heap.size());
+  if (size == 0) return top;
+  std::uint32_t slot = 0;
+  for (std::uint32_t child = 1; child < size; child = 2 * slot + 1) {
+    if (child + 1 < size && queued_before(ws, ws.heap[child + 1], ws.heap[child])) {
+      ++child;
+    }
+    if (!queued_before(ws, ws.heap[child], last)) break;
+    place(ws, slot, ws.heap[child]);
+    slot = child;
+  }
+  place(ws, slot, last);
+  return top;
 }
 
 }  // namespace
@@ -26,7 +70,9 @@ void DijkstraWorkspace::begin_run(std::size_t machine_count) {
     has_parent.resize(machine_count, 0);
     edge.resize(machine_count);
     target_stamp.resize(machine_count, 0);
+    heap_pos.resize(machine_count, kNotQueued);
   }
+  for (const MachineId machine : heap) heap_pos[machine.index()] = kNotQueued;
   heap.clear();
   touched.clear();
 }
@@ -38,6 +84,12 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
   const Scenario& scenario = state.scenario();
   const std::size_t n = scenario.machine_count();
   const std::int64_t item_bytes = scenario.item(item).size_bytes;
+  const SimTime gc_time = scenario.gc_time(item);
+  // First time past the prune horizon, saturated so an infinite horizon
+  // cannot overflow: arrivals and departures at or after it are pruned.
+  const SimTime prune_limit = options.prune_after >= SimTime::infinity()
+                                  ? SimTime::infinity()
+                                  : options.prune_after + SimDuration::from_usec(1);
   DijkstraWorkspace& ws = workspace;
   ws.begin_run(n);
 
@@ -69,18 +121,12 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
       ws.settled[i] = 0;
       ws.touched.push_back(copy.machine);
     }
-    ws.heap.push_back({ws.arrival[i], copy.machine});
-    std::push_heap(ws.heap.begin(), ws.heap.end(), heap_after);
+    push_or_decrease(ws, copy.machine);
   }
 
   while (!ws.heap.empty()) {
-    std::pop_heap(ws.heap.begin(), ws.heap.end(), heap_after);
-    const DijkstraWorkspace::HeapEntry entry = ws.heap.back();
-    ws.heap.pop_back();
-    const MachineId u = entry.machine;
+    const MachineId u = pop_min(ws);
     const std::size_t ui = u.index();
-    if (ws.settled[ui] != 0) continue;        // lazily deleted duplicate
-    if (entry.arrival != ws.arrival[ui]) continue;  // stale entry
     ws.settled[ui] = 1;
     if (stats != nullptr) ++stats->pops;
 
@@ -99,53 +145,57 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
 
     // The item must still reside on u when a transfer departs; transfers
     // departing after u's hold window has been garbage-collected are invalid.
-    const SimTime sender_hold_end = state.hold_end(item, u);
+    const SimTime sender_hold_end =
+        copy_hold_end(scenario, item, u, state.is_destination(item, u), gc_time);
+    const SimTime depart_limit = min(sender_hold_end, prune_limit);
 
-    for (const VirtLinkId link_id : topology.outgoing(u)) {
-      if (stats != nullptr) ++stats->relaxations;
-      const VirtualLink& vl = scenario.vlink(link_id);
-      const MachineId v = vl.to;
+    for (const ReceiverGroup& group : topology.receivers(u)) {
+      const MachineId v = group.to;
       const std::size_t vi = v.index();
-      const bool labeled = ws.stamp[vi] == ws.epoch;
+      bool labeled = ws.stamp[vi] == ws.epoch;
       if (labeled && ws.settled[vi] != 0) continue;
-      const SimTime current = labeled ? ws.arrival[vi] : SimTime::infinity();
+      SimTime current = labeled ? ws.arrival[vi] : SimTime::infinity();
 
-      // Cheap tests first. No fit departs before `earliest` or arrives before
-      // `earliest + occupancy`, so a link these bounds reject would fail the
-      // same checks after the search; only survivors pay for it.
-      const SimTime earliest = max(ready, vl.window.begin);
-      if (earliest >= sender_hold_end || earliest >= current ||
-          earliest > options.prune_after) {
-        continue;
-      }
-      const SimTime earliest_arrival =
-          earliest + state.links().occupancy(link_id, item_bytes);
-      if (earliest_arrival >= current || earliest_arrival > options.prune_after) {
-        continue;
-      }
+      for (const OutEdge& out : topology.edges(group)) {
+        if (stats != nullptr) ++stats->relaxations;
+        // Cheap tests first. No fit departs before `earliest` or arrives
+        // before `earliest + occupancy`, so a link these bounds reject would
+        // fail the same checks after the search; only survivors pay for it.
+        // `earliest` only grows along the group and `current` only shrinks,
+        // so once the departure bound fails it fails for the rest.
+        const SimTime earliest = max(ready, out.window.begin);
+        if (earliest >= min(depart_limit, current)) break;
+        const SimDuration occupancy =
+            transfer_duration(item_bytes, out.bandwidth_bps) + out.latency;
+        const SimTime earliest_arrival = earliest + occupancy;
+        const SimTime arrival_limit = min(current, prune_limit);
+        if (earliest_arrival >= arrival_limit) continue;
+        if (earliest_arrival > out.window.end) continue;
 
-      if (stats != nullptr) ++stats->link_searches;
-      const std::optional<LinkFit> fit = state.earliest_fit(item, link_id, ready);
-      if (!fit.has_value()) continue;
-      if (fit->start >= sender_hold_end) continue;
-      if (fit->arrival >= current) continue;
-      if (fit->arrival > options.prune_after) continue;
-      if (stats != nullptr) ++stats->storage_checks;
-      if (!state.can_hold(item, v, fit->start)) {
-        if (stats != nullptr) ++stats->capacity_rejections;
-        continue;
-      }
+        if (stats != nullptr) ++stats->link_searches;
+        const std::optional<LinkFit> fit =
+            state.links().earliest_fit(out.link, out.window, occupancy, ready);
+        if (!fit.has_value()) continue;
+        if (fit->start >= sender_hold_end) continue;
+        if (fit->arrival >= arrival_limit) continue;
+        if (stats != nullptr) ++stats->storage_checks;
+        if (!state.can_hold(item, v, fit->start)) {
+          if (stats != nullptr) ++stats->capacity_rejections;
+          continue;
+        }
 
-      if (!labeled) {
-        ws.stamp[vi] = ws.epoch;
-        ws.settled[vi] = 0;
-        ws.touched.push_back(v);
+        if (!labeled) {
+          labeled = true;
+          ws.stamp[vi] = ws.epoch;
+          ws.settled[vi] = 0;
+          ws.touched.push_back(v);
+        }
+        current = fit->arrival;
+        ws.arrival[vi] = current;
+        ws.has_parent[vi] = 1;
+        ws.edge[vi] = TreeEdge{u, v, out.link, fit->start, fit->arrival};
+        push_or_decrease(ws, v);
       }
-      ws.arrival[vi] = fit->arrival;
-      ws.has_parent[vi] = 1;
-      ws.edge[vi] = TreeEdge{u, v, link_id, fit->start, fit->arrival};
-      ws.heap.push_back({fit->arrival, v});
-      std::push_heap(ws.heap.begin(), ws.heap.end(), heap_after);
     }
   }
 

@@ -44,13 +44,13 @@ struct DijkstraOptions {
 
 struct DijkstraStats {
   std::size_t pops = 0;
-  std::size_t relaxations = 0;     ///< outgoing virtual links examined
-  std::size_t link_searches = 0;   ///< links past the departure bound: searched
+  std::size_t relaxations = 0;     ///< out-links examined in unsettled receivers' groups
+  std::size_t link_searches = 0;   ///< links past the cheap bounds: searched
   std::size_t storage_checks = 0;  ///< link fits that improve a label: can_hold
   std::size_t capacity_rejections = 0;
 };
 
-/// Caller-owned scratch buffers reused across runs: heap storage plus the
+/// Caller-owned scratch buffers reused across runs: an indexed heap plus the
 /// dense per-machine label arrays the search relaxes against. The labels are
 /// epoch-stamped — a slot is valid only when its stamp equals the current
 /// epoch, so starting a run invalidates everything in O(1) instead of an
@@ -60,11 +60,14 @@ struct DijkstraStats {
 /// default-constructed workspace is grown on first use. Not thread-safe —
 /// one workspace per thread.
 struct DijkstraWorkspace {
-  struct HeapEntry {
-    SimTime arrival;
-    MachineId machine;
-  };
-  std::vector<HeapEntry> heap;  ///< binary min-heap storage
+  /// heap_pos value of a machine that is not queued.
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+
+  /// Binary min-heap of the labeled, unsettled machines by (arrival label,
+  /// machine id): one entry per machine, moved up in place when its label
+  /// drops (decrease-key), so no stale entries are ever popped.
+  std::vector<MachineId> heap;
+  std::vector<std::uint32_t> heap_pos;  ///< [machine] -> heap slot or kNotQueued
 
   std::uint64_t epoch = 0;           ///< current run id; stamps below match it
   std::vector<std::uint64_t> stamp;  ///< label validity (== epoch)
@@ -77,8 +80,8 @@ struct DijkstraWorkspace {
   std::vector<MachineId> touched;  ///< machines labeled this run (unsorted);
                                    ///< a targeted run refills it with the kept ones
 
-  /// Bumps the epoch, grows the arrays to `machine_count`, clears the heap
-  /// and the touched list.
+  /// Bumps the epoch, grows the arrays to `machine_count`, empties the heap
+  /// (un-queueing what an early-stopped run left in it) and the touched list.
   void begin_run(std::size_t machine_count);
 };
 

@@ -35,6 +35,12 @@ bool CliFlags::parse(int argc, const char* const* argv,
         value = "true";
       }
     }
+    if (name == "help") {
+      std::printf("usage: %s [--flag[=value] ...]\nknown flags:", argv[0]);
+      for (const auto& k : known) std::printf(" --%s", k.c_str());
+      std::printf("\n");
+      std::exit(0);
+    }
     if (!is_known(name)) {
       std::fprintf(stderr, "unknown flag --%s; known flags:", name.c_str());
       for (const auto& k : known) std::fprintf(stderr, " --%s", k.c_str());

@@ -2,7 +2,8 @@
 //
 // Supports `--name=value`, `--name value` and boolean `--name`. Unrecognized
 // flags are an error so typos surface immediately; positional arguments are
-// collected for callers that want them.
+// collected for callers that want them. `--help` prints the known flags to
+// stdout and exits 0.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@ namespace datastage {
 class CliFlags {
  public:
   /// Parses argv. On error prints a message to stderr and returns false.
+  /// `--help` prints the known flags to stdout and exits 0.
   bool parse(int argc, const char* const* argv, const std::vector<std::string>& known);
 
   bool has(const std::string& name) const;

@@ -10,6 +10,11 @@ failures=0
 for bench in "$BENCH_DIR"/*; do
   [ -f "$bench" ] && [ -x "$bench" ] || continue
   name="$(basename "$bench")"
+  # Every bench answers --help with exit 0 and a list of its flags.
+  help="$("$bench" --help 2>&1)" && echo "$help" | grep -q -- "--" || {
+    echo "FAILED (--help): $name" >&2
+    failures=$((failures + 1))
+  }
   case "$name" in
     tbl_exec_time)
       # google-benchmark binary: run one quick repetition.

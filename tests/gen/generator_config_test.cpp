@@ -28,7 +28,7 @@ TEST(GeneratorConfigTest, LightPresetIsSmaller) {
   const Scenario s = generate_scenario(light, rng);
   EXPECT_LE(s.machine_count(), 10u);
   EXPECT_LE(s.request_count(), 8u * s.machine_count());
-  EXPECT_TRUE(Topology(s).strongly_connected());
+  EXPECT_TRUE(strongly_connected(s));
 }
 
 TEST(GeneratorConfigTest, CongestedPresetIsOversubscribed) {
@@ -126,7 +126,7 @@ TEST(GeneratorConfigTest, ScalableSamplingProducesValidScenarios) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     Rng rng(seed);
     const Scenario s = generate_scenario(config, rng);  // check_valid inside
-    EXPECT_TRUE(Topology(s).strongly_connected());
+    EXPECT_TRUE(strongly_connected(s));
     EXPECT_GE(s.machine_count(), 8u);
     for (const DataItem& item : s.items) {
       ASSERT_FALSE(item.sources.empty());

@@ -41,7 +41,7 @@ TEST(GeneratorTest, CapacitiesWithinPaperRange) {
 TEST(GeneratorTest, StronglyConnected) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const Scenario s = generate(seed);
-    EXPECT_TRUE(Topology(s).strongly_connected()) << "seed " << seed;
+    EXPECT_TRUE(strongly_connected(s)) << "seed " << seed;
   }
 }
 

@@ -21,10 +21,13 @@ TEST(TopologyTest, OutgoingLinksGroupedPerMachine) {
   const Scenario s = testing::chain_scenario();
   const Topology topo(s);
   EXPECT_EQ(topo.machine_count(), 3u);
-  EXPECT_EQ(topo.outgoing(MachineId(0)).size(), 1u);
-  EXPECT_EQ(topo.outgoing(MachineId(1)).size(), 1u);
-  EXPECT_TRUE(topo.outgoing(MachineId(2)).empty());
-  EXPECT_EQ(s.vlink(topo.outgoing(MachineId(0))[0]).to, MachineId(1));
+  EXPECT_EQ(topo.out_edges(MachineId(0)).size(), 1u);
+  EXPECT_EQ(topo.out_edges(MachineId(1)).size(), 1u);
+  EXPECT_TRUE(topo.out_edges(MachineId(2)).empty());
+  EXPECT_TRUE(topo.receivers(MachineId(2)).empty());
+  ASSERT_EQ(topo.receivers(MachineId(0)).size(), 1u);
+  EXPECT_EQ(topo.receivers(MachineId(0))[0].to, MachineId(1));
+  EXPECT_EQ(s.vlink(topo.out_edges(MachineId(0))[0].link).to, MachineId(1));
 }
 
 TEST(TopologyTest, OutgoingSortedByDestinationThenWindow) {
@@ -35,13 +38,48 @@ TEST(TopologyTest, OutgoingSortedByDestinationThenWindow) {
                          .window(Interval{at_min(0), at_min(5)})
                          .build_unchecked();
   const Topology topo(s);
-  const auto out = topo.outgoing(MachineId(0));
+  const auto out = topo.out_edges(MachineId(0));
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(s.vlink(out[0]).to, MachineId(1));
-  EXPECT_EQ(s.vlink(out[0]).window.begin, at_min(0));
-  EXPECT_EQ(s.vlink(out[1]).to, MachineId(1));
-  EXPECT_EQ(s.vlink(out[1]).window.begin, at_min(30));
-  EXPECT_EQ(s.vlink(out[2]).to, MachineId(2));
+  EXPECT_EQ(s.vlink(out[0].link).to, MachineId(1));
+  EXPECT_EQ(out[0].window.begin, at_min(0));
+  EXPECT_EQ(s.vlink(out[1].link).to, MachineId(1));
+  EXPECT_EQ(out[1].window.begin, at_min(30));
+  EXPECT_EQ(s.vlink(out[2].link).to, MachineId(2));
+
+  // One group per receiver, covering the out-edges in order.
+  const auto groups = topo.receivers(MachineId(0));
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].to, MachineId(1));
+  EXPECT_EQ(topo.edges(groups[0]).size(), 2u);
+  EXPECT_EQ(topo.edges(groups[0]).data(), out.data());
+  EXPECT_EQ(groups[1].to, MachineId(2));
+  ASSERT_EQ(topo.edges(groups[1]).size(), 1u);
+  EXPECT_EQ(topo.edges(groups[1])[0].link, out[2].link);
+}
+
+// Each out-edge carries its virtual link's window, bandwidth and physical
+// latency inline, equal to what the scenario says.
+TEST(TopologyTest, OutEdgesCarryLinkFieldsInline) {
+  const Scenario s = ScenarioBuilder()
+                         .machine(kGB).machine(kGB)
+                         .link(0, 1, 1000, Interval{at_min(10), at_min(20)})
+                         .window(Interval{at_min(30), at_min(40)})
+                         .link(0, 1, 5000, kAlways)
+                         .build_unchecked();
+  const Topology topo(s);
+  const auto out = topo.out_edges(MachineId(0));
+  ASSERT_EQ(out.size(), 3u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const VirtualLink& vl = s.vlink(out[i].link);
+    EXPECT_EQ(out[i].window, vl.window);
+    EXPECT_EQ(out[i].bandwidth_bps, vl.bandwidth_bps);
+    EXPECT_EQ(out[i].latency, s.plink(vl.phys).latency);
+    if (i > 0) {
+      EXPECT_LE(out[i - 1].window.begin, out[i].window.begin);
+    }
+  }
+  ASSERT_EQ(topo.receivers(MachineId(0)).size(), 1u);
+  EXPECT_EQ(topo.receivers(MachineId(1)).size(), 0u);
 }
 
 TEST(TopologyTest, OutDegreeCountsDistinctNeighbors) {
@@ -74,21 +112,33 @@ TEST(TopologyTest, OutDegreeMatchesNaiveSetOnGeneratedScenarios) {
       }
       EXPECT_EQ(topo.out_degree(id), static_cast<std::int32_t>(naive.size()));
       EXPECT_EQ(again.out_degree(id), topo.out_degree(id));
-      const auto out_a = topo.outgoing(id);
-      const auto out_b = again.outgoing(id);
+      const auto out_a = topo.out_edges(id);
+      const auto out_b = again.out_edges(id);
       ASSERT_EQ(out_a.size(), out_b.size());
       for (std::size_t i = 0; i < out_a.size(); ++i) {
-        EXPECT_EQ(out_a[i], out_b[i]);
+        EXPECT_EQ(out_a[i].link, out_b[i].link);
       }
+      // Groups partition the out-edges by receiver, ascending, each once.
+      std::size_t covered = 0;
+      const auto groups = topo.receivers(id);
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        if (g > 0) {
+          EXPECT_LT(groups[g - 1].to, groups[g].to);
+        }
+        for (const OutEdge& edge : topo.edges(groups[g])) {
+          EXPECT_EQ(s.vlink(edge.link).to, groups[g].to);
+          EXPECT_EQ(edge.link, out_a[covered].link);
+          ++covered;
+        }
+      }
+      EXPECT_EQ(covered, out_a.size());
     }
   }
 }
 
 TEST(TopologyTest, ChainIsNotStronglyConnected) {
-  // Topology keeps a pointer to the scenario: it must outlive the topology.
   const Scenario s = testing::chain_scenario();
-  const Topology topo(s);
-  EXPECT_FALSE(topo.strongly_connected());
+  EXPECT_FALSE(strongly_connected(s));
 }
 
 TEST(TopologyTest, CycleIsStronglyConnected) {
@@ -98,7 +148,7 @@ TEST(TopologyTest, CycleIsStronglyConnected) {
                          .link(1, 2, 1000, kAlways)
                          .link(2, 0, 1000, kAlways)
                          .build_unchecked();
-  EXPECT_TRUE(Topology(s).strongly_connected());
+  EXPECT_TRUE(strongly_connected(s));
 }
 
 TEST(TopologyTest, TwoDisjointCyclesAreNotStronglyConnected) {
@@ -109,12 +159,12 @@ TEST(TopologyTest, TwoDisjointCyclesAreNotStronglyConnected) {
                          .link(2, 3, 1000, kAlways)
                          .link(3, 2, 1000, kAlways)
                          .build_unchecked();
-  EXPECT_FALSE(Topology(s).strongly_connected());
+  EXPECT_FALSE(strongly_connected(s));
 }
 
 TEST(TopologyTest, SingleMachineIsStronglyConnected) {
   const Scenario s = ScenarioBuilder().machine(kGB).build_unchecked();
-  EXPECT_TRUE(Topology(s).strongly_connected());
+  EXPECT_TRUE(strongly_connected(s));
 }
 
 TEST(TopologyTest, ReachableButNotReturnable) {
@@ -125,7 +175,7 @@ TEST(TopologyTest, ReachableButNotReturnable) {
                          .link(0, 2, 1000, kAlways)
                          .link(1, 2, 1000, kAlways)
                          .build_unchecked();
-  EXPECT_FALSE(Topology(s).strongly_connected());
+  EXPECT_FALSE(strongly_connected(s));
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "net/network_state.hpp"
 #include "net/topology.hpp"
 #include "routing/dijkstra.hpp"
+#include "testing/builders.hpp"
 
 namespace datastage {
 namespace {
@@ -46,7 +49,8 @@ class BruteForce {
     // keep the search exact and simple by pruning only on equality of best
     // lower bound.
     if (ready >= best_) return;  // any further hop arrives strictly later
-    for (const VirtLinkId link : topology_.outgoing(at)) {
+    for (const OutEdge& out : topology_.out_edges(at)) {
+      const VirtLinkId link = out.link;
       const VirtualLink& vl = state_.scenario().vlink(link);
       if (visited[vl.to.index()]) continue;
       const auto fit = state_.earliest_fit(item_, link, ready);
@@ -118,7 +122,8 @@ std::vector<ReferenceLabel> reference_forest(const NetworkState& state,
     settled[u] = true;
     const MachineId from(static_cast<std::int32_t>(u));
     const SimTime ready = labels[u].arrival;
-    for (const VirtLinkId link : topology.outgoing(from)) {
+    for (const OutEdge& out : topology.out_edges(from)) {
+      const VirtLinkId link = out.link;
       const MachineId to = scenario.vlink(link).to;
       ReferenceLabel& label = labels[to.index()];
       if (settled[to.index()]) continue;
@@ -350,6 +355,353 @@ TEST_P(DijkstraReferenceTest, MatchesReferenceOnDegradedFragmentsNearCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraReferenceTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// --- The grouped scan and the indexed heap -------------------------------
+//
+// The kernel scans each sender's out-edges one receiver group at a time,
+// leaves a group at the first window whose departure bound fails, skips
+// links whose arrival bound fails or that cannot fit in their window, and
+// keeps one heap entry per machine. The scenarios below are built so that
+// each of those paths matters: every physical link has three or more
+// windows, some senders have two physical links to one receiver (with equal
+// or interleaved window begins), degradations split windows into fragments
+// of different bandwidths, late sources leave early windows closed before
+// they are ready, some windows are exactly one transfer long, and items
+// with two sources let a relaxation re-label a root.
+
+/// Occupancy of `bytes` on a virtual link: the kernel's bound, recomputed.
+SimDuration occupancy_of(const Scenario& scenario, const VirtualLink& vl,
+                         std::int64_t bytes) {
+  return transfer_duration(bytes, vl.bandwidth_bps) + scenario.plink(vl.phys).latency;
+}
+
+Scenario grouped_scan_scenario(std::uint64_t seed) {
+  using testing::at_min;
+  Rng rng(seed);
+  const auto machines = static_cast<std::int32_t>(rng.uniform_i64(5, 6));
+  const std::int64_t bandwidths[] = {20'000, 50'000, 200'000};
+  const std::int64_t sizes[] = {500'000, 1'000'000, 2'000'000};
+
+  testing::ScenarioBuilder builder;
+  for (std::int32_t m = 0; m < machines; ++m) builder.machine(std::int64_t{1} << 40);
+
+  // Windows live in k slots of the two-hour horizon; a parallel link either
+  // repeats the begins of its twin or shifts them by half a slot.
+  const auto add_link = [&](std::int32_t from, std::int32_t to, std::int64_t k,
+                            SimDuration shift) {
+    const SimDuration slot = SimDuration::minutes(120) / k;
+    const std::int64_t bps = bandwidths[rng.uniform_i64(0, 2)];
+    const SimDuration latency = SimDuration::seconds(rng.uniform_i64(0, 30));
+    for (std::int64_t w = 0; w < k; ++w) {
+      const SimTime begin = SimTime::zero() + slot * w + shift;
+      const SimTime end = begin + slot / 2 + slot / 8 * rng.uniform_i64(-2, 3);
+      if (w == 0) {
+        builder.link(from, to, bps, Interval{begin, end}, latency);
+      } else {
+        builder.window(Interval{begin, end});
+      }
+    }
+  };
+  for (std::int32_t u = 0; u < machines; ++u) {
+    for (std::int32_t v = 0; v < machines; ++v) {
+      if (u == v) continue;
+      // The ring u -> u+1 keeps every machine reachable.
+      if (v != (u + 1) % machines && !rng.bernoulli(0.4)) continue;
+      const std::int64_t k = rng.uniform_i64(3, 5);
+      add_link(u, v, k, SimDuration::zero());
+      if (rng.bernoulli(0.4)) {
+        const bool interleaved = rng.bernoulli(0.5);
+        add_link(u, v, k,
+                 interleaved ? SimDuration::minutes(120) / k / 2 : SimDuration::zero());
+      }
+    }
+  }
+
+  const std::int64_t items = rng.uniform_i64(3, 5);
+  for (std::int64_t i = 0; i < items; ++i) {
+    builder.item(sizes[rng.uniform_i64(0, 2)]);
+    const auto first = static_cast<std::int32_t>(rng.uniform_i64(0, machines - 1));
+    builder.source(first, at_min(rng.uniform_i64(0, 40)));
+    std::int32_t second = -1;
+    if (rng.bernoulli(0.5)) {
+      // A late second source a relaxation from the first can beat.
+      second = (first + 1 + static_cast<std::int32_t>(rng.uniform_i64(0, machines - 2))) %
+               machines;
+      builder.source(second, at_min(rng.uniform_i64(40, 90)));
+    }
+    for (std::int32_t m = 0; m < machines; ++m) {
+      if (m == first || m == second || !rng.bernoulli(0.6)) continue;
+      builder.request(m, at_min(rng.uniform_i64(30, 120)));
+    }
+  }
+  Scenario base = builder.build_unchecked();
+
+  // Capacities leave one to two items of headroom over the source copies.
+  std::int64_t max_item = 0;
+  std::vector<std::int64_t> permanent(base.machine_count(), 0);
+  for (const DataItem& item : base.items) {
+    max_item = std::max(max_item, item.size_bytes);
+    for (const SourceLocation& src : item.sources) {
+      permanent[src.machine.index()] += item.size_bytes;
+    }
+  }
+  for (std::size_t m = 0; m < base.machine_count(); ++m) {
+    base.machines[m].capacity_bytes = permanent[m] + max_item * rng.uniform_i64(2, 4) / 2;
+  }
+
+  FaultSpec faults;
+  for (std::size_t l = 0; l < base.phys_links.size(); ++l) {
+    if (!rng.bernoulli(0.5)) continue;
+    const SimTime a = at_min(rng.uniform_i64(0, 80));
+    faults.degradations.push_back(
+        {PhysLinkId(static_cast<std::int32_t>(l)), Interval{a, a + SimDuration::minutes(25)},
+         0.5});
+  }
+  Scenario scenario = apply_faults(base, faults);
+
+  // Shrink some windows to exactly one transfer of some item, so a fit
+  // that fills a window to its last microsecond is the only one there is.
+  for (VirtualLink& vl : scenario.virt_links) {
+    if (!rng.bernoulli(0.3)) continue;
+    const DataItem& item = scenario.items[static_cast<std::size_t>(
+        rng.uniform_i64(0, static_cast<std::int64_t>(scenario.item_count()) - 1))];
+    const SimTime end = vl.window.begin + occupancy_of(scenario, vl, item.size_bytes);
+    if (end <= vl.window.end) vl.window.end = end;
+  }
+  return scenario;
+}
+
+/// Asserts `tree` equals the reference forest edge for edge.
+void expect_matches_reference(const RouteTree& tree,
+                              const std::vector<ReferenceLabel>& expected,
+                              const char* what) {
+  for (std::size_t m = 0; m < expected.size(); ++m) {
+    const MachineId machine(static_cast<std::int32_t>(m));
+    EXPECT_EQ(tree.arrival(machine), expected[m].arrival) << what << " machine " << m;
+    ASSERT_EQ(tree.has_parent(machine), expected[m].has_parent) << what << " machine " << m;
+    if (tree.has_parent(machine)) {
+      EXPECT_EQ(tree.parent_edge(machine), expected[m].edge) << what << " machine " << m;
+    }
+  }
+}
+
+class GroupedScanTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// One workspace serves every run: targeted runs that stop at the target
+// break and pruned runs that stop at the prune break leave machines queued,
+// and the full runs after them must still equal the reference forest (and a
+// fresh workspace's), untargeted and with an infinite or saturating prune
+// horizon.
+TEST_P(GroupedScanTest, MatchesReferenceWithReusedWorkspace) {
+  const Scenario scenario = grouped_scan_scenario(GetParam() * 104729);
+  const Topology topology(scenario);
+  NetworkState state(scenario);
+  DijkstraWorkspace workspace;
+  RouteTree tree(0);
+  StorageProbe probe;
+  DijkstraStats stats;
+
+  std::size_t early_stops = 0;
+  const auto check_item = [&](ItemId item) {
+    const std::vector<ReferenceLabel> expected =
+        reference_forest(state, topology, item, probe);
+
+    // Targeted at one destination, pruned at the item's latest deadline.
+    std::vector<MachineId> targets;
+    SimTime latest = SimTime::zero();
+    for (const Request& r : scenario.item(item).requests) {
+      latest = max(latest, r.deadline);
+      if (targets.empty()) targets.push_back(r.destination);
+    }
+    DijkstraOptions targeted;
+    targeted.prune_after = latest;
+    targeted.targets = targets;
+    DijkstraStats run;
+    compute_route_tree_into(state, topology, item, targeted, workspace, tree, &run);
+    if (!workspace.heap.empty()) ++early_stops;
+    for (const MachineId t : targets) {
+      if (expected[t.index()].arrival <= latest) {
+        EXPECT_EQ(tree.arrival(t), expected[t.index()].arrival) << "targeted";
+        EXPECT_EQ(tree.has_parent(t), expected[t.index()].has_parent) << "targeted";
+        if (tree.has_parent(t)) {
+          EXPECT_EQ(tree.parent_edge(t), expected[t.index()].edge) << "targeted";
+        }
+      } else {
+        EXPECT_GT(tree.arrival(t), latest) << "targeted";
+      }
+    }
+
+    // Pruned early: settled labels within the horizon are final.
+    SimTime first = SimTime::infinity();
+    for (const Copy& copy : state.copies(item)) first = min(first, copy.available_at);
+    DijkstraOptions pruned;
+    pruned.prune_after = first + SimDuration::minutes(15);
+    compute_route_tree_into(state, topology, item, pruned, workspace, tree);
+    if (!workspace.heap.empty()) ++early_stops;
+    for (std::size_t m = 0; m < expected.size(); ++m) {
+      if (expected[m].arrival > pruned.prune_after) continue;
+      const MachineId machine(static_cast<std::int32_t>(m));
+      EXPECT_EQ(tree.arrival(machine), expected[m].arrival) << "pruned machine " << m;
+      ASSERT_EQ(tree.has_parent(machine), expected[m].has_parent) << "pruned machine " << m;
+      if (tree.has_parent(machine)) {
+        EXPECT_EQ(tree.parent_edge(machine), expected[m].edge) << "pruned machine " << m;
+      }
+    }
+
+    // Full runs on the reused workspace: infinite horizon, then a horizon
+    // at the very top of the clock that must saturate, not overflow.
+    compute_route_tree_into(state, topology, item, {}, workspace, tree, &stats);
+    expect_matches_reference(tree, expected, "full");
+    DijkstraOptions top;
+    top.prune_after = SimTime::from_usec(std::numeric_limits<std::int64_t>::max());
+    compute_route_tree_into(state, topology, item, top, workspace, tree);
+    expect_matches_reference(tree, expected, "saturated");
+    expect_matches_reference(compute_route_tree(state, topology, item), expected, "fresh");
+  };
+
+  // Check, commit one first hop per item, check again on the loaded state.
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < scenario.item_count(); ++i) {
+      const ItemId item(static_cast<std::int32_t>(i));
+      check_item(item);
+      const RouteTree full = compute_route_tree(state, topology, item);
+      for (const Request& r : scenario.item(item).requests) {
+        if (full.reached(r.destination) && full.has_parent(r.destination)) {
+          const TreeEdge hop = full.first_hop(r.destination);
+          state.apply_transfer(item, hop.link, hop.start);
+          break;
+        }
+      }
+    }
+  }
+
+  EXPECT_GT(early_stops, 0U);
+  EXPECT_LE(stats.link_searches, stats.relaxations);
+  EXPECT_LE(stats.storage_checks, stats.link_searches);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GroupedScanTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
+
+// Across the seeds above, the scenario family really exercises every path
+// the grouped scan adds, and the unloaded forests use them.
+TEST(GroupedScanCoverageTest, ScenarioFamilyExercisesEveryPath) {
+  std::size_t long_groups = 0;
+  std::size_t relabeled_roots = 0;
+  std::size_t exact_fills = 0;
+  std::size_t parallel_equal = 0;
+  std::size_t parallel_interleaved = 0;
+  std::size_t fragment_bandwidths = 0;
+  std::size_t exact_windows = 0;
+  std::size_t late_sources = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Scenario scenario = grouped_scan_scenario(seed * 104729);
+    const Topology topology(scenario);
+    for (std::size_t m = 0; m < scenario.machine_count(); ++m) {
+      for (const ReceiverGroup& group :
+           topology.receivers(MachineId(static_cast<std::int32_t>(m)))) {
+        const std::span<const OutEdge> edges = topology.edges(group);
+        if (edges.size() >= 3) ++long_groups;
+        for (std::size_t a = 0; a < edges.size(); ++a) {
+          for (std::size_t b = a + 1; b < edges.size(); ++b) {
+            const VirtualLink& x = scenario.vlink(edges[a].link);
+            const VirtualLink& y = scenario.vlink(edges[b].link);
+            if (x.phys == y.phys) {
+              if (x.bandwidth_bps != y.bandwidth_bps) ++fragment_bandwidths;
+            } else if (x.window.begin == y.window.begin) {
+              ++parallel_equal;
+            } else {
+              ++parallel_interleaved;
+            }
+          }
+        }
+      }
+    }
+    for (const VirtualLink& vl : scenario.virt_links) {
+      for (const DataItem& item : scenario.items) {
+        if (vl.window.begin + occupancy_of(scenario, vl, item.size_bytes) ==
+            vl.window.end) {
+          ++exact_windows;
+        }
+      }
+    }
+    for (const DataItem& item : scenario.items) {
+      for (const SourceLocation& src : item.sources) {
+        if (src.available_at > scenario.virt_links.front().window.end) ++late_sources;
+      }
+    }
+    const NetworkState state(scenario);
+    for (std::size_t i = 0; i < scenario.item_count(); ++i) {
+      const ItemId item(static_cast<std::int32_t>(i));
+      const RouteTree tree = compute_route_tree(state, topology, item);
+      for (std::size_t m = 0; m < scenario.machine_count(); ++m) {
+        const MachineId machine(static_cast<std::int32_t>(m));
+        if (!tree.has_parent(machine)) continue;
+        const TreeEdge edge = tree.parent_edge(machine);
+        if (state.copy_available_at(item, machine).has_value()) ++relabeled_roots;
+        if (edge.arrival == scenario.vlink(edge.link).window.end) ++exact_fills;
+      }
+    }
+  }
+  EXPECT_GT(long_groups, 0U);
+  EXPECT_GT(relabeled_roots, 0U);
+  EXPECT_GT(exact_fills, 0U);
+  EXPECT_GT(parallel_equal, 0U);
+  EXPECT_GT(parallel_interleaved, 0U);
+  EXPECT_GT(fragment_bandwidths, 0U);
+  EXPECT_GT(exact_windows, 0U);
+  EXPECT_GT(late_sources, 0U);
+}
+
+// A transfer that fills the tail of its window to the last microsecond is
+// feasible: the window-end bound rejects only arrivals strictly past the end.
+TEST(GroupedScanEdgeCaseTest, TransferExactlyFillingWindowTailIsFound) {
+  using testing::at_min;
+  // 1 MB at 8 Mbit/s with 1 s latency: 2 s of occupancy.
+  const Scenario s = testing::ScenarioBuilder()
+                         .machine(std::int64_t{1} << 30)
+                         .machine(std::int64_t{1} << 30)
+                         .link(0, 1, 8'000'000,
+                               Interval{at_min(0), at_min(10) + SimDuration::seconds(2)},
+                               SimDuration::seconds(1))
+                         .window(Interval{at_min(20), at_min(30)})
+                         .window(Interval{at_min(40), at_min(50)})
+                         .item(1'000'000)
+                         .source(0, at_min(10))
+                         .request(1, at_min(60))
+                         .build();
+  const Topology topology(s);
+  const NetworkState state(s);
+  const RouteTree tree = compute_route_tree(state, topology, ItemId(0));
+  ASSERT_TRUE(tree.has_parent(MachineId(1)));
+  EXPECT_EQ(tree.parent_edge(MachineId(1)).start, at_min(10));
+  EXPECT_EQ(tree.arrival(MachineId(1)), at_min(10) + SimDuration::seconds(2));
+}
+
+// A late root is re-labeled through a relaxation from an earlier root: the
+// one heap entry moves up in place and the label gains a parent edge.
+TEST(GroupedScanEdgeCaseTest, RootRelabeledThroughRelaxation) {
+  using testing::at_min;
+  const Scenario s = testing::ScenarioBuilder()
+                         .machine(std::int64_t{1} << 30)
+                         .machine(std::int64_t{1} << 30)
+                         .machine(std::int64_t{1} << 30)
+                         .link(0, 1, 8'000'000, Interval{at_min(0), at_min(120)})
+                         .link(1, 2, 8'000'000, Interval{at_min(0), at_min(120)})
+                         .link(2, 0, 8'000'000, Interval{at_min(0), at_min(120)})
+                         .item(1'000'000)
+                         .source(0, at_min(0))
+                         .source(1, at_min(60))
+                         .request(2, at_min(90))
+                         .build();
+  const Topology topology(s);
+  const NetworkState state(s);
+  const RouteTree tree = compute_route_tree(state, topology, ItemId(0));
+  ASSERT_TRUE(tree.has_parent(MachineId(1)));
+  EXPECT_EQ(tree.parent_edge(MachineId(1)).from, MachineId(0));
+  EXPECT_EQ(tree.arrival(MachineId(1)), at_min(0) + SimDuration::seconds(1));
+  EXPECT_EQ(tree.arrival(MachineId(2)), at_min(0) + SimDuration::seconds(2));
+}
 
 }  // namespace
 }  // namespace datastage

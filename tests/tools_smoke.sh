@@ -256,4 +256,14 @@ status=0
 test "$status" -eq 2
 grep -q "cannot load scenario" "$WORK_DIR/verify_err.txt"
 
+# Every tool answers --help: exit 0 and a list of its known flags on stdout.
+for tool in "$TOOLS_DIR"/datastage_*; do
+  [ -f "$tool" ] && [ -x "$tool" ] || continue
+  "$tool" --help > "$WORK_DIR/help.txt"
+  grep -q -- "--" "$WORK_DIR/help.txt" || {
+    echo "no flags in --help of $(basename "$tool")" >&2
+    exit 1
+  }
+done
+
 echo "tools smoke test passed"
