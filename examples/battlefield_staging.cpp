@@ -48,8 +48,7 @@ Scenario build_theater() {
   };
   auto window = [&](std::int32_t p, std::int64_t from_min, std::int64_t to_min) {
     const PhysicalLink& pl = s.phys_links[static_cast<std::size_t>(p)];
-    s.virt_links.push_back(VirtualLink{PhysLinkId(p), pl.from, pl.to,
-                                       pl.bandwidth_bps,
+    s.virt_links.push_back(VirtualLink{PhysLinkId(p), pl.bandwidth_bps,
                                        Interval{at_min(from_min), at_min(to_min)}});
   };
 

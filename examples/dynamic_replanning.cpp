@@ -33,8 +33,7 @@ Scenario build_world() {
   };
   auto window = [&](std::int32_t p, std::int64_t a, std::int64_t b) {
     const PhysicalLink& pl = s.phys_links[static_cast<std::size_t>(p)];
-    s.virt_links.push_back(VirtualLink{PhysLinkId(p), pl.from, pl.to,
-                                       pl.bandwidth_bps,
+    s.virt_links.push_back(VirtualLink{PhysLinkId(p), pl.bandwidth_bps,
                                        Interval{at_min(a), at_min(b)}});
   };
   window(plink(0, 1, 1'000'000), 0, 120);   // hq -> relay backbone

@@ -34,8 +34,7 @@ int main() {
   const Interval always{SimTime::zero(), scenario.horizon};
   auto window = [&](std::int32_t phys, SimTime a, SimTime b) {
     const PhysicalLink& pl = scenario.phys_links[static_cast<std::size_t>(phys)];
-    scenario.virt_links.push_back(VirtualLink{PhysLinkId(phys), pl.from, pl.to,
-                                              pl.bandwidth_bps,
+    scenario.virt_links.push_back(VirtualLink{PhysLinkId(phys), pl.bandwidth_bps,
                                               Interval{a, b}});
   };
   window(0, always.begin, always.end);

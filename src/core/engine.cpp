@@ -36,6 +36,7 @@ struct StagingEngine::Instr {
   obs::Counter iterations;
   obs::Counter rounds;              ///< candidate scoring rounds (refreshes)
   obs::Counter tree_recomputes;     ///< Dijkstra reruns (cache miss/dirty)
+  obs::Counter tree_repairs;        ///< own-commit trees re-rooted instead
   obs::Counter cache_hits;          ///< clean cached trees reused in a round
   obs::Counter candidates;          ///< candidates generated and scored
   obs::Counter best_rescans;        ///< per-plan best recomputations
@@ -67,6 +68,7 @@ struct StagingEngine::Instr {
       : iterations(m.counter("engine.iterations")),
         rounds(m.counter("engine.scoring_rounds")),
         tree_recomputes(m.counter("engine.tree_recomputes")),
+        tree_repairs(m.counter("engine.tree_repairs")),
         cache_hits(m.counter("engine.cache_hits")),
         candidates(m.counter("engine.candidates_scored")),
         best_rescans(m.counter("engine.best_rescans")),
@@ -308,6 +310,7 @@ void StagingEngine::retire_plan(std::size_t plan_index) {
   // candidate or interval memory for the rest of the run nor keep stale index
   // subscriptions that would attract invalidation dispatches.
   plan.tree = RouteTree(0);
+  plan.repair_roots = {};
   plan.candidates = {};
   plan.used_links = {};
   plan.used_storage = {};
@@ -332,31 +335,68 @@ void StagingEngine::compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws) {
     ws.targets.push_back(it.requests[static_cast<std::size_t>(k)].destination);
   }
   dopt.targets = ws.targets;
-  compute_route_tree_into(state_, topology_, item, dopt, ws.ws, plan.tree,
-                          instr_ != nullptr ? &job.stats : nullptr);
+  job.repaired = repair_tree(item, plan, ws);
+  plan.repair_roots.clear();
+  if (!job.repaired) {
+    compute_route_tree_into(state_, topology_, item, dopt, ws.ws, plan.tree,
+                            instr_ != nullptr ? &job.stats : nullptr);
+  }
   job.prune_after = dopt.prune_after;
   build_candidates_local(item, plan, ws);
+}
+
+bool StagingEngine::repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& ws) {
+  // Guards 1 and 2: paranoid mode stays the literal oracle, and the plan's
+  // last commit was its own with no foreign dispatch since (invalidate keeps
+  // repair_roots empty otherwise).
+  if (options_.paranoid || plan.repair_roots.empty()) return false;
+  // Guard 3: the item fits next to every machine's storage peak, now and so
+  // at every earlier state. can_hold never rejected it, departures are FIFO
+  // and every cached label is an exact earliest arrival.
+  const DataItem& it = scenario_->item(item);
+  if (it.size_bytes > state_.min_storage_headroom()) return false;
+  // The committed receivers now hold copies available at exactly their old
+  // labels; a fresh run settles a prefix of the old settle order with the
+  // same labels and parent edges, those receivers as roots.
+  plan.tree.reroot_and_restrict(plan.repair_roots, ws.targets, ws.keep);
+  // Guard 4: every pending target is reached with a parent by its deadline,
+  // so its whole path was subscribed and a fresh run would settle it before
+  // the prune horizon.
+  for (const std::int32_t k : tracker_.pending_of(item)) {
+    const Request& request = it.requests[static_cast<std::size_t>(k)];
+    const TreeEdge* entry = plan.tree.entry(request.destination);
+    if (entry == nullptr || !entry->from.valid() || entry->arrival > request.deadline) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void StagingEngine::merge_refresh_job(RefreshJob& job) {
   const std::size_t plan_index = job.plan;
   const ItemId item(static_cast<std::int32_t>(plan_index));
   ItemPlan& plan = plans_[plan_index];
-  ++dijkstra_runs_;
-  if (instr_ != nullptr) {
-    instr_->tree_recomputes.inc();
-    instr_->dijkstra_pops.inc(job.stats.pops);
-    instr_->dijkstra_relaxations.inc(job.stats.relaxations);
-    instr_->dijkstra_link_searches.inc(job.stats.link_searches);
-    instr_->dijkstra_storage_checks.inc(job.stats.storage_checks);
-    instr_->dijkstra_capacity_rejections.inc(job.stats.capacity_rejections);
+  if (job.repaired) {
+    ++tree_repairs_;
+    if (instr_ != nullptr) instr_->tree_repairs.inc();
+  } else {
+    ++dijkstra_runs_;
+    if (instr_ != nullptr) {
+      instr_->tree_recomputes.inc();
+      instr_->dijkstra_pops.inc(job.stats.pops);
+      instr_->dijkstra_relaxations.inc(job.stats.relaxations);
+      instr_->dijkstra_link_searches.inc(job.stats.link_searches);
+      instr_->dijkstra_storage_checks.inc(job.stats.storage_checks);
+      instr_->dijkstra_capacity_rejections.inc(job.stats.capacity_rejections);
+    }
   }
   if (trace_ != nullptr) {
     trace_->event("recompute")
         .field("iter", iterations_)
         .field("item", item.value())
         .field("pending", tracker_.pending_of(item).size())
-        .field("prune_after_usec", job.prune_after.usec());
+        .field("prune_after_usec", job.prune_after.usec())
+        .field("repaired", job.repaired);
   }
   candidate_total_ -= job.old_candidates;
   index_.unsubscribe_all(plan_index);
@@ -469,29 +509,29 @@ void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
 
   for (const std::int32_t k : tracker_.pending_of(item)) {
     const Request& request = it.requests[static_cast<std::size_t>(k)];
-    const MachineId dest = request.destination;
-    if (!plan.tree.reached(dest)) continue;
+    const TreeEdge* dest_entry = plan.tree.entry(request.destination);
+    if (dest_entry == nullptr || dest_entry->arrival.is_infinite()) continue;
 
     DestinationEval eval;
     eval.k = k;
     eval.weight = options_.weighting.weight(request.priority);
     eval.deadline_seconds = request.deadline.seconds();
 
-    if (!plan.tree.has_parent(dest)) {
+    if (!dest_entry->from.valid()) {
       // The destination already holds a (late) copy: a pending request with a
       // root label means the copy arrived past the deadline. No transfer is
       // proposed for it; it contributes nothing.
-      DS_ASSERT_MSG(plan.tree.arrival(dest) > request.deadline,
+      DS_ASSERT_MSG(dest_entry->arrival > request.deadline,
                     "rootless pending destination implies a late arrival");
       continue;
     }
 
-    const SimTime at = plan.tree.arrival(dest);
+    const SimTime at = dest_entry->arrival;
     eval.sat = at <= request.deadline;
     eval.slack_seconds = eval.sat ? (request.deadline - at).as_seconds() : 0.0;
 
-    const TreeEdge& hop = plan.tree.first_hop(dest);
-    groups.push_back(GroupEntry{hop.to.value(), hop, eval});
+    const TreeEdge& hop = plan.tree.first_hop(*dest_entry);
+    groups.push_back(GroupEntry{hop.to.value(), hop, dest_entry, eval});
   }
 
   std::stable_sort(groups.begin(), groups.end(),
@@ -541,11 +581,8 @@ void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
     // invalidation here; recording and subscribing are kept 1:1.
     ++ws.node_mark_epoch;
     for (std::size_t g = lo; g < hi; ++g) {
-      const DestinationEval& eval = groups[g].eval;
-      if (!eval.sat) continue;
-      const MachineId dest =
-          it.requests[static_cast<std::size_t>(eval.k)].destination;
-      plan.tree.path_to_into(dest, ws.path_scratch);
+      if (!groups[g].eval.sat) continue;
+      plan.tree.path_to_into(*groups[g].dest_entry, ws.path_scratch);
       for (const TreeEdge& edge : ws.path_scratch) {
         if (ws.node_mark[edge.to.index()] == ws.node_mark_epoch) continue;
         ws.node_mark[edge.to.index()] = ws.node_mark_epoch;
@@ -779,6 +816,19 @@ void StagingEngine::invalidate(ItemId scheduled_item,
         self.last_invalidated_by = scheduled_item.value();
       }
       dirty_queue_.push_back(scheduled_item.index());
+      // The commit took edges of this plan's fresh tree: remember their
+      // receivers so the refresh may re-root the tree instead of re-running
+      // Dijkstra (repair_tree). An edge the tree does not hold forbids it.
+      self.repair_roots.clear();
+      for (const AppliedTransfer& t : applied) {
+        const TreeEdge* entry = self.tree.entry(t.storage_machine);
+        if (entry == nullptr || entry->link != t.link || entry->start != t.start ||
+            entry->arrival != t.arrival) {
+          self.repair_roots.clear();
+          break;
+        }
+        self.repair_roots.push_back(t.storage_machine);
+      }
     }
     if (instr_ != nullptr) instr_->invalidations_self.inc();
   }
@@ -796,6 +846,7 @@ void StagingEngine::invalidate(ItemId scheduled_item,
         t.link, t.link_busy, scheduled_item.index(),
         [&](std::size_t p, const Interval&) {
           ItemPlan& plan = plans_[p];
+          if (plan.dirty) plan.repair_roots.clear();  // guard 2: a foreign hit
           if (plan.dirty || plan.exhausted) return;
           plan.dirty = true;
           if (lifecycle_ != nullptr) {
@@ -811,6 +862,7 @@ void StagingEngine::invalidate(ItemId scheduled_item,
           t.storage_machine, *t.storage_interval, scheduled_item.index(),
           [&](std::size_t p, const Interval& hold) {
             ItemPlan& plan = plans_[p];
+            if (plan.dirty) plan.repair_roots.clear();  // guard 2: a foreign hit
             if (plan.dirty || plan.exhausted) return;
             // Storage conflict: new usage overlaps a hold window this plan
             // checked and the hold no longer fits. (If it still fits, the

@@ -22,7 +22,10 @@
 //     round are rescored;
 //   * route trees are recomputed into reused buffers through a shared
 //     DijkstraWorkspace, with the search stopping once every pending
-//     destination is settled.
+//     destination is settled;
+//   * the committed item's own plan is repaired instead of recomputed where
+//     that is exact: its tree is re-rooted at the commit's receivers, which
+//     now hold copies at their old labels (repair_tree).
 // Because reservations and allocations only ever shrink the feasible set,
 // unaffected cached trees stay *exactly* equal to a recompute (tested against
 // `paranoid` mode, which recomputes everything every iteration; see
@@ -145,7 +148,11 @@ class StagingEngine {
   // --- Introspection (tests, traces) ---
   const NetworkState& network() const { return state_; }
   const OutcomeTracker& tracker() const { return tracker_; }
+  /// Dijkstra runs only; repaired trees count in tree_repairs().
   std::size_t dijkstra_runs() const { return dijkstra_runs_; }
+  /// Plans rebuilt by re-rooting their cached tree after their own commit
+  /// instead of a Dijkstra run (0 under paranoid).
+  std::size_t tree_repairs() const { return tree_repairs_; }
   std::size_t iterations() const { return iterations_; }
   /// The (fresh) route tree of an item; recomputes if dirty. The tree is
   /// exact on the item's pending destinations and their paths; labels of
@@ -173,6 +180,11 @@ class StagingEngine {
     /// Item whose commit most recently dirtied this plan (-1: none). Only
     /// maintained when lifecycle tracing is on; feeds `lost_to` attribution.
     std::int32_t last_invalidated_by = -1;
+    /// Receivers of the plan's own commit since its last refresh, while the
+    /// tree may be repaired instead of recomputed; empty once any other
+    /// commit dispatches to the plan (see repair_tree). Only a dirty plan
+    /// holds any.
+    std::vector<MachineId> repair_roots;
   };
 
   /// Tournament-heap entry: a snapshot of one plan's best candidate under the
@@ -198,6 +210,7 @@ class StagingEngine {
   struct RefreshJob {
     std::size_t plan = 0;
     std::size_t old_candidates = 0;
+    bool repaired = false;  ///< tree re-rooted, no Dijkstra run (stats empty)
     SimTime prune_after = SimTime::infinity();
     DijkstraStats stats;
   };
@@ -214,6 +227,7 @@ class StagingEngine {
     struct GroupEntry {
       std::int32_t r;  ///< first-hop receiver (the paper's r in Drq[i,r])
       TreeEdge hop;
+      const TreeEdge* dest_entry;  ///< the destination's entry in the plan tree
       DestinationEval eval;
     };
 
@@ -224,6 +238,7 @@ class StagingEngine {
     std::uint64_t node_mark_epoch = 0;
     VectorPool<DestinationEval> dest_pool;
     std::vector<TreeEdge> path_scratch;
+    std::vector<std::uint8_t> keep;  ///< RouteTree::reroot_and_restrict scratch
   };
 
   /// Brings every plan up to date: recomputes the dirty set (incremental
@@ -239,6 +254,13 @@ class StagingEngine {
   /// refresh_jobs_, retiring plans with no pending requests.
   void collect_refresh_jobs();
   void compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws);
+  /// Rebuilds the plan's tree without Dijkstra after its own commit, when
+  /// that is exact: not paranoid, no foreign dispatch since the commit, the
+  /// item fits every machine's storage headroom, and every pending target
+  /// (ws.targets) stays reached with a parent by its deadline. False leaves
+  /// the tree for compute_route_tree_into to overwrite (docs/PERFORMANCE.md
+  /// item 8).
+  bool repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& ws);
   /// Serial merge of one computed job, replaying the exact shared-state
   /// effect sequence of a serial recompute.
   void merge_refresh_job(RefreshJob& job);
@@ -310,6 +332,7 @@ class StagingEngine {
   std::size_t candidate_total_ = 0;  ///< Σ plan.candidates.size() (live plans)
   std::size_t last_round_cache_hits_ = 0;  ///< clean plans reused last refresh
   std::size_t dijkstra_runs_ = 0;
+  std::size_t tree_repairs_ = 0;
   std::size_t iterations_ = 0;
   std::size_t max_iterations_ = 0;
   bool guard_tripped_ = false;

@@ -253,7 +253,7 @@ Scenario DynamicStager::residual_scenario() const {
       for (const auto& [frag, bps] :
            degraded_fragments(clipped, pl.bandwidth_bps, link, degradations_)) {
         residual.virt_links.push_back(
-            VirtualLink{link, pl.from, pl.to, bps, frag});
+            VirtualLink{link, bps, frag});
       }
     }
   }
@@ -758,7 +758,7 @@ Scenario DynamicStager::effective_scenario() const {
       for (const auto& [frag, bps] : degraded_fragments(
                window, vl.bandwidth_bps, vl.phys, degradations_)) {
         effective.virt_links.push_back(
-            VirtualLink{vl.phys, vl.from, vl.to, bps, frag});
+            VirtualLink{vl.phys, bps, frag});
       }
     }
   }

@@ -173,8 +173,7 @@ void generate_virtual_links(const GeneratorConfig& config, Rng& rng, Scenario& s
                         window.begin < config.keep_links_before;
       if (keep) {
         s.virt_links.push_back(VirtualLink{PhysLinkId(static_cast<std::int32_t>(p)),
-                                           pl.from, pl.to, pl.bandwidth_bps,
-                                           window});
+                                           pl.bandwidth_bps, window});
       }
       t = window.end;
       if (w < nl - 1) t = t + gaps[static_cast<std::size_t>(w)];

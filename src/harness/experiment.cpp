@@ -75,8 +75,8 @@ Table scheduler_cost_table(const CaseSet& cases, const PriorityWeighting& weight
                            const EUWeights& eu,
                            const std::vector<SchedulerSpec>& specs,
                            obs::MetricsRegistry* merged) {
-  Table table({"scheduler", "iterations", "recomputes", "cache_hits", "hit_rate",
-               "candidates", "steps"});
+  Table table({"scheduler", "iterations", "recomputes", "repairs", "cache_hits",
+               "hit_rate", "candidates", "steps"});
   const double n = static_cast<double>(cases.scenarios.size());
   EngineOptions options;
   options.weighting = weighting;
@@ -88,10 +88,14 @@ Table scheduler_cost_table(const CaseSet& cases, const PriorityWeighting& weight
       return static_cast<double>(registry.counter_value(name)) / n;
     };
     const double recomputes = mean("engine.tree_recomputes");
+    const double repairs = mean("engine.tree_repairs");
     const double hits = mean("engine.cache_hits");
-    const double refreshes = recomputes + hits;
+    // Every plan a round looks at is rebuilt by Dijkstra, rebuilt by a
+    // repair, or reused.
+    const double refreshes = recomputes + repairs + hits;
     table.add_row({spec.name(), format_double(mean("engine.iterations"), 1),
-                   format_double(recomputes, 1), format_double(hits, 1),
+                   format_double(recomputes, 1), format_double(repairs, 1),
+                   format_double(hits, 1),
                    format_double(refreshes == 0.0 ? 0.0 : hits / refreshes, 3),
                    format_double(mean("engine.candidates_scored"), 1),
                    format_double(mean("engine.steps_committed"), 1)});

@@ -68,7 +68,8 @@ struct AveragedBounds {
 AveragedBounds average_bounds(const CaseSet& cases, const PriorityWeighting& weighting);
 
 /// Mean per-case engine cost counters for each spec: iterations, Dijkstra
-/// recomputes, route-cache hits (plus hit rate) and candidates scored —
+/// recomputes, tree repairs, route-cache hits (plus hit rate: hits over all
+/// plans refreshed, repairs counted as refreshes) and candidates scored —
 /// the "why heuristics differ in cost" companion to their value numbers.
 /// Observation does not perturb results (asserted by the integration tests).
 /// When `merged` is non-null it additionally receives every engine counter,

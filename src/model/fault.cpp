@@ -138,7 +138,7 @@ Scenario apply_faults(const Scenario& scenario, const FaultSpec& faults) {
            degraded_fragments(window, vl.bandwidth_bps, vl.phys,
                               faults.degradations)) {
         out.virt_links.push_back(
-            VirtualLink{vl.phys, vl.from, vl.to, bps, frag});
+            VirtualLink{vl.phys, bps, frag});
       }
     }
   }

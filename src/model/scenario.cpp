@@ -58,9 +58,6 @@ std::vector<std::string> Scenario::validate() const {
       continue;
     }
     const PhysicalLink& pl = phys_links[vl.phys.index()];
-    if (vl.from != pl.from || vl.to != pl.to) {
-      error(os.str() + "endpoints disagree with physical link");
-    }
     // A virtual link may run *below* the physical rate (a degraded window
     // produced by fault masking) but never above it.
     if (vl.bandwidth_bps <= 0 || vl.bandwidth_bps > pl.bandwidth_bps) {

@@ -33,11 +33,11 @@ struct PhysicalLink {
 
 /// A virtual link L[i,j][k]: one contiguous availability window of a physical
 /// link (paper §3: a link available in nl disjoint intervals is modeled as nl
-/// virtual links). Its latency is always the physical link's.
+/// virtual links). Its endpoints and latency are always the physical link's
+/// (`Scenario::vlink_from`, `Scenario::vlink_to`); only its bandwidth may be
+/// lower (a degraded window). 32 bytes: a scenario holds many of them.
 struct VirtualLink {
   PhysLinkId phys;
-  MachineId from;
-  MachineId to;
   std::int64_t bandwidth_bps = 0;
   Interval window;  ///< [Lst, Let)
 };
@@ -104,6 +104,9 @@ struct Scenario {
   const DataItem& item(ItemId id) const { return items[id.index()]; }
   const VirtualLink& vlink(VirtLinkId id) const { return virt_links[id.index()]; }
   const PhysicalLink& plink(PhysLinkId id) const { return phys_links[id.index()]; }
+  /// Sender and receiver of a virtual link: its physical link's endpoints.
+  MachineId vlink_from(VirtLinkId id) const { return plink(vlink(id).phys).from; }
+  MachineId vlink_to(VirtLinkId id) const { return plink(vlink(id).phys).to; }
 
   const Request& request(RequestRef ref) const {
     return items[ref.item.index()].requests[static_cast<std::size_t>(ref.k)];

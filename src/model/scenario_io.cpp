@@ -210,7 +210,7 @@ class Parser {
         if (!parse_token(token, bw, "vlink bandwidth") || !at_line_end(ss)) return;
       }
       s.virt_links.push_back(VirtualLink{
-          PhysLinkId(phys), pl.from, pl.to, bw,
+          PhysLinkId(phys), bw,
           Interval{SimTime::from_usec(begin), SimTime::from_usec(end)}});
     } else if (directive == "item") {
       DataItem item;

@@ -14,6 +14,7 @@ NetworkState::NetworkState(const Scenario& scenario)
   storage_.reserve(m);
   for (const Machine& machine : scenario.machines) {
     storage_.emplace_back(machine.capacity_bytes);
+    min_headroom_ = std::min(min_headroom_, storage_.back().headroom());
   }
 
   copies_.resize(n);
@@ -36,15 +37,21 @@ NetworkState::NetworkState(const Scenario& scenario)
       // capacity check while charging nothing to storage.
       const Interval hold = src.hold_window();
       if (hold.empty()) continue;
-      StorageTimeline& st = storage_[src.machine.index()];
-      DS_ASSERT_MSG(st.fits(item.size_bytes, hold),
+      DS_ASSERT_MSG(storage_[src.machine.index()].fits(item.size_bytes, hold),
                     "initial source copies exceed machine capacity");
-      st.allocate(item.size_bytes, hold);
+      allocate_storage(src.machine, item.size_bytes, hold);
       copies_[i].push_back(Copy{src.machine, src.available_at});
       record_hold(ItemId{static_cast<std::int32_t>(i)}, src.machine,
                   src.available_at);
     }
   }
+}
+
+void NetworkState::allocate_storage(MachineId machine, std::int64_t bytes,
+                                    const Interval& iv) {
+  StorageTimeline& st = storage_[machine.index()];
+  st.allocate(bytes, iv);
+  min_headroom_ = std::min(min_headroom_, st.headroom());
 }
 
 SimTime* NetworkState::find_hold(ItemId item, MachineId machine) {
@@ -112,31 +119,32 @@ bool NetworkState::can_hold(ItemId item, MachineId machine, SimTime start) const
 }
 
 bool NetworkState::can_apply(ItemId item, VirtLinkId link, SimTime start) const {
-  const VirtualLink& vl = scenario_->vlink(link);
+  const MachineId from = scenario_->vlink_from(link);
   const std::int64_t bytes = scenario_->item(item).size_bytes;
 
-  const std::optional<SimTime> sender_avail = copy_available_at(item, vl.from);
+  const std::optional<SimTime> sender_avail = copy_available_at(item, from);
   if (!sender_avail.has_value() || *sender_avail > start) return false;
-  if (start >= hold_end(item, vl.from)) return false;
+  if (start >= hold_end(item, from)) return false;
 
   const Interval busy{start, start + links_.occupancy(link, bytes)};
-  if (!vl.window.contains(busy)) return false;
+  if (!scenario_->vlink(link).window.contains(busy)) return false;
   if (links_.busy_overlaps(link, busy)) return false;
 
-  return can_hold(item, vl.to, start);
+  return can_hold(item, scenario_->vlink_to(link), start);
 }
 
 AppliedTransfer NetworkState::apply_transfer(ItemId item, VirtLinkId link,
                                              SimTime start) {
-  const VirtualLink& vl = scenario_->vlink(link);
+  const MachineId from = scenario_->vlink_from(link);
+  const MachineId to = scenario_->vlink_to(link);
   const std::int64_t bytes = scenario_->item(item).size_bytes;
 
-  const std::optional<SimTime> sender_avail = copy_available_at(item, vl.from);
+  const std::optional<SimTime> sender_avail = copy_available_at(item, from);
   DS_ASSERT_MSG(sender_avail.has_value(), "sender does not hold the item");
   DS_ASSERT_MSG(*sender_avail <= start, "sender copy not yet available at start");
-  DS_ASSERT_MSG(start < hold_end(item, vl.from),
+  DS_ASSERT_MSG(start < hold_end(item, from),
                 "sender copy already garbage-collected at start");
-  DS_ASSERT_MSG(can_hold(item, vl.to, start), "receiver cannot store the item");
+  DS_ASSERT_MSG(can_hold(item, to, start), "receiver cannot store the item");
 
   links_.reserve(link, bytes, start);
   const SimTime arrival = start + links_.occupancy(link, bytes);
@@ -150,32 +158,31 @@ AppliedTransfer NetworkState::apply_transfer(ItemId item, VirtLinkId link,
   applied.arrival = arrival;
   applied.link = link;
   applied.link_busy = Interval{start, arrival};
-  applied.storage_machine = vl.to;
+  applied.storage_machine = to;
 
-  StorageTimeline& st = storage_[vl.to.index()];
-  SimTime* hb = find_hold(item, vl.to);
+  SimTime* hb = find_hold(item, to);
   if (hb != nullptr) {
     // Receiver already holds a copy; this transfer arrives earlier. Charge
     // only the extension and improve the copy's availability.
     if (start < *hb) {
       const Interval extension{start, *hb};
-      st.allocate(bytes, extension);
+      allocate_storage(to, bytes, extension);
       applied.storage_interval = extension;
       *hb = start;
       if (counters_.has_value()) counters_->hold_extensions.inc();
     }
     for (Copy& c : copies_[item.index()]) {
-      if (c.machine == vl.to) {
+      if (c.machine == to) {
         c.available_at = min(c.available_at, arrival);
         break;
       }
     }
   } else {
-    const Interval hold{start, hold_end(item, vl.to)};
-    st.allocate(bytes, hold);
+    const Interval hold{start, hold_end(item, to)};
+    allocate_storage(to, bytes, hold);
     applied.storage_interval = hold;
-    record_hold(item, vl.to, start);
-    copies_[item.index()].push_back(Copy{vl.to, arrival});
+    record_hold(item, to, start);
+    copies_[item.index()].push_back(Copy{to, arrival});
     if (counters_.has_value()) counters_->storage_allocations.inc();
   }
 

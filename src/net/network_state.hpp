@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -54,6 +55,12 @@ class NetworkState {
   const Scenario& scenario() const { return *scenario_; }
   const LinkSchedule& links() const { return links_; }
   const StorageTimeline& storage(MachineId m) const { return storage_[m.index()]; }
+
+  /// The least storage headroom (capacity - peak) over all machines, O(1):
+  /// an item of at most this many bytes fits every hold window on every
+  /// machine, now and — headroom only shrinks — at every earlier state.
+  /// INT64_MAX for a scenario without machines.
+  std::int64_t min_storage_headroom() const { return min_headroom_; }
 
   /// All current copies of `item` (initial sources plus staged copies).
   std::span<const Copy> copies(ItemId item) const { return copies_[item.index()]; }
@@ -129,6 +136,10 @@ class NetworkState {
     SimTime begin;
   };
 
+  /// Charges `bytes` on `machine` over `iv` and keeps min_headroom_ current;
+  /// the one place this state allocates storage.
+  void allocate_storage(MachineId machine, std::int64_t bytes, const Interval& iv);
+
   SimTime* find_hold(ItemId item, MachineId machine);
   const SimTime* find_hold(ItemId item, MachineId machine) const;
   void record_hold(ItemId item, MachineId machine, SimTime begin);
@@ -140,6 +151,7 @@ class NetworkState {
   std::vector<std::vector<HoldRecord>> holds_;  // [item] -> sorted by machine
   std::vector<std::vector<MachineId>> dests_;   // [item] -> sorted machine ids
   std::size_t transfer_count_ = 0;
+  std::int64_t min_headroom_ = INT64_MAX;  ///< min over storage_ of headroom()
   std::optional<NetCounters> counters_;
 };
 

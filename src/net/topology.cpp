@@ -24,7 +24,8 @@ Topology::Topology(const Scenario& scenario) {
   keys.reserve(links);
   for (std::size_t v = 0; v < links; ++v) {
     const VirtualLink& vl = scenario.virt_links[v];
-    keys.push_back({vl.from.value(), vl.to.value(), vl.window.begin,
+    const PhysicalLink& pl = scenario.plink(vl.phys);
+    keys.push_back({pl.from.value(), pl.to.value(), vl.window.begin,
                     static_cast<std::int32_t>(v)});
   }
   std::sort(keys.begin(), keys.end());
@@ -36,7 +37,7 @@ Topology::Topology(const Scenario& scenario) {
     const auto at = static_cast<std::uint32_t>(edges_.size());
     if (at == 0 || keys[at - 1].from != key.from || keys[at - 1].to != key.to) {
       if (!groups_.empty()) groups_.back().end = at;
-      groups_.push_back({vl.to, at, at});
+      groups_.push_back({MachineId(key.to), at, at});
       ++group_start_[static_cast<std::size_t>(key.from) + 1];
     }
     edges_.push_back({vl.window, vl.bandwidth_bps, scenario.plink(vl.phys).latency,

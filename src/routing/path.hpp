@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -51,28 +52,35 @@ class RouteTree {
   /// Earliest arrival of the item at `machine` (A_T when `machine` is a
   /// requesting destination). SimTime::infinity() if unreachable.
   SimTime arrival(MachineId machine) const {
-    const TreeEdge* e = find(machine);
+    const TreeEdge* e = entry(machine);
     return e != nullptr ? e->arrival : SimTime::infinity();
   }
 
   bool reached(MachineId machine) const {
-    const TreeEdge* e = find(machine);
+    const TreeEdge* e = entry(machine);
     return e != nullptr && !e->arrival.is_infinite();
   }
 
   /// True iff `machine` was reached via a transfer (false for copy holders,
   /// which are roots of the forest).
   bool has_parent(MachineId machine) const {
-    const TreeEdge* e = find(machine);
+    const TreeEdge* e = entry(machine);
     return e != nullptr && e->from.valid();
   }
 
   const TreeEdge& parent_edge(MachineId machine) const;
 
+  /// The entry of `machine` (its parent edge, or a root entry with an invalid
+  /// `from`), nullptr if the tree holds none. Callers that ask several
+  /// questions about one machine read its entry once through this.
+  const TreeEdge* entry(MachineId machine) const;
+
   /// The first hop of the path from a copy holder to `dest`: the edge whose
   /// origin is a root. This is the paper's "next machine M[r] to receive the
   /// item" for destination `dest`. Requires reached(dest) && has_parent(dest).
   const TreeEdge& first_hop(MachineId dest) const;
+  /// first_hop from the destination's entry (one lookup per hop above it).
+  const TreeEdge& first_hop(const TreeEdge& dest_entry) const;
 
   /// Full path root -> dest, in transfer order. Empty if dest is a root.
   std::vector<TreeEdge> path_to(MachineId dest) const;
@@ -80,6 +88,19 @@ class RouteTree {
   /// path_to writing into a caller-reused buffer (cleared first) — the
   /// allocation-free form for per-round hot paths.
   void path_to_into(MachineId dest, std::vector<TreeEdge>& out) const;
+  /// path_to_into from the destination's entry.
+  void path_to_into(const TreeEdge& dest_entry, std::vector<TreeEdge>& out) const;
+
+  /// Turns the entries of `new_roots` into roots at their current labels,
+  /// then keeps only the labeled `targets` and their ancestors in the
+  /// re-rooted forest, in ascending machine order. `new_roots` must have
+  /// entries. This is the tree a targeted run would build once those machines
+  /// hold copies available at their old labels and everything else is
+  /// unchanged (the engine's repair after a commit of this tree's own edges;
+  /// docs/PERFORMANCE.md item 8). `keep` is caller-reused scratch.
+  void reroot_and_restrict(std::span<const MachineId> new_roots,
+                           std::span<const MachineId> targets,
+                           std::vector<std::uint8_t>& keep);
 
   /// Bulk-build interface for the Dijkstra driver: entries must be appended
   /// in strictly ascending machine order after a reset(). With a parent,
@@ -88,7 +109,8 @@ class RouteTree {
               const TreeEdge& edge);
 
  private:
-  const TreeEdge* find(MachineId machine) const;
+  /// Position of `machine`'s entry; entries_.size() when it has none.
+  std::size_t index_of(MachineId machine) const;
 
   // One entry per labeled machine, sorted by machine id: the parent edge
   // with `to` = the machine and `arrival` = its label. A root's entry has an

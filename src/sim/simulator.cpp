@@ -97,7 +97,8 @@ class Simulator {
       }
       const VirtualLink& vl = scenario_.vlink(step.link);
       const CommStep tag_step = step;
-      if (vl.from != step.from || vl.to != step.to) {
+      const PhysicalLink& pl = scenario_.plink(vl.phys);
+      if (pl.from != step.from || pl.to != step.to) {
         issue(step_tag(s, tag_step) + ": endpoints disagree with the virtual link");
       }
       const SimDuration expected =

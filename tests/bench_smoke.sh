@@ -1,10 +1,12 @@
 #!/bin/sh
 # Smoke test: every figure/table bench binary must run to completion with a
-# tiny case count and produce a table. Invoked by CTest with the build's
-# bench directory as $1.
+# tiny case count and produce a table, and must know every flag its source
+# header documents. Invoked by CTest with the build's bench directory as $1
+# and the source tree as $2.
 set -eu
 
 BENCH_DIR="$1"
+SOURCE_DIR="$2"
 failures=0
 
 for bench in "$BENCH_DIR"/*; do
@@ -15,6 +17,21 @@ for bench in "$BENCH_DIR"/*; do
     echo "FAILED (--help): $name" >&2
     failures=$((failures + 1))
   }
+  # Each flag documented in the source header as a `//   --flag` line must
+  # be in the --help list.
+  header="$SOURCE_DIR/bench/$name.cpp"
+  if [ -f "$header" ]; then
+    known=" $(echo "$help" | tr '\n' ' ') "
+    for flag in $(sed -n 's#^//   \(--[a-z0-9-]*\).*#\1#p' "$header"); do
+      case "$known" in
+        *" $flag "*) ;;
+        *)
+          echo "FAILED (documented $flag missing from --help): $name" >&2
+          failures=$((failures + 1))
+          ;;
+      esac
+    done
+  fi
   case "$name" in
     tbl_exec_time)
       # google-benchmark binary: run one quick repetition.

@@ -31,11 +31,18 @@ namespace {
 
 std::vector<Scenario> grid_scenarios() {
   // Light cases stress retirement and sparse contention; one paper-shaped
-  // case stresses dense contention where invalidations actually fire.
+  // case stresses dense contention where invalidations actually fire; two
+  // huge-preset-shaped cases have storage to spare, where the committed
+  // item's tree is repaired instead of recomputed.
   std::vector<Scenario> scenarios =
       generate_cases(GeneratorConfig::light(), 4242, 4);
   std::vector<Scenario> paper = generate_cases(GeneratorConfig::paper(), 77, 1);
   scenarios.insert(scenarios.end(), paper.begin(), paper.end());
+  GeneratorConfig huge_shape = GeneratorConfig::huge();
+  huge_shape.min_machines = huge_shape.max_machines = 12;
+  huge_shape.min_requests_per_machine = huge_shape.max_requests_per_machine = 10;
+  std::vector<Scenario> huge = generate_cases(huge_shape, 5150, 2);
+  scenarios.insert(scenarios.end(), huge.begin(), huge.end());
   return scenarios;
 }
 

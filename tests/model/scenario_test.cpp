@@ -153,19 +153,6 @@ TEST(ScenarioValidateTest, DetectsOutOfRangeIds) {
   EXPECT_GE(hits, 2u);
 }
 
-TEST(ScenarioValidateTest, DetectsVlinkEndpointMismatch) {
-  Scenario s = ScenarioBuilder()
-                   .machine(kGB).machine(kGB).machine(kGB)
-                   .link(0, 1, 1000, kAlways)
-                   .build_unchecked();
-  s.virt_links[0].to = MachineId(2);  // corrupt
-  bool found = false;
-  for (const auto& e : s.validate()) {
-    found = found || e.find("disagree") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(ScenarioDeathTest, CheckValidAbortsOnDefect) {
   Scenario s;
   s.horizon = at_min(10);

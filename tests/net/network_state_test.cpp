@@ -192,10 +192,10 @@ TEST(NetworkStateTest, DijkstraRespectsExpiringSource) {
   s.virt_links.clear();
   const PhysicalLink& p0 = s.phys_links[0];
   const PhysicalLink& p1 = s.phys_links[1];
-  s.virt_links.push_back(VirtualLink{PhysLinkId(0), p0.from, p0.to,
-                                     p0.bandwidth_bps, Interval{at_min(15), at_min(60)}});
-  s.virt_links.push_back(VirtualLink{PhysLinkId(1), p1.from, p1.to,
-                                     p1.bandwidth_bps, Interval{at_min(15), at_min(60)}});
+  s.virt_links.push_back(VirtualLink{PhysLinkId(0), p0.bandwidth_bps,
+                                     Interval{at_min(15), at_min(60)}});
+  s.virt_links.push_back(VirtualLink{PhysLinkId(1), p1.bandwidth_bps,
+                                     Interval{at_min(15), at_min(60)}});
   s.check_valid();
   Topology topo(s);
   NetworkState state(s);

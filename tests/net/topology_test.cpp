@@ -27,7 +27,7 @@ TEST(TopologyTest, OutgoingLinksGroupedPerMachine) {
   EXPECT_TRUE(topo.receivers(MachineId(2)).empty());
   ASSERT_EQ(topo.receivers(MachineId(0)).size(), 1u);
   EXPECT_EQ(topo.receivers(MachineId(0))[0].to, MachineId(1));
-  EXPECT_EQ(s.vlink(topo.out_edges(MachineId(0))[0].link).to, MachineId(1));
+  EXPECT_EQ(s.vlink_to(topo.out_edges(MachineId(0))[0].link), MachineId(1));
 }
 
 TEST(TopologyTest, OutgoingSortedByDestinationThenWindow) {
@@ -40,11 +40,11 @@ TEST(TopologyTest, OutgoingSortedByDestinationThenWindow) {
   const Topology topo(s);
   const auto out = topo.out_edges(MachineId(0));
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(s.vlink(out[0].link).to, MachineId(1));
+  EXPECT_EQ(s.vlink_to(out[0].link), MachineId(1));
   EXPECT_EQ(out[0].window.begin, at_min(0));
-  EXPECT_EQ(s.vlink(out[1].link).to, MachineId(1));
+  EXPECT_EQ(s.vlink_to(out[1].link), MachineId(1));
   EXPECT_EQ(out[1].window.begin, at_min(30));
-  EXPECT_EQ(s.vlink(out[2].link).to, MachineId(2));
+  EXPECT_EQ(s.vlink_to(out[2].link), MachineId(2));
 
   // One group per receiver, covering the out-edges in order.
   const auto groups = topo.receivers(MachineId(0));
@@ -126,7 +126,7 @@ TEST(TopologyTest, OutDegreeMatchesNaiveSetOnGeneratedScenarios) {
           EXPECT_LT(groups[g - 1].to, groups[g].to);
         }
         for (const OutEdge& edge : topo.edges(groups[g])) {
-          EXPECT_EQ(s.vlink(edge.link).to, groups[g].to);
+          EXPECT_EQ(s.vlink_to(edge.link), groups[g].to);
           EXPECT_EQ(edge.link, out_a[covered].link);
           ++covered;
         }

@@ -51,16 +51,16 @@ class BruteForce {
     if (ready >= best_) return;  // any further hop arrives strictly later
     for (const OutEdge& out : topology_.out_edges(at)) {
       const VirtLinkId link = out.link;
-      const VirtualLink& vl = state_.scenario().vlink(link);
-      if (visited[vl.to.index()]) continue;
+      const MachineId to = state_.scenario().vlink_to(link);
+      if (visited[to.index()]) continue;
       const auto fit = state_.earliest_fit(item_, link, ready);
       if (!fit.has_value()) continue;
       if (fit->start >= state_.hold_end(item_, at)) continue;
-      if (!state_.can_hold(item_, vl.to, fit->start)) continue;
-      if (vl.to == target) best_ = min(best_, fit->arrival);
-      visited[vl.to.index()] = true;
-      dfs(vl.to, fit->arrival, target, visited);
-      visited[vl.to.index()] = false;
+      if (!state_.can_hold(item_, to, fit->start)) continue;
+      if (to == target) best_ = min(best_, fit->arrival);
+      visited[to.index()] = true;
+      dfs(to, fit->arrival, target, visited);
+      visited[to.index()] = false;
     }
   }
 
@@ -124,7 +124,7 @@ std::vector<ReferenceLabel> reference_forest(const NetworkState& state,
     const SimTime ready = labels[u].arrival;
     for (const OutEdge& out : topology.out_edges(from)) {
       const VirtLinkId link = out.link;
-      const MachineId to = scenario.vlink(link).to;
+      const MachineId to = scenario.vlink_to(link);
       ReferenceLabel& label = labels[to.index()];
       if (settled[to.index()]) continue;
       const std::optional<LinkFit> fit = state.earliest_fit(item, link, ready);

@@ -33,8 +33,7 @@ ScenarioBuilder& ScenarioBuilder::window(Interval window) {
   DS_ASSERT_MSG(!scenario_.phys_links.empty(), "window() before link()");
   const auto p = static_cast<std::int32_t>(scenario_.phys_links.size() - 1);
   const PhysicalLink& pl = scenario_.phys_links.back();
-  scenario_.virt_links.push_back(VirtualLink{PhysLinkId(p), pl.from, pl.to,
-                                             pl.bandwidth_bps, window});
+  scenario_.virt_links.push_back(VirtualLink{PhysLinkId(p), pl.bandwidth_bps, window});
   return *this;
 }
 

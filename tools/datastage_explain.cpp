@@ -84,8 +84,9 @@ std::string describe(const obs::TraceEvent& e) {
   if (e.has("iter")) out += " iter=" + std::to_string(e.num("iter"));
   out += "  " + e.type;
   if (e.type == "recompute") {
-    out += ": route tree recomputed (" + std::to_string(e.num("pending")) +
-           " pending)";
+    out += std::string(": route tree ") +
+           (e.flag("repaired") ? "repaired" : "recomputed") + " (" +
+           std::to_string(e.num("pending")) + " pending)";
   } else if (e.type == "commit") {
     out += ": transfer " + std::to_string(e.num("from")) + " -> " +
            std::to_string(e.num("to")) + " over link " +
