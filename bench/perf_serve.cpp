@@ -3,20 +3,25 @@
 // For each generated oversubscribed (congested) scenario, half of every
 // item's requests stay in the batch scenario and the other half is submitted
 // online through SchedulerService, one admission decision each. The two
-// modes compare the ISSUE's two-stage admission path against always paying
-// the full replan:
+// modes compare the two-stage admission path against always paying the full
+// replan:
 //
 //   quick  — stage-1 estimate enabled (ServiceOptions::quick_admission)
-//   full   — every submit goes straight to the bounded incremental replan
+//   full   — every submit goes straight to the replan, which rebuilds the
+//            residual scenario and schedules it from scratch
 //
 // Reported per mode: admissions/sec, p50/p99 decision latency (from the
-// admission.decision_usec histogram), outcome counts, replans. The admitted
-// set must be identical across modes — the quick estimate may only reject
-// requests the full replan would reject too. Written to BENCH_serve.json
-// (the serving perf baseline; CI diffs it warn-only via datastage_benchdiff).
+// admission.decision_usec histogram), outcome counts, replans, and `layers`:
+// the wall time of each serve phase (docs/OBSERVABILITY.md) inside the timed
+// submits, with its share of their wall time and the unattributed rest as
+// `other`. The admitted set must be identical across modes — the quick
+// estimate may only reject requests the full replan would reject too.
+// Written to BENCH_serve.json (the serving perf baseline; CI diffs it
+// warn-only via datastage_benchdiff).
 //
 // Extra flags on top of the shared bench set:
 //   --out=PATH   JSON output path (default BENCH_serve.json)
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <vector>
@@ -69,6 +74,8 @@ struct ModeResult {
   /// Admit/reject verdict per submission, across all cases in order — the
   /// cross-mode soundness check for the quick path.
   std::vector<bool> verdicts;
+  /// Serve phases recorded during the timed submits only.
+  obs::PhaseTimer phases;
 
   double admissions_per_sec() const {
     return wall_ns > 0
@@ -94,6 +101,9 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
     options.quick_admission = quick;
     SchedulerService service(batch, options);
 
+    // The service reads the observer through its pointer: phases attached
+    // now leave out the initial plan and the snapshot below.
+    observer.phases = &result.phases;
     const std::int64_t t0 = steady_clock_nanos();
     for (const OnlineSubmit& submit : online) {
       SubmitRequest request;
@@ -104,6 +114,7 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
       result.verdicts.push_back(decision.admitted());
     }
     result.wall_ns += steady_clock_nanos() - t0;
+    observer.phases = nullptr;
 
     const ServiceSnapshot snap = service.snapshot();
     result.decisions += snap.submits;
@@ -122,6 +133,22 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
   return result;
 }
 
+/// The serve phases of a decision; they never nest (docs/OBSERVABILITY.md).
+constexpr std::array<const char*, 4> kServePhases{
+    "serve.quick_check", "dynamic.residual_build", "dynamic.replan", "serve.ledger"};
+
+double share(std::int64_t nanos, std::int64_t wall_ns) {
+  return wall_ns > 0 ? static_cast<double>(nanos) / static_cast<double>(wall_ns) : 0.0;
+}
+
+void write_layer_json(std::FILE* f, const char* name, std::int64_t nanos,
+                      std::int64_t wall_ns, bool last) {
+  std::fprintf(f,
+               "        \"%s\": {\"wall_seconds\": %s, \"wall_share\": %s}%s\n",
+               name, obs::json_number(static_cast<double>(nanos) / 1e9).c_str(),
+               obs::json_number(share(nanos, wall_ns)).c_str(), last ? "" : ",");
+}
+
 void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
   std::fprintf(
       f,
@@ -130,14 +157,22 @@ void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
       "      \"already_satisfied\": %zu,\n      \"quick_rejects\": %zu,\n"
       "      \"full_rejects\": %zu,\n      \"replans\": %zu,\n"
       "      \"admissions_per_sec\": %s,\n      \"decision_usec_p50\": %s,\n"
-      "      \"decision_usec_p99\": %s,\n      \"decision_usec_mean\": %s\n"
-      "    }",
+      "      \"decision_usec_p99\": %s,\n      \"decision_usec_mean\": %s,\n"
+      "      \"layers\": {\n",
       key, mode.wall_ns, mode.decisions, mode.admitted, mode.already_satisfied,
       mode.quick_rejects, mode.full_rejects, mode.replans,
       obs::json_number(mode.admissions_per_sec()).c_str(),
       obs::json_number(mode.p50_usec).c_str(),
       obs::json_number(mode.p99_usec).c_str(),
       obs::json_number(mode.mean_usec).c_str());
+  std::int64_t attributed = 0;
+  for (const char* phase : kServePhases) {
+    const std::int64_t nanos = mode.phases.nanos(phase);
+    attributed += nanos;
+    write_layer_json(f, phase, nanos, mode.wall_ns, false);
+  }
+  write_layer_json(f, "other", mode.wall_ns - attributed, mode.wall_ns, true);
+  std::fprintf(f, "      }\n    }");
 }
 
 }  // namespace
@@ -182,6 +217,24 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.to_text().c_str());
   std::printf("verdicts identical across modes: %s\n",
               identical ? "yes" : "NO");
+
+  Table layers({"phase", "quick s", "quick share", "full s", "full share"});
+  const auto add_layer = [&layers, &quick, &full](const char* name, std::int64_t q_ns,
+                                                  std::int64_t f_ns) {
+    layers.add_row({name, format_double(static_cast<double>(q_ns) / 1e9, 3),
+                    format_double(100.0 * share(q_ns, quick.wall_ns), 1) + "%",
+                    format_double(static_cast<double>(f_ns) / 1e9, 3),
+                    format_double(100.0 * share(f_ns, full.wall_ns), 1) + "%"});
+  };
+  std::int64_t quick_rest = quick.wall_ns;
+  std::int64_t full_rest = full.wall_ns;
+  for (const char* phase : kServePhases) {
+    add_layer(phase, quick.phases.nanos(phase), full.phases.nanos(phase));
+    quick_rest -= quick.phases.nanos(phase);
+    full_rest -= full.phases.nanos(phase);
+  }
+  add_layer("other", quick_rest, full_rest);
+  std::printf("%s\n", layers.to_text().c_str());
 
   std::FILE* f = toolflags::open_output_cfile(out_path, "bench output");
   if (f == nullptr) return 2;

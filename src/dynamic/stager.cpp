@@ -1,6 +1,9 @@
 #include "dynamic/stager.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
+#include <utility>
 
 #include "obs/observer.hpp"
 #include "util/assert.hpp"
@@ -23,36 +26,6 @@ std::size_t DynamicResult::satisfied_count() const {
     if (record.satisfied) ++n;
   }
   return n;
-}
-
-bool DynamicStager::TrackedItem::machine_holds(MachineId machine) const {
-  return std::any_of(copies.begin(), copies.end(),
-                     [machine](const Copy& c) { return c.machine == machine; });
-}
-
-bool DynamicStager::TrackedItem::is_original_source(MachineId machine) const {
-  return std::any_of(
-      original_sources.begin(), original_sources.end(),
-      [machine](const SourceLocation& s) { return s.machine == machine; });
-}
-
-bool DynamicStager::TrackedItem::is_destination(MachineId machine) const {
-  return std::any_of(
-      requests.begin(), requests.end(),
-      [machine](const TrackedRequest& r) { return r.request.destination == machine; });
-}
-
-bool DynamicStager::TrackedItem::any_outstanding() const {
-  return std::any_of(requests.begin(), requests.end(),
-                     [](const TrackedRequest& r) { return !r.resolved; });
-}
-
-SimTime DynamicStager::TrackedItem::latest_outstanding_deadline() const {
-  SimTime latest = SimTime::zero();
-  for (const TrackedRequest& r : requests) {
-    if (!r.resolved) latest = max(latest, r.request.deadline);
-  }
-  return latest;
 }
 
 SimTime DynamicStager::TrackedItem::latest_known_deadline() const {
@@ -83,6 +56,21 @@ std::optional<SimTime> DynamicStager::TrackedItem::first_loss_at(
   return earliest;
 }
 
+void DynamicStager::PermanentMachines::select(const TrackedItem& item) {
+  for (const MachineId machine : selected_) marked_[machine.index()] = false;
+  selected_.clear();
+  const auto mark = [this](MachineId machine) {
+    if (marked_[machine.index()]) return;
+    marked_[machine.index()] = true;
+    selected_.push_back(machine);
+  };
+  for (const SourceLocation& src : item.original_sources) mark(src.machine);
+  for (const TrackedRequest& r : item.requests) {
+    // A destination that received the item keeps it.
+    if (!r.arrival.is_infinite()) mark(r.request.destination);
+  }
+}
+
 void DynamicStager::bump(const char* counter) const {
   if (options_.observer != nullptr && options_.observer->metrics != nullptr) {
     options_.observer->metrics->counter(counter).inc();
@@ -91,6 +79,10 @@ void DynamicStager::bump(const char* counter) const {
 
 obs::RunTrace* DynamicStager::trace() const {
   return options_.observer != nullptr ? options_.observer->trace : nullptr;
+}
+
+obs::PhaseTimer* DynamicStager::phases() const {
+  return options_.observer != nullptr ? options_.observer->phases : nullptr;
 }
 
 void DynamicStager::trace_requeue(const TrackedItem& item, const Request& request,
@@ -141,6 +133,11 @@ DynamicStager::DynamicStager(Scenario initial, SchedulerSpec spec,
     }
     items_.push_back(std::move(tracked));
   }
+  by_name_.resize(items_.size());
+  std::iota(by_name_.begin(), by_name_.end(), std::size_t{0});
+  std::stable_sort(by_name_.begin(), by_name_.end(), [this](std::size_t a, std::size_t b) {
+    return items_[a].name < items_[b].name;
+  });
 
   replan();
 }
@@ -185,36 +182,21 @@ void DynamicStager::commit_started(SimTime now) {
   plan_ = std::move(remaining);
 }
 
-bool DynamicStager::copy_is_permanent(const TrackedItem& item,
-                                      const Copy& copy) const {
-  if (item.is_original_source(copy.machine)) return true;
-  for (const TrackedRequest& r : item.requests) {
-    if (r.request.destination == copy.machine && !r.arrival.is_infinite()) {
-      return true;  // a destination that received the item keeps it
-    }
-  }
-  return false;
-}
-
 std::vector<StorageTimeline> DynamicStager::permanent_charge() const {
-  std::vector<StorageTimeline> charge;
-  charge.reserve(base_.machine_count());
-  for (const Machine& machine : base_.machines) {
-    charge.emplace_back(machine.capacity_bytes);
+  std::vector<StorageCharge> charges;
+  PermanentMachines permanent(base_.machine_count());
+  for (const TrackedItem& item : items_) {
+    permanent.select(item);
+    for (const Copy& copy : item.copies) {
+      if (!permanent.contains(copy.machine)) continue;
+      charges.push_back(StorageCharge{copy.machine, item.size_bytes,
+                                      Interval{copy.available_at, SimTime::infinity()}});
+    }
   }
   // Every permanent copy was capacity-checked with an infinite hold when it
   // was created, so they always fit together.
-  for (const TrackedItem& item : items_) {
-    for (const Copy& copy : item.copies) {
-      if (!copy_is_permanent(item, copy)) continue;
-      const Interval hold{copy.available_at, SimTime::infinity()};
-      StorageTimeline& st = charge[copy.machine.index()];
-      DS_ASSERT_MSG(st.fits(item.size_bytes, hold),
-                    "permanent copies must always fit");
-      st.allocate(item.size_bytes, hold);
-    }
-  }
-  return charge;
+  return StorageTimeline::per_machine(base_.machines, charges,
+                                      "permanent copies must always fit");
 }
 
 void DynamicStager::run_garbage_collection() {
@@ -222,31 +204,42 @@ void DynamicStager::run_garbage_collection() {
   // the latest deadline of the item's requests — here, the latest deadline
   // known at this point in time. Original sources and destinations that
   // received the item keep their copies.
+  PermanentMachines permanent(base_.machine_count());
   for (TrackedItem& item : items_) {
     const SimTime gc = item.latest_known_deadline() + base_.gc_gamma;
     if (now_ < gc) continue;
-    std::vector<Copy> kept;
-    for (const Copy& copy : item.copies) {
-      if (copy_is_permanent(item, copy)) kept.push_back(copy);
-    }
-    item.copies = std::move(kept);
+    permanent.select(item);
+    std::erase_if(item.copies,
+                  [&permanent](const Copy& copy) { return !permanent.contains(copy.machine); });
   }
 }
 
 Scenario DynamicStager::residual_scenario() const {
+  const obs::ScopedTimer timer(phases(), "dynamic.residual_build");
   Scenario residual;
   residual.machines = base_.machines;
   residual.phys_links = base_.phys_links;
   residual.horizon = base_.horizon;
   residual.gc_gamma = base_.gc_gamma;
 
+  std::vector<bool> degraded(base_.phys_links.size(), false);
+  for (const LinkDegradation& d : degradations_) degraded[d.link.index()] = true;
   for (std::size_t p = 0; p < base_.phys_links.size(); ++p) {
     const PhysicalLink& pl = base_.phys_links[p];
     const PhysLinkId link(static_cast<std::int32_t>(p));
-    for (const Interval& window : available_[p].intervals()) {
-      if (window.end <= now_) continue;
+    // Windows are disjoint and sorted, so those already over come first.
+    const std::vector<Interval>& windows = available_[p].intervals();
+    const auto open = std::partition_point(windows.begin(), windows.end(),
+                                           [this](const Interval& w) { return w.end <= now_; });
+    for (const Interval& window : std::span(open, windows.end())) {
       const Interval clipped{max(window.begin, now_), window.end};
       if (clipped.empty()) continue;
+      if (!degraded[p]) {
+        // No brownout on this link: one fragment at the nominal rate, which
+        // is what degraded_fragments() would return.
+        residual.virt_links.push_back(VirtualLink{link, pl.bandwidth_bps, clipped});
+        continue;
+      }
       // Announced brownouts split the window into fragments carrying the
       // degraded rate, so the replan prices transfers at what the link will
       // actually move.
@@ -270,14 +263,17 @@ Scenario DynamicStager::residual_scenario() const {
   std::vector<StorageTimeline> charge = permanent_charge();
 
   // Pass 2: intermediate copies, dropped if they no longer fit.
+  PermanentMachines permanent(base_.machine_count());
+  residual.items.reserve(items_.size());
   for (const TrackedItem& item : items_) {
     DataItem d;
     d.name = item.name;
     d.size_bytes = item.size_bytes;
     const SimTime gc = item.latest_known_deadline() + base_.gc_gamma;
+    permanent.select(item);
     for (const Copy& copy : item.copies) {
       SourceLocation src{copy.machine, copy.available_at, SimTime::infinity()};
-      if (copy_is_permanent(item, copy)) {
+      if (permanent.contains(copy.machine)) {
         d.sources.push_back(src);
         continue;
       }
@@ -286,8 +282,10 @@ Scenario DynamicStager::residual_scenario() const {
       if (hold.empty()) continue;  // gc already due: the copy is gone
       StorageTimeline& st = charge[copy.machine.index()];
       if (!st.fits(item.size_bytes, hold)) {
-        log_debug("dynamic: dropping staged copy of " + item.name +
-                  " (gc window grew past capacity)");
+        log_debug([&item] {
+          return "dynamic: dropping staged copy of " + item.name +
+                 " (gc window grew past capacity)";
+        });
         continue;
       }
       st.allocate(item.size_bytes, hold);
@@ -309,18 +307,22 @@ void DynamicStager::replan() {
     options_.observer->metrics->counter("dynamic.replans").inc();
   }
 
-  // The residual intentionally relaxes two validation rules (items with no
-  // requests; destinations holding copies never coexist with outstanding
-  // requests by construction), so it is fed to the engine without
-  // check_valid(). The engine only requires structural sanity.
-  const StagingResult result = run_spec(spec_, residual, options_);
+  {
+    const obs::ScopedTimer timer(phases(), "dynamic.replan");
+    // The residual intentionally relaxes two validation rules (items with no
+    // requests; destinations holding copies never coexist with outstanding
+    // requests by construction), so it is fed to the engine without
+    // check_valid(). The engine only requires structural sanity.
+    const StagingResult result = run_spec(spec_, residual, options_);
 
-  plan_.clear();
-  for (const CommStep& step : result.schedule.steps()) {
-    DS_ASSERT_MSG(step.start >= now_, "replanned transfer in the past");
-    // The step's virtual-link id indexes the residual scenario; resolve the
-    // stable physical id now (residual physical links mirror the base ones).
-    plan_.push_back(PlannedStep{step, residual.vlink(step.link).phys});
+    plan_.clear();
+    for (const CommStep& step : result.schedule.steps()) {
+      DS_ASSERT_MSG(step.start >= now_, "replanned transfer in the past");
+      // The step's virtual-link id indexes the residual scenario; resolve the
+      // stable physical id now (residual physical links mirror the base ones).
+      plan_.push_back(PlannedStep{step, residual.vlink(step.link).phys});
+    }
+    index_arrivals();
   }
   if (options_.observer != nullptr && options_.observer->trace != nullptr) {
     std::size_t residual_requests = 0;
@@ -333,6 +335,24 @@ void DynamicStager::replan() {
         .field("planned_steps", plan_.size())
         .field("committed_steps", committed_.size());
   }
+}
+
+void DynamicStager::index_arrivals() {
+  arrivals_.resize(items_.size());
+  for (std::vector<DestinationArrival>& list : arrivals_) list.clear();
+  const auto add = [this](const PlannedStep& planned) {
+    const CommStep& step = planned.step;
+    std::vector<DestinationArrival>& list = arrivals_[step.item.index()];
+    for (DestinationArrival& known : list) {
+      if (known.destination == step.to) {
+        known.arrival = min(known.arrival, step.arrival);
+        return;
+      }
+    }
+    list.push_back(DestinationArrival{step.to, step.arrival});
+  };
+  for (const PlannedStep& planned : committed_) add(planned);
+  for (const PlannedStep& planned : plan_) add(planned);
 }
 
 void DynamicStager::advance_to(SimTime now) {
@@ -367,6 +387,7 @@ void DynamicStager::on_event(const StagingEvent& event) {
           TrackedRequest{request, false, false, SimTime::infinity()});
     }
     items_.push_back(std::move(tracked));
+    index_last_item();
   } else if (const auto* new_request = std::get_if<NewRequestEvent>(&event.body)) {
     TrackedItem* item = find_item(new_request->item_name);
     DS_ASSERT_MSG(item != nullptr, "ad-hoc request for unknown item");
@@ -376,13 +397,18 @@ void DynamicStager::on_event(const StagingEvent& event) {
     // makes the copy a destination copy, held forever: a relayed copy that
     // cannot be held forever next to the permanent copies cannot serve the
     // request, which then closes unsatisfied and leaves the copy transient.
+    PermanentMachines permanent(base_.machine_count());
+    permanent.select(*item);
+    std::optional<std::vector<StorageTimeline>> charge;  // built on first use
     for (const Copy& copy : item->copies) {
       if (copy.machine != tracked.request.destination) continue;
       tracked.resolved = true;
-      if (!copy_is_permanent(*item, copy) &&
-          !permanent_charge()[copy.machine.index()].fits(
-              item->size_bytes, Interval{copy.available_at, SimTime::infinity()})) {
-        continue;
+      if (!permanent.contains(copy.machine)) {
+        if (!charge.has_value()) charge = permanent_charge();
+        if (!(*charge)[copy.machine.index()].fits(
+                item->size_bytes, Interval{copy.available_at, SimTime::infinity()})) {
+          continue;
+        }
       }
       tracked.arrival = copy.available_at;
       tracked.satisfied = copy.available_at <= tracked.request.deadline;
@@ -600,11 +626,10 @@ void DynamicStager::rebuild_copies(ItemId id) {
   // Apply the gc rule the incremental path would have applied.
   const SimTime gc = item.latest_known_deadline() + base_.gc_gamma;
   if (now_ >= gc) {
-    std::vector<Copy> permanent;
-    for (const Copy& copy : item.copies) {
-      if (copy_is_permanent(item, copy)) permanent.push_back(copy);
-    }
-    item.copies = std::move(permanent);
+    PermanentMachines permanent(base_.machine_count());
+    permanent.select(item);
+    std::erase_if(item.copies,
+                  [&permanent](const Copy& copy) { return !permanent.contains(copy.machine); });
   }
 }
 
@@ -625,18 +650,25 @@ void DynamicStager::rebuild_availability(PhysLinkId link) {
 }
 
 DynamicStager::TrackedItem* DynamicStager::find_item(const std::string& name) {
-  for (TrackedItem& item : items_) {
-    if (item.name == name) return &item;
-  }
-  return nullptr;
+  return const_cast<TrackedItem*>(std::as_const(*this).find_item(name));
 }
 
 const DynamicStager::TrackedItem* DynamicStager::find_item(
     const std::string& name) const {
-  for (const TrackedItem& item : items_) {
-    if (item.name == name) return &item;
-  }
-  return nullptr;
+  // by_name_ orders equal names by index, so this is the first such item.
+  const auto it = std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [this](std::size_t i, const std::string& value) { return items_[i].name < value; });
+  if (it == by_name_.end() || items_[*it].name != name) return nullptr;
+  return &items_[*it];
+}
+
+void DynamicStager::index_last_item() {
+  const std::size_t last = items_.size() - 1;
+  const auto it = std::upper_bound(
+      by_name_.begin(), by_name_.end(), items_[last].name,
+      [this](const std::string& value, std::size_t i) { return value < items_[i].name; });
+  by_name_.insert(it, last);
 }
 
 DynamicRequestStatus DynamicStager::request_status(
@@ -668,16 +700,9 @@ SimTime DynamicStager::planned_arrival(const std::string& item_name,
       earliest = min(earliest, tracked.arrival);
     }
   }
-  const ItemId id(static_cast<std::int32_t>(item - items_.data()));
-  for (const PlannedStep& planned : committed_) {
-    if (planned.step.item == id && planned.step.to == destination) {
-      earliest = min(earliest, planned.step.arrival);
-    }
-  }
-  for (const PlannedStep& planned : plan_) {
-    if (planned.step.item == id && planned.step.to == destination) {
-      earliest = min(earliest, planned.step.arrival);
-    }
+  for (const DestinationArrival& known :
+       arrivals_[static_cast<std::size_t>(item - items_.data())]) {
+    if (known.destination == destination) earliest = min(earliest, known.arrival);
   }
   return earliest;
 }

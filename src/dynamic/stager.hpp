@@ -41,6 +41,7 @@ namespace datastage {
 class ThreadPool;
 
 namespace obs {
+class PhaseTimer;
 class RunTrace;
 }  // namespace obs
 
@@ -156,11 +157,6 @@ class DynamicStager {
     std::vector<TrackedRequest> requests;
     std::vector<LossMark> losses;  ///< applied copy-loss faults
 
-    bool machine_holds(MachineId machine) const;
-    bool is_original_source(MachineId machine) const;
-    bool is_destination(MachineId machine) const;
-    bool any_outstanding() const;
-    SimTime latest_outstanding_deadline() const;
     /// Latest deadline among every request known so far (resolved or not);
     /// drives garbage collection exactly as the static model's rule does.
     SimTime latest_known_deadline() const;
@@ -170,6 +166,27 @@ class DynamicStager {
     /// Earliest copy-loss time at `machine` — the loss that destroyed the
     /// original source copy, ending its effective hold window.
     std::optional<SimTime> first_loss_at(MachineId machine) const;
+  };
+
+  /// The machines whose copy of one item persists to the end of the run:
+  /// its original sources and the destinations that received it. select()
+  /// marks them in a per-machine buffer, so each copy tests in O(1) instead
+  /// of scanning the item's requests.
+  class PermanentMachines {
+   public:
+    explicit PermanentMachines(std::size_t machine_count) : marked_(machine_count, false) {}
+    void select(const TrackedItem& item);
+    bool contains(MachineId machine) const { return marked_[machine.index()]; }
+
+   private:
+    std::vector<bool> marked_;
+    std::vector<MachineId> selected_;  ///< the marked machines, to unmark
+  };
+
+  /// The earliest committed or planned arrival of an item at one destination.
+  struct DestinationArrival {
+    MachineId destination;
+    SimTime arrival;
   };
 
   /// A transfer with its physical link resolved. Virtual-link ids in planned
@@ -194,14 +211,13 @@ class DynamicStager {
   /// destination) for reason "link_outage" / "link_degrade" / "copy_loss".
   void trace_requeue(const TrackedItem& item, const Request& request,
                      const char* reason) const;
-  /// True for copies that persist to the end of the run: original sources
-  /// and destinations that received the item.
-  bool copy_is_permanent(const TrackedItem& item, const Copy& copy) const;
   /// Per-machine storage charged by every permanent copy, each held from its
   /// availability forever.
   std::vector<StorageTimeline> permanent_charge() const;
   void run_garbage_collection();
   void replan();
+  /// Rebuilds arrivals_ from committed_ and plan_.
+  void index_arrivals();
   /// `reason` labels the requeue trace events ("link_outage"/"link_degrade").
   void fail_in_flight(PhysLinkId link, const char* reason);
   void rebuild_availability(PhysLinkId link);
@@ -212,6 +228,10 @@ class DynamicStager {
   void rebuild_copies(ItemId item);
   TrackedItem* find_item(const std::string& name);
   const TrackedItem* find_item(const std::string& name) const;
+  /// Registers items_.back() in by_name_.
+  void index_last_item();
+  /// The attached phase timer, or nullptr.
+  obs::PhaseTimer* phases() const;
 
   // --- immutable world structure ---
   Scenario base_;  ///< machines, phys links, ORIGINAL windows, gamma, horizon
@@ -233,10 +253,18 @@ class DynamicStager {
   /// windows into fragments carrying the degraded rate.
   std::vector<LinkDegradation> degradations_;
   std::vector<TrackedItem> items_;
+  /// Indices into items_, sorted by (name, index): find_item's lookup. The
+  /// first item of a name wins (validation allows duplicate names).
+  std::vector<std::size_t> by_name_;
 
   // --- schedule state ---
   std::vector<PlannedStep> committed_;
   std::vector<PlannedStep> plan_;  ///< not yet started, replaced on replan
+  /// Per item, one entry per destination of a committed or planned step:
+  /// planned_arrival's lookup. Only replan() changes committed_ ∪ plan_ as a
+  /// set (commit_started moves steps from plan_ to committed_, and
+  /// fail_in_flight is always followed by a replan), so it rebuilds this.
+  std::vector<std::vector<DestinationArrival>> arrivals_;
 
   SchedulerSpec spec_;
   EngineOptions options_;

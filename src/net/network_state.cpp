@@ -8,19 +8,13 @@ namespace datastage {
 
 NetworkState::NetworkState(const Scenario& scenario)
     : scenario_(&scenario), links_(scenario) {
-  const std::size_t m = scenario.machine_count();
   const std::size_t n = scenario.item_count();
-
-  storage_.reserve(m);
-  for (const Machine& machine : scenario.machines) {
-    storage_.emplace_back(machine.capacity_bytes);
-    min_headroom_ = std::min(min_headroom_, storage_.back().headroom());
-  }
 
   copies_.resize(n);
   holds_.resize(n);
   dests_.resize(n);
 
+  std::vector<StorageCharge> charges;
   for (std::size_t i = 0; i < n; ++i) {
     const DataItem& item = scenario.items[i];
     std::vector<MachineId>& dests = dests_[i];
@@ -37,13 +31,16 @@ NetworkState::NetworkState(const Scenario& scenario)
       // capacity check while charging nothing to storage.
       const Interval hold = src.hold_window();
       if (hold.empty()) continue;
-      DS_ASSERT_MSG(storage_[src.machine.index()].fits(item.size_bytes, hold),
-                    "initial source copies exceed machine capacity");
-      allocate_storage(src.machine, item.size_bytes, hold);
+      charges.push_back(StorageCharge{src.machine, item.size_bytes, hold});
       copies_[i].push_back(Copy{src.machine, src.available_at});
       record_hold(ItemId{static_cast<std::int32_t>(i)}, src.machine,
                   src.available_at);
     }
+  }
+  storage_ = StorageTimeline::per_machine(scenario.machines, charges,
+                                          "initial source copies exceed machine capacity");
+  for (const StorageTimeline& st : storage_) {
+    min_headroom_ = std::min(min_headroom_, st.headroom());
   }
 }
 

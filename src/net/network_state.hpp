@@ -137,7 +137,8 @@ class NetworkState {
   };
 
   /// Charges `bytes` on `machine` over `iv` and keeps min_headroom_ current;
-  /// the one place this state allocates storage.
+  /// the one place a transfer charges storage (the constructor sweeps the
+  /// initial copies into the timelines in one pass).
   void allocate_storage(MachineId machine, std::int64_t bytes, const Interval& iv);
 
   SimTime* find_hold(ItemId item, MachineId machine);

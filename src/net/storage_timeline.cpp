@@ -11,6 +11,69 @@ StorageTimeline::StorageTimeline(std::int64_t capacity_bytes)
   DS_ASSERT(capacity_bytes >= 0);
 }
 
+StorageTimeline::StorageTimeline(std::int64_t capacity_bytes,
+                                 std::span<const StorageCharge> charges,
+                                 const char* overflow_message)
+    : StorageTimeline(capacity_bytes) {
+  // Each charge is a +bytes edge at its begin and a -bytes edge at its end,
+  // staged in points_ itself (usage holds the delta) behind the time-0 point.
+  // Ends at infinity() (holds kept forever) are summed aside and placed after
+  // the sort instead of sorted one by one.
+  points_.reserve(2 * charges.size() + 1);
+  std::int64_t forever = 0;
+  for (const StorageCharge& c : charges) {
+    DS_ASSERT(c.bytes >= 0);
+    if (c.bytes == 0 || c.window.empty()) continue;
+    points_.push_back(Breakpoint{c.window.begin, c.bytes});
+    if (c.window.end == SimTime::infinity()) {
+      forever += c.bytes;
+    } else {
+      points_.push_back(Breakpoint{c.window.end, -c.bytes});
+    }
+  }
+  std::sort(points_.begin(), points_.end(),
+            [](const Breakpoint& x, const Breakpoint& y) { return x.time < y.time; });
+  if (forever > 0) {
+    const auto at = static_cast<std::ptrdiff_t>(first_after(SimTime::infinity()));
+    points_.insert(points_.begin() + at, Breakpoint{SimTime::infinity(), -forever});
+  }
+  // Sum the deltas of each instant into a level, in place; keep the first
+  // instant (time 0, unless a hold starts earlier) and every instant where
+  // the level changes.
+  std::size_t kept = 0;
+  std::int64_t level = 0;
+  for (std::size_t i = 0; i < points_.size();) {
+    const SimTime t = points_[i].time;
+    for (; i < points_.size() && points_[i].time == t; ++i) level += points_[i].usage;
+    if (kept == 0 || level != points_[kept - 1].usage) points_[kept++] = Breakpoint{t, level};
+  }
+  points_.resize(kept);
+  refresh_blocks(0);
+  DS_ASSERT_MSG(peak_ <= capacity_, overflow_message);
+}
+
+std::vector<StorageTimeline> StorageTimeline::per_machine(
+    const std::vector<Machine>& machines, std::span<const StorageCharge> charges,
+    const char* overflow_message) {
+  // Counting sort by machine, stable, so each machine's charges stay in order.
+  std::vector<std::size_t> offset(machines.size() + 1, 0);
+  for (const StorageCharge& c : charges) ++offset[c.machine.index() + 1];
+  for (std::size_t m = 0; m < machines.size(); ++m) offset[m + 1] += offset[m];
+  std::vector<StorageCharge> grouped(charges.size());
+  std::vector<std::size_t> next(offset.begin(), offset.end() - 1);
+  for (const StorageCharge& c : charges) grouped[next[c.machine.index()]++] = c;
+
+  std::vector<StorageTimeline> timelines;
+  timelines.reserve(machines.size());
+  for (std::size_t m = 0; m < machines.size(); ++m) {
+    timelines.emplace_back(
+        machines[m].capacity_bytes,
+        std::span<const StorageCharge>(grouped).subspan(offset[m], offset[m + 1] - offset[m]),
+        overflow_message);
+  }
+  return timelines;
+}
+
 std::size_t StorageTimeline::first_after(SimTime t) const {
   const auto it = std::upper_bound(
       points_.begin(), points_.end(), t,
@@ -72,9 +135,12 @@ void StorageTimeline::allocate(std::int64_t bytes, const Interval& iv) {
   };
   erase_if_flat(last);
   erase_if_flat(first);
+  refresh_blocks(first / kBlock);
+}
 
+void StorageTimeline::refresh_blocks(std::size_t first_block) {
   block_max_.resize((points_.size() + kBlock - 1) / kBlock);
-  for (std::size_t b = first / kBlock; b < block_max_.size(); ++b) {
+  for (std::size_t b = first_block; b < block_max_.size(); ++b) {
     const auto lo = points_.begin() + static_cast<std::ptrdiff_t>(b * kBlock);
     const auto hi = points_.begin() +
                     static_cast<std::ptrdiff_t>(std::min(points_.size(), (b + 1) * kBlock));

@@ -18,20 +18,50 @@
 // (bytes <= capacity - peak), since then they fit in every window; only when
 // that cheap test fails does it pay for the window query. Most fits() calls
 // from routing take the shortcut, as machines run far below capacity.
+//
+// Bulk build: a timeline can also be swept from a whole list of charges at
+// once, O(n log n) for n charges instead of n allocate() calls of O(B) each.
+// The representation is canonical (see the invariant on points_): it is fixed
+// by the usage function alone, so the swept timeline equals the one the
+// charges would build allocated one by one, in any order, and answers every
+// later call identically. The check against capacity runs once, after the
+// sweep: usage only grows charge by charge, so that aborts exactly when a
+// check per charge would.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "model/scenario.hpp"
+#include "util/ids.hpp"
 #include "util/interval.hpp"
 #include "util/time.hpp"
 
 namespace datastage {
 
+/// `bytes` of usage on `machine` throughout `window`.
+struct StorageCharge {
+  MachineId machine;
+  std::int64_t bytes = 0;
+  Interval window;
+};
+
 class StorageTimeline {
  public:
   explicit StorageTimeline(std::int64_t capacity_bytes);
+
+  /// The timeline after allocate() of every charge in `charges` (their
+  /// `machine` is not read), swept in one pass. Aborts with
+  /// `overflow_message` when the usage exceeds capacity at any instant.
+  StorageTimeline(std::int64_t capacity_bytes, std::span<const StorageCharge> charges,
+                  const char* overflow_message);
+
+  /// One timeline per machine, each built from the charges naming it.
+  static std::vector<StorageTimeline> per_machine(const std::vector<Machine>& machines,
+                                                  std::span<const StorageCharge> charges,
+                                                  const char* overflow_message);
 
   std::int64_t capacity() const { return capacity_; }
 
@@ -74,9 +104,17 @@ class StorageTimeline {
   std::size_t first_after(SimTime t) const;
   // Index of the breakpoint at `t`, inserting one at the current level.
   std::size_t split(SimTime t);
+  // Recomputes block_max_ from block `first_block` on and raises peak_.
+  void refresh_blocks(std::size_t first_block);
 
   // Invariant: times strictly ascending, adjacent usage values differ, usage
   // is 0 before the first breakpoint (the constructor places one at time 0).
+  // With every charge at or after time 0 this makes the vector canonical:
+  // the time-0 point plus one point per instant where usage changes,
+  // including a point at infinity() when holds end there. A hold starting
+  // before time 0 (unchecked hand-built scenarios only) makes allocate()
+  // keep a redundant time-0 point at its left neighbour's level, which the
+  // sweep omits; both describe the same usage, so every query agrees.
   std::vector<Breakpoint> points_;
   // block_max_[b] = max usage over points_[b * kBlock, (b + 1) * kBlock).
   std::vector<std::int64_t> block_max_;

@@ -328,8 +328,8 @@ void PhaseTimer::export_gauges(MetricsRegistry& registry,
   }
 }
 
-ScopedTimer::ScopedTimer(PhaseTimer* timer, std::string phase)
-    : timer_(timer), phase_(std::move(phase)) {
+ScopedTimer::ScopedTimer(PhaseTimer* timer, std::string_view phase)
+    : timer_(timer), phase_(phase) {
   if (timer_ != nullptr) start_nanos_ = steady_clock_nanos();
 }
 

@@ -151,10 +151,11 @@ class PhaseTimer {
 };
 
 /// RAII phase measurement: adds the scope's elapsed time to `timer` on
-/// destruction. A null timer makes the scope free (observability off).
+/// destruction. A null timer makes the scope cost one branch (observability
+/// off). `phase` must outlive the scope; callers pass string literals.
 class ScopedTimer {
  public:
-  ScopedTimer(PhaseTimer* timer, std::string phase);
+  ScopedTimer(PhaseTimer* timer, std::string_view phase);
   ~ScopedTimer();
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -162,7 +163,7 @@ class ScopedTimer {
 
  private:
   PhaseTimer* timer_;
-  std::string phase_;
+  std::string_view phase_;
   std::int64_t start_nanos_ = 0;
 };
 

@@ -1,5 +1,5 @@
 // RCD-style quick admission estimate: a cheap feasibility-plus-value check
-// run before the full incremental replan.
+// run before the full replan.
 //
 // The estimate answers "could this request possibly be satisfied?" with one
 // deadline-pruned, target-limited Dijkstra over the stager's residual

@@ -70,6 +70,10 @@ obs::RunTrace* SchedulerService::trace() const {
   return engine_.observer != nullptr ? engine_.observer->trace : nullptr;
 }
 
+obs::PhaseTimer* SchedulerService::phases() const {
+  return engine_.observer != nullptr ? engine_.observer->phases : nullptr;
+}
+
 void SchedulerService::record_latency(std::int64_t nanos) const {
   if (engine_.observer == nullptr || engine_.observer->metrics == nullptr) {
     return;
@@ -94,6 +98,7 @@ void SchedulerService::drain_faults_and_advance(SimTime t) {
 }
 
 double SchedulerService::committed_value() const {
+  const obs::ScopedTimer timer(phases(), "serve.ledger");
   double value = 0.0;
   for (const AdmittedRequest& admitted : ledger_) {
     switch (stager_.request_status(admitted.item_name, admitted.destination)) {
@@ -132,13 +137,17 @@ AdmissionDecision SchedulerService::submit(const SubmitRequest& submit) {
     decision.quick_checked = true;
     bump("admission.quick_checks");
     Scenario residual = stager_.residual_scenario();
-    if (submit.new_item.has_value()) {
-      DataItem probe = *submit.new_item;
-      probe.requests.clear();
-      residual.items.push_back(std::move(probe));
+    QuickEstimate estimate;
+    {
+      const obs::ScopedTimer timer(phases(), "serve.quick_check");
+      if (submit.new_item.has_value()) {
+        DataItem probe = *submit.new_item;
+        probe.requests.clear();
+        residual.items.push_back(std::move(probe));
+      }
+      estimate = quick_admission_estimate(residual, submit.item_name, submit.request,
+                                          weighting_);
     }
-    const QuickEstimate estimate = quick_admission_estimate(
-        residual, submit.item_name, submit.request, weighting_);
     decision.quick_feasible = estimate.feasible;
     decision.quick_arrival = estimate.earliest_arrival;
     if (!estimate.feasible) {

@@ -17,11 +17,11 @@
 //   1. quick estimate — one deadline-pruned Dijkstra on the residual
 //      scenario ("alone in the system", serve/admission.hpp). Infeasible
 //      here means infeasible, full stop: reject without touching the plan.
-//   2. bounded incremental replan — inject the request into the stager,
-//      replan the residual, and admit iff the new plan delivers the item by
-//      its deadline. A request the plan cannot serve on time is withdrawn
-//      again (cancel event at the same instant), so a rejected submit leaves
-//      no outstanding work behind.
+//   2. full replan — inject the request into the stager, which rebuilds the
+//      residual scenario and schedules it from scratch, and admit iff the new
+//      plan delivers the item by its deadline. A request the plan cannot
+//      serve on time is withdrawn again (cancel event at the same instant),
+//      so a rejected submit leaves no outstanding work behind.
 //
 // Determinism contract: decisions are pure functions of (initial scenario,
 // command/fault history). Wall-clock decision latency is *measured* (metrics
@@ -175,6 +175,7 @@ class SchedulerService {
   double committed_value() const;
   void bump(const char* counter) const;
   obs::RunTrace* trace() const;
+  obs::PhaseTimer* phases() const;
   void record_latency(std::int64_t nanos) const;
 
   DynamicStager stager_;

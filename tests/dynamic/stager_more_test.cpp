@@ -225,6 +225,93 @@ TEST(DynamicStagerMoreTest, FailedLateTransferKeepsEarlierDelivery) {
   EXPECT_EQ(result.requests[0].arrival, at_sec(1));
 }
 
+TEST(DynamicStagerMoreTest, PlannedArrivalForgetsInFlightStepDroppedByOutage) {
+  // One 1 s transfer M0 -> M1 over the only link. Once it has started it is
+  // committed; an outage mid-flight drops it, and with the link down for
+  // good nothing else can reach M1.
+  const Scenario s = ScenarioBuilder()
+                         .machine(kGB).machine(kGB)
+                         .link(0, 1, 8'000'000, kAlways)
+                         .item(1'000'000)
+                         .source(0, SimTime::zero())
+                         .request(1, at_min(30))
+                         .build();
+  DynamicStager stager(s, spec(), options());
+  EXPECT_EQ(stager.planned_arrival("d0", MachineId(1)), at_sec(1));  // planned
+  const SimTime mid_flight = SimTime::zero() + SimDuration::milliseconds(500);
+  stager.advance_to(mid_flight);
+  ASSERT_EQ(stager.committed_step_count(), 1u);
+  EXPECT_EQ(stager.planned_arrival("d0", MachineId(1)), at_sec(1));  // committed
+
+  stager.on_event(StagingEvent{mid_flight, LinkOutageEvent{PhysLinkId(0)}});
+  EXPECT_EQ(stager.committed_step_count(), 0u);
+  EXPECT_EQ(stager.planned_step_count(), 0u);
+  EXPECT_TRUE(stager.planned_arrival("d0", MachineId(1)).is_infinite())
+      << "the dropped step must not be reported as an arrival";
+  EXPECT_EQ(stager.request_status("d0", MachineId(1)), DynamicRequestStatus::kPending);
+}
+
+TEST(DynamicStagerMoreTest, NewItemsAreFoundByName) {
+  // Names that sort before, between and after the scenario's own ("d0",
+  // "d1"): each must be found once added, and ad-hoc requests reach it.
+  const Scenario s = ScenarioBuilder()
+                         .machine(kGB).machine(kGB).machine(kGB)
+                         .link(0, 1, 8'000'000, kAlways)
+                         .link(1, 2, 8'000'000, kAlways)
+                         .item(1'000'000)
+                         .source(0, SimTime::zero())
+                         .request(1, at_min(30))
+                         .item(1'000'000)
+                         .source(1, SimTime::zero())
+                         .request(2, at_min(30))
+                         .build();
+  DynamicStager stager(s, spec(), options());
+  SimTime at = at_sec(10);
+  for (const char* name : {"zz", "a", "d05"}) {
+    EXPECT_FALSE(stager.has_item(name));
+    DataItem item;
+    item.name = name;
+    item.size_bytes = 1'000;
+    item.sources.push_back(SourceLocation{MachineId(0), at});
+    stager.on_event(StagingEvent{at, NewItemEvent{item}});
+    ASSERT_TRUE(stager.has_item(name)) << name;
+    stager.on_event(StagingEvent{
+        at, NewRequestEvent{name, Request{MachineId(2), at_min(60), kPriorityHigh}}});
+    EXPECT_EQ(stager.request_status(name, MachineId(2)), DynamicRequestStatus::kPending)
+        << name;
+    EXPECT_FALSE(stager.planned_arrival(name, MachineId(2)).is_infinite()) << name;
+    at = at + SimDuration::seconds(10);
+  }
+  for (const char* name : {"a", "d0", "d05", "d1", "zz"}) {
+    EXPECT_TRUE(stager.has_item(name)) << name;
+  }
+  EXPECT_FALSE(stager.has_item("d"));
+  EXPECT_FALSE(stager.has_item("zzz"));
+  EXPECT_EQ(stager.request_status("d1", MachineId(2)), DynamicRequestStatus::kSatisfied);
+}
+
+TEST(DynamicStagerMoreTest, DuplicateItemNamesResolveToTheFirstItem) {
+  // Validation allows two items with one name; lookups by name see the first.
+  Scenario s = ScenarioBuilder()
+                   .machine(kGB).machine(kGB).machine(kGB)
+                   .link(0, 1, 8'000'000, kAlways)
+                   .link(0, 2, 8'000'000, kAlways)
+                   .item(1'000'000)
+                   .source(0, SimTime::zero())
+                   .request(1, at_min(30))
+                   .item(1'000'000)
+                   .source(0, SimTime::zero())
+                   .request(2, at_min(30))
+                   .build();
+  s.items[1].name = s.items[0].name;
+  ASSERT_TRUE(s.validate().empty());
+  DynamicStager stager(s, spec(), options());
+  EXPECT_EQ(stager.request_status("d0", MachineId(1)), DynamicRequestStatus::kPending);
+  EXPECT_EQ(stager.request_status("d0", MachineId(2)), DynamicRequestStatus::kUnknown);
+  EXPECT_FALSE(stager.planned_arrival("d0", MachineId(1)).is_infinite());
+  EXPECT_TRUE(stager.planned_arrival("d0", MachineId(2)).is_infinite());
+}
+
 TEST(DynamicStagerMoreTest, EffectiveScenarioValidAfterFinish) {
   const Scenario s = testing::chain_scenario();
   DynamicStager stager(s, spec(), options());

@@ -265,6 +265,121 @@ TEST(StorageTimelineTest, PeakAndFitsMatchBruteForce) {
   }
 }
 
+// The swept constructor must build the timeline that allocating the same
+// charges one by one builds: equal usage at and around every edge, equal
+// max_usage over windows that start and end on edges near block boundaries,
+// equal peak, headroom and fits(), and equal answers again after further
+// allocate() calls (which edit the swept breakpoints and block maxima). A
+// coarse grid with few byte sizes makes charges share edges and levels merge;
+// charges start at time 0, run to infinity, carry zero bytes or have empty
+// windows, and the last seeds start some holds before time 0.
+TEST(StorageTimelineTest, BulkBuildMatchesSequentialAllocate) {
+  constexpr std::int64_t kCapacity = std::int64_t{1} << 40;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const auto random_charge = [&] {
+      const std::int64_t begin =
+          rng.uniform_i64(0, 7) == 0
+              ? (seed >= 5 ? -10 * rng.uniform_i64(0, 3) : 0)
+              : 10 * rng.uniform_i64(0, 600);
+      SimTime end = SimTime::from_usec(begin + 10 * rng.uniform_i64(1, 30));
+      const std::int64_t shape = rng.uniform_i64(0, 19);
+      if (shape < 2) end = SimTime::infinity();
+      if (shape == 2) end = SimTime::from_usec(begin);  // empty window
+      const std::int64_t bytes = shape == 3 ? 0 : rng.uniform_i64(1, 3);
+      return StorageCharge{MachineId(0), bytes, Interval{SimTime::from_usec(begin), end}};
+    };
+    std::vector<StorageCharge> charges;
+    for (int i = 0; i < 400; ++i) charges.push_back(random_charge());
+
+    StorageTimeline sequential(kCapacity);
+    for (const StorageCharge& c : charges) sequential.allocate(c.bytes, c.window);
+    StorageTimeline swept(kCapacity, charges, "over capacity");
+
+    const auto compare = [&](const char* stage) {
+      std::vector<SimTime> edges{SimTime::zero()};
+      for (const StorageCharge& c : charges) {
+        edges.push_back(c.window.begin);
+        edges.push_back(c.window.end);
+      }
+      std::sort(edges.begin(), edges.end());
+      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+      std::size_t levels = 0;
+      for (std::size_t k = 0; k < edges.size(); ++k) {
+        for (const std::int64_t d : {-1, 0, 1}) {
+          const SimTime t = edges[k] + SimDuration::from_usec(d);
+          ASSERT_EQ(swept.usage_at(t), sequential.usage_at(t))
+              << stage << " seed " << seed << " t " << t.usec();
+        }
+        if (k > 0 && sequential.usage_at(edges[k]) != sequential.usage_at(edges[k - 1])) {
+          ++levels;
+        }
+        // Windows from this edge to edges around the next block boundaries.
+        for (const std::size_t span : {1U, 31U, 32U, 33U, 64U, 65U, 97U, 200U}) {
+          if (k + span >= edges.size()) continue;
+          const Interval w{edges[k], edges[k + span]};
+          ASSERT_EQ(swept.max_usage(w), sequential.max_usage(w))
+              << stage << " seed " << seed << " " << w.to_string();
+        }
+        const Interval tail{edges[k], SimTime::infinity()};
+        ASSERT_EQ(swept.max_usage(tail), sequential.max_usage(tail)) << stage;
+      }
+      EXPECT_GE(levels, 300U) << stage << " seed " << seed;
+      EXPECT_EQ(swept.peak(), sequential.peak()) << stage << " seed " << seed;
+      EXPECT_EQ(swept.headroom(), sequential.headroom()) << stage << " seed " << seed;
+      for (int q = 0; q < 200; ++q) {
+        const std::int64_t qa = rng.uniform_i64(-20, 6100);
+        const Interval w{SimTime::from_usec(qa),
+                         SimTime::from_usec(qa + rng.uniform_i64(0, 2000))};
+        ASSERT_EQ(swept.max_usage(w), sequential.max_usage(w))
+            << stage << " seed " << seed << " " << w.to_string();
+        const std::int64_t free_w = kCapacity - sequential.max_usage(w);
+        for (const std::int64_t b : {sequential.headroom(), sequential.headroom() + 1,
+                                     free_w, free_w + 1}) {
+          EXPECT_EQ(swept.fits(b, w), sequential.fits(b, w)) << stage << " bytes " << b;
+        }
+      }
+    };
+    compare("swept");
+    for (int i = 0; i < 40; ++i) {
+      const StorageCharge c = random_charge();
+      charges.push_back(c);
+      sequential.allocate(c.bytes, c.window);
+      swept.allocate(c.bytes, c.window);
+    }
+    compare("allocated after");
+  }
+}
+
+TEST(StorageTimelineTest, PerMachineSweepsEachMachinesCharges) {
+  const std::vector<Machine> machines{{"M0", 100}, {"M1", 50}, {"M2", 10}};
+  const std::vector<StorageCharge> charges{
+      {MachineId(1), 20, iv(0, 40)},
+      {MachineId(0), 30, Interval{SimTime::from_usec(5), SimTime::infinity()}},
+      {MachineId(1), 25, iv(30, 60)},
+  };
+  const std::vector<StorageTimeline> timelines =
+      StorageTimeline::per_machine(machines, charges, "over capacity");
+  ASSERT_EQ(timelines.size(), 3U);
+  EXPECT_EQ(timelines[0].capacity(), 100);
+  EXPECT_EQ(timelines[0].peak(), 30);
+  EXPECT_EQ(timelines[0].usage_at(SimTime::from_usec(4)), 0);
+  EXPECT_EQ(timelines[1].capacity(), 50);
+  EXPECT_EQ(timelines[1].peak(), 45);
+  EXPECT_EQ(timelines[1].usage_at(SimTime::from_usec(35)), 45);
+  EXPECT_EQ(timelines[1].usage_at(SimTime::from_usec(40)), 25);
+  EXPECT_EQ(timelines[2].peak(), 0);
+  EXPECT_EQ(timelines[2].headroom(), 10);
+}
+
+TEST(StorageTimelineDeathTest, BulkBuildOverCapacityAbortsWithCallersMessage) {
+  // Each charge fits alone; together they exceed capacity over [40, 50).
+  const std::vector<StorageCharge> charges{{MachineId(0), 80, iv(0, 50)},
+                                           {MachineId(0), 30, iv(40, 60)}};
+  EXPECT_DEATH(StorageTimeline(100, charges, "sources overflow machine"),
+               "sources overflow machine");
+}
+
 TEST(StorageTimelineDeathTest, OverCapacityAllocationAborts) {
   StorageTimeline st(100);
   st.allocate(80, iv(0, 50));

@@ -195,6 +195,103 @@ TEST(SchedulerServiceTest, CommittedValueTracksAdmissions) {
       << "cancellation releases the committed value";
 }
 
+TEST(SchedulerServiceTest, CommittedValueMatchesPublicQueriesThroughFaults) {
+  // A scripted session with an outage and its restore, a brownout, a copy
+  // loss at a served destination and a cancel. After every step the
+  // snapshot's committed value must equal the sum, over every request the
+  // client knows was admitted, of its weight when the service reports it
+  // satisfied, or pending with a planned arrival by its deadline.
+  const Interval always{SimTime::zero(), at_min(120)};
+  const Scenario scenario = ScenarioBuilder()
+                                .machine(1 << 30).machine(1 << 30)
+                                .machine(1 << 30).machine(1 << 30)
+                                .link(0, 1, 8'000'000, always)
+                                .link(1, 2, 8'000'000, always)
+                                .link(0, 2, 800'000, always)
+                                .link(2, 3, 8'000'000, always)
+                                .link(1, 3, 8'000'000, always)
+                                .item(1'000'000)
+                                .source(0, SimTime::zero())
+                                .request(3, at_min(30), kPriorityHigh)
+                                .item(2'000'000)
+                                .source(1, SimTime::zero())
+                                .request(2, at_min(20), kPriorityMedium)
+                                .item(500'000)
+                                .source(0, SimTime::zero())
+                                .request(1, at_min(10), kPriorityLow)
+                                .build();
+  ServiceOptions options;
+  options.fault_events.push_back({at_sec(2), LinkOutageEvent{PhysLinkId(0)}});
+  options.fault_events.push_back(
+      {at_sec(5), LinkDegradeEvent{PhysLinkId(1), {at_sec(5), at_sec(300)}, 0.5}});
+  options.fault_events.push_back({at_sec(30), CopyLossEvent{"d2", MachineId(1)}});
+  options.fault_events.push_back({at_sec(60), LinkRestoreEvent{PhysLinkId(0)}});
+  SchedulerService service(scenario, options);
+  const PriorityWeighting weighting = options.engine.weighting;
+
+  struct Admitted {
+    std::string item;
+    std::int32_t dest;
+    SimTime deadline;
+    Priority priority;
+  };
+  std::vector<Admitted> admitted;
+  for (const DataItem& item : scenario.items) {
+    for (const Request& r : item.requests) {
+      admitted.push_back({item.name, r.destination.value(), r.deadline, r.priority});
+    }
+  }
+  const auto brute_value = [&] {
+    double value = 0.0;
+    for (const Admitted& a : admitted) {
+      const MachineId dest(a.dest);
+      switch (service.request_status(a.item, dest)) {
+        case DynamicRequestStatus::kSatisfied:
+          value += weighting.weight(a.priority);
+          break;
+        case DynamicRequestStatus::kPending: {
+          const SimTime arrival = service.planned_arrival(a.item, dest);
+          if (!arrival.is_infinite() && arrival <= a.deadline) {
+            value += weighting.weight(a.priority);
+          }
+          break;
+        }
+        default:
+          break;
+      }
+    }
+    return value;
+  };
+  EXPECT_EQ(service.snapshot().committed_value, brute_value());
+
+  const std::vector<SubmitRequest> script{
+      submit_at(at_sec(0), "d0", 2, at_min(40), kPriorityMedium),
+      submit_at(at_sec(1), "d2", 3, at_min(50), kPriorityHigh),
+      submit_at(at_sec(3), "d1", 3, at_min(45), kPriorityLow),
+      submit_at(at_sec(10), "d0", 1, at_min(60), kPriorityHigh),
+      submit_at(at_sec(40), "d2", 2, at_min(70), kPriorityMedium),
+      submit_at(at_sec(90), "d1", 0, at_min(90), kPriorityHigh),
+  };
+  std::size_t admits = 0;
+  for (const SubmitRequest& submit : script) {
+    const AdmissionDecision decision = service.submit(submit);
+    if (decision.admitted()) {
+      ++admits;
+      admitted.push_back({submit.item_name, submit.request.destination.value(),
+                          submit.request.deadline, submit.request.priority});
+    }
+    EXPECT_EQ(decision.committed_value, brute_value()) << submit.item_name;
+    EXPECT_EQ(service.snapshot().committed_value, brute_value()) << submit.item_name;
+    if (submit.at == at_sec(10)) {
+      service.cancel("d0", MachineId(2), at_sec(20));
+      EXPECT_EQ(service.snapshot().committed_value, brute_value()) << "after cancel";
+    }
+  }
+  EXPECT_GE(admits, 3u);
+  service.advance_to(at_min(100));
+  EXPECT_EQ(service.snapshot().committed_value, brute_value());
+}
+
 TEST(SchedulerServiceTest, EmitsAdmissionMetrics) {
   obs::MetricsRegistry registry;
   obs::RunObserver observer{&registry, nullptr};
