@@ -19,6 +19,10 @@
 //
 // The JSON records the host's core count and the build type next to the
 // rows, so a curve is only compared against one from the same kind of host.
+// Each row also counts the schedule's link traffic: `links_reserved` virtual
+// links carry at least one step, and the busiest carries
+// `max_link_reservations` — the size of the largest reservation set
+// `LinkSchedule` held for that tier.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -29,6 +33,7 @@
 #include "common_flags.hpp"
 #include "core/registry.hpp"
 #include "core/satisfaction.hpp"
+#include "core/schedule.hpp"
 #include "gen/generator.hpp"
 #include "util/time.hpp"
 
@@ -59,6 +64,24 @@ std::int64_t read_status_kb(const char* field) {
   (void)field;
   return 0;
 #endif
+}
+
+/// Link traffic of a schedule: how many virtual links carry a step, and the
+/// most steps any one of them carries.
+struct LinkTraffic {
+  std::size_t links_reserved = 0;
+  std::size_t max_link_reservations = 0;
+};
+
+LinkTraffic link_traffic(const Scenario& scenario, const Schedule& schedule) {
+  std::vector<std::size_t> per_link(scenario.virt_links.size(), 0);
+  for (const CommStep& step : schedule.steps()) ++per_link[step.link.index()];
+  LinkTraffic traffic;
+  for (const std::size_t n : per_link) {
+    if (n > 0) ++traffic.links_reserved;
+    traffic.max_link_reservations = std::max(traffic.max_link_reservations, n);
+  }
+  return traffic;
 }
 
 struct Tier {
@@ -168,6 +191,7 @@ int main(int argc, char** argv) {
     const std::int64_t run_ns = steady_clock_nanos() - run_t0;
 
     const std::size_t satisfied = satisfied_count(staged.outcomes);
+    const LinkTraffic traffic = link_traffic(scenario, staged.schedule);
     const std::int64_t vm_hwm_kb = read_status_kb("VmHWM");
     const std::int64_t vm_rss_kb = read_status_kb("VmRSS");
 
@@ -194,13 +218,16 @@ int main(int argc, char** argv) {
         "      \"iterations\": %zu,\n"
         "      \"dijkstra_runs\": %zu,\n"
         "      \"satisfied\": %zu,\n"
+        "      \"links_reserved\": %zu,\n"
+        "      \"max_link_reservations\": %zu,\n"
         "      \"peak_rss_kb\": %" PRId64 ",\n"
         "      \"rss_kb\": %" PRId64 "\n"
         "    }%s\n",
         tier.name, scenario.machine_count(), scenario.phys_links.size(),
         scenario.virt_links.size(), scenario.item_count(),
         scenario.request_count(), gen_ns, run_ns, staged.schedule.size(),
-        staged.iterations, staged.dijkstra_runs, satisfied, vm_hwm_kb, vm_rss_kb,
+        staged.iterations, staged.dijkstra_runs, satisfied, traffic.links_reserved,
+        traffic.max_link_reservations, vm_hwm_kb, vm_rss_kb,
         t + 1 < tiers.size() ? "," : "");
   }
 

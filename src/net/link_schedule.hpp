@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "model/scenario.hpp"
-#include "util/chunked_intervals.hpp"
 #include "util/ids.hpp"
 #include "util/interval.hpp"
 
@@ -56,21 +55,13 @@ class LinkSchedule {
     return busy_[link.index()].overlaps(iv);
   }
 
-  const ChunkedIntervalSet& reservations(VirtLinkId link) const {
+  const IntervalSet& reservations(VirtLinkId link) const {
     return busy_[link.index()];
   }
 
-  /// Total reserved time across all virtual links (observability/benches).
-  /// O(1): maintained as a running sum by reserve() — reservations are never
-  /// released, so the sum only grows.
-  SimDuration total_reserved() const { return total_reserved_; }
-
  private:
   const Scenario* scenario_;
-  // Chunked: a commit shifts one bounded chunk, not the whole reservation
-  // tail of a busy link (O(reservations) per commit at the huge tier).
-  std::vector<ChunkedIntervalSet> busy_;
-  SimDuration total_reserved_ = SimDuration::zero();
+  std::vector<IntervalSet> busy_;
 };
 
 }  // namespace datastage

@@ -4,8 +4,10 @@
 Usage: artifacts_check.py SOURCE_DIR
 
 Fails when README.md, DESIGN.md, EXPERIMENTS.md or docs/*.md still hold a
-PLACEHOLDER_ token, or when a BENCH_*.json at the source root is empty or
-is not valid JSON.
+PLACEHOLDER_ token, or when a BENCH_*.json at the source root is empty, is
+not valid JSON, does not record the host it ran on (`host_cores`,
+`build_type`), or holds tier rows with differing key sets (a curve
+regenerated only in part).
 """
 import glob
 import json
@@ -35,9 +37,24 @@ def main(root):
             problems.append(f"{name}: empty")
             continue
         try:
-            json.loads(text)
+            doc = json.loads(text)
         except json.JSONDecodeError as error:
             problems.append(f"{name}: not valid JSON ({error})")
+            continue
+        if not isinstance(doc, dict):
+            problems.append(f"{name}: top level is not an object")
+            continue
+        for field in ("host_cores", "build_type"):
+            if field not in doc:
+                problems.append(f"{name}: no {field}")
+        rows = doc.get("tiers", [])
+        if rows:
+            keys = set(rows[0])
+            for row in rows[1:]:
+                if set(row) != keys:
+                    problems.append(f"{name}: tier {row.get('tier')} differs from tier "
+                                    f"{rows[0].get('tier')} in keys "
+                                    f"{sorted(set(row) ^ keys)}")
 
     for problem in problems:
         print(problem)

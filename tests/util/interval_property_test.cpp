@@ -3,10 +3,10 @@
 // The reference implements the documented contract with linear scans and
 // full-vector rebuilds — no binary search, no clever in-place surgery — so
 // any agreement between the two is evidence about the contract, not shared
-// code. This suite is the oracle for the chunked-storage rewrite: it pins
-// the exact member layout (adjacency preserved by insert_disjoint, merged by
-// insert_merge) and the earliest_fit boundary semantics (window edges,
-// zero-length requests, zero-length windows) before the layout changes.
+// code. It pins the exact member layout (adjacency preserved by
+// insert_disjoint, merged by insert_merge) and the earliest_fit boundary
+// semantics (window edges, zero-length requests, zero-length windows) that
+// link reservations (net/LinkSchedule) and the fault model rely on.
 #include "util/interval.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "util/chunked_intervals.hpp"
 #include "util/rng.hpp"
 
 namespace datastage {
@@ -212,13 +211,14 @@ TEST(IntervalPropertyTest, ExhaustiveBoundaryProbesOnAdjacentMembers) {
 }
 
 // Reservation workload (insert_disjoint only — what LinkSchedule does)
-// replayed against IntervalSet, ChunkedIntervalSet, and the naive reference:
-// member lists and every query must agree across all three. Enough inserts
-// per trial to force repeated chunk splits and mid-chunk shifts.
-TEST(IntervalPropertyTest, ChunkedSetMatchesFlatSetOnReservationWorkloads) {
+// replayed against IntervalSet and the naive reference: member lists and
+// every query must agree. Hundreds of short members per trial, more than the
+// busiest virtual link of the measured scale tiers holds, so inserts land
+// mid-vector.
+TEST(IntervalPropertyTest, ReservationWorkloadsMatchNaiveReference) {
   constexpr std::int64_t kDomain = 20'000;
   // Short intervals, like link reservations: long draws saturate the domain
-  // after a couple dozen inserts and never split a chunk.
+  // after a couple dozen inserts.
   const auto random_reservation = [](Rng& rng) {
     const std::int64_t a = rng.uniform_i64(0, kDomain);
     const std::int64_t len = rng.uniform_i64(1, 24);
@@ -226,17 +226,14 @@ TEST(IntervalPropertyTest, ChunkedSetMatchesFlatSetOnReservationWorkloads) {
   };
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
-    IntervalSet flat;
-    ChunkedIntervalSet chunked;
+    IntervalSet real;
     NaiveSet naive;
     int inserted = 0;
     for (int step = 0; step < 900; ++step) {
       const Interval iv = random_reservation(rng);
-      ASSERT_EQ(flat.overlaps(iv), naive.overlaps(iv)) << "seed " << seed;
-      ASSERT_EQ(chunked.overlaps(iv), naive.overlaps(iv)) << "seed " << seed;
+      ASSERT_EQ(real.overlaps(iv), naive.overlaps(iv)) << "seed " << seed;
       if (!naive.overlaps(iv)) {
-        flat.insert_disjoint(iv);
-        chunked.insert_disjoint(iv);
+        real.insert_disjoint(iv);
         naive.insert_disjoint(iv);
         ++inserted;
       }
@@ -244,48 +241,43 @@ TEST(IntervalPropertyTest, ChunkedSetMatchesFlatSetOnReservationWorkloads) {
       const Interval window = random_interval(rng, kDomain);
       const SimTime nb = at(rng.uniform_i64(0, kDomain));
       const SimDuration len = SimDuration::from_usec(rng.uniform_i64(0, 400));
-      const auto expected = naive.earliest_fit(nb, len, window);
-      ASSERT_EQ(flat.earliest_fit(nb, len, window), expected)
-          << "seed " << seed << " step " << step;
-      ASSERT_EQ(chunked.earliest_fit(nb, len, window), expected)
+      ASSERT_EQ(real.earliest_fit(nb, len, window), naive.earliest_fit(nb, len, window))
           << "seed " << seed << " step " << step;
     }
-    // The workload must actually exercise chunk splits (64+ members).
+    // The busiest xlarge link holds well under 200 reservations.
     ASSERT_GT(inserted, 200) << "seed " << seed;
-    EXPECT_EQ(chunked.size(), naive.members().size());
-    EXPECT_EQ(chunked.to_vector(), naive.members());
-    EXPECT_EQ(flat.intervals(), naive.members());
+    EXPECT_EQ(real.intervals(), naive.members());
   }
 }
 
-// Ascending-order inserts follow the append fast path; interleave a few
-// out-of-order ones to hit mid-chunk shifts right after appends.
-TEST(IntervalPropertyTest, ChunkedSetAppendFastPathStaysSorted) {
-  ChunkedIntervalSet chunked;
+// Ascending inserts (how a link's reservations mostly arrive), then
+// out-of-order fills into the gaps they left.
+TEST(IntervalPropertyTest, AscendingInsertsThenOutOfOrderFillsStaySorted) {
+  IntervalSet real;
   NaiveSet naive;
   // 0..199 ascending with gaps, then fill some gaps out of order.
   for (std::int64_t i = 0; i < 200; ++i) {
     const Interval iv{at(i * 10), at(i * 10 + 6)};
-    chunked.insert_disjoint(iv);
+    real.insert_disjoint(iv);
     naive.insert_disjoint(iv);
   }
   for (std::int64_t i = 190; i >= 0; i -= 7) {
     const Interval iv{at(i * 10 + 7), at(i * 10 + 9)};
-    chunked.insert_disjoint(iv);
+    real.insert_disjoint(iv);
     naive.insert_disjoint(iv);
   }
-  EXPECT_EQ(chunked.to_vector(), naive.members());
+  EXPECT_EQ(real.intervals(), naive.members());
   const Interval window{at(0), at(2'000)};
   for (std::int64_t nb = 0; nb < 2'000; nb += 13) {
     for (const std::int64_t len : {0, 1, 3, 7}) {
-      EXPECT_EQ(chunked.earliest_fit(at(nb), SimDuration::from_usec(len), window),
+      EXPECT_EQ(real.earliest_fit(at(nb), SimDuration::from_usec(len), window),
                 naive.earliest_fit(at(nb), SimDuration::from_usec(len), window))
           << "nb " << nb << " len " << len;
     }
   }
 }
 
-// --- directed boundary cases the rewrite must preserve ---------------------
+// --- directed boundary cases ---------------------------------------------
 
 TEST(IntervalPropertyTest, EarliestFitExactlyFillsTheWindowTail) {
   IntervalSet set;
