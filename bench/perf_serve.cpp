@@ -7,21 +7,26 @@
 // replan:
 //
 //   quick  — stage-1 estimate enabled (ServiceOptions::quick_admission)
-//   full   — every submit goes straight to the replan, which rebuilds the
-//            residual scenario and schedules it from scratch
+//   full   — every submit goes straight to the replan, which schedules the
+//            residual problem from scratch
+//
+// Both modes serve each submit from the stager's one residual world: built
+// once per submit (or patched with the request), shared by the quick check,
+// the replan and the withdrawal (docs/SERVING.md).
 //
 // Reported per mode: admissions/sec, p50/p99 decision latency (from the
-// admission.decision_usec histogram), outcome counts, replans, and `layers`:
-// the wall time of each serve phase (docs/OBSERVABILITY.md) inside the timed
-// submits, with its share of their wall time and the unattributed rest as
-// `other`. The admitted set must be identical across modes — the quick
-// estimate may only reject requests the full replan would reject too.
+// admission.decision_usec histogram), outcome counts, replans, the residual
+// world counters (topologies built, full residual builds, patched worlds),
+// and `layers`: the wall time of each serve phase (docs/OBSERVABILITY.md)
+// inside the timed submits, with its share of their wall time and the
+// unattributed rest as `other`. The admitted set must be identical across
+// modes — the quick estimate may only reject requests the full replan would
+// reject too.
 // Written to BENCH_serve.json (the serving perf baseline; CI diffs it
 // warn-only via datastage_benchdiff).
 //
 // Extra flags on top of the shared bench set:
 //   --out=PATH   JSON output path (default BENCH_serve.json)
-#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <vector>
@@ -68,6 +73,9 @@ struct ModeResult {
   std::size_t quick_rejects = 0;
   std::size_t full_rejects = 0;
   std::size_t replans = 0;
+  std::size_t topology_builds = 0;
+  std::size_t residual_builds = 0;
+  std::size_t world_patches = 0;
   double p50_usec = 0.0;
   double p99_usec = 0.0;
   double mean_usec = 0.0;
@@ -123,6 +131,9 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
     result.quick_rejects += snap.quick_rejects;
     result.full_rejects += snap.full_rejects;
     result.replans += snap.replans;
+    result.topology_builds += snap.topology_builds;
+    result.residual_builds += snap.residual_builds;
+    result.world_patches += snap.world_patches;
   }
   if (const obs::Histogram* h =
           registry.find_histogram("admission.decision_usec")) {
@@ -132,10 +143,6 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
   }
   return result;
 }
-
-/// The serve phases of a decision; they never nest (docs/OBSERVABILITY.md).
-constexpr std::array<const char*, 4> kServePhases{
-    "serve.quick_check", "dynamic.residual_build", "dynamic.replan", "serve.ledger"};
 
 double share(std::int64_t nanos, std::int64_t wall_ns) {
   return wall_ns > 0 ? static_cast<double>(nanos) / static_cast<double>(wall_ns) : 0.0;
@@ -156,12 +163,14 @@ void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
       ",\n      \"decisions\": %zu,\n      \"admitted\": %zu,\n"
       "      \"already_satisfied\": %zu,\n      \"quick_rejects\": %zu,\n"
       "      \"full_rejects\": %zu,\n      \"replans\": %zu,\n"
+      "      \"topology_builds\": %zu,\n      \"residual_builds\": %zu,\n"
+      "      \"world_patches\": %zu,\n"
       "      \"admissions_per_sec\": %s,\n      \"decision_usec_p50\": %s,\n"
       "      \"decision_usec_p99\": %s,\n      \"decision_usec_mean\": %s,\n"
       "      \"layers\": {\n",
       key, mode.wall_ns, mode.decisions, mode.admitted, mode.already_satisfied,
-      mode.quick_rejects, mode.full_rejects, mode.replans,
-      obs::json_number(mode.admissions_per_sec()).c_str(),
+      mode.quick_rejects, mode.full_rejects, mode.replans, mode.topology_builds,
+      mode.residual_builds, mode.world_patches, obs::json_number(mode.admissions_per_sec()).c_str(),
       obs::json_number(mode.p50_usec).c_str(),
       obs::json_number(mode.p99_usec).c_str(),
       obs::json_number(mode.mean_usec).c_str());
@@ -202,7 +211,7 @@ int main(int argc, char** argv) {
   const bool identical = quick.verdicts == full.verdicts;
 
   Table table({"mode", "decisions", "admitted", "rejected", "adm/s",
-               "p50 us", "p99 us", "replans"});
+               "p50 us", "p99 us", "replans", "topologies", "rebuilds", "patches"});
   const auto add_row = [&table](const char* name, const ModeResult& mode) {
     table.add_row({name, std::to_string(mode.decisions),
                    std::to_string(mode.admitted),
@@ -210,7 +219,9 @@ int main(int argc, char** argv) {
                    format_double(mode.admissions_per_sec(), 0),
                    format_double(mode.p50_usec, 1),
                    format_double(mode.p99_usec, 1),
-                   std::to_string(mode.replans)});
+                   std::to_string(mode.replans), std::to_string(mode.topology_builds),
+                   std::to_string(mode.residual_builds),
+                   std::to_string(mode.world_patches)});
   };
   add_row("quick", quick);
   add_row("full", full);

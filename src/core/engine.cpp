@@ -181,39 +181,99 @@ bool StagingEngine::best_entry_after(const StagingEngine::BestEntry& a,
 StagingEngine::StagingEngine(const Scenario& scenario, EngineOptions options)
     : scenario_(&scenario),
       options_(std::move(options)),
-      topology_(scenario),
+      owned_topology_(std::make_unique<Topology>(scenario)),
+      topology_(owned_topology_.get()),
       state_(scenario),
       tracker_(scenario),
-      index_(scenario.virt_links.size(), scenario.machine_count(),
-             scenario.item_count()),
-      node_mark_(scenario.machine_count(), 0) {
-  plans_.resize(scenario.item_count());
-  active_plans_ = plans_.size();
-  // Every plan starts dirty: seed the queue so the first refresh builds all.
-  dirty_queue_.resize(plans_.size());
-  for (std::size_t i = 0; i < plans_.size(); ++i) dirty_queue_[i] = i;
-  max_iterations_ = options_.max_iterations != 0
-                        ? options_.max_iterations
-                        : 1000 + 200 * scenario.request_count();
+      index_(0, 0, 0) {
+  configure();
+  start_run();
+}
+
+StagingEngine::StagingEngine(const Scenario& scenario, const Topology& topology,
+                             std::span<const StorageTimeline> storage,
+                             EngineOptions options)
+    : scenario_(&scenario),
+      options_(std::move(options)),
+      topology_(&topology),
+      state_(scenario, storage),
+      tracker_(scenario),
+      index_(0, 0, 0) {
+  configure();
+  start_run();
+}
+
+void StagingEngine::reset(const Scenario& scenario, const Topology& topology,
+                          std::span<const StorageTimeline> storage) {
+  scenario_ = &scenario;
+  owned_topology_.reset();
+  topology_ = &topology;
+  state_.reset(scenario, storage);
+  tracker_.reset(scenario);
+  attach_observer();
+  start_run();
+}
+
+void StagingEngine::configure() {
   engine_jobs_resolved_ = options_.engine_jobs == 0 ? ThreadPool::hardware_jobs()
                                                     : options_.engine_jobs;
   pool_ = options_.engine_pool;  // an owned pool is created lazily on demand
   parallel_enabled_ = pool_ != nullptr || engine_jobs_resolved_ > 1;
   refresh_ws_.resize(pool_ != nullptr ? pool_->thread_count() : 1);
-  for (RefreshWorkspace& ws : refresh_ws_) {
-    ws.node_mark.assign(scenario.machine_count(), 0);
+  attach_observer();
+  if (options_.observer != nullptr && options_.observer->metrics != nullptr) {
+    instr_ = std::make_unique<Instr>(*options_.observer->metrics);
+    state_.attach_metrics(*options_.observer->metrics);
   }
-  if (options_.observer != nullptr) {
-    trace_ = options_.observer->trace;
-    phases_ = options_.observer->phases;
-    if (trace_ != nullptr) {
-      lifecycle_ = std::make_unique<Lifecycle>(scenario);
-    }
-    if (options_.observer->metrics != nullptr) {
-      instr_ = std::make_unique<Instr>(*options_.observer->metrics);
-      state_.attach_metrics(*options_.observer->metrics);
-    }
+}
+
+void StagingEngine::attach_observer() {
+  const obs::RunObserver* observer = options_.observer;
+  trace_ = observer != nullptr ? observer->trace : nullptr;
+  phases_ = observer != nullptr ? observer->phases : nullptr;
+}
+
+void StagingEngine::start_run() {
+  const Scenario& scenario = *scenario_;
+  const std::size_t n = scenario.item_count();
+  schedule_.clear();
+  index_.reset(scenario.virt_links.size(), scenario.machine_count(), n);
+  // Mark buffers keep their stamps: every stamp is below the next epoch.
+  node_mark_.resize(scenario.machine_count(), 0);
+  for (RefreshWorkspace& ws : refresh_ws_) ws.node_mark.resize(scenario.machine_count(), 0);
+  // A previous run's plans hand their candidate buffers back to the pool and
+  // start over dirty, as default-constructed plans do; their trees are
+  // recomputed in place on the first refresh.
+  for (ItemPlan& plan : plans_) {
+    for (Candidate& c : plan.candidates) refresh_ws_.front().dest_pool.release(std::move(c.dests));
   }
+  plans_.resize(n);
+  for (ItemPlan& plan : plans_) {
+    plan.dirty = true;
+    plan.exhausted = false;
+    plan.best = kNoBest;
+    plan.candidates.clear();
+    plan.used_links.clear();
+    plan.used_storage.clear();
+    plan.last_invalidated_by = -1;
+    plan.repair_roots.clear();
+  }
+  active_plans_ = n;
+  // Every plan starts dirty: seed the queue so the first refresh builds all.
+  dirty_queue_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) dirty_queue_[i] = i;
+  best_heap_.clear();
+  refresh_jobs_.clear();
+  candidate_total_ = 0;
+  last_round_cache_hits_ = 0;
+  dijkstra_runs_ = 0;
+  tree_repairs_ = 0;
+  iterations_ = 0;
+  guard_tripped_ = false;
+  max_iterations_ = options_.max_iterations != 0
+                        ? options_.max_iterations
+                        : 1000 + 200 * scenario.request_count();
+  lifecycle_ = trace_ != nullptr ? std::make_unique<Lifecycle>(scenario) : nullptr;
 }
 
 StagingEngine::~StagingEngine() = default;
@@ -338,7 +398,7 @@ void StagingEngine::compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws) {
   job.repaired = repair_tree(item, plan, ws);
   plan.repair_roots.clear();
   if (!job.repaired) {
-    compute_route_tree_into(state_, topology_, item, dopt, ws.ws, plan.tree,
+    compute_route_tree_into(state_, *topology_, item, dopt, ws.ws, plan.tree,
                             instr_ != nullptr ? &job.stats : nullptr);
   }
   job.prune_after = dopt.prune_after;
@@ -1009,8 +1069,13 @@ void StagingEngine::observe_finish() {
   }
 }
 
-StagingResult StagingEngine::finish() {
+const Schedule& StagingEngine::finish_run() {
   if (instr_ != nullptr || trace_ != nullptr) observe_finish();
+  return schedule_;
+}
+
+StagingResult StagingEngine::finish() {
+  finish_run();
   StagingResult result;
   result.schedule = std::move(schedule_);
   result.outcomes = tracker_.take_outcomes();

@@ -109,8 +109,24 @@ struct Candidate {
 
 class StagingEngine {
  public:
+  /// Builds its own topology and sweeps the sources' storage charges.
   StagingEngine(const Scenario& scenario, EngineOptions options);
+  /// Schedules `scenario` over a caller-owned `topology` (built from it) and
+  /// `storage`, the per-machine timelines of its sources' charges (see the
+  /// adopting NetworkState constructor). Both must outlive the engine's use.
+  StagingEngine(const Scenario& scenario, const Topology& topology,
+                std::span<const StorageTimeline> storage, EngineOptions options);
   ~StagingEngine();  // out-of-line: Instr is defined in engine.cpp
+
+  /// Starts a new run on another problem, as the constructor above would,
+  /// but on this engine's buffers: plans, route trees, candidate lists,
+  /// index postings, link and storage schedules. The options stay; the
+  /// observer's trace and phase timer are read again. DynamicStager replans
+  /// this way.
+  void reset(const Scenario& scenario, const Topology& topology,
+             std::span<const StorageTimeline> storage);
+
+  CostCriterion criterion() const { return options_.criterion; }
 
   /// Refreshes dirty plans and returns the lowest-cost candidate (ties broken
   /// deterministically by item, next machine, destination). nullopt when no
@@ -142,8 +158,13 @@ class StagingEngine {
   /// True once the iteration guard tripped (pathological input protection).
   bool guard_tripped() const { return guard_tripped_; }
 
-  /// Finalizes and returns the result. The engine must not be used after.
+  /// Finalizes and returns the result. The engine must not be used after,
+  /// except through reset().
   StagingResult finish();
+
+  /// Finalizes the run as finish() does (final metrics and trace events) but
+  /// leaves the schedule in the engine, valid until the next reset().
+  const Schedule& finish_run();
 
   // --- Introspection (tests, traces) ---
   const NetworkState& network() const { return state_; }
@@ -241,6 +262,15 @@ class StagingEngine {
     std::vector<std::uint8_t> keep;  ///< RouteTree::reroot_and_restrict scratch
   };
 
+  /// Resolves the worker pool and the observer's sinks (constructors only).
+  void configure();
+  /// Reads the observer's trace and phase timer, which a caller may attach
+  /// between runs (the metric handles are resolved once, in configure()).
+  void attach_observer();
+  /// Puts every run-scoped member in the state a fresh engine on scenario_
+  /// has, keeping buffers.
+  void start_run();
+
   /// Brings every plan up to date: recomputes the dirty set (incremental
   /// mode) or every live plan (paranoid mode marks them all dirty first),
   /// retiring exhausted plans. Three phases — collect (serial: dirty set ->
@@ -297,7 +327,10 @@ class StagingEngine {
 
   const Scenario* scenario_;
   EngineOptions options_;
-  Topology topology_;
+  /// The by-scenario constructor's own topology; null when the caller's is
+  /// used.
+  std::unique_ptr<Topology> owned_topology_;
+  const Topology* topology_;
   NetworkState state_;
   OutcomeTracker tracker_;
   Schedule schedule_;

@@ -26,6 +26,14 @@ StagingResult run_full_path_one(const Scenario& scenario, const EngineOptions& o
 /// C1 is rejected (the paper excludes the pair; asserts).
 StagingResult run_full_path_all(const Scenario& scenario, const EngineOptions& options);
 
+/// The loops of the three heuristics above on a caller-built engine: each
+/// runs until no candidate is left and does not finish the engine. The
+/// functions above construct an engine, run its loop and finish it;
+/// DynamicStager runs them on one engine it resets per replan.
+void run_partial_path(StagingEngine& engine);
+void run_full_path_one(StagingEngine& engine);
+void run_full_path_all(StagingEngine& engine);
+
 /// Lower bound 1 (§5.2, "single_Dij_random"): one Dijkstra per item on the
 /// pristine network, paths replayed in random item order, conflicting
 /// requests dropped. `rng` drives the item order.

@@ -76,6 +76,15 @@ StagingResult run_spec(const SchedulerSpec& spec, const Scenario& scenario,
   DS_UNREACHABLE("bad heuristic kind");
 }
 
+void run_heuristic(HeuristicKind kind, StagingEngine& engine) {
+  switch (kind) {
+    case HeuristicKind::kPartial: return run_partial_path(engine);
+    case HeuristicKind::kFullOne: return run_full_path_one(engine);
+    case HeuristicKind::kFullAll: return run_full_path_all(engine);
+  }
+  DS_UNREACHABLE("bad heuristic kind");
+}
+
 CaseResult run_case(const SchedulerSpec& spec, const Scenario& scenario,
                     const EngineOptions& options) {
   CaseResult result;

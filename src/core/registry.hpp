@@ -52,6 +52,10 @@ bool is_valid_pair(const SchedulerSpec& spec);
 StagingResult run_spec(const SchedulerSpec& spec, const Scenario& scenario,
                        const EngineOptions& options);
 
+/// Runs the heuristic's loop on a caller-built engine (whose options carry
+/// the criterion) without finishing it.
+void run_heuristic(HeuristicKind kind, StagingEngine& engine);
+
 /// Everything the experiment layer needs from one (scheduler, scenario) run:
 /// the raw staging result plus the evaluation numbers every figure and table
 /// derives from it, computed once under options.weighting.

@@ -13,6 +13,18 @@ ResourceIndex::ResourceIndex(std::size_t link_count, std::size_t machine_count,
       plan_epoch_(plan_count, 0),
       plan_live_(plan_count, 0) {}
 
+void ResourceIndex::reset(std::size_t link_count, std::size_t machine_count,
+                          std::size_t plan_count) {
+  by_link_.resize(link_count);
+  for (std::vector<Entry>& entries : by_link_) entries.clear();
+  by_storage_.resize(machine_count);
+  for (std::vector<Entry>& entries : by_storage_) entries.clear();
+  plan_epoch_.assign(plan_count, 0);
+  plan_live_.assign(plan_count, 0);
+  live_entries_ = 0;
+  dead_entries_ = 0;
+}
+
 void ResourceIndex::subscribe_link(std::size_t plan, VirtLinkId link,
                                    const Interval& iv) {
   append(by_link_[link.index()], plan, iv);

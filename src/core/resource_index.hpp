@@ -34,6 +34,10 @@ class ResourceIndex {
   ResourceIndex(std::size_t link_count, std::size_t machine_count,
                 std::size_t plan_count);
 
+  /// Empties the index for new resource and plan counts, reusing the posting
+  /// buffers: afterwards it behaves exactly as a freshly constructed one.
+  void reset(std::size_t link_count, std::size_t machine_count, std::size_t plan_count);
+
   /// Registers that `plan`'s cached paths occupy `link` during `iv`.
   void subscribe_link(std::size_t plan, VirtLinkId link, const Interval& iv);
   /// Registers that `plan`'s cached paths need `machine` storage during `iv`.

@@ -6,12 +6,17 @@
 
 namespace datastage {
 
-OutcomeTracker::OutcomeTracker(const Scenario& scenario) : scenario_(&scenario) {
+OutcomeTracker::OutcomeTracker(const Scenario& scenario) { reset(scenario); }
+
+void OutcomeTracker::reset(const Scenario& scenario) {
+  scenario_ = &scenario;
   outcomes_.resize(scenario.item_count());
   pending_.resize(scenario.item_count());
+  pending_count_ = 0;
   for (std::size_t i = 0; i < scenario.item_count(); ++i) {
     const std::size_t nrq = scenario.items[i].requests.size();
-    outcomes_[i].resize(nrq);
+    outcomes_[i].assign(nrq, RequestOutcome{});
+    pending_[i].clear();
     pending_[i].reserve(nrq);
     for (std::size_t k = 0; k < nrq; ++k) {
       pending_[i].push_back(static_cast<std::int32_t>(k));

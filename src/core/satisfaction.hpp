@@ -36,6 +36,10 @@ class OutcomeTracker {
  public:
   explicit OutcomeTracker(const Scenario& scenario);
 
+  /// Starts over on `scenario` with every request pending, reusing the
+  /// per-item buffers.
+  void reset(const Scenario& scenario);
+
   /// Records that `item` arrived at `machine` at `arrival`; resolves any
   /// pending request of `item` at that machine whose deadline is met.
   void note_arrival(ItemId item, MachineId machine, SimTime arrival);
@@ -55,7 +59,7 @@ class OutcomeTracker {
   OutcomeMatrix take_outcomes() { return std::move(outcomes_); }
 
  private:
-  const Scenario* scenario_;
+  const Scenario* scenario_ = nullptr;
   OutcomeMatrix outcomes_;
   std::vector<std::vector<std::int32_t>> pending_;  // [item] -> pending ks
   std::size_t pending_count_ = 0;

@@ -33,6 +33,8 @@ struct CommStep {
 class Schedule {
  public:
   void add(const CommStep& step) { steps_.push_back(step); }
+  /// Removes every step, keeping the buffer.
+  void clear() { steps_.clear(); }
 
   std::span<const CommStep> steps() const { return steps_; }
   std::size_t size() const { return steps_.size(); }

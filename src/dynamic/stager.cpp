@@ -1,6 +1,7 @@
 #include "dynamic/stager.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -98,8 +99,13 @@ void DynamicStager::trace_requeue(const TrackedItem& item, const Request& reques
 
 DynamicStager::DynamicStager(Scenario initial, SchedulerSpec spec,
                              EngineOptions options)
-    : base_(std::move(initial)), spec_(spec), options_(std::move(options)) {
+    : base_(std::move(initial)),
+      spec_(spec),
+      options_(std::move(options)),
+      world_(std::make_unique<ResidualWorld>()) {
   base_.check_valid();
+  DS_ASSERT_MSG(is_valid_pair(spec_), "scheduler pair not admitted by the paper");
+  options_.criterion = spec_.criterion;
 
   const std::size_t engine_jobs = options_.engine_jobs == 0
                                       ? ThreadPool::hardware_jobs()
@@ -139,7 +145,18 @@ DynamicStager::DynamicStager(Scenario initial, SchedulerSpec spec,
     return items_[a].name < items_[b].name;
   });
 
+  // What every residual world shares, set once.
+  Scenario& residual = world_->scenario;
+  residual.machines = base_.machines;
+  residual.phys_links = base_.phys_links;
+  residual.horizon = base_.horizon;
+  residual.gc_gamma = base_.gc_gamma;
+
   replan();
+  // The initial plan is set-up, not a decision: a stager that waits for its
+  // first event holds no engine buffers. Events replan on one engine from
+  // then on, until finish() releases it.
+  engine_.reset();
 }
 
 DynamicStager::~DynamicStager() = default;  // engine_pool_ needs the full type
@@ -155,11 +172,12 @@ void DynamicStager::note_arrival(TrackedItem& item, MachineId machine,
 }
 
 void DynamicStager::commit_started(SimTime now) {
-  std::vector<PlannedStep> remaining;
+  // Compacts the steps that stay planned to the front of plan_, in order.
+  std::size_t kept = 0;
   for (const PlannedStep& planned : plan_) {
     const CommStep& step = planned.step;
     if (step.start >= now) {
-      remaining.push_back(planned);
+      plan_[kept++] = planned;
       continue;
     }
     committed_.push_back(planned);
@@ -179,10 +197,18 @@ void DynamicStager::commit_started(SimTime now) {
     if (!updated) item.copies.push_back(Copy{step.to, step.arrival});
     note_arrival(item, step.to, step.arrival);
   }
-  plan_ = std::move(remaining);
+  if (kept == plan_.size()) return;
+  plan_.resize(kept);
+  stale_world(true, true);
 }
 
-std::vector<StorageTimeline> DynamicStager::permanent_charge() const {
+void DynamicStager::set_now(SimTime now) {
+  if (now == now_) return;
+  now_ = now;
+  stale_world(true, false);
+}
+
+void DynamicStager::permanent_charge(std::vector<StorageTimeline>& charge) const {
   std::vector<StorageCharge> charges;
   PermanentMachines permanent(base_.machine_count());
   for (const TrackedItem& item : items_) {
@@ -195,8 +221,8 @@ std::vector<StorageTimeline> DynamicStager::permanent_charge() const {
   }
   // Every permanent copy was capacity-checked with an infinite hold when it
   // was created, so they always fit together.
-  return StorageTimeline::per_machine(base_.machines, charges,
-                                      "permanent copies must always fit");
+  StorageTimeline::per_machine(base_.machines, charges,
+                               "permanent copies must always fit", charge);
 }
 
 void DynamicStager::run_garbage_collection() {
@@ -209,8 +235,9 @@ void DynamicStager::run_garbage_collection() {
     const SimTime gc = item.latest_known_deadline() + base_.gc_gamma;
     if (now_ < gc) continue;
     permanent.select(item);
-    std::erase_if(item.copies,
-                  [&permanent](const Copy& copy) { return !permanent.contains(copy.machine); });
+    const std::size_t erased = std::erase_if(
+        item.copies, [&permanent](const Copy& copy) { return !permanent.contains(copy.machine); });
+    if (erased > 0) stale_world(false, true);
   }
 }
 
@@ -221,7 +248,44 @@ Scenario DynamicStager::residual_scenario() const {
   residual.phys_links = base_.phys_links;
   residual.horizon = base_.horizon;
   residual.gc_gamma = base_.gc_gamma;
+  build_residual_links(residual.virt_links);
+  std::vector<StorageTimeline> storage;
+  build_residual_items(residual.items, storage);
+  return residual;
+}
 
+const ResidualWorld& DynamicStager::residual_world() {
+  DS_ASSERT_MSG(!finished_, "residual world after finish");
+  if (world_links_current_ && world_items_current_) return *world_;
+  const obs::ScopedTimer timer(phases(), "dynamic.residual_build");
+  if (!world_links_current_) {
+    build_residual_links(world_->scenario.virt_links);
+    world_->topology.rebuild(world_->scenario);
+    world_links_current_ = true;
+    ++topology_builds_;
+    bump("dynamic.topology_builds");
+  }
+  if (!world_items_current_) {
+    build_residual_items(world_->scenario.items, world_->storage);
+    world_items_current_ = true;
+    ++residual_builds_;
+    bump("dynamic.residual_builds");
+  }
+  return *world_;
+}
+
+void DynamicStager::stale_world(bool links, bool items) {
+  if (links) world_links_current_ = false;
+  if (items) world_items_current_ = false;
+}
+
+void DynamicStager::note_world_patch() {
+  ++world_patches_;
+  bump("dynamic.world_patches");
+}
+
+void DynamicStager::build_residual_links(std::vector<VirtualLink>& links) const {
+  links.clear();
   std::vector<bool> degraded(base_.phys_links.size(), false);
   for (const LinkDegradation& d : degradations_) degraded[d.link.index()] = true;
   for (std::size_t p = 0; p < base_.phys_links.size(); ++p) {
@@ -237,7 +301,7 @@ Scenario DynamicStager::residual_scenario() const {
       if (!degraded[p]) {
         // No brownout on this link: one fragment at the nominal rate, which
         // is what degraded_fragments() would return.
-        residual.virt_links.push_back(VirtualLink{link, pl.bandwidth_bps, clipped});
+        links.push_back(VirtualLink{link, pl.bandwidth_bps, clipped});
         continue;
       }
       // Announced brownouts split the window into fragments carrying the
@@ -245,30 +309,36 @@ Scenario DynamicStager::residual_scenario() const {
       // actually move.
       for (const auto& [frag, bps] :
            degraded_fragments(clipped, pl.bandwidth_bps, link, degradations_)) {
-        residual.virt_links.push_back(
-            VirtualLink{link, bps, frag});
+        links.push_back(VirtualLink{link, bps, frag});
       }
     }
   }
+}
 
+void DynamicStager::build_residual_items(std::vector<DataItem>& items,
+                                         std::vector<StorageTimeline>& storage) const {
   // Every tracked item appears (copies charge storage even with nothing
   // outstanding); only outstanding requests are carried over. Permanent
   // copies (original sources, served destinations) hold forever;
   // intermediate copies hold until the item's gc time (latest known deadline
   // + γ). A feasibility pre-pass drops intermediate copies that no longer
   // fit — an ad-hoc request can extend gc windows beyond what was
-  // capacity-checked when the copy was staged.
+  // capacity-checked when the copy was staged. The pre-pass's timelines end
+  // up charged with every source the residual keeps: they are `storage`.
   //
   // Pass 1: permanent copies across all items.
-  std::vector<StorageTimeline> charge = permanent_charge();
+  permanent_charge(storage);
 
   // Pass 2: intermediate copies, dropped if they no longer fit.
   PermanentMachines permanent(base_.machine_count());
-  residual.items.reserve(items_.size());
-  for (const TrackedItem& item : items_) {
-    DataItem d;
+  items.resize(items_.size());
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    const TrackedItem& item = items_[i];
+    DataItem& d = items[i];
     d.name = item.name;
     d.size_bytes = item.size_bytes;
+    d.sources.clear();
+    d.requests.clear();
     const SimTime gc = item.latest_known_deadline() + base_.gc_gamma;
     permanent.select(item);
     for (const Copy& copy : item.copies) {
@@ -280,7 +350,7 @@ Scenario DynamicStager::residual_scenario() const {
       src.hold_until = gc;
       const Interval hold = src.hold_window();
       if (hold.empty()) continue;  // gc already due: the copy is gone
-      StorageTimeline& st = charge[copy.machine.index()];
+      StorageTimeline& st = storage[copy.machine.index()];
       if (!st.fits(item.size_bytes, hold)) {
         log_debug([&item] {
           return "dynamic: dropping staged copy of " + item.name +
@@ -294,15 +364,13 @@ Scenario DynamicStager::residual_scenario() const {
     for (const TrackedRequest& tracked : item.requests) {
       if (!tracked.resolved) d.requests.push_back(tracked.request);
     }
-    residual.items.push_back(std::move(d));
   }
-  return residual;
 }
 
 void DynamicStager::replan() {
   ++replans_;
   run_garbage_collection();
-  const Scenario residual = residual_scenario();
+  const ResidualWorld& world = residual_world();
   if (options_.observer != nullptr && options_.observer->metrics != nullptr) {
     options_.observer->metrics->counter("dynamic.replans").inc();
   }
@@ -313,24 +381,31 @@ void DynamicStager::replan() {
     // requests; destinations holding copies never coexist with outstanding
     // requests by construction), so it is fed to the engine without
     // check_valid(). The engine only requires structural sanity.
-    const StagingResult result = run_spec(spec_, residual, options_);
+    if (engine_ == nullptr) {
+      engine_ = std::make_unique<StagingEngine>(world.scenario, world.topology,
+                                                world.storage, options_);
+    } else {
+      engine_->reset(world.scenario, world.topology, world.storage);
+    }
+    run_heuristic(spec_.heuristic, *engine_);
+    const Schedule& schedule = engine_->finish_run();
 
     plan_.clear();
-    for (const CommStep& step : result.schedule.steps()) {
+    for (const CommStep& step : schedule.steps()) {
       DS_ASSERT_MSG(step.start >= now_, "replanned transfer in the past");
       // The step's virtual-link id indexes the residual scenario; resolve the
       // stable physical id now (residual physical links mirror the base ones).
-      plan_.push_back(PlannedStep{step, residual.vlink(step.link).phys});
+      plan_.push_back(PlannedStep{step, world.scenario.vlink(step.link).phys});
     }
     index_arrivals();
   }
   if (options_.observer != nullptr && options_.observer->trace != nullptr) {
     std::size_t residual_requests = 0;
-    for (const DataItem& item : residual.items) residual_requests += item.requests.size();
+    for (const DataItem& item : world.scenario.items) residual_requests += item.requests.size();
     options_.observer->trace->event("replan")
         .field("replan", replans_)
         .field("t_usec", now_.usec())
-        .field("residual_items", residual.items.size())
+        .field("residual_items", world.scenario.items.size())
         .field("residual_requests", residual_requests)
         .field("planned_steps", plan_.size())
         .field("committed_steps", committed_.size());
@@ -359,14 +434,14 @@ void DynamicStager::advance_to(SimTime now) {
   DS_ASSERT(!finished_);
   DS_ASSERT_MSG(now >= now_, "time must be nondecreasing");
   commit_started(now);
-  now_ = now;
+  set_now(now);
 }
 
 void DynamicStager::on_event(const StagingEvent& event) {
   DS_ASSERT(!finished_);
   DS_ASSERT_MSG(event.at >= now_, "events must arrive in time order");
   commit_started(event.at);
-  now_ = event.at;
+  set_now(event.at);
   // Apply physical garbage collection *before* the event body: an ad-hoc
   // request must not see (or revive) a copy that expired earlier.
   run_garbage_collection();
@@ -388,6 +463,7 @@ void DynamicStager::on_event(const StagingEvent& event) {
     }
     items_.push_back(std::move(tracked));
     index_last_item();
+    stale_world(false, true);
   } else if (const auto* new_request = std::get_if<NewRequestEvent>(&event.body)) {
     TrackedItem* item = find_item(new_request->item_name);
     DS_ASSERT_MSG(item != nullptr, "ad-hoc request for unknown item");
@@ -399,13 +475,13 @@ void DynamicStager::on_event(const StagingEvent& event) {
     // request, which then closes unsatisfied and leaves the copy transient.
     PermanentMachines permanent(base_.machine_count());
     permanent.select(*item);
-    std::optional<std::vector<StorageTimeline>> charge;  // built on first use
+    std::vector<StorageTimeline> charge;  // built on first use
     for (const Copy& copy : item->copies) {
       if (copy.machine != tracked.request.destination) continue;
       tracked.resolved = true;
       if (!permanent.contains(copy.machine)) {
-        if (!charge.has_value()) charge = permanent_charge();
-        if (!(*charge)[copy.machine.index()].fits(
+        if (charge.empty()) permanent_charge(charge);
+        if (!charge[copy.machine.index()].fits(
                 item->size_bytes, Interval{copy.available_at, SimTime::infinity()})) {
           continue;
         }
@@ -413,7 +489,20 @@ void DynamicStager::on_event(const StagingEvent& event) {
       tracked.arrival = copy.available_at;
       tracked.satisfied = copy.available_at <= tracked.request.deadline;
     }
+    // The world gains the request as one more outstanding request of its
+    // item, unless the request changes more than that: closing on the spot
+    // can make a copy permanent, and a later deadline moves the item's gc
+    // time, which every intermediate copy's hold window and the storage
+    // pre-pass depend on.
+    const bool gc_kept = tracked.request.deadline <= item->latest_known_deadline();
     item->requests.push_back(tracked);
+    if (world_items_current_ && !tracked.resolved && gc_kept) {
+      world_->scenario.items[static_cast<std::size_t>(item - items_.data())]
+          .requests.push_back(tracked.request);
+      note_world_patch();
+    } else {
+      stale_world(false, true);
+    }
   } else if (const auto* outage = std::get_if<LinkOutageEvent>(&event.body)) {
     const std::size_t p = outage->link.index();
     DS_ASSERT_MSG(link_up_[p], "outage on a link that is already down");
@@ -421,6 +510,7 @@ void DynamicStager::on_event(const StagingEvent& event) {
     outage_since_[p] = now_;
     available_[p].subtract(Interval{now_, SimTime::infinity()});
     fail_in_flight(outage->link, "link_outage");
+    stale_world(true, true);
     bump("faults.outages");
     if (trace() != nullptr) {
       trace()->event("fault")
@@ -434,6 +524,7 @@ void DynamicStager::on_event(const StagingEvent& event) {
     link_up_[p] = true;
     outages_[p].insert_merge(Interval{outage_since_[p], now_});
     rebuild_availability(restore->link);
+    stale_world(true, false);
     bump("faults.restores");
     if (trace() != nullptr) {
       trace()->event("fault")
@@ -459,6 +550,7 @@ void DynamicStager::on_event(const StagingEvent& event) {
       fail_in_flight(degrade->link, "link_degrade");
       rebuild_availability(degrade->link);
     }
+    stale_world(true, true);
     bump("faults.degrades");
     if (options_.observer != nullptr && options_.observer->trace != nullptr) {
       options_.observer->trace->event("fault")
@@ -471,6 +563,7 @@ void DynamicStager::on_event(const StagingEvent& event) {
     TrackedItem* item = find_item(loss->item_name);
     DS_ASSERT_MSG(item != nullptr, "copy loss for unknown item");
     apply_copy_loss(*item, loss->machine);
+    stale_world(false, true);
     bump("faults.copy_losses");
     if (options_.observer != nullptr && options_.observer->trace != nullptr) {
       options_.observer->trace->event("fault")
@@ -483,8 +576,9 @@ void DynamicStager::on_event(const StagingEvent& event) {
     // Withdraw the most recently added outstanding request for this (item,
     // destination). Cancelling an unknown or already-resolved request is a
     // no-op — the caller raced a delivery, and the delivered outcome stands.
+    TrackedItem* item = find_item(cancel->item_name);
     TrackedRequest* target = nullptr;
-    if (TrackedItem* item = find_item(cancel->item_name)) {
+    if (item != nullptr) {
       for (TrackedRequest& tracked : item->requests) {
         if (tracked.request.destination == cancel->destination &&
             !tracked.resolved) {
@@ -497,6 +591,19 @@ void DynamicStager::on_event(const StagingEvent& event) {
       target->satisfied = false;
       target->cancelled = true;
       target->arrival = SimTime::infinity();
+      // The world loses exactly this outstanding request: the residual lists
+      // an item's outstanding requests in order, so the target is the last
+      // one for its destination. The gc time keeps counting it.
+      if (world_items_current_) {
+        std::vector<Request>& outstanding =
+            world_->scenario.items[static_cast<std::size_t>(item - items_.data())].requests;
+        const auto last = std::find_if(
+            outstanding.rbegin(), outstanding.rend(),
+            [cancel](const Request& r) { return r.destination == cancel->destination; });
+        DS_ASSERT_MSG(last != outstanding.rend(), "residual world lost a request");
+        outstanding.erase(std::next(last).base());
+        note_world_patch();
+      }
       bump("dynamic.cancels");
     } else {
       bump("dynamic.cancel_noops");
@@ -649,6 +756,12 @@ void DynamicStager::rebuild_availability(PhysLinkId link) {
   available_[link.index()] = std::move(rebuilt);
 }
 
+ItemId DynamicStager::item_id(const std::string& item_name) const {
+  const TrackedItem* item = find_item(item_name);
+  return item == nullptr ? ItemId::invalid()
+                         : ItemId(static_cast<std::int32_t>(item - items_.data()));
+}
+
 DynamicStager::TrackedItem* DynamicStager::find_item(const std::string& name) {
   return const_cast<TrackedItem*>(std::as_const(*this).find_item(name));
 }
@@ -673,12 +786,16 @@ void DynamicStager::index_last_item() {
 
 DynamicRequestStatus DynamicStager::request_status(
     const std::string& item_name, MachineId destination) const {
-  const TrackedItem* item = find_item(item_name);
-  if (item == nullptr) return DynamicRequestStatus::kUnknown;
+  return request_status(item_id(item_name), destination);
+}
+
+DynamicRequestStatus DynamicStager::request_status(ItemId id,
+                                                   MachineId destination) const {
+  if (!id.valid()) return DynamicRequestStatus::kUnknown;
   // The most recently added request for this destination wins: re-submitting
   // after a cancel or an unsatisfied close starts a fresh lifecycle.
   const TrackedRequest* latest = nullptr;
-  for (const TrackedRequest& tracked : item->requests) {
+  for (const TrackedRequest& tracked : items_[id.index()].requests) {
     if (tracked.request.destination == destination) latest = &tracked;
   }
   if (latest == nullptr) return DynamicRequestStatus::kUnknown;
@@ -690,18 +807,20 @@ DynamicRequestStatus DynamicStager::request_status(
 
 SimTime DynamicStager::planned_arrival(const std::string& item_name,
                                        MachineId destination) const {
-  const TrackedItem* item = find_item(item_name);
-  if (item == nullptr) return SimTime::infinity();
+  return planned_arrival(item_id(item_name), destination);
+}
+
+SimTime DynamicStager::planned_arrival(ItemId id, MachineId destination) const {
+  if (!id.valid()) return SimTime::infinity();
   SimTime earliest = SimTime::infinity();
   // A closed request already knows its arrival; an outstanding one is served
   // by the earliest committed or planned step landing at the destination.
-  for (const TrackedRequest& tracked : item->requests) {
+  for (const TrackedRequest& tracked : items_[id.index()].requests) {
     if (tracked.request.destination == destination) {
       earliest = min(earliest, tracked.arrival);
     }
   }
-  for (const DestinationArrival& known :
-       arrivals_[static_cast<std::size_t>(item - items_.data())]) {
+  for (const DestinationArrival& known : arrivals_[id.index()]) {
     if (known.destination == destination) earliest = min(earliest, known.arrival);
   }
   return earliest;
@@ -711,6 +830,8 @@ DynamicResult DynamicStager::finish() {
   DS_ASSERT(!finished_);
   finished_ = true;
   commit_started(SimTime::infinity());  // commit the whole remaining plan
+  engine_.reset();
+  world_.reset();
 
   DynamicResult result;
   result.replans = replans_;

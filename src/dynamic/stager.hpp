@@ -17,6 +17,23 @@
 //   * A request whose destination already holds a (late) copy is closed as
 //     unsatisfied rather than kept pending.
 //
+// Residual world: every replan schedules the residual problem (below) from
+// scratch, but the stager keeps that problem between calls, in reused
+// buffers: the residual Scenario, its Topology and its sources' storage
+// timelines (ResidualWorld). It is built at most once per state and shared by
+// the admission estimate (residual_world()), the replan and the withdrawal:
+//   * the topology is rebuilt only when link availability or the instant
+//     changed;
+//   * a new request patches the world (appends it) unless garbage collection
+//     erased a copy at this instant, the request moved its item's gc time,
+//     or it resolved on the spot;
+//   * a cancel patches the world (removes the request);
+//   * anything else rebuilds the items and timelines.
+// A patched world equals the rebuilt one field for field, so decisions do
+// not depend on which path served them. Replans run the heuristic loop on
+// one StagingEngine that is reset onto the world each time, reusing its
+// buffers.
+//
 // Validation: effective_scenario() reconstructs the availability that
 // actually existed over the whole run (original windows minus outage
 // periods, plus added items/requests), so the merged schedule can be
@@ -34,6 +51,7 @@
 #include "model/fault.hpp"
 #include "model/scenario.hpp"
 #include "net/storage_timeline.hpp"
+#include "net/topology.hpp"
 #include "util/interval.hpp"
 
 namespace datastage {
@@ -77,6 +95,16 @@ struct DynamicResult {
   std::size_t satisfied_count() const;
 };
 
+/// The residual problem at one instant with what every consumer derives
+/// from it. `storage` holds, per machine, the timeline that the hold windows
+/// of every source of `scenario` charge: what NetworkState(scenario) sweeps,
+/// so a NetworkState can adopt it instead.
+struct ResidualWorld {
+  Scenario scenario;
+  Topology topology;
+  std::vector<StorageTimeline> storage;
+};
+
 class DynamicStager {
  public:
   /// Starts at time zero with `initial` (validated) and plans immediately.
@@ -106,27 +134,44 @@ class DynamicStager {
   /// full stop (core::quick_admission_estimate builds on it).
   Scenario residual_scenario() const;
 
+  /// residual_scenario() with its topology and storage timelines, kept in
+  /// the stager and shared with the next replan (see the header note). The
+  /// reference stays valid until the next call that changes the stager.
+  const ResidualWorld& residual_world();
+
   /// True when the stager tracks an item of this name (injecting a
   /// NewRequestEvent for an unknown item is a contract violation).
   bool has_item(const std::string& item_name) const {
     return find_item(item_name) != nullptr;
   }
 
+  /// The index of the item of this name, in the stager and in every
+  /// residual scenario; invalid when there is none. Stable for the run.
+  ItemId item_id(const std::string& item_name) const;
+
   /// Status of the most recently added request for (item, destination);
   /// kUnknown when no such request was ever tracked.
   DynamicRequestStatus request_status(const std::string& item_name,
                                       MachineId destination) const;
+  DynamicRequestStatus request_status(ItemId item, MachineId destination) const;
 
   /// Earliest arrival at which the committed + currently planned schedule
   /// delivers `item_name` to `destination` (the resolved arrival for closed
   /// requests); infinity when nothing is scheduled to arrive there.
   SimTime planned_arrival(const std::string& item_name,
                           MachineId destination) const;
+  SimTime planned_arrival(ItemId item, MachineId destination) const;
 
   SimTime now() const { return now_; }
   std::size_t replans() const { return replans_; }
   std::size_t committed_step_count() const { return committed_.size(); }
   std::size_t planned_step_count() const { return plan_.size(); }
+  /// Residual world work so far (also counted as dynamic.* metrics):
+  /// topologies built, full builds of the items and timelines, and replans
+  /// served from a patched world instead.
+  std::size_t topology_builds() const { return topology_builds_; }
+  std::size_t residual_builds() const { return residual_builds_; }
+  std::size_t world_patches() const { return world_patches_; }
 
  private:
   struct TrackedRequest {
@@ -198,7 +243,10 @@ class DynamicStager {
     PhysLinkId phys;
   };
 
+  /// Moves every planned step starting before `now` to committed_.
   void commit_started(SimTime now);
+  /// Sets now_; a new instant clips the residual links differently.
+  void set_now(SimTime now);
   void note_arrival(TrackedItem& item, MachineId machine, SimTime arrival);
   /// Applies a copy-loss fault: destroys the copy present at `machine` (if
   /// any), records the loss mark, and re-opens requests the lost copy had
@@ -212,9 +260,20 @@ class DynamicStager {
   void trace_requeue(const TrackedItem& item, const Request& request,
                      const char* reason) const;
   /// Per-machine storage charged by every permanent copy, each held from its
-  /// availability forever.
-  std::vector<StorageTimeline> permanent_charge() const;
+  /// availability forever, into `charge`.
+  void permanent_charge(std::vector<StorageTimeline>& charge) const;
   void run_garbage_collection();
+  /// The residual's virtual links: remaining availability from now_ on,
+  /// split at announced degradations.
+  void build_residual_links(std::vector<VirtualLink>& links) const;
+  /// The residual's items (every tracked item, its surviving copies as
+  /// sources, its outstanding requests) and the storage their sources charge,
+  /// into reused buffers.
+  void build_residual_items(std::vector<DataItem>& items,
+                            std::vector<StorageTimeline>& storage) const;
+  /// Marks parts of the residual world out of date.
+  void stale_world(bool links, bool items);
+  void note_world_patch();
   void replan();
   /// Rebuilds arrivals_ from committed_ and plan_.
   void index_arrivals();
@@ -269,9 +328,22 @@ class DynamicStager {
   SchedulerSpec spec_;
   EngineOptions options_;
   /// Shared across replans when options ask for engine parallelism but the
-  /// caller did not inject a pool: each replan builds a fresh engine, and
-  /// re-spawning worker threads per replan would dwarf the refresh work.
+  /// caller did not inject a pool: re-spawning worker threads per replan
+  /// would dwarf the refresh work.
   std::unique_ptr<ThreadPool> engine_pool_;
+
+  // --- residual world and the engine that replans it ---
+  /// Heap-held, like the engine, whose pointers into it survive a move of
+  /// the stager.
+  std::unique_ptr<ResidualWorld> world_;
+  bool world_links_current_ = false;  ///< virt_links and topology
+  bool world_items_current_ = false;  ///< items and storage
+  /// Created by the first replan, reset onto the world by later ones.
+  std::unique_ptr<StagingEngine> engine_;
+  std::size_t topology_builds_ = 0;
+  std::size_t residual_builds_ = 0;
+  std::size_t world_patches_ = 0;
+
   std::size_t replans_ = 0;
   bool finished_ = false;
 };

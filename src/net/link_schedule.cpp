@@ -7,6 +7,12 @@ namespace datastage {
 LinkSchedule::LinkSchedule(const Scenario& scenario)
     : scenario_(&scenario), busy_(scenario.virt_links.size()) {}
 
+void LinkSchedule::reset(const Scenario& scenario) {
+  scenario_ = &scenario;
+  busy_.resize(scenario.virt_links.size());
+  for (IntervalSet& busy : busy_) busy.clear();
+}
+
 SimDuration LinkSchedule::occupancy(VirtLinkId link, std::int64_t item_bytes) const {
   const VirtualLink& vl = scenario_->vlink(link);
   return transfer_duration(item_bytes, vl.bandwidth_bps) +

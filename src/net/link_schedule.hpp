@@ -26,6 +26,10 @@ class LinkSchedule {
   /// The scenario must outlive the schedule.
   explicit LinkSchedule(const Scenario& scenario);
 
+  /// Rebinds to `scenario` with no reservations, reusing the per-link
+  /// buffers.
+  void reset(const Scenario& scenario);
+
   /// Earliest fit of a transfer of `item_bytes` on `link`, starting at or
   /// after `ready_at`. The occupancy duration is transfer time + latency and
   /// must lie entirely inside the link window and outside existing

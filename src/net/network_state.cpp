@@ -8,17 +8,42 @@ namespace datastage {
 
 NetworkState::NetworkState(const Scenario& scenario)
     : scenario_(&scenario), links_(scenario) {
-  const std::size_t n = scenario.item_count();
+  std::vector<StorageCharge> charges;
+  bind_items(&charges);
+  storage_ = StorageTimeline::per_machine(scenario.machines, charges,
+                                          "initial source copies exceed machine capacity");
+  refresh_headroom();
+}
 
+NetworkState::NetworkState(const Scenario& scenario,
+                           std::span<const StorageTimeline> storage)
+    : scenario_(&scenario), links_(scenario) {
+  reset(scenario, storage);
+}
+
+void NetworkState::reset(const Scenario& scenario,
+                         std::span<const StorageTimeline> storage) {
+  DS_ASSERT_MSG(storage.size() == scenario.machine_count(),
+                "one storage timeline per machine");
+  scenario_ = &scenario;
+  links_.reset(scenario);
+  bind_items(nullptr);
+  storage_.assign(storage.begin(), storage.end());
+  refresh_headroom();
+  transfer_count_ = 0;
+}
+
+void NetworkState::bind_items(std::vector<StorageCharge>* charges) {
+  const std::size_t n = scenario_->item_count();
   copies_.resize(n);
   holds_.resize(n);
   dests_.resize(n);
-
-  std::vector<StorageCharge> charges;
   for (std::size_t i = 0; i < n; ++i) {
-    const DataItem& item = scenario.items[i];
+    const DataItem& item = scenario_->items[i];
+    copies_[i].clear();
+    holds_[i].clear();
     std::vector<MachineId>& dests = dests_[i];
-    dests.reserve(item.requests.size());
+    dests.clear();
     for (const Request& r : item.requests) {
       dests.push_back(r.destination);
     }
@@ -31,14 +56,18 @@ NetworkState::NetworkState(const Scenario& scenario)
       // capacity check while charging nothing to storage.
       const Interval hold = src.hold_window();
       if (hold.empty()) continue;
-      charges.push_back(StorageCharge{src.machine, item.size_bytes, hold});
+      if (charges != nullptr) {
+        charges->push_back(StorageCharge{src.machine, item.size_bytes, hold});
+      }
       copies_[i].push_back(Copy{src.machine, src.available_at});
       record_hold(ItemId{static_cast<std::int32_t>(i)}, src.machine,
                   src.available_at);
     }
   }
-  storage_ = StorageTimeline::per_machine(scenario.machines, charges,
-                                          "initial source copies exceed machine capacity");
+}
+
+void NetworkState::refresh_headroom() {
+  min_headroom_ = INT64_MAX;
   for (const StorageTimeline& st : storage_) {
     min_headroom_ = std::min(min_headroom_, st.headroom());
   }

@@ -52,6 +52,17 @@ class NetworkState {
   /// too). The scenario must outlive the state.
   explicit NetworkState(const Scenario& scenario);
 
+  /// The same state, adopting `storage` instead of sweeping the charges:
+  /// per machine, the timeline that every source's hold window charges
+  /// (what the constructor above builds). The timelines are canonical, so
+  /// the result is identical (DynamicStager's residual build sweeps them
+  /// already).
+  NetworkState(const Scenario& scenario, std::span<const StorageTimeline> storage);
+
+  /// Rebinds to `scenario` as the adopting constructor does, reusing every
+  /// buffer: copies, holds, link reservations and timelines.
+  void reset(const Scenario& scenario, std::span<const StorageTimeline> storage);
+
   const Scenario& scenario() const { return *scenario_; }
   const LinkSchedule& links() const { return links_; }
   const StorageTimeline& storage(MachineId m) const { return storage_[m.index()]; }
@@ -135,6 +146,13 @@ class NetworkState {
     MachineId machine;
     SimTime begin;
   };
+
+  /// Fills copies_, holds_ and dests_ from the scenario's sources and
+  /// requests (clearing what a previous scenario left); appends each source's
+  /// storage charge to `charges` when it is non-null.
+  void bind_items(std::vector<StorageCharge>* charges);
+  /// Recomputes min_headroom_ from storage_.
+  void refresh_headroom();
 
   /// Charges `bytes` on `machine` over `iv` and keeps min_headroom_ current;
   /// the one place a transfer charges storage (the constructor sweeps the

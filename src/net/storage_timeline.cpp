@@ -15,6 +15,14 @@ StorageTimeline::StorageTimeline(std::int64_t capacity_bytes,
                                  std::span<const StorageCharge> charges,
                                  const char* overflow_message)
     : StorageTimeline(capacity_bytes) {
+  rebuild(charges, overflow_message);
+}
+
+void StorageTimeline::rebuild(std::span<const StorageCharge> charges,
+                              const char* overflow_message) {
+  points_.clear();
+  points_.push_back(Breakpoint{SimTime::zero(), 0});
+  peak_ = 0;
   // Each charge is a +bytes edge at its begin and a -bytes edge at its end,
   // staged in points_ itself (usage holds the delta) behind the time-0 point.
   // Ends at infinity() (holds kept forever) are summed aside and placed after
@@ -55,6 +63,15 @@ StorageTimeline::StorageTimeline(std::int64_t capacity_bytes,
 std::vector<StorageTimeline> StorageTimeline::per_machine(
     const std::vector<Machine>& machines, std::span<const StorageCharge> charges,
     const char* overflow_message) {
+  std::vector<StorageTimeline> timelines;
+  per_machine(machines, charges, overflow_message, timelines);
+  return timelines;
+}
+
+void StorageTimeline::per_machine(const std::vector<Machine>& machines,
+                                  std::span<const StorageCharge> charges,
+                                  const char* overflow_message,
+                                  std::vector<StorageTimeline>& timelines) {
   // Counting sort by machine, stable, so each machine's charges stay in order.
   std::vector<std::size_t> offset(machines.size() + 1, 0);
   for (const StorageCharge& c : charges) ++offset[c.machine.index() + 1];
@@ -63,15 +80,14 @@ std::vector<StorageTimeline> StorageTimeline::per_machine(
   std::vector<std::size_t> next(offset.begin(), offset.end() - 1);
   for (const StorageCharge& c : charges) grouped[next[c.machine.index()]++] = c;
 
-  std::vector<StorageTimeline> timelines;
-  timelines.reserve(machines.size());
+  timelines.resize(machines.size(), StorageTimeline(0));
   for (std::size_t m = 0; m < machines.size(); ++m) {
-    timelines.emplace_back(
-        machines[m].capacity_bytes,
+    timelines[m].capacity_ = machines[m].capacity_bytes;
+    DS_ASSERT(timelines[m].capacity_ >= 0);
+    timelines[m].rebuild(
         std::span<const StorageCharge>(grouped).subspan(offset[m], offset[m + 1] - offset[m]),
         overflow_message);
   }
-  return timelines;
 }
 
 std::size_t StorageTimeline::first_after(SimTime t) const {

@@ -62,6 +62,11 @@ class StorageTimeline {
   static std::vector<StorageTimeline> per_machine(const std::vector<Machine>& machines,
                                                   std::span<const StorageCharge> charges,
                                                   const char* overflow_message);
+  /// per_machine() into `timelines`, reusing the buffers of those it holds.
+  static void per_machine(const std::vector<Machine>& machines,
+                          std::span<const StorageCharge> charges,
+                          const char* overflow_message,
+                          std::vector<StorageTimeline>& timelines);
 
   std::int64_t capacity() const { return capacity_; }
 
@@ -90,16 +95,24 @@ class StorageTimeline {
   /// Usage at a single instant.
   std::int64_t usage_at(SimTime t) const;
 
+  /// Same capacity and the same breakpoints (hence the same usage function;
+  /// the representation is canonical).
+  friend bool operator==(const StorageTimeline&, const StorageTimeline&) = default;
+
  private:
   // Usage level starting at `time`, lasting until the next breakpoint.
   struct Breakpoint {
     SimTime time;
     std::int64_t usage;
+    friend bool operator==(const Breakpoint&, const Breakpoint&) = default;
   };
 
   // Breakpoints per block of `block_max_`.
   static constexpr std::size_t kBlock = 32;
 
+  // Replaces the usage with the sweep of `charges` (the sweeping
+  // constructor's body), reusing the buffers.
+  void rebuild(std::span<const StorageCharge> charges, const char* overflow_message);
   // Index of the first breakpoint later than `t`.
   std::size_t first_after(SimTime t) const;
   // Index of the breakpoint at `t`, inserting one at the current level.

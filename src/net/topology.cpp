@@ -6,7 +6,9 @@
 
 namespace datastage {
 
-Topology::Topology(const Scenario& scenario) {
+Topology::Topology(const Scenario& scenario) { rebuild(scenario); }
+
+void Topology::rebuild(const Scenario& scenario) {
   const std::size_t n = scenario.machine_count();
   const std::size_t links = scenario.virt_links.size();
   DS_ASSERT(links <= UINT32_MAX);
@@ -30,6 +32,8 @@ Topology::Topology(const Scenario& scenario) {
   }
   std::sort(keys.begin(), keys.end());
 
+  edges_.clear();
+  groups_.clear();
   edges_.reserve(links);
   group_start_.assign(n + 1, 0);
   for (const Key& key : keys) {

@@ -37,7 +37,14 @@ struct ReceiverGroup {
 
 class Topology {
  public:
+  /// An empty topology of no machines; rebuild() fills it.
+  Topology() = default;
   explicit Topology(const Scenario& scenario);
+
+  /// Re-derives the view from `scenario` into the existing buffers: the
+  /// result equals Topology(scenario). DynamicStager rebuilds its residual
+  /// world's topology this way once per instant.
+  void rebuild(const Scenario& scenario);
 
   std::size_t machine_count() const { return out_degree_.size(); }
 

@@ -14,9 +14,6 @@ QuickEstimate quick_admission_estimate(const Scenario& residual,
                                        const std::string& item_name,
                                        const Request& request,
                                        const PriorityWeighting& weighting) {
-  QuickEstimate estimate;
-  estimate.value = weighting.weight(request.priority);
-
   ItemId item = ItemId::invalid();
   for (std::size_t i = 0; i < residual.items.size(); ++i) {
     if (residual.items[i].name == item_name) {
@@ -24,18 +21,23 @@ QuickEstimate quick_admission_estimate(const Scenario& residual,
       break;
     }
   }
-  if (!item.valid()) return estimate;
-  bool has_copy = false;
-  for (const SourceLocation& src : residual.item(item).sources) {
-    if (!src.hold_window().empty()) has_copy = true;
-  }
-  if (!has_copy) return estimate;
+  const Topology topology(residual);
+  const NetworkState pristine(residual);
+  return quick_admission_estimate(pristine, topology, item, request, weighting);
+}
+
+QuickEstimate quick_admission_estimate(const NetworkState& pristine,
+                                       const Topology& topology, ItemId item,
+                                       const Request& request,
+                                       const PriorityWeighting& weighting) {
+  QuickEstimate estimate;
+  estimate.value = weighting.weight(request.priority);
+  // The state registers a copy for every source with a nonempty hold window.
+  if (!item.valid() || pristine.copies(item).empty()) return estimate;
 
   // One deadline-pruned Dijkstra, stopping as soon as the destination
   // settles. The pristine NetworkState charges only the residual's copies —
   // the "alone in the system" relaxation.
-  const Topology topology(residual);
-  const NetworkState pristine(residual);
   DijkstraOptions options;
   options.prune_after = request.deadline;
   const std::array<MachineId, 1> targets{request.destination};
@@ -48,6 +50,15 @@ QuickEstimate quick_admission_estimate(const Scenario& residual,
     estimate.earliest_arrival = tree.arrival(request.destination);
   }
   return estimate;
+}
+
+void append_probe_item(Scenario& residual, std::vector<StorageTimeline>& storage,
+                       DataItem probe) {
+  probe.requests.clear();
+  for (const SourceLocation& src : probe.sources) {
+    storage[src.machine.index()].allocate(probe.size_bytes, src.hold_window());
+  }
+  residual.items.push_back(std::move(probe));
 }
 
 bool new_item_sources_fit(const Scenario& residual, const DataItem& item) {

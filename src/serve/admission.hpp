@@ -17,9 +17,14 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "model/priority.hpp"
 #include "model/scenario.hpp"
+#include "net/network_state.hpp"
+#include "net/storage_timeline.hpp"
+#include "net/topology.hpp"
+#include "util/ids.hpp"
 #include "util/time.hpp"
 
 namespace datastage {
@@ -44,6 +49,23 @@ QuickEstimate quick_admission_estimate(const Scenario& residual,
                                        const std::string& item_name,
                                        const Request& request,
                                        const PriorityWeighting& weighting);
+
+/// The same check on a residual whose topology and pristine NetworkState
+/// the caller already holds (SchedulerService reuses the stager's residual
+/// world): `topology` is built from `pristine.scenario()`, `pristine` has no
+/// transfer applied, and `item` indexes that scenario (invalid: unknown
+/// item). The Scenario form builds both and calls this.
+QuickEstimate quick_admission_estimate(const NetworkState& pristine,
+                                       const Topology& topology, ItemId item,
+                                       const Request& request,
+                                       const PriorityWeighting& weighting);
+
+/// Appends a brand-new item to `residual` for the quick check, its requests
+/// dropped, and charges its sources' hold windows to `storage`, the
+/// residual's per-machine source timelines: afterwards `storage` is what
+/// NetworkState(residual) sweeps. The sources must fit (new_item_sources_fit).
+void append_probe_item(Scenario& residual, std::vector<StorageTimeline>& storage,
+                       DataItem probe);
 
 /// True when `item`'s source copies fit their machines' storage on top of
 /// everything `residual` already charges (residual sources hold through

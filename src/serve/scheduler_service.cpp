@@ -52,10 +52,10 @@ SchedulerService::SchedulerService(Scenario initial, ServiceOptions options)
   }
   // The initial scenario's batch requests are the ledger's time-zero cohort:
   // they were "admitted" by accepting the scenario.
-  for (const DataItem& item : initial.items) {
-    for (const Request& request : item.requests) {
-      ledger_.push_back({item.name, request.destination, request.deadline,
-                         request.priority});
+  for (std::size_t i = 0; i < initial.items.size(); ++i) {
+    for (const Request& request : initial.items[i].requests) {
+      ledger_.push_back({ItemId(static_cast<std::int32_t>(i)), request.destination,
+                         request.deadline, request.priority});
     }
   }
 }
@@ -101,13 +101,13 @@ double SchedulerService::committed_value() const {
   const obs::ScopedTimer timer(phases(), "serve.ledger");
   double value = 0.0;
   for (const AdmittedRequest& admitted : ledger_) {
-    switch (stager_.request_status(admitted.item_name, admitted.destination)) {
+    switch (stager_.request_status(admitted.item, admitted.destination)) {
       case DynamicRequestStatus::kSatisfied:
         value += weighting_.weight(admitted.priority);
         break;
       case DynamicRequestStatus::kPending: {
         const SimTime arrival =
-            stager_.planned_arrival(admitted.item_name, admitted.destination);
+            stager_.planned_arrival(admitted.item, admitted.destination);
         if (!arrival.is_infinite() && arrival <= admitted.deadline) {
           value += weighting_.weight(admitted.priority);
         }
@@ -120,6 +120,39 @@ double SchedulerService::committed_value() const {
   return value;
 }
 
+QuickEstimate SchedulerService::quick_estimate(const SubmitRequest& submit) {
+  const ResidualWorld& world = stager_.residual_world();
+  const obs::ScopedTimer timer(phases(), "serve.quick_check");
+  if (submit.new_item.has_value()) {
+    // A brand-new item is checked with the item appended to a copy of the
+    // world; a quick reject then simply never introduces it.
+    Scenario probed = world.scenario;
+    std::vector<StorageTimeline> storage = world.storage;
+    append_probe_item(probed, storage, *submit.new_item);
+    // The first item of the name, as the lookup by name finds it.
+    ItemId item = stager_.item_id(submit.item_name);
+    if (!item.valid() && probed.items.back().name == submit.item_name) {
+      item = ItemId(static_cast<std::int32_t>(probed.items.size() - 1));
+    }
+    const NetworkState pristine(probed, storage);
+    return quick_admission_estimate(pristine, world.topology, item, submit.request,
+                                    weighting_);
+  }
+  if (quick_state_.has_value()) {
+    quick_state_->reset(world.scenario, world.storage);
+  } else {
+    quick_state_.emplace(world.scenario, world.storage);
+  }
+  return quick_admission_estimate(*quick_state_, world.topology,
+                                  stager_.item_id(submit.item_name), submit.request,
+                                  weighting_);
+}
+
+void SchedulerService::admit(const SubmitRequest& submit) {
+  ledger_.push_back({stager_.item_id(submit.item_name), submit.request.destination,
+                     submit.request.deadline, submit.request.priority});
+}
+
 AdmissionDecision SchedulerService::submit(const SubmitRequest& submit) {
   DS_ASSERT_MSG(!finished_, "submit after finish");
   DS_ASSERT_MSG(submit.at >= now(), "submits must arrive in time order");
@@ -130,24 +163,11 @@ AdmissionDecision SchedulerService::submit(const SubmitRequest& submit) {
   ++counts_.submits;
   bump("admission.submits");
 
-  // Stage 1: quick estimate on the residual world. For a brand-new item the
-  // estimate runs with the item appended to the residual; a quick reject then
-  // simply never introduces it.
+  // Stage 1: quick estimate on the residual world.
   if (quick_admission_) {
     decision.quick_checked = true;
     bump("admission.quick_checks");
-    Scenario residual = stager_.residual_scenario();
-    QuickEstimate estimate;
-    {
-      const obs::ScopedTimer timer(phases(), "serve.quick_check");
-      if (submit.new_item.has_value()) {
-        DataItem probe = *submit.new_item;
-        probe.requests.clear();
-        residual.items.push_back(std::move(probe));
-      }
-      estimate = quick_admission_estimate(residual, submit.item_name, submit.request,
-                                          weighting_);
-    }
+    const QuickEstimate estimate = quick_estimate(submit);
     decision.quick_feasible = estimate.feasible;
     decision.quick_arrival = estimate.earliest_arrival;
     if (!estimate.feasible) {
@@ -180,8 +200,7 @@ AdmissionDecision SchedulerService::submit(const SubmitRequest& submit) {
       ++counts_.already_satisfied;
       bump("admission.admitted");
       bump("admission.already_satisfied");
-      ledger_.push_back({submit.item_name, submit.request.destination,
-                         submit.request.deadline, submit.request.priority});
+      admit(submit);
       break;
     case DynamicRequestStatus::kPending: {
       const SimTime arrival =
@@ -191,8 +210,7 @@ AdmissionDecision SchedulerService::submit(const SubmitRequest& submit) {
         decision.planned_arrival = arrival;
         ++counts_.admitted;
         bump("admission.admitted");
-        ledger_.push_back({submit.item_name, submit.request.destination,
-                           submit.request.deadline, submit.request.priority});
+        admit(submit);
         break;
       }
       // The full replan cannot meet the deadline: withdraw the request at
@@ -297,6 +315,16 @@ ServiceSnapshot SchedulerService::snapshot() const {
   snap.committed_steps = stager_.committed_step_count();
   snap.planned_steps = stager_.planned_step_count();
   snap.committed_value = committed_value();
+  snap.topology_builds = stager_.topology_builds();
+  snap.residual_builds = stager_.residual_builds();
+  snap.world_patches = stager_.world_patches();
+  if (const obs::PhaseTimer* timer = phases()) {
+    std::array<double, kServePhases.size()> seconds{};
+    for (std::size_t p = 0; p < kServePhases.size(); ++p) {
+      seconds[p] = timer->seconds(kServePhases[p]);
+    }
+    snap.phase_seconds = seconds;
+  }
   return snap;
 }
 
@@ -309,6 +337,7 @@ DynamicResult SchedulerService::finish() {
     ++next_fault_;
   }
   finished_ = true;
+  quick_state_.reset();
   return stager_.finish();
 }
 

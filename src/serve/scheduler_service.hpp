@@ -17,11 +17,19 @@
 //   1. quick estimate — one deadline-pruned Dijkstra on the residual
 //      scenario ("alone in the system", serve/admission.hpp). Infeasible
 //      here means infeasible, full stop: reject without touching the plan.
-//   2. full replan — inject the request into the stager, which rebuilds the
-//      residual scenario and schedules it from scratch, and admit iff the new
-//      plan delivers the item by its deadline. A request the plan cannot
-//      serve on time is withdrawn again (cancel event at the same instant),
-//      so a rejected submit leaves no outstanding work behind.
+//   2. full replan — inject the request into the stager, which schedules the
+//      residual problem from scratch, and admit iff the new plan delivers the
+//      item by its deadline. A request the plan cannot serve on time is
+//      withdrawn again (cancel event at the same instant), so a rejected
+//      submit leaves no outstanding work behind.
+//
+// One residual world per submit: stage 1 reads the stager's residual world
+// (DynamicStager::residual_world(): the residual Scenario, its Topology and
+// its storage timelines, built at most once per submit) through a reused
+// NetworkState that adopts those timelines. Stage 2 patches the same world
+// with the request, and the withdrawal patches the request out again; the
+// world is rebuilt only when the stager's rules say a patch would not be
+// exact (dynamic/stager.hpp).
 //
 // Determinism contract: decisions are pure functions of (initial scenario,
 // command/fault history). Wall-clock decision latency is *measured* (metrics
@@ -29,6 +37,7 @@
 // decision-log field.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,6 +47,8 @@
 #include "dynamic/events.hpp"
 #include "dynamic/stager.hpp"
 #include "model/scenario.hpp"
+#include "net/network_state.hpp"
+#include "serve/admission.hpp"
 #include "util/time.hpp"
 
 namespace datastage {
@@ -66,6 +77,12 @@ enum class AdmissionOutcome {
 };
 
 const char* admission_outcome_name(AdmissionOutcome outcome);
+
+/// The phases a submit decision is split into when a phase timer is
+/// attached (obs::PhaseTimer names). They never nest, so their sum is the
+/// attributed part of the decision time (docs/OBSERVABILITY.md).
+inline constexpr std::array<const char*, 4> kServePhases{
+    "serve.quick_check", "dynamic.residual_build", "dynamic.replan", "serve.ledger"};
 
 struct AdmissionDecision {
   AdmissionOutcome outcome = AdmissionOutcome::kFullReject;
@@ -115,6 +132,15 @@ struct ServiceSnapshot {
   std::size_t committed_steps = 0;
   std::size_t planned_steps = 0;
   double committed_value = 0.0;
+  /// Residual world work (deterministic): topologies built, full builds of
+  /// the residual items and timelines, and replans served from a patched
+  /// world instead (DynamicStager).
+  std::size_t topology_builds = 0;
+  std::size_t residual_builds = 0;
+  std::size_t world_patches = 0;
+  /// Wall seconds per kServePhases entry, in that order; present only when
+  /// a phase timer is attached. Measurement only, never deterministic.
+  std::optional<std::array<double, kServePhases.size()>> phase_seconds;
 };
 
 class SchedulerService {
@@ -157,9 +183,10 @@ class SchedulerService {
 
  private:
   /// An admission ledger entry; committed_value() re-evaluates each against
-  /// the live plan (a fault can un-commit what a submit once locked in).
+  /// the live plan (a fault can un-commit what a submit once locked in). The
+  /// item is resolved to its stager index once, at admission.
   struct AdmittedRequest {
-    std::string item_name;
+    ItemId item;
     MachineId destination;
     SimTime deadline;
     Priority priority = kPriorityLow;
@@ -173,6 +200,10 @@ class SchedulerService {
   void finish_decision(AdmissionDecision& decision, const SubmitRequest& submit,
                        std::int64_t start_nanos);
   double committed_value() const;
+  /// Stage 1 on the stager's residual world.
+  QuickEstimate quick_estimate(const SubmitRequest& submit);
+  /// Appends `submit` to the ledger.
+  void admit(const SubmitRequest& submit);
   void bump(const char* counter) const;
   obs::RunTrace* trace() const;
   obs::PhaseTimer* phases() const;
@@ -189,6 +220,8 @@ class SchedulerService {
   std::size_t next_fault_ = 0;
 
   std::vector<AdmittedRequest> ledger_;
+  /// Stage 1's pristine state, reset onto each residual world.
+  std::optional<NetworkState> quick_state_;
   ServiceSnapshot counts_;  ///< now/replans/steps filled in snapshot()
   bool finished_ = false;
 };

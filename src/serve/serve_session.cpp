@@ -298,6 +298,22 @@ std::string ServeSession::handle_stats() const {
   append_size(line, "committed_steps", snap.committed_steps);
   append_size(line, "planned_steps", snap.planned_steps);
   append_double(line, "committed_value", snap.committed_value);
+  append_size(line, "topology_builds", snap.topology_builds);
+  append_size(line, "residual_builds", snap.residual_builds);
+  append_size(line, "world_patches", snap.world_patches);
+  if (snap.phase_seconds.has_value()) {
+    // Wall time, so only with a phase timer attached (--metrics-out): the
+    // decision log stays byte-identical without one.
+    line += ",\"phase_seconds\":{";
+    for (std::size_t p = 0; p < kServePhases.size(); ++p) {
+      if (p > 0) line += ",";
+      line += "\"";
+      line += kServePhases[p];
+      line += "\":";
+      line += obs::json_number((*snap.phase_seconds)[p]);
+    }
+    line += "}";
+  }
   line += "}";
   return line;
 }

@@ -44,6 +44,9 @@ class IntervalSet {
   std::size_t size() const { return intervals_.size(); }
   const std::vector<Interval>& intervals() const { return intervals_; }
 
+  /// Removes every member, keeping the buffer.
+  void clear() { intervals_.clear(); }
+
   /// True iff `iv` overlaps any member interval.
   bool overlaps(const Interval& iv) const;
 

@@ -4,10 +4,11 @@
 Usage: artifacts_check.py SOURCE_DIR
 
 Fails when README.md, DESIGN.md, EXPERIMENTS.md or docs/*.md still hold a
-PLACEHOLDER_ token, or when a BENCH_*.json at the source root is empty, is
-not valid JSON, does not record the host it ran on (`host_cores`,
-`build_type`), or holds tier rows with differing key sets (a curve
-regenerated only in part).
+PLACEHOLDER_ token, when an experiment heading of EXPERIMENTS.md (`## E<n>`
+or `### E<n>`) repeats an earlier one (a stale copy of a section), or when
+a BENCH_*.json at the source root is empty, is not valid JSON, does not
+record the host it ran on (`host_cores`, `build_type`), or holds tier rows
+with differing key sets (a curve regenerated only in part).
 """
 import glob
 import json
@@ -25,6 +26,19 @@ def main(root):
             for number, line in enumerate(f, 1):
                 for token in re.findall(r"PLACEHOLDER_\w*", line):
                     problems.append(f"{os.path.relpath(path, root)}:{number}: {token}")
+
+    first_heading = {}
+    with open(os.path.join(root, "EXPERIMENTS.md"), encoding="utf-8") as f:
+        for number, line in enumerate(f, 1):
+            heading = re.match(r"#{2,3} (E\d+)\b", line)
+            if heading is None:
+                continue
+            experiment = heading.group(1)
+            if experiment in first_heading:
+                problems.append(f"EXPERIMENTS.md:{number}: heading {experiment} repeats "
+                                f"line {first_heading[experiment]}")
+            else:
+                first_heading[experiment] = number
 
     benches = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
     if not benches:

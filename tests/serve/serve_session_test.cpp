@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
+#include "obs/observer.hpp"
 #include "testing/builders.hpp"
 
 namespace datastage {
@@ -231,6 +233,41 @@ TEST(ServeSessionTest, MalformedLineGetsProtocolError) {
                "bad_version");
   // Protocol errors do not latch or advance anything.
   expect_ok(session.handle_line("{\"v\":1,\"cmd\":\"stats\"}"));
+}
+
+TEST(ServeSessionTest, StatsReportWorldCountsAndPhasesOnlyWithATimer) {
+  const std::string stats = "{\"v\":1,\"cmd\":\"stats\"}";
+  const std::string submit = submit_line("a", 0, "d0", "M1", at_sec(600).usec());
+
+  // No phase timer: deterministic counts only.
+  ServeSession plain = make_session();
+  expect_ok(plain.handle_line(submit));
+  const obs::JsonValue counts = parse(plain.handle_line(stats));
+  for (const char* key : {"topology_builds", "residual_builds", "world_patches"}) {
+    ASSERT_NE(counts.find(key), nullptr) << key;
+  }
+  // The constructor's plan built one world; the submit's quick check
+  // reused it and its replan patched it with the request.
+  EXPECT_EQ(counts.find("topology_builds")->number, 1.0);
+  EXPECT_EQ(counts.find("residual_builds")->number, 1.0);
+  EXPECT_EQ(counts.find("world_patches")->number, 1.0);
+  EXPECT_EQ(counts.find("phase_seconds"), nullptr);
+
+  // A phase timer attached: the serve phase split as well.
+  obs::PhaseTimer phases;
+  obs::RunObserver observer;
+  observer.phases = &phases;
+  ServiceOptions options;
+  options.engine.observer = &observer;
+  ServeSession timed(chain_scenario(), options);
+  expect_ok(timed.handle_line(submit));
+  const obs::JsonValue split = parse(timed.handle_line(stats));
+  const obs::JsonValue* seconds = split.find("phase_seconds");
+  ASSERT_NE(seconds, nullptr);
+  for (const char* phase : kServePhases) {
+    ASSERT_NE(seconds->find(phase), nullptr) << phase;
+  }
+  EXPECT_GT(seconds->find("dynamic.replan")->number, 0.0);
 }
 
 TEST(ServeSessionTest, SameScriptYieldsIdenticalResponses) {
