@@ -14,14 +14,18 @@
 // once per submit (or patched with the request), shared by the quick check,
 // the replan and the withdrawal (docs/SERVING.md).
 //
-// Reported per mode: admissions/sec, p50/p99 decision latency (from the
-// admission.decision_usec histogram), outcome counts, replans, the residual
-// world counters (topologies built, full residual builds, patched worlds),
-// and `layers`: the wall time of each serve phase (docs/OBSERVABILITY.md)
-// inside the timed submits, with its share of their wall time and the
-// unattributed rest as `other`. The admitted set must be identical across
-// modes — the quick estimate may only reject requests the full replan would
-// reject too.
+// Reported per mode: admissions/sec, also per host core (the service runs on
+// one thread; the division lets hosts of different sizes compare), p50/p99
+// decision latency (from the admission.decision_usec histogram), outcome
+// counts, replans, the residual world counters (topologies built, full
+// residual builds, patched worlds), and `layers`: the wall time of each
+// serve phase (docs/OBSERVABILITY.md) inside the timed submits, with its
+// share of their wall time and the unattributed rest as `other`. The replan
+// layer also carries the engine work of the timed submits: Dijkstra runs
+// (`tree_recomputes`), repaired and replayed trees, and replay misses by
+// reason (docs/PERFORMANCE.md item 11). The admitted set must be identical
+// across modes — the quick estimate may only reject requests the full replan
+// would reject too.
 // Written to BENCH_serve.json (the serving perf baseline; CI diffs it
 // warn-only via datastage_benchdiff).
 //
@@ -29,6 +33,7 @@
 //   --out=PATH   JSON output path (default BENCH_serve.json)
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -36,6 +41,7 @@
 #include "gen/generator.hpp"
 #include "obs/json.hpp"
 #include "serve/scheduler_service.hpp"
+#include "util/thread_pool.hpp"
 #include "util/time.hpp"
 
 namespace {
@@ -76,6 +82,10 @@ struct ModeResult {
   std::size_t topology_builds = 0;
   std::size_t residual_builds = 0;
   std::size_t world_patches = 0;
+  /// Engine work inside the timed submits.
+  std::size_t tree_recomputes = 0;
+  std::size_t tree_repairs = 0;
+  ReplayCounts replay;
   double p50_usec = 0.0;
   double p99_usec = 0.0;
   double mean_usec = 0.0;
@@ -90,7 +100,15 @@ struct ModeResult {
                ? static_cast<double>(decisions) * 1e9 / static_cast<double>(wall_ns)
                : 0.0;
   }
+  double admissions_per_sec_per_core() const {
+    return admissions_per_sec() / static_cast<double>(ThreadPool::hardware_jobs());
+  }
 };
+
+std::size_t counter_value(const obs::MetricsRegistry& registry, const char* name) {
+  const auto it = registry.counters().find(name);
+  return it == registry.counters().end() ? 0 : static_cast<std::size_t>(it->second);
+}
 
 ModeResult run_mode(const std::vector<Scenario>& cases,
                     const PriorityWeighting& weighting, bool quick) {
@@ -112,6 +130,9 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
     // The service reads the observer through its pointer: phases attached
     // now leave out the initial plan and the snapshot below.
     observer.phases = &result.phases;
+    const std::size_t recomputes_before = counter_value(registry, "engine.tree_recomputes");
+    const std::size_t repairs_before = counter_value(registry, "engine.tree_repairs");
+    const ReplayCounts replay_before = service.snapshot().replay;
     const std::int64_t t0 = steady_clock_nanos();
     for (const OnlineSubmit& submit : online) {
       SubmitRequest request;
@@ -123,8 +144,14 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
     }
     result.wall_ns += steady_clock_nanos() - t0;
     observer.phases = nullptr;
+    result.tree_recomputes += counter_value(registry, "engine.tree_recomputes") - recomputes_before;
+    result.tree_repairs += counter_value(registry, "engine.tree_repairs") - repairs_before;
 
     const ServiceSnapshot snap = service.snapshot();
+    result.replay.replays += snap.replay.replays - replay_before.replays;
+    for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
+      result.replay.misses[r] += snap.replay.misses[r] - replay_before.misses[r];
+    }
     result.decisions += snap.submits;
     result.admitted += snap.admitted;
     result.already_satisfied += snap.already_satisfied;
@@ -148,12 +175,29 @@ double share(std::int64_t nanos, std::int64_t wall_ns) {
   return wall_ns > 0 ? static_cast<double>(nanos) / static_cast<double>(wall_ns) : 0.0;
 }
 
+/// One `layers` entry; `extra` (empty, or `, "key": value...`) adds the
+/// layer's work counters.
 void write_layer_json(std::FILE* f, const char* name, std::int64_t nanos,
-                      std::int64_t wall_ns, bool last) {
+                      std::int64_t wall_ns, bool last, const std::string& extra = "") {
   std::fprintf(f,
-               "        \"%s\": {\"wall_seconds\": %s, \"wall_share\": %s}%s\n",
+               "        \"%s\": {\"wall_seconds\": %s, \"wall_share\": %s%s}%s\n",
                name, obs::json_number(static_cast<double>(nanos) / 1e9).c_str(),
-               obs::json_number(share(nanos, wall_ns)).c_str(), last ? "" : ",");
+               obs::json_number(share(nanos, wall_ns)).c_str(), extra.c_str(),
+               last ? "" : ",");
+}
+
+/// The replan layer's engine work: Dijkstra runs, repairs, replays, misses.
+std::string replan_work_json(const ModeResult& mode) {
+  std::string json = ", \"tree_recomputes\": " + std::to_string(mode.tree_recomputes) +
+                     ", \"tree_repairs\": " + std::to_string(mode.tree_repairs) +
+                     ", \"tree_replays\": " + std::to_string(mode.replay.replays) +
+                     ", \"replay_misses\": {";
+  for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
+    if (r > 0) json += ", ";
+    json += std::string("\"") + replay_miss_name(static_cast<ReplayMiss>(r)) +
+            "\": " + std::to_string(mode.replay.misses[r]);
+  }
+  return json + "}";
 }
 
 void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
@@ -165,12 +209,14 @@ void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
       "      \"full_rejects\": %zu,\n      \"replans\": %zu,\n"
       "      \"topology_builds\": %zu,\n      \"residual_builds\": %zu,\n"
       "      \"world_patches\": %zu,\n"
-      "      \"admissions_per_sec\": %s,\n      \"decision_usec_p50\": %s,\n"
+      "      \"admissions_per_sec\": %s,\n      \"admissions_per_sec_per_core\": %s,\n"
+      "      \"decision_usec_p50\": %s,\n"
       "      \"decision_usec_p99\": %s,\n      \"decision_usec_mean\": %s,\n"
       "      \"layers\": {\n",
       key, mode.wall_ns, mode.decisions, mode.admitted, mode.already_satisfied,
       mode.quick_rejects, mode.full_rejects, mode.replans, mode.topology_builds,
       mode.residual_builds, mode.world_patches, obs::json_number(mode.admissions_per_sec()).c_str(),
+      obs::json_number(mode.admissions_per_sec_per_core()).c_str(),
       obs::json_number(mode.p50_usec).c_str(),
       obs::json_number(mode.p99_usec).c_str(),
       obs::json_number(mode.mean_usec).c_str());
@@ -178,7 +224,8 @@ void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
   for (const char* phase : kServePhases) {
     const std::int64_t nanos = mode.phases.nanos(phase);
     attributed += nanos;
-    write_layer_json(f, phase, nanos, mode.wall_ns, false);
+    write_layer_json(f, phase, nanos, mode.wall_ns, false,
+                     std::string(phase) == "dynamic.replan" ? replan_work_json(mode) : "");
   }
   write_layer_json(f, "other", mode.wall_ns - attributed, mode.wall_ns, true);
   std::fprintf(f, "      }\n    }");
@@ -211,7 +258,8 @@ int main(int argc, char** argv) {
   const bool identical = quick.verdicts == full.verdicts;
 
   Table table({"mode", "decisions", "admitted", "rejected", "adm/s",
-               "p50 us", "p99 us", "replans", "topologies", "rebuilds", "patches"});
+               "p50 us", "p99 us", "replans", "topologies", "rebuilds", "patches",
+               "dijkstra", "replayed"});
   const auto add_row = [&table](const char* name, const ModeResult& mode) {
     table.add_row({name, std::to_string(mode.decisions),
                    std::to_string(mode.admitted),
@@ -221,7 +269,9 @@ int main(int argc, char** argv) {
                    format_double(mode.p99_usec, 1),
                    std::to_string(mode.replans), std::to_string(mode.topology_builds),
                    std::to_string(mode.residual_builds),
-                   std::to_string(mode.world_patches)});
+                   std::to_string(mode.world_patches),
+                   std::to_string(mode.tree_recomputes),
+                   std::to_string(mode.replay.replays)});
   };
   add_row("quick", quick);
   add_row("full", full);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 
 #include "obs/observer.hpp"
 #include "util/assert.hpp"
@@ -30,6 +31,33 @@ void set_default_engine_jobs(std::size_t jobs) { g_default_engine_jobs = jobs; }
 
 std::size_t default_engine_jobs() { return g_default_engine_jobs; }
 
+const char* replay_miss_name(ReplayMiss reason) {
+  switch (reason) {
+    case ReplayMiss::kLinksGrew:
+      return "links_grew";
+    case ReplayMiss::kDiverged:
+      return "diverged";
+    case ReplayMiss::kItemChanged:
+      return "item_changed";
+    case ReplayMiss::kStorage:
+      return "storage";
+    case ReplayMiss::kVerifyFailed:
+      return "verify_failed";
+  }
+  return "unknown";
+}
+
+std::size_t ReplayCounts::total_misses() const {
+  std::size_t total = 0;
+  for (const std::size_t n : misses) total += n;
+  return total;
+}
+
+void ReplayCounts::add(const ReplayCounts& other) {
+  replays += other.replays;
+  for (std::size_t r = 0; r < kReplayMissKinds; ++r) misses[r] += other.misses[r];
+}
+
 /// Counter handles resolved once at engine construction. Grouped here (not
 /// in the header) so engine.hpp only needs forward declarations of obs.
 struct StagingEngine::Instr {
@@ -37,6 +65,10 @@ struct StagingEngine::Instr {
   obs::Counter rounds;              ///< candidate scoring rounds (refreshes)
   obs::Counter tree_recomputes;     ///< Dijkstra reruns (cache miss/dirty)
   obs::Counter tree_repairs;        ///< own-commit trees re-rooted instead
+  obs::Counter tree_replays;        ///< previous run's trees verified instead
+  obs::Counter replay_misses;       ///< logging-run Dijkstra runs, any reason
+  /// The same misses by reason, indexed by ReplayMiss.
+  std::array<obs::Counter, kReplayMissKinds> replay_miss_reasons;
   obs::Counter cache_hits;          ///< clean cached trees reused in a round
   obs::Counter candidates;          ///< candidates generated and scored
   obs::Counter best_rescans;        ///< per-plan best recomputations
@@ -52,6 +84,7 @@ struct StagingEngine::Instr {
   obs::Counter dijkstra_link_searches;   ///< relaxations past the cheap bounds
   obs::Counter dijkstra_storage_checks;  ///< link fits checked with can_hold
   obs::Counter dijkstra_capacity_rejections;
+  obs::Counter dijkstra_kept_entries;  ///< entries of the trees Dijkstra built
   obs::Counter guard_trips;
   /// Wall nanoseconds in refresh_plans (collect + compute + merge).
   /// Incremented only when a phase timer is attached — wall time is not
@@ -69,6 +102,8 @@ struct StagingEngine::Instr {
         rounds(m.counter("engine.scoring_rounds")),
         tree_recomputes(m.counter("engine.tree_recomputes")),
         tree_repairs(m.counter("engine.tree_repairs")),
+        tree_replays(m.counter("engine.tree_replays")),
+        replay_misses(m.counter("engine.replay_misses")),
         cache_hits(m.counter("engine.cache_hits")),
         candidates(m.counter("engine.candidates_scored")),
         best_rescans(m.counter("engine.best_rescans")),
@@ -84,13 +119,19 @@ struct StagingEngine::Instr {
         dijkstra_link_searches(m.counter("dijkstra.link_searches")),
         dijkstra_storage_checks(m.counter("dijkstra.storage_checks")),
         dijkstra_capacity_rejections(m.counter("dijkstra.capacity_rejections")),
+        dijkstra_kept_entries(m.counter("dijkstra.kept_entries")),
         guard_trips(m.counter("engine.guard_trips")),
         refresh_ns(m.counter("engine.refresh_ns")),
         satisfied_slack_seconds(&m.histogram("engine.satisfied_slack_seconds",
                                              {0.1, 1.0, 10.0, 60.0, 600.0, 3600.0})),
         refresh_batch_usec(&m.histogram(
             "engine.refresh_batch_usec",
-            {50.0, 200.0, 1000.0, 5000.0, 20000.0, 100000.0})) {}
+            {50.0, 200.0, 1000.0, 5000.0, 20000.0, 100000.0})) {
+    for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
+      replay_miss_reasons[r] = m.counter(std::string("engine.replay_misses_") +
+                                         replay_miss_name(static_cast<ReplayMiss>(r)));
+    }
+  }
 };
 
 /// Per-request lifecycle state behind the span-model trace events. Kept out
@@ -211,6 +252,8 @@ void StagingEngine::reset(const Scenario& scenario, const Topology& topology,
   state_.reset(scenario, storage);
   tracker_.reset(scenario);
   attach_observer();
+  // Paranoid runs stay the literal oracle: they neither log nor replay.
+  logging_ = !options_.paranoid;
   start_run();
 }
 
@@ -274,6 +317,146 @@ void StagingEngine::start_run() {
                         ? options_.max_iterations
                         : 1000 + 200 * scenario.request_count();
   lifecycle_ = trace_ != nullptr ? std::make_unique<Lifecycle>(scenario) : nullptr;
+  replay_ = ReplayCounts{};
+  if (logging_) start_log();
+}
+
+void StagingEngine::RunLog::clear() {
+  logged = false;
+  links_disjoint = false;
+  links.clear();
+  items.clear();
+  sources.clear();
+  requests.clear();
+  entries.clear();
+  trees.clear();
+  commits.clear();
+  iteration_end.clear();
+  plan_first.clear();
+  plan_trees.clear();
+}
+
+namespace {
+
+bool window_order(const VirtualLink& a, const VirtualLink& b) {
+  if (a.phys != b.phys) return a.phys < b.phys;
+  return a.window.begin < b.window.begin;
+}
+
+/// True when the windows of each physical link in `links` (sorted by
+/// window_order) are pairwise disjoint, as validate() demands: otherwise
+/// one physical link could carry two transfers at once.
+bool windows_disjoint(const std::vector<VirtualLink>& links) {
+  for (std::size_t i = 1; i < links.size(); ++i) {
+    if (links[i].phys == links[i - 1].phys &&
+        links[i].window.begin < links[i - 1].window.end) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// True when every link of `now` lies inside a window of `before` with the
+/// same physical link and rate: availability only shrank. Both are sorted
+/// by window_order with disjoint windows per physical link, so one merge
+/// pass finds each link's only candidate.
+bool links_inside(const std::vector<VirtualLink>& now,
+                  const std::vector<VirtualLink>& before) {
+  std::size_t j = 0;
+  for (const VirtualLink& link : now) {
+    while (j < before.size() &&
+           (before[j].phys < link.phys ||
+            (before[j].phys == link.phys && before[j].window.end <= link.window.begin))) {
+      ++j;
+    }
+    if (j == before.size()) return false;
+    const VirtualLink& outer = before[j];
+    if (outer.phys != link.phys || outer.bandwidth_bps != link.bandwidth_bps ||
+        !outer.window.contains(link.window)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_sources(std::span<const SourceLocation> a, std::span<const SourceLocation> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const SourceLocation& x, const SourceLocation& y) {
+                      return x.machine == y.machine && x.available_at == y.available_at &&
+                             x.hold_until == y.hold_until;
+                    });
+}
+
+bool same_requests(std::span<const Request> a, std::span<const Request> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Request& x, const Request& y) {
+                      return x.destination == y.destination && x.deadline == y.deadline &&
+                             x.priority == y.priority;
+                    });
+}
+
+}  // namespace
+
+void StagingEngine::start_log() {
+  const Scenario& scenario = *scenario_;
+  const std::size_t n = scenario.item_count();
+  std::swap(log_, prev_log_);
+  log_.clear();
+  log_.logged = true;
+  diverged_ = false;
+
+  // This run's world, for the next run to compare with.
+  log_.links.assign(scenario.virt_links.begin(), scenario.virt_links.end());
+  if (!std::is_sorted(log_.links.begin(), log_.links.end(), window_order)) {
+    std::sort(log_.links.begin(), log_.links.end(), window_order);
+  }
+  item_unchanged_.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const DataItem& item = scenario.items[i];
+    const std::size_t sources_begin = log_.sources.size();
+    const std::size_t requests_begin = log_.requests.size();
+    log_.sources.insert(log_.sources.end(), item.sources.begin(), item.sources.end());
+    log_.requests.insert(log_.requests.end(), item.requests.begin(), item.requests.end());
+    log_.items.push_back(ItemSignature{item.size_bytes,
+                                       static_cast<std::uint32_t>(log_.sources.size()),
+                                       static_cast<std::uint32_t>(log_.requests.size())});
+    if (i >= prev_log_.items.size()) continue;
+    const ItemSignature& old = prev_log_.items[i];
+    const std::size_t old_sources = i == 0 ? 0 : prev_log_.items[i - 1].sources_end;
+    const std::size_t old_requests = i == 0 ? 0 : prev_log_.items[i - 1].requests_end;
+    item_unchanged_[i] =
+        old.size_bytes == item.size_bytes &&
+        same_sources(std::span(log_.sources).subspan(sources_begin),
+                     std::span(prev_log_.sources)
+                         .subspan(old_sources, old.sources_end - old_sources)) &&
+        same_requests(std::span(log_.requests).subspan(requests_begin),
+                      std::span(prev_log_.requests)
+                          .subspan(old_requests, old.requests_end - old_requests));
+  }
+
+  log_.links_disjoint = windows_disjoint(log_.links);
+  links_shrank_ = prev_log_.logged && prev_log_.links_disjoint && log_.links_disjoint &&
+                  links_inside(log_.links, prev_log_.links);
+  if (!links_shrank_) return;
+  // Index the previous run's trees by plan (a counting sort) and point each
+  // plan's cursor at its first tree. replay_next serves as the fill cursor.
+  std::vector<std::uint32_t>& first = prev_log_.plan_first;
+  first.assign(n + 1, 0);
+  for (const LoggedTree& tree : prev_log_.trees) {
+    if (tree.plan < n) ++first[tree.plan + 1];
+  }
+  for (std::size_t p = 0; p < n; ++p) first[p + 1] += first[p];
+  prev_log_.plan_trees.resize(first[n]);
+  for (std::size_t p = 0; p < n; ++p) plans_[p].replay_next = first[p];
+  for (std::size_t t = 0; t < prev_log_.trees.size(); ++t) {
+    const std::uint32_t plan = prev_log_.trees[t].plan;
+    if (plan < n) prev_log_.plan_trees[plans_[plan].replay_next++] = static_cast<std::uint32_t>(t);
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    plans_[p].replay_next = first[p];
+    plans_[p].replay_end = first[p + 1];
+    plans_[p].replay_tree = kNoTree;
+  }
 }
 
 StagingEngine::~StagingEngine() = default;
@@ -397,9 +580,14 @@ void StagingEngine::compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws) {
   dopt.targets = ws.targets;
   job.repaired = repair_tree(item, plan, ws);
   plan.repair_roots.clear();
-  if (!job.repaired) {
+  if (!job.repaired && logging_ && prev_log_.logged) {
+    job.replayed = replay_tree(item, plan, dopt.prune_after, job);
+  }
+  if (!job.repaired && !job.replayed) {
+    // A logging run needs the capacity rejections to mark the tree
+    // replayable.
     compute_route_tree_into(state_, *topology_, item, dopt, ws.ws, plan.tree,
-                            instr_ != nullptr ? &job.stats : nullptr);
+                            instr_ != nullptr || logging_ ? &job.stats : nullptr);
   }
   job.prune_after = dopt.prune_after;
   build_candidates_local(item, plan, ws);
@@ -432,6 +620,121 @@ bool StagingEngine::repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& w
   return true;
 }
 
+bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after,
+                                RefreshJob& job) {
+  // Run-level guards first, then the item's own.
+  if (!links_shrank_) {
+    job.miss = ReplayMiss::kLinksGrew;
+    return false;
+  }
+  if (diverged_) {
+    job.miss = ReplayMiss::kDiverged;
+    return false;
+  }
+  // The previous run's tree current at this iteration: the last one it
+  // refreshed at or before it.
+  while (plan.replay_next < plan.replay_end &&
+         prev_log_.trees[prev_log_.plan_trees[plan.replay_next]].iteration <= iterations_) {
+    plan.replay_tree = prev_log_.plan_trees[plan.replay_next++];
+  }
+  if (item_unchanged_[item.index()] == 0 || plan.replay_tree == kNoTree) {
+    job.miss = ReplayMiss::kItemChanged;
+    return false;
+  }
+  const LoggedTree& logged = prev_log_.trees[plan.replay_tree];
+  if (!logged.replayable) {
+    job.miss = ReplayMiss::kStorage;
+    return false;
+  }
+  job.miss = ReplayMiss::kVerifyFailed;
+  if (logged.prune_after != prune_after) return false;
+
+  // The logged tree is the storage-free earliest-arrival forest of its
+  // world, and this run's availability is a subset of that world's: every
+  // label can only have risen, storage or not. A kept edge that still
+  // departs from its parent's old label, arrives at its old label and is
+  // admitted by storage keeps that label exact, and it keeps the parent
+  // tie-break when no other edge of its group arrives as early
+  // (docs/PERFORMANCE.md item 11).
+  const std::span<const LoggedEntry> entries(prev_log_.entries.data() + logged.first,
+                                             logged.count);
+  const std::int64_t item_bytes = scenario_->item(item).size_bytes;
+  const SimTime gc_time = scenario_->gc_time(item);
+  const SimTime prune_limit = prune_after >= SimTime::infinity()
+                                  ? SimTime::infinity()
+                                  : prune_after + SimDuration::from_usec(1);
+  plan.tree.reset(scenario_->machine_count());
+  for (const LoggedEntry& entry : entries) {
+    if (!entry.from.valid()) {
+      const std::optional<SimTime> copy = state_.copy_available_at(item, entry.to);
+      if (!copy.has_value() || *copy != entry.arrival) return false;
+      plan.tree.append(entry.to, entry.arrival, false, TreeEdge{});
+      continue;
+    }
+    // Entries are sorted by machine, and a kept entry's parent is kept.
+    const auto parent = std::lower_bound(
+        entries.begin(), entries.end(), entry.from,
+        [](const LoggedEntry& e, MachineId machine) { return e.to < machine; });
+    if (parent == entries.end() || parent->to != entry.from) return false;
+    const SimTime ready = parent->arrival;
+    if (ready > prune_after) return false;
+    const std::span<const ReceiverGroup> groups = topology_->receivers(entry.from);
+    const auto group = std::lower_bound(
+        groups.begin(), groups.end(), entry.to,
+        [](const ReceiverGroup& g, MachineId machine) { return g.to < machine; });
+    if (group == groups.end() || group->to != entry.to) return false;
+    const SimTime sender_hold_end =
+        copy_hold_end(*scenario_, item, entry.from, state_.is_destination(item, entry.from),
+                      gc_time);
+    const SimTime depart_limit = min(sender_hold_end, prune_limit);
+    // The edges a Dijkstra scan would accept, arriving at or before the
+    // logged arrival: exactly one, the logged edge on its new link id.
+    VirtLinkId found = VirtLinkId::invalid();
+    for (const OutEdge& out : topology_->edges(*group)) {
+      const SimTime earliest = max(ready, out.window.begin);
+      if (earliest >= depart_limit || earliest > entry.arrival) break;
+      const SimDuration occupancy =
+          transfer_duration(item_bytes, out.bandwidth_bps) + out.latency;
+      const SimTime earliest_arrival = earliest + occupancy;
+      if (earliest_arrival > entry.arrival || earliest_arrival > out.window.end) continue;
+      const std::optional<LinkFit> fit =
+          state_.links().earliest_fit(out.link, out.window, occupancy, ready);
+      if (!fit.has_value() || fit->start >= sender_hold_end ||
+          fit->arrival >= prune_limit || fit->arrival > entry.arrival) {
+        continue;
+      }
+      if (found.valid() || fit->start != entry.start || fit->arrival != entry.arrival ||
+          scenario_->vlink(out.link).phys != entry.phys) {
+        return false;
+      }
+      found = out.link;
+    }
+    if (!found.valid()) return false;
+    if (!state_.can_hold(item, entry.to, entry.start)) {
+      job.miss = ReplayMiss::kStorage;
+      return false;
+    }
+    plan.tree.append(entry.to, entry.arrival, true,
+                     TreeEdge{entry.from, entry.to, found, entry.start, entry.arrival});
+  }
+  return true;
+}
+
+void StagingEngine::log_tree(std::size_t plan_index, SimTime prune_after,
+                             bool replayable) {
+  const std::span<const TreeEdge> entries = plans_[plan_index].tree.entries();
+  log_.trees.push_back(LoggedTree{static_cast<std::uint32_t>(plan_index),
+                                  static_cast<std::uint32_t>(iterations_),
+                                  static_cast<std::uint32_t>(log_.entries.size()),
+                                  static_cast<std::uint32_t>(entries.size()), prune_after,
+                                  replayable});
+  for (const TreeEdge& e : entries) {
+    log_.entries.push_back(LoggedEntry{
+        e.from, e.to, e.from.valid() ? scenario_->vlink(e.link).phys : PhysLinkId::invalid(),
+        e.start, e.arrival});
+  }
+}
+
 void StagingEngine::merge_refresh_job(RefreshJob& job) {
   const std::size_t plan_index = job.plan;
   const ItemId item(static_cast<std::int32_t>(plan_index));
@@ -439,8 +742,13 @@ void StagingEngine::merge_refresh_job(RefreshJob& job) {
   if (job.repaired) {
     ++tree_repairs_;
     if (instr_ != nullptr) instr_->tree_repairs.inc();
+  } else if (job.replayed) {
+    ++replay_.replays;
+    if (instr_ != nullptr) instr_->tree_replays.inc();
   } else {
     ++dijkstra_runs_;
+    const bool missed = logging_ && prev_log_.logged;
+    if (missed) ++replay_.misses[static_cast<std::size_t>(job.miss)];
     if (instr_ != nullptr) {
       instr_->tree_recomputes.inc();
       instr_->dijkstra_pops.inc(job.stats.pops);
@@ -448,7 +756,19 @@ void StagingEngine::merge_refresh_job(RefreshJob& job) {
       instr_->dijkstra_link_searches.inc(job.stats.link_searches);
       instr_->dijkstra_storage_checks.inc(job.stats.storage_checks);
       instr_->dijkstra_capacity_rejections.inc(job.stats.capacity_rejections);
+      instr_->dijkstra_kept_entries.inc(job.stats.kept_entries);
+      if (missed) {
+        instr_->replay_misses.inc();
+        instr_->replay_miss_reasons[static_cast<std::size_t>(job.miss)].inc();
+      }
     }
+  }
+  if (logging_) {
+    // A repaired tree equals a rejection-free Dijkstra run (the item fits
+    // the least headroom), and a replayed tree the storage-free forest its
+    // log held.
+    log_tree(plan_index, job.prune_after,
+             job.repaired || job.replayed || job.stats.capacity_rejections == 0);
   }
   if (trace_ != nullptr) {
     trace_->event("recompute")
@@ -456,7 +776,8 @@ void StagingEngine::merge_refresh_job(RefreshJob& job) {
         .field("item", item.value())
         .field("pending", tracker_.pending_of(item).size())
         .field("prune_after_usec", job.prune_after.usec())
-        .field("repaired", job.repaired);
+        .field("repaired", job.repaired)
+        .field("replayed", job.replayed);
   }
   candidate_total_ -= job.old_candidates;
   index_.unsubscribe_all(plan_index);
@@ -767,6 +1088,15 @@ AppliedTransfer StagingEngine::commit_edge(ItemId item, const TreeEdge& edge) {
     }
   }
   tracker_.note_arrival(item, edge.to, applied.arrival);
+  if (logging_) {
+    // Replay holds while this run commits what the previous one did, step
+    // for step.
+    const LoggedCommit commit{item, edge.from, edge.to, scenario_->vlink(edge.link).phys,
+                              edge.start};
+    const std::size_t k = log_.commits.size();
+    log_.commits.push_back(commit);
+    if (k >= prev_log_.commits.size() || prev_log_.commits[k] != commit) diverged_ = true;
+  }
   if (instr_ != nullptr || trace_ != nullptr) {
     const std::size_t satisfied = pending_before - tracker_.pending_count();
     if (instr_ != nullptr) {
@@ -969,6 +1299,15 @@ void StagingEngine::invalidate(ItemId scheduled_item,
 }
 
 void StagingEngine::count_iteration() {
+  if (logging_) {
+    // ... and iteration for iteration.
+    const auto commits = static_cast<std::uint32_t>(log_.commits.size());
+    if (iterations_ >= prev_log_.iteration_end.size() ||
+        prev_log_.iteration_end[iterations_] != commits) {
+      diverged_ = true;
+    }
+    log_.iteration_end.push_back(commits);
+  }
   ++iterations_;
   if (instr_ != nullptr) instr_->iterations.inc();
   if (iterations_ >= max_iterations_) {

@@ -25,13 +25,21 @@
 //     destination is settled;
 //   * the committed item's own plan is repaired instead of recomputed where
 //     that is exact: its tree is re-rooted at the commit's receivers, which
-//     now hold copies at their old labels (repair_tree).
-// Because reservations and allocations only ever shrink the feasible set,
-// unaffected cached trees stay *exactly* equal to a recompute (tested against
-// `paranoid` mode, which recomputes everything every iteration; see
-// docs/PERFORMANCE.md for the equivalence argument).
+//     now hold copies at their old labels (repair_tree);
+//   * an engine started by reset() replays its previous run: while the new
+//     run commits what the old one did, a dirty plan is rebuilt by verifying
+//     the old run's tree edge by edge instead of by Dijkstra (replay_tree).
+// Because reservations and allocations only ever shrink the feasible set and
+// departures are FIFO while storage admits every hold, unaffected cached
+// trees stay equal to a recompute wherever the item never meets a storage
+// rejection (tested against `paranoid` mode, which recomputes everything
+// every iteration; see docs/PERFORMANCE.md for the equivalence argument).
+// Where storage binds, a tight hold can break FIFO, and a cached tree may
+// differ from a recompute (ROADMAP item 1); repair and replay refuse to act
+// there.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -68,6 +76,35 @@ class RunTrace;
 /// worker per hardware thread at engine construction.
 void set_default_engine_jobs(std::size_t jobs);
 std::size_t default_engine_jobs();
+
+/// Why a reset-started run rebuilt a plan by Dijkstra instead of replaying
+/// the previous run's tree (StagingEngine::replay_tree checks them in this
+/// order).
+enum class ReplayMiss : std::uint8_t {
+  kLinksGrew,     ///< a virtual link is not inside an old window of its rate
+  kDiverged,      ///< the run's commits left the previous run's
+  kItemChanged,   ///< the item differs, or the old run logged no tree for it
+  kStorage,       ///< storage rejected the old run or rejects a kept edge
+  kVerifyFailed,  ///< an edge no longer re-derives uniquely
+};
+inline constexpr std::size_t kReplayMissKinds = 5;
+
+/// The reason's name in metrics (`engine.replay_misses_<name>`) and serve
+/// `stats`: links_grew, diverged, item_changed, storage, verify_failed.
+const char* replay_miss_name(ReplayMiss reason);
+
+/// Plan rebuilds served by replay, and Dijkstra runs replay could not serve
+/// by reason. Deterministic: a function of the runs' inputs.
+struct ReplayCounts {
+  std::size_t replays = 0;
+  std::array<std::size_t, kReplayMissKinds> misses{};
+
+  std::size_t miss(ReplayMiss reason) const {
+    return misses[static_cast<std::size_t>(reason)];
+  }
+  std::size_t total_misses() const;
+  void add(const ReplayCounts& other);
+};
 
 struct EngineOptions {
   PriorityWeighting weighting = PriorityWeighting::w_1_10_100();
@@ -122,7 +159,10 @@ class StagingEngine {
   /// but on this engine's buffers: plans, route trees, candidate lists,
   /// index postings, link and storage schedules. The options stay; the
   /// observer's trace and phase timer are read again. DynamicStager replans
-  /// this way.
+  /// this way. A run started here logs its trees and commits, and replays
+  /// the previous reset-started run's trees while it retraces that run
+  /// (outside paranoid mode; see replay_tree). The schedule is the one a
+  /// fresh engine would build.
   void reset(const Scenario& scenario, const Topology& topology,
              std::span<const StorageTimeline> storage);
 
@@ -174,6 +214,12 @@ class StagingEngine {
   /// Plans rebuilt by re-rooting their cached tree after their own commit
   /// instead of a Dijkstra run (0 under paranoid).
   std::size_t tree_repairs() const { return tree_repairs_; }
+  /// Plans rebuilt by verifying the previous run's tree this run.
+  std::size_t tree_replays() const { return replay_.replays; }
+  /// This run's replays and the Dijkstra runs replay could not serve (all
+  /// zero for constructor-started runs, a reset-started run without a
+  /// previous one, and paranoid runs).
+  const ReplayCounts& replay_counts() const { return replay_; }
   std::size_t iterations() const { return iterations_; }
   /// The (fresh) route tree of an item; recomputes if dirty. The tree is
   /// exact on the item's pending destinations and their paths; labels of
@@ -183,6 +229,69 @@ class StagingEngine {
 
  private:
   static constexpr std::size_t kNoBest = static_cast<std::size_t>(-1);
+  static constexpr std::uint32_t kNoTree = UINT32_MAX;
+
+  /// One kept tree entry as logged: the virtual link by its physical link,
+  /// since virtual-link ids are renumbered from one run's world to the next.
+  /// A root entry has an invalid `from` and `phys`.
+  struct LoggedEntry {
+    MachineId from;
+    MachineId to;
+    PhysLinkId phys;
+    SimTime start;
+    SimTime arrival;
+  };
+  /// One refreshed tree: entries [first, first + count) of RunLog::entries.
+  struct LoggedTree {
+    std::uint32_t plan;
+    std::uint32_t iteration;  ///< iterations_ at the refresh
+    std::uint32_t first;
+    std::uint32_t count;
+    SimTime prune_after;
+    /// No storage check rejected a relaxation: the tree is the plain
+    /// FIFO earliest-arrival forest and may be replayed.
+    bool replayable;
+  };
+  /// One committed step, compared field by field with the next run's.
+  struct LoggedCommit {
+    ItemId item;
+    MachineId from;
+    MachineId to;
+    PhysLinkId phys;
+    SimTime start;
+    friend bool operator==(const LoggedCommit&, const LoggedCommit&) = default;
+  };
+  /// A DataItem's scheduling fields, its sources and requests in
+  /// RunLog::sources and RunLog::requests up to these ends.
+  struct ItemSignature {
+    std::int64_t size_bytes;
+    std::uint32_t sources_end;
+    std::uint32_t requests_end;
+  };
+  /// What a reset-started run leaves for the next one: the world it
+  /// scheduled (virtual links sorted by physical link and window, item
+  /// signatures), every refreshed tree and every commit. Flat buffers, cleared
+  /// and refilled run over run.
+  struct RunLog {
+    bool logged = false;  ///< a reset-started run filled this log
+    std::vector<VirtualLink> links;
+    bool links_disjoint = false;  ///< windows of one physical link disjoint
+    std::vector<ItemSignature> items;
+    std::vector<SourceLocation> sources;
+    std::vector<Request> requests;
+    std::vector<LoggedEntry> entries;
+    std::vector<LoggedTree> trees;
+    std::vector<LoggedCommit> commits;
+    /// commits.size() at the end of each iteration.
+    std::vector<std::uint32_t> iteration_end;
+    /// Reading index, built when the log becomes the previous run's: the
+    /// trees of plan p are trees[plan_trees[i]] for i in
+    /// [plan_first[p], plan_first[p + 1]), in refresh order.
+    std::vector<std::uint32_t> plan_first;
+    std::vector<std::uint32_t> plan_trees;
+
+    void clear();
+  };
 
   struct ItemPlan {
     RouteTree tree{0};
@@ -206,6 +315,13 @@ class StagingEngine {
     /// commit dispatches to the plan (see repair_tree). Only a dirty plan
     /// holds any.
     std::vector<MachineId> repair_roots;
+    /// The previous run's trees of this plan, as positions in
+    /// prev_log_.plan_trees: [replay_next, replay_end) are still ahead of
+    /// this run's iteration; replay_tree is the one current at it (kNoTree:
+    /// none yet).
+    std::uint32_t replay_next = 0;
+    std::uint32_t replay_end = 0;
+    std::uint32_t replay_tree = kNoTree;
   };
 
   /// Tournament-heap entry: a snapshot of one plan's best candidate under the
@@ -232,6 +348,10 @@ class StagingEngine {
     std::size_t plan = 0;
     std::size_t old_candidates = 0;
     bool repaired = false;  ///< tree re-rooted, no Dijkstra run (stats empty)
+    bool replayed = false;  ///< previous run's tree verified, no Dijkstra run
+    /// Why a Dijkstra run of a logging run did not replay (valid when
+    /// logging_ and neither repaired nor replayed).
+    ReplayMiss miss = ReplayMiss::kLinksGrew;
     SimTime prune_after = SimTime::infinity();
     DijkstraStats stats;
   };
@@ -291,6 +411,20 @@ class StagingEngine {
   /// the tree for compute_route_tree_into to overwrite (docs/PERFORMANCE.md
   /// item 8).
   bool repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& ws);
+  /// Rebuilds the plan's tree by verifying the previous run's tree current
+  /// at this iteration, when that is exact: the run has retraced the
+  /// previous run's commits, its links only shrank, the item is unchanged,
+  /// storage rejected nothing in the logged tree's run, and every kept edge
+  /// re-derives from its parent's label with the same start and arrival as
+  /// the unique earliest arrival of its sender->receiver group, and fits its
+  /// receiver's storage now. False sets job.miss and leaves the tree for
+  /// Dijkstra to overwrite (docs/PERFORMANCE.md item 11).
+  bool replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after, RefreshJob& job);
+  /// Starts the logs of a reset-started run: the current log becomes the
+  /// previous run's, the new world is compared with it and recorded.
+  void start_log();
+  /// Appends the merged plan's fresh tree to the log.
+  void log_tree(std::size_t plan_index, SimTime prune_after, bool replayable);
   /// Serial merge of one computed job, replaying the exact shared-state
   /// effect sequence of a serial recompute.
   void merge_refresh_job(RefreshJob& job);
@@ -366,6 +500,20 @@ class StagingEngine {
   std::size_t last_round_cache_hits_ = 0;  ///< clean plans reused last refresh
   std::size_t dijkstra_runs_ = 0;
   std::size_t tree_repairs_ = 0;
+  ReplayCounts replay_;
+
+  // --- Replay of the previous run (reset-started runs only) ---
+  /// This run logs and may replay: started by reset(), not paranoid.
+  bool logging_ = false;
+  /// Every virtual link lies inside a window of the previous run's with the
+  /// same physical link and rate.
+  bool links_shrank_ = false;
+  /// The run's commits left the previous run's.
+  bool diverged_ = false;
+  /// [item] the item equals the previous run's item of that id.
+  std::vector<std::uint8_t> item_unchanged_;
+  RunLog log_;       ///< this run's
+  RunLog prev_log_;  ///< the previous reset-started run's
   std::size_t iterations_ = 0;
   std::size_t max_iterations_ = 0;
   bool guard_tripped_ = false;

@@ -389,6 +389,7 @@ void DynamicStager::replan() {
     }
     run_heuristic(spec_.heuristic, *engine_);
     const Schedule& schedule = engine_->finish_run();
+    replay_counts_.add(engine_->replay_counts());
 
     plan_.clear();
     for (const CommStep& step : schedule.steps()) {
@@ -410,6 +411,13 @@ void DynamicStager::replan() {
         .field("planned_steps", plan_.size())
         .field("committed_steps", committed_.size());
   }
+}
+
+std::vector<CommStep> DynamicStager::planned_steps() const {
+  std::vector<CommStep> steps;
+  steps.reserve(plan_.size());
+  for (const PlannedStep& planned : plan_) steps.push_back(planned.step);
+  return steps;
 }
 
 void DynamicStager::index_arrivals() {

@@ -17,9 +17,9 @@
 //   * A request whose destination already holds a (late) copy is closed as
 //     unsatisfied rather than kept pending.
 //
-// Residual world: every replan schedules the residual problem (below) from
-// scratch, but the stager keeps that problem between calls, in reused
-// buffers: the residual Scenario, its Topology and its sources' storage
+// Residual world: every replan schedules the residual problem (below) as a
+// fresh engine would, and the stager keeps that problem between calls, in
+// reused buffers: the residual Scenario, its Topology and its sources' storage
 // timelines (ResidualWorld). It is built at most once per state and shared by
 // the admission estimate (residual_world()), the replan and the withdrawal:
 //   * the topology is rebuilt only when link availability or the instant
@@ -32,7 +32,9 @@
 // A patched world equals the rebuilt one field for field, so decisions do
 // not depend on which path served them. Replans run the heuristic loop on
 // one StagingEngine that is reset onto the world each time, reusing its
-// buffers.
+// buffers, and no replan starts from scratch: while it commits what the
+// previous replan committed, the engine verifies that replan's logged route
+// trees instead of re-running Dijkstra (StagingEngine::reset, replay_tree).
 //
 // Validation: effective_scenario() reconstructs the availability that
 // actually existed over the whole run (original windows minus outage
@@ -166,12 +168,19 @@ class DynamicStager {
   std::size_t replans() const { return replans_; }
   std::size_t committed_step_count() const { return committed_.size(); }
   std::size_t planned_step_count() const { return plan_.size(); }
+  /// The planned steps not started yet, in plan order. Their virtual-link
+  /// ids index the residual scenario of the replan that made them.
+  std::vector<CommStep> planned_steps() const;
   /// Residual world work so far (also counted as dynamic.* metrics):
   /// topologies built, full builds of the items and timelines, and replans
   /// served from a patched world instead.
   std::size_t topology_builds() const { return topology_builds_; }
   std::size_t residual_builds() const { return residual_builds_; }
   std::size_t world_patches() const { return world_patches_; }
+  /// Replans replay the previous replan's route trees while they retrace it
+  /// (StagingEngine::reset): plans rebuilt that way and Dijkstra runs replay
+  /// could not serve, summed over replans.
+  const ReplayCounts& replay_counts() const { return replay_counts_; }
 
  private:
   struct TrackedRequest {
@@ -343,6 +352,7 @@ class DynamicStager {
   std::size_t topology_builds_ = 0;
   std::size_t residual_builds_ = 0;
   std::size_t world_patches_ = 0;
+  ReplayCounts replay_counts_;
 
   std::size_t replans_ = 0;
   bool finished_ = false;

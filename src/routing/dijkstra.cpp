@@ -223,6 +223,7 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
     const std::size_t i = machine.index();
     tree.append(machine, ws.arrival[i], ws.has_parent[i] != 0, ws.edge[i]);
   }
+  if (stats != nullptr) stats->kept_entries += tree.labeled_count();
 }
 
 RouteTree compute_route_tree(const NetworkState& state, const Topology& topology,

@@ -48,6 +48,7 @@ struct DijkstraStats {
   std::size_t link_searches = 0;   ///< links past the cheap bounds: searched
   std::size_t storage_checks = 0;  ///< link fits that improve a label: can_hold
   std::size_t capacity_rejections = 0;
+  std::size_t kept_entries = 0;  ///< entries of the finished tree
 };
 
 /// Caller-owned scratch buffers reused across runs: an indexed heap plus the

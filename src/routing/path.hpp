@@ -49,6 +49,11 @@ class RouteTree {
   /// Number of machines the tree holds an entry for.
   std::size_t labeled_count() const { return entries_.size(); }
 
+  /// Every entry, ascending by machine: the parent edge with `to` = the
+  /// machine and `arrival` = its label, or a root entry with an invalid
+  /// `from`. The engine logs these to replay the tree in a later run.
+  std::span<const TreeEdge> entries() const { return entries_; }
+
   /// Earliest arrival of the item at `machine` (A_T when `machine` is a
   /// requesting destination). SimTime::infinity() if unreachable.
   SimTime arrival(MachineId machine) const {

@@ -318,6 +318,7 @@ ServiceSnapshot SchedulerService::snapshot() const {
   snap.topology_builds = stager_.topology_builds();
   snap.residual_builds = stager_.residual_builds();
   snap.world_patches = stager_.world_patches();
+  snap.replay = stager_.replay_counts();
   if (const obs::PhaseTimer* timer = phases()) {
     std::array<double, kServePhases.size()> seconds{};
     for (std::size_t p = 0; p < kServePhases.size(); ++p) {

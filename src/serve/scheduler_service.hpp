@@ -138,6 +138,9 @@ struct ServiceSnapshot {
   std::size_t topology_builds = 0;
   std::size_t residual_builds = 0;
   std::size_t world_patches = 0;
+  /// Engine rebuilds served by replaying the previous replan's trees, and
+  /// the Dijkstra runs replay could not serve by reason (deterministic).
+  ReplayCounts replay;
   /// Wall seconds per kServePhases entry, in that order; present only when
   /// a phase timer is attached. Measurement only, never deterministic.
   std::optional<std::array<double, kServePhases.size()>> phase_seconds;

@@ -301,6 +301,16 @@ std::string ServeSession::handle_stats() const {
   append_size(line, "topology_builds", snap.topology_builds);
   append_size(line, "residual_builds", snap.residual_builds);
   append_size(line, "world_patches", snap.world_patches);
+  append_size(line, "tree_replays", snap.replay.replays);
+  append_size(line, "replay_misses", snap.replay.total_misses());
+  line += ",\"replay_misses_by_reason\":{";
+  for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
+    if (r > 0) line += ",";
+    line += "\"";
+    line += replay_miss_name(static_cast<ReplayMiss>(r));
+    line += "\":" + std::to_string(snap.replay.misses[r]);
+  }
+  line += "}";
   if (snap.phase_seconds.has_value()) {
     // Wall time, so only with a phase timer attached (--metrics-out): the
     // decision log stays byte-identical without one.

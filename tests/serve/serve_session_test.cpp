@@ -235,6 +235,50 @@ TEST(ServeSessionTest, MalformedLineGetsProtocolError) {
   expect_ok(session.handle_line("{\"v\":1,\"cmd\":\"stats\"}"));
 }
 
+/// A submit of a new 4 KB item held at M0 from 100 s, wanted at M2 by 600 s.
+std::string new_item_line(const std::string& id, std::int64_t t_usec) {
+  return "{\"v\":1,\"cmd\":\"submit\",\"id\":\"" + id + "\",\"t_usec\":" +
+         std::to_string(t_usec) + ",\"item\":\"" + id +
+         "\",\"dest\":\"M2\",\"deadline_usec\":" + std::to_string(at_sec(600).usec()) +
+         ",\"priority\":2,\"new_item\":{\"size_bytes\":4096,\"sources\":[{\"machine\":"
+         "\"M0\",\"available_at_usec\":" +
+         std::to_string(at_sec(100).usec()) + "}]}}";
+}
+
+TEST(ServeSessionTest, StatsReportReplayCounts) {
+  const std::string stats = "{\"v\":1,\"cmd\":\"stats\"}";
+  const auto run = [&stats](bool paranoid) {
+    ServiceOptions options;
+    options.engine.paranoid = paranoid;
+    ServeSession session(chain_scenario(), options);
+    // Three replans on one engine: the second logs, the third replays the
+    // trees of the items the submit left unchanged.
+    for (int i = 0; i < 3; ++i) {
+      expect_ok(session.handle_line(new_item_line("x" + std::to_string(i), at_sec(i).usec())));
+    }
+    return parse(session.handle_line(stats));
+  };
+  const char* reasons[] = {"links_grew", "diverged", "item_changed", "storage",
+                           "verify_failed"};
+
+  const obs::JsonValue counts = run(false);
+  ASSERT_NE(counts.find("tree_replays"), nullptr);
+  EXPECT_GT(counts.find("tree_replays")->number, 0.0);
+  const obs::JsonValue* by_reason = counts.find("replay_misses_by_reason");
+  ASSERT_NE(by_reason, nullptr);
+  double sum = 0.0;
+  for (const char* reason : reasons) {
+    ASSERT_NE(by_reason->find(reason), nullptr) << reason;
+    sum += by_reason->find(reason)->number;
+  }
+  EXPECT_EQ(counts.find("replay_misses")->number, sum);
+
+  // Paranoid replans neither log nor replay.
+  const obs::JsonValue oracle = run(true);
+  EXPECT_EQ(oracle.find("tree_replays")->number, 0.0);
+  EXPECT_EQ(oracle.find("replay_misses")->number, 0.0);
+}
+
 TEST(ServeSessionTest, StatsReportWorldCountsAndPhasesOnlyWithATimer) {
   const std::string stats = "{\"v\":1,\"cmd\":\"stats\"}";
   const std::string submit = submit_line("a", 0, "d0", "M1", at_sec(600).usec());

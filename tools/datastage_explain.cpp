@@ -85,7 +85,10 @@ std::string describe(const obs::TraceEvent& e) {
   out += "  " + e.type;
   if (e.type == "recompute") {
     out += std::string(": route tree ") +
-           (e.flag("repaired") ? "repaired" : "recomputed") + " (" +
+           (e.flag("repaired")   ? "repaired"
+            : e.flag("replayed") ? "replayed"
+                                 : "recomputed") +
+           " (" +
            std::to_string(e.num("pending")) + " pending)";
   } else if (e.type == "commit") {
     out += ": transfer " + std::to_string(e.num("from")) + " -> " +
