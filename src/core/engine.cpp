@@ -260,9 +260,7 @@ void StagingEngine::reset(const Scenario& scenario, const Topology& topology,
 void StagingEngine::configure() {
   engine_jobs_resolved_ = options_.engine_jobs == 0 ? ThreadPool::hardware_jobs()
                                                     : options_.engine_jobs;
-  pool_ = options_.engine_pool;  // an owned pool is created lazily on demand
-  parallel_enabled_ = pool_ != nullptr || engine_jobs_resolved_ > 1;
-  refresh_ws_.resize(pool_ != nullptr ? pool_->thread_count() : 1);
+  refresh_ws_.resize(1);  // ensure_pool adds one workspace per worker
   attach_observer();
   if (options_.observer != nullptr && options_.observer->metrics != nullptr) {
     instr_ = std::make_unique<Instr>(*options_.observer->metrics);
@@ -463,15 +461,14 @@ StagingEngine::~StagingEngine() = default;
 
 ThreadPool* StagingEngine::ensure_pool() {
   if (pool_ == nullptr) {
-    owned_pool_ = std::make_unique<ThreadPool>(engine_jobs_resolved_);
-    pool_ = owned_pool_.get();
+    pool_ = std::make_unique<ThreadPool>(engine_jobs_resolved_);
     const std::size_t old_workers = refresh_ws_.size();
     refresh_ws_.resize(pool_->thread_count());
     for (std::size_t w = old_workers; w < refresh_ws_.size(); ++w) {
       refresh_ws_[w].node_mark.assign(scenario_->machine_count(), 0);
     }
   }
-  return pool_;
+  return pool_.get();
 }
 
 void StagingEngine::refresh_plans() {
@@ -491,7 +488,7 @@ void StagingEngine::refresh_plans() {
     }
   }
   collect_refresh_jobs();
-  if (parallel_enabled_ && refresh_jobs_.size() >= kParallelRefreshMinJobs) {
+  if (engine_jobs_resolved_ > 1 && refresh_jobs_.size() >= kParallelRefreshMinJobs) {
     const std::function<void(std::size_t, std::size_t)> job =
         [this](std::size_t worker, std::size_t j) {
           compute_refresh_job(refresh_jobs_[j], refresh_ws_[worker]);
@@ -659,7 +656,6 @@ bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after
   const std::span<const LoggedEntry> entries(prev_log_.entries.data() + logged.first,
                                              logged.count);
   const std::int64_t item_bytes = scenario_->item(item).size_bytes;
-  const SimTime gc_time = scenario_->gc_time(item);
   const SimTime prune_limit = prune_after >= SimTime::infinity()
                                   ? SimTime::infinity()
                                   : prune_after + SimDuration::from_usec(1);
@@ -683,9 +679,7 @@ bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after
         groups.begin(), groups.end(), entry.to,
         [](const ReceiverGroup& g, MachineId machine) { return g.to < machine; });
     if (group == groups.end() || group->to != entry.to) return false;
-    const SimTime sender_hold_end =
-        copy_hold_end(*scenario_, item, entry.from, state_.is_destination(item, entry.from),
-                      gc_time);
+    const SimTime sender_hold_end = state_.hold_end(item, entry.from);
     const SimTime depart_limit = min(sender_hold_end, prune_limit);
     // The edges a Dijkstra scan would accept, arriving at or before the
     // logged arrival: exactly one, the logged edge on its new link id.
@@ -969,17 +963,9 @@ void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
         ws.node_mark[edge.to.index()] = ws.node_mark_epoch;
         const Interval busy{edge.start, edge.arrival};
         plan.used_links.emplace_back(edge.link, busy);
-        // What can_hold checked for this node: the full hold window for a new
-        // copy, or only the extension when an (earlier-scheduled) hold exists.
-        const std::optional<SimTime> existing = state_.hold_begin(item, edge.to);
-        if (existing.has_value()) {
-          if (*existing > edge.start) {
-            plan.used_storage.emplace_back(edge.to, Interval{edge.start, *existing});
-          }
-        } else {
-          plan.used_storage.emplace_back(
-              edge.to, Interval{edge.start, state_.hold_end(item, edge.to)});
-        }
+        // What can_hold checked for this node.
+        const std::optional<Interval> charge = state_.hold_charge(item, edge.to, edge.start);
+        if (charge.has_value()) plan.used_storage.emplace_back(edge.to, *charge);
       }
     }
     lo = hi;

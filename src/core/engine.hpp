@@ -127,11 +127,6 @@ struct EngineOptions {
   /// write plan-local state and all shared-state effects are merged in
   /// ascending plan order (see docs/PARALLELISM.md).
   std::size_t engine_jobs = default_engine_jobs();
-  /// Optional externally owned worker pool. Non-null wins over engine_jobs:
-  /// long-lived callers (DynamicStager, datastage_serve) keep one pool across
-  /// replans instead of paying thread spawn per engine instance. The caller
-  /// must keep the pool alive for the engine's lifetime.
-  ThreadPool* engine_pool = nullptr;
 };
 
 /// A valid next communication step: move `item` over `hop` (the shared first
@@ -382,7 +377,7 @@ class StagingEngine {
     std::vector<std::uint8_t> keep;  ///< RouteTree::reroot_and_restrict scratch
   };
 
-  /// Resolves the worker pool and the observer's sinks (constructors only).
+  /// Resolves engine_jobs and the observer's sinks (constructors only).
   void configure();
   /// Reads the observer's trace and phase timer, which a caller may attach
   /// between runs (the metric handles are resolved once, in configure()).
@@ -428,7 +423,7 @@ class StagingEngine {
   /// Serial merge of one computed job, replaying the exact shared-state
   /// effect sequence of a serial recompute.
   void merge_refresh_job(RefreshJob& job);
-  /// Lazily creates the owned pool (first batch that wants it).
+  /// Lazily creates the pool (first batch that wants it).
   ThreadPool* ensure_pool();
   /// Serial recompute of a single plan (plan_tree's paranoid/dirty path):
   /// compute + merge inline through the same job machinery.
@@ -479,12 +474,11 @@ class StagingEngine {
   std::vector<RefreshWorkspace> refresh_ws_;
   /// The current refresh batch (reused buffer).
   std::vector<RefreshJob> refresh_jobs_;
-  /// Worker pool for the compute phase: the caller's engine_pool, or an
-  /// owned pool created lazily once a batch is worth parallelizing.
-  ThreadPool* pool_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool_;
+  /// Worker pool for the compute phase, created lazily once a batch is worth
+  /// parallelizing. It survives reset(), so a long-lived caller that resets
+  /// one engine (DynamicStager) spawns its workers once.
+  std::unique_ptr<ThreadPool> pool_;
   std::size_t engine_jobs_resolved_ = 1;  ///< engine_jobs with 0 -> hardware
-  bool parallel_enabled_ = false;  ///< pool available or engine_jobs > 1
   /// Epoch-stamped per-machine marks: the allocation-free node_seen set used
   /// by full-tree commits (candidate building uses the per-worker copies).
   std::vector<std::uint64_t> node_mark_;

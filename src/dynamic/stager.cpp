@@ -9,7 +9,6 @@
 #include "obs/observer.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace datastage {
 
@@ -107,14 +106,6 @@ DynamicStager::DynamicStager(Scenario initial, SchedulerSpec spec,
   DS_ASSERT_MSG(is_valid_pair(spec_), "scheduler pair not admitted by the paper");
   options_.criterion = spec_.criterion;
 
-  const std::size_t engine_jobs = options_.engine_jobs == 0
-                                      ? ThreadPool::hardware_jobs()
-                                      : options_.engine_jobs;
-  if (options_.engine_pool == nullptr && engine_jobs > 1) {
-    engine_pool_ = std::make_unique<ThreadPool>(engine_jobs);
-    options_.engine_pool = engine_pool_.get();
-  }
-
   available_.resize(base_.phys_links.size());
   outages_.resize(base_.phys_links.size());
   link_up_.assign(base_.phys_links.size(), true);
@@ -159,7 +150,7 @@ DynamicStager::DynamicStager(Scenario initial, SchedulerSpec spec,
   engine_.reset();
 }
 
-DynamicStager::~DynamicStager() = default;  // engine_pool_ needs the full type
+DynamicStager::~DynamicStager() = default;
 
 void DynamicStager::note_arrival(TrackedItem& item, MachineId machine,
                                  SimTime arrival) {

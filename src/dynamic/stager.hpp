@@ -58,8 +58,6 @@
 
 namespace datastage {
 
-class ThreadPool;
-
 namespace obs {
 class PhaseTimer;
 class RunTrace;
@@ -336,10 +334,6 @@ class DynamicStager {
 
   SchedulerSpec spec_;
   EngineOptions options_;
-  /// Shared across replans when options ask for engine parallelism but the
-  /// caller did not inject a pool: re-spawning worker threads per replan
-  /// would dwarf the refresh work.
-  std::unique_ptr<ThreadPool> engine_pool_;
 
   // --- residual world and the engine that replans it ---
   /// Heap-held, like the engine, whose pointers into it survive a move of

@@ -132,9 +132,10 @@ struct Scenario {
 /// initial source until its hold_until, any other machine until gc_time
 /// (latest deadline + γ). `is_destination` is supplied by the caller because
 /// each resource tracker derives it differently; `gc_time` is
-/// `scenario.gc_time(item)`, which a caller asking for many machines computes
-/// once. Shared by NetworkState, the routing scan, the replay simulator and
-/// the fault replay so the hold rules cannot diverge.
+/// `scenario.gc_time(item)`, which NetworkState computes once per item when
+/// it binds a scenario. Shared by NetworkState (and through it the routing
+/// scan and the replay) and the replay simulator so the hold rules cannot
+/// diverge.
 SimTime copy_hold_end(const Scenario& scenario, ItemId item, MachineId machine,
                       bool is_destination, SimTime gc_time);
 inline SimTime copy_hold_end(const Scenario& scenario, ItemId item, MachineId machine,

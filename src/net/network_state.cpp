@@ -5,6 +5,16 @@
 #include "util/assert.hpp"
 
 namespace datastage {
+namespace {
+
+/// The first copy at or after `machine` in a list sorted by machine.
+template <typename Copies>
+auto copy_slot(Copies& copies, MachineId machine) {
+  return std::lower_bound(copies.begin(), copies.end(), machine,
+                          [](const HeldCopy& c, MachineId m) { return c.machine < m; });
+}
+
+}  // namespace
 
 NetworkState::NetworkState(const Scenario& scenario)
     : scenario_(&scenario), links_(scenario) {
@@ -36,12 +46,12 @@ void NetworkState::reset(const Scenario& scenario,
 void NetworkState::bind_items(std::vector<StorageCharge>* charges) {
   const std::size_t n = scenario_->item_count();
   copies_.resize(n);
-  holds_.resize(n);
   dests_.resize(n);
+  gc_time_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const DataItem& item = scenario_->items[i];
-    copies_[i].clear();
-    holds_[i].clear();
+    std::vector<HeldCopy>& copies = copies_[i];
+    copies.clear();
     std::vector<MachineId>& dests = dests_[i];
     dests.clear();
     for (const Request& r : item.requests) {
@@ -49,19 +59,21 @@ void NetworkState::bind_items(std::vector<StorageCharge>* charges) {
     }
     std::sort(dests.begin(), dests.end());
     dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+    gc_time_[i] = scenario_->gc_time(ItemId{static_cast<std::int32_t>(i)});
     for (const SourceLocation& src : item.sources) {
       // A source with an empty hold window never materializes a copy (shared
       // rule with the simulator and the dynamic stager). Registering it would
-      // fake has_copy() and let can_hold()'s existing-hold shortcut skip the
-      // capacity check while charging nothing to storage.
+      // fake has_copy() and let hold_charge() charge nothing for a copy that
+      // storage never held.
       const Interval hold = src.hold_window();
       if (hold.empty()) continue;
       if (charges != nullptr) {
         charges->push_back(StorageCharge{src.machine, item.size_bytes, hold});
       }
-      copies_[i].push_back(Copy{src.machine, src.available_at});
-      record_hold(ItemId{static_cast<std::int32_t>(i)}, src.machine,
-                  src.available_at);
+      const auto slot = copy_slot(copies, src.machine);
+      DS_ASSERT_MSG(slot == copies.end() || slot->machine != src.machine,
+                    "two sources of one item on one machine");
+      copies.insert(slot, HeldCopy{{src.machine, src.available_at}, src.available_at});
     }
   }
 }
@@ -80,26 +92,11 @@ void NetworkState::allocate_storage(MachineId machine, std::int64_t bytes,
   min_headroom_ = std::min(min_headroom_, st.headroom());
 }
 
-SimTime* NetworkState::find_hold(ItemId item, MachineId machine) {
-  std::vector<HoldRecord>& holds = holds_[item.index()];
-  const auto it = std::lower_bound(
-      holds.begin(), holds.end(), machine,
-      [](const HoldRecord& h, MachineId m) { return h.machine < m; });
-  if (it == holds.end() || it->machine != machine) return nullptr;
-  return &it->begin;
-}
-
-const SimTime* NetworkState::find_hold(ItemId item, MachineId machine) const {
-  return const_cast<NetworkState*>(this)->find_hold(item, machine);
-}
-
-void NetworkState::record_hold(ItemId item, MachineId machine, SimTime begin) {
-  std::vector<HoldRecord>& holds = holds_[item.index()];
-  const auto it = std::lower_bound(
-      holds.begin(), holds.end(), machine,
-      [](const HoldRecord& h, MachineId m) { return h.machine < m; });
-  DS_ASSERT(it == holds.end() || it->machine != machine);
-  holds.insert(it, HoldRecord{machine, begin});
+const HeldCopy* NetworkState::find_copy(ItemId item, MachineId machine) const {
+  const std::vector<HeldCopy>& copies = copies_[item.index()];
+  const auto it = copy_slot(copies, machine);
+  if (it == copies.end() || it->machine != machine) return nullptr;
+  return &*it;
 }
 
 void NetworkState::attach_metrics(obs::MetricsRegistry& registry) {
@@ -113,35 +110,33 @@ void NetworkState::attach_metrics(obs::MetricsRegistry& registry) {
 
 std::optional<SimTime> NetworkState::copy_available_at(ItemId item,
                                                        MachineId machine) const {
-  for (const Copy& c : copies_[item.index()]) {
-    if (c.machine == machine) return c.available_at;
-  }
-  return std::nullopt;
-}
-
-SimTime NetworkState::hold_end(ItemId item, MachineId machine) const {
-  return copy_hold_end(*scenario_, item, machine, is_destination(item, machine));
+  const HeldCopy* copy = find_copy(item, machine);
+  if (copy == nullptr) return std::nullopt;
+  return copy->available_at;
 }
 
 std::optional<SimTime> NetworkState::hold_begin(ItemId item, MachineId machine) const {
-  const SimTime* hb = find_hold(item, machine);
-  if (hb == nullptr) return std::nullopt;
-  return *hb;
+  const HeldCopy* copy = find_copy(item, machine);
+  if (copy == nullptr) return std::nullopt;
+  return copy->hold_begin;
+}
+
+std::optional<Interval> NetworkState::hold_charge(ItemId item, MachineId machine,
+                                                  SimTime start) const {
+  const HeldCopy* copy = find_copy(item, machine);
+  if (copy == nullptr) return Interval{start, hold_end(item, machine)};
+  if (start < copy->hold_begin) return Interval{start, copy->hold_begin};
+  return std::nullopt;
 }
 
 bool NetworkState::can_hold(ItemId item, MachineId machine, SimTime start) const {
   const std::int64_t bytes = scenario_->item(item).size_bytes;
   const StorageTimeline& st = storage_[machine.index()];
-  // Fitting next to the peak means fitting any hold window: skip the hold
-  // lookups and the window query.
+  // Fitting next to the peak means fitting any hold window: skip the copy
+  // lookup and the window query.
   if (bytes <= st.headroom()) return true;
-  const std::optional<SimTime> existing = hold_begin(item, machine);
-  if (existing.has_value()) {
-    // Already held; only the extension to an earlier start needs new space.
-    if (*existing <= start) return true;
-    return st.fits(bytes, Interval{start, *existing});
-  }
-  return st.fits(bytes, Interval{start, hold_end(item, machine)});
+  const std::optional<Interval> charge = hold_charge(item, machine, start);
+  return !charge.has_value() || st.fits(bytes, *charge);
 }
 
 bool NetworkState::can_apply(ItemId item, VirtLinkId link, SimTime start) const {
@@ -186,29 +181,22 @@ AppliedTransfer NetworkState::apply_transfer(ItemId item, VirtLinkId link,
   applied.link_busy = Interval{start, arrival};
   applied.storage_machine = to;
 
-  SimTime* hb = find_hold(item, to);
-  if (hb != nullptr) {
-    // Receiver already holds a copy; this transfer arrives earlier. Charge
-    // only the extension and improve the copy's availability.
-    if (start < *hb) {
-      const Interval extension{start, *hb};
-      allocate_storage(to, bytes, extension);
-      applied.storage_interval = extension;
-      *hb = start;
+  applied.storage_interval = hold_charge(item, to, start);
+  if (applied.storage_interval.has_value()) {
+    allocate_storage(to, bytes, *applied.storage_interval);
+  }
+  std::vector<HeldCopy>& copies = copies_[item.index()];
+  const auto it = copy_slot(copies, to);
+  if (it != copies.end() && it->machine == to) {
+    // Receiver already holds a copy: this transfer may start its hold
+    // earlier and make it usable sooner.
+    if (start < it->hold_begin) {
+      it->hold_begin = start;
       if (counters_.has_value()) counters_->hold_extensions.inc();
     }
-    for (Copy& c : copies_[item.index()]) {
-      if (c.machine == to) {
-        c.available_at = min(c.available_at, arrival);
-        break;
-      }
-    }
+    it->available_at = min(it->available_at, arrival);
   } else {
-    const Interval hold{start, hold_end(item, to)};
-    allocate_storage(to, bytes, hold);
-    applied.storage_interval = hold;
-    record_hold(item, to, start);
-    copies_[item.index()].push_back(Copy{to, arrival});
+    copies.insert(it, HeldCopy{{to, arrival}, start});
     if (counters_.has_value()) counters_->storage_allocations.inc();
   }
 

@@ -5,7 +5,7 @@
 //   * per-machine storage usage over time (StorageTimeline),
 //   * the expanding set of copies of each item ("the sources of Rq[i] must
 //     now include all machines that Rq[i] has been moved to/through", §4.8),
-//   * the garbage-collection hold windows of those copies (§4.4).
+//     each with the start of its garbage-collection hold window (§4.4).
 //
 // Resources move monotonically: reservations and allocations are only ever
 // added (garbage collection is modeled as the *end* of a hold interval, known
@@ -34,6 +34,12 @@ struct Copy {
   SimTime available_at;
 };
 
+/// A copy in NetworkState: the machine also stores the item from
+/// `hold_begin` on (a staged copy's hold starts when its transfer departs).
+struct HeldCopy : Copy {
+  SimTime hold_begin;
+};
+
 /// Record of the resources one applied transfer consumed; the scheduling
 /// engine uses it to invalidate cached route trees.
 struct AppliedTransfer {
@@ -60,7 +66,7 @@ class NetworkState {
   NetworkState(const Scenario& scenario, std::span<const StorageTimeline> storage);
 
   /// Rebinds to `scenario` as the adopting constructor does, reusing every
-  /// buffer: copies, holds, link reservations and timelines.
+  /// buffer: copies, link reservations and timelines.
   void reset(const Scenario& scenario, std::span<const StorageTimeline> storage);
 
   const Scenario& scenario() const { return *scenario_; }
@@ -73,11 +79,12 @@ class NetworkState {
   /// INT64_MAX for a scenario without machines.
   std::int64_t min_storage_headroom() const { return min_headroom_; }
 
-  /// All current copies of `item` (initial sources plus staged copies).
-  std::span<const Copy> copies(ItemId item) const { return copies_[item.index()]; }
+  /// All current copies of `item` (initial sources plus staged copies),
+  /// ascending by machine.
+  std::span<const HeldCopy> copies(ItemId item) const { return copies_[item.index()]; }
 
   bool has_copy(ItemId item, MachineId machine) const {
-    return hold_begin(item, machine).has_value();
+    return find_copy(item, machine) != nullptr;
   }
 
   /// When a copy at `machine` becomes usable; nullopt if no copy there.
@@ -89,17 +96,26 @@ class NetworkState {
     return std::binary_search(dests.begin(), dests.end(), machine);
   }
 
-  /// End of the storage hold window were `item` staged on `machine`:
-  /// destinations and initial sources keep data for the rest of the
-  /// simulation; intermediates release at gc_time (latest deadline + γ).
-  SimTime hold_end(ItemId item, MachineId machine) const;
+  /// End of the storage hold window were `item` staged on `machine`
+  /// (copy_hold_end): destinations keep data for the rest of the simulation,
+  /// initial sources until their hold_until, intermediates until the item's
+  /// gc time, computed once when the scenario is bound.
+  SimTime hold_end(ItemId item, MachineId machine) const {
+    return copy_hold_end(*scenario_, item, machine, is_destination(item, machine),
+                         gc_time_[item.index()]);
+  }
 
   /// Start of the existing hold window of `item` at `machine`, if any.
   std::optional<SimTime> hold_begin(ItemId item, MachineId machine) const;
 
+  /// The storage a transfer of `item` to `machine` departing at `start`
+  /// newly charges: the whole hold window [start, hold_end) for a new copy,
+  /// the extension [start, begin) of a hold that begins later, and nothing
+  /// for one that begins at or before `start`.
+  std::optional<Interval> hold_charge(ItemId item, MachineId machine, SimTime start) const;
+
   /// Could `machine` store `item` from `start` to its hold end, given
-  /// current allocations? Accounts for an existing hold of the same item
-  /// (only the extension [start, existing begin) needs new space).
+  /// current allocations? Checks the hold_charge interval.
   bool can_hold(ItemId item, MachineId machine, SimTime start) const;
 
   /// Earliest feasible start on `link` for `item` at or after `ready_at`,
@@ -138,16 +154,7 @@ class NetworkState {
     obs::Counter hold_extensions;      ///< existing holds extended earlier
   };
 
-  /// Hold window start of one copy. Holds exist only where copies do (a few
-  /// machines per item), so per-item sorted vectors replace the former dense
-  /// [item][machine] matrix — O(items x machines) memory was tens of GB at
-  /// the huge scale tier.
-  struct HoldRecord {
-    MachineId machine;
-    SimTime begin;
-  };
-
-  /// Fills copies_, holds_ and dests_ from the scenario's sources and
+  /// Fills copies_, dests_ and gc_time_ from the scenario's sources and
   /// requests (clearing what a previous scenario left); appends each source's
   /// storage charge to `charges` when it is non-null.
   void bind_items(std::vector<StorageCharge>* charges);
@@ -159,16 +166,18 @@ class NetworkState {
   /// initial copies into the timelines in one pass).
   void allocate_storage(MachineId machine, std::int64_t bytes, const Interval& iv);
 
-  SimTime* find_hold(ItemId item, MachineId machine);
-  const SimTime* find_hold(ItemId item, MachineId machine) const;
-  void record_hold(ItemId item, MachineId machine, SimTime begin);
+  /// The copy of `item` at `machine`, or nullptr.
+  const HeldCopy* find_copy(ItemId item, MachineId machine) const;
 
   const Scenario* scenario_;
   LinkSchedule links_;
   std::vector<StorageTimeline> storage_;
-  std::vector<std::vector<Copy>> copies_;  // [item] -> copies
-  std::vector<std::vector<HoldRecord>> holds_;  // [item] -> sorted by machine
-  std::vector<std::vector<MachineId>> dests_;   // [item] -> sorted machine ids
+  /// [item] -> copies sorted by machine. Copies exist on a few machines per
+  /// item; a dense [item][machine] matrix would take tens of GB at the huge
+  /// scale tier.
+  std::vector<std::vector<HeldCopy>> copies_;
+  std::vector<std::vector<MachineId>> dests_;  // [item] -> sorted machine ids
+  std::vector<SimTime> gc_time_;               // [item] -> Scenario::gc_time
   std::size_t transfer_count_ = 0;
   std::int64_t min_headroom_ = INT64_MAX;  ///< min over storage_ of headroom()
   std::optional<NetCounters> counters_;

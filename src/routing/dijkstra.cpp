@@ -84,7 +84,6 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
   const Scenario& scenario = state.scenario();
   const std::size_t n = scenario.machine_count();
   const std::int64_t item_bytes = scenario.item(item).size_bytes;
-  const SimTime gc_time = scenario.gc_time(item);
   // First time past the prune horizon, saturated so an infinite horizon
   // cannot overflow: arrivals and departures at or after it are pruned.
   const SimTime prune_limit = options.prune_after >= SimTime::infinity()
@@ -145,8 +144,7 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
 
     // The item must still reside on u when a transfer departs; transfers
     // departing after u's hold window has been garbage-collected are invalid.
-    const SimTime sender_hold_end =
-        copy_hold_end(scenario, item, u, state.is_destination(item, u), gc_time);
+    const SimTime sender_hold_end = state.hold_end(item, u);
     const SimTime depart_limit = min(sender_hold_end, prune_limit);
 
     for (const ReceiverGroup& group : topology.receivers(u)) {

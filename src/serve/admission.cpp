@@ -61,29 +61,10 @@ void append_probe_item(Scenario& residual, std::vector<StorageTimeline>& storage
   residual.items.push_back(std::move(probe));
 }
 
-bool new_item_sources_fit(const Scenario& residual, const DataItem& item) {
-  // Rebuild the storage charge of every residual copy, then try the new
-  // item's copies on top. New source copies hold forever (they are original
-  // sources of their item), so the fit check uses an infinite hold window.
-  std::vector<StorageTimeline> charge;
-  charge.reserve(residual.machine_count());
-  for (const Machine& machine : residual.machines) {
-    charge.emplace_back(machine.capacity_bytes);
-  }
-  for (const DataItem& existing : residual.items) {
-    for (const SourceLocation& src : existing.sources) {
-      const Interval hold = src.hold_window();
-      if (hold.empty()) continue;
-      if (!charge[src.machine.index()].fits(existing.size_bytes, hold)) {
-        return false;  // the residual itself is over capacity: refuse
-      }
-      charge[src.machine.index()].allocate(existing.size_bytes, hold);
-    }
-  }
+bool new_item_sources_fit(std::span<const StorageTimeline> storage, const DataItem& item) {
   for (const SourceLocation& src : item.sources) {
     const Interval hold{src.available_at, SimTime::infinity()};
-    if (!charge[src.machine.index()].fits(item.size_bytes, hold)) return false;
-    charge[src.machine.index()].allocate(item.size_bytes, hold);
+    if (!storage[src.machine.index()].fits(item.size_bytes, hold)) return false;
   }
   return true;
 }

@@ -16,6 +16,7 @@
 // bounded replan to decide. See docs/SERVING.md for the two-stage path.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,10 +69,11 @@ void append_probe_item(Scenario& residual, std::vector<StorageTimeline>& storage
                        DataItem probe);
 
 /// True when `item`'s source copies fit their machines' storage on top of
-/// everything `residual` already charges (residual sources hold through
-/// their hold windows; the new copies hold forever, like any original
-/// source). Must pass before a new item is injected into a stager — the
-/// resource trackers assert, rather than check, that initial copies fit.
-bool new_item_sources_fit(const Scenario& residual, const DataItem& item);
+/// `storage`, the residual's per-machine source timelines (ResidualWorld::
+/// storage). The new copies hold forever, like any original source, on
+/// distinct machines (Scenario::validate). Must
+/// pass before a new item is injected into a stager — the resource trackers
+/// assert, rather than check, that initial copies fit.
+bool new_item_sources_fit(std::span<const StorageTimeline> storage, const DataItem& item);
 
 }  // namespace datastage

@@ -304,8 +304,8 @@ bool SchedulerService::has_item(const std::string& item_name) const {
   return stager_.has_item(item_name);
 }
 
-bool SchedulerService::new_item_fits(const DataItem& item) const {
-  return new_item_sources_fit(stager_.residual_scenario(), item);
+bool SchedulerService::new_item_fits(const DataItem& item) {
+  return new_item_sources_fit(stager_.residual_world().storage, item);
 }
 
 ServiceSnapshot SchedulerService::snapshot() const {

@@ -174,8 +174,8 @@ class SchedulerService {
   bool has_item(const std::string& item_name) const;
 
   /// Pre-check for SubmitRequest::new_item: the new sources must fit their
-  /// machines' storage on top of the current residual.
-  bool new_item_fits(const DataItem& item) const;
+  /// machines' storage on top of the current residual world.
+  bool new_item_fits(const DataItem& item);
 
   ServiceSnapshot snapshot() const;
 

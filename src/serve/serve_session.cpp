@@ -175,6 +175,13 @@ std::string ServeSession::handle_submit(const SubmitCommand& submit) {
         return session_error(ServeErrorCode::kUnknownMachine,
                              "unknown machine '" + source.machine + "'");
       }
+      for (const SourceLocation& earlier : item.sources) {
+        if (earlier.machine == machine->second) {
+          return session_error(ServeErrorCode::kInvalidItem,
+                               "item '" + submit.item + "' names source machine '" +
+                                   source.machine + "' twice");
+        }
+      }
       item.sources.push_back(SourceLocation{machine->second,
                                             source.available_at});
     }

@@ -10,7 +10,7 @@ namespace {
 // ceil(a * b / c) for non-negative operands without int64 overflow.
 std::int64_t ceil_mul_div(std::int64_t a, std::int64_t b, std::int64_t c) {
   DS_ASSERT(a >= 0 && b >= 0 && c > 0);
-  using Wide = unsigned __int128;
+  __extension__ using Wide = unsigned __int128;
   const Wide num = static_cast<Wide>(a) * static_cast<Wide>(b);
   const Wide q = (num + static_cast<Wide>(c) - 1) / static_cast<Wide>(c);
   return static_cast<std::int64_t>(q);
@@ -19,7 +19,7 @@ std::int64_t ceil_mul_div(std::int64_t a, std::int64_t b, std::int64_t c) {
 // floor(a * b / c) for non-negative operands without int64 overflow.
 std::int64_t floor_mul_div(std::int64_t a, std::int64_t b, std::int64_t c) {
   DS_ASSERT(a >= 0 && b >= 0 && c > 0);
-  using Wide = unsigned __int128;
+  __extension__ using Wide = unsigned __int128;
   return static_cast<std::int64_t>(static_cast<Wide>(a) * static_cast<Wide>(b) /
                                    static_cast<Wide>(c));
 }

@@ -203,6 +203,108 @@ TEST(NetworkStateTest, DijkstraRespectsExpiringSource) {
   EXPECT_FALSE(tree.reached(MachineId(1)));  // copy expired before window
 }
 
+TEST(NetworkStateTest, HoldChargeIsWhatApplyTransferCharges) {
+  // M1 relays the item to M2 (a destination). Transfers to M1 at 10, 5 and
+  // 20 minutes make a new copy, a hold that begins later, and one that
+  // begins earlier.
+  const Scenario s = ScenarioBuilder()
+                         .machine(kGB).machine(kGB).machine(kGB)
+                         .link(0, 1, 8'000'000, kAlways)
+                         .link(1, 2, 8'000'000, kAlways)
+                         .item(1'000'000)
+                         .source(0, SimTime::zero())
+                         .request(2, at_min(30))
+                         .build();
+  const ItemId item(0);
+  const MachineId relay(1);
+  NetworkState state(s);
+  const SimTime gc = s.gc_time(item);
+  EXPECT_EQ(state.hold_charge(item, MachineId(2), at_min(1)),
+            (Interval{at_min(1), SimTime::infinity()}));
+
+  const auto expect_charged = [&](SimTime start, std::optional<Interval> expected) {
+    const std::optional<Interval> charge = state.hold_charge(item, relay, start);
+    EXPECT_EQ(charge, expected);
+    EXPECT_EQ(state.apply_transfer(item, VirtLinkId(0), start).storage_interval, charge);
+  };
+  expect_charged(at_min(10), Interval{at_min(10), gc});           // new copy
+  EXPECT_EQ(state.hold_begin(item, relay), at_min(10));
+  expect_charged(at_min(5), Interval{at_min(5), at_min(10)});     // later hold
+  EXPECT_EQ(state.hold_begin(item, relay), at_min(5));
+  expect_charged(at_min(20), std::nullopt);                       // earlier hold
+  EXPECT_EQ(state.hold_begin(item, relay), at_min(5));
+  EXPECT_EQ(state.copy_available_at(item, relay), at_min(5) + SimDuration::seconds(1));
+  EXPECT_EQ(state.storage(relay).max_usage(Interval{SimTime::zero(), SimTime::infinity()}),
+            1'000'000);
+}
+
+TEST(NetworkStateTest, CanHoldChecksTheHoldCharge) {
+  // M1 (2 MB) keeps item 0 forever as a destination and relays item 1 from
+  // 20 minutes on, which leaves it no headroom until item 1's gc time.
+  const Scenario s = ScenarioBuilder()
+                         .machine(kGB).machine(2'000'000).machine(kGB)
+                         .link(0, 1, 8'000'000, kAlways)
+                         .item(1'000'000)
+                         .source(0, SimTime::zero())
+                         .request(1, at_min(30))
+                         .item(1'000'000)
+                         .source(0, SimTime::zero())
+                         .request(2, at_min(30))
+                         .item(1)
+                         .source(0, SimTime::zero())
+                         .request(2, at_min(30))
+                         .build();
+  NetworkState state(s);
+  state.apply_transfer(ItemId(0), VirtLinkId(0), SimTime::zero());
+  EXPECT_EQ(state.storage(MachineId(1)).headroom(), 1'000'000);
+  // Headroom fast path: one byte fits any hold window.
+  EXPECT_TRUE(state.can_hold(ItemId(2), MachineId(1), at_min(10)));
+
+  state.apply_transfer(ItemId(1), VirtLinkId(0), at_min(20));
+  EXPECT_EQ(state.storage(MachineId(1)).headroom(), 0);
+  // A new one-byte copy would overlap the full [20 min, gc) span.
+  EXPECT_FALSE(state.can_hold(ItemId(2), MachineId(1), at_min(10)));
+  // Item 1 departing later than its hold begins charges nothing; departing
+  // earlier charges only the extension [10, 20) min, where 1 MB is free.
+  EXPECT_EQ(state.hold_charge(ItemId(1), MachineId(1), at_min(25)), std::nullopt);
+  EXPECT_TRUE(state.can_hold(ItemId(1), MachineId(1), at_min(25)));
+  EXPECT_TRUE(state.can_hold(ItemId(1), MachineId(1), at_min(10)));
+}
+
+TEST(NetworkStateTest, CopiesStayAscendingByMachine) {
+  // Sources listed M3 then M1; copies staged at M2, M4 and M0 in that order.
+  const Scenario s = ScenarioBuilder()
+                         .machine(kGB).machine(kGB).machine(kGB).machine(kGB).machine(kGB)
+                         .link(3, 2, 8'000'000, kAlways)
+                         .link(3, 4, 8'000'000, kAlways)
+                         .link(1, 0, 8'000'000, kAlways)
+                         .item(1'000'000)
+                         .source(3, at_min(1))
+                         .source(1, SimTime::zero())
+                         .request(0, at_min(30))
+                         .build();
+  const ItemId item(0);
+  NetworkState state(s);
+  const auto machines = [&state, item] {
+    std::vector<std::int32_t> ids;
+    for (const HeldCopy& copy : state.copies(item)) ids.push_back(copy.machine.value());
+    return ids;
+  };
+  EXPECT_EQ(machines(), (std::vector<std::int32_t>{1, 3}));
+  EXPECT_EQ(state.copy_available_at(item, MachineId(3)), at_min(1));
+
+  state.apply_transfer(item, VirtLinkId(0), at_min(2));  // M3 -> M2
+  state.apply_transfer(item, VirtLinkId(1), at_min(3));  // M3 -> M4
+  state.apply_transfer(item, VirtLinkId(2), at_min(4));  // M1 -> M0
+  EXPECT_EQ(machines(), (std::vector<std::int32_t>{0, 1, 2, 3, 4}));
+  for (const HeldCopy& copy : state.copies(item)) {
+    EXPECT_EQ(state.copy_available_at(item, copy.machine), copy.available_at);
+    EXPECT_EQ(state.hold_begin(item, copy.machine), copy.hold_begin);
+  }
+  EXPECT_EQ(state.hold_begin(item, MachineId(4)), at_min(3));
+  EXPECT_EQ(state.copy_available_at(item, MachineId(4)), at_min(3) + SimDuration::seconds(1));
+}
+
 TEST(NetworkStateDeathTest, SenderWithoutCopyAborts) {
   const Scenario s = testing::chain_scenario();
   NetworkState state(s);

@@ -20,6 +20,17 @@ const PriorityWeighting& weighting() {
   return w;
 }
 
+/// The per-machine timelines charged by `scenario`'s source copies, as a
+/// residual world holds them.
+std::vector<StorageTimeline> source_storage(const Scenario& scenario) {
+  const NetworkState state(scenario);
+  std::vector<StorageTimeline> storage;
+  for (std::size_t m = 0; m < scenario.machine_count(); ++m) {
+    storage.push_back(state.storage(MachineId(static_cast<std::int32_t>(m))));
+  }
+  return storage;
+}
+
 TEST(QuickAdmissionTest, FeasibleChainRequestWithArrivalBound) {
   const Scenario scenario = chain_scenario();
   const QuickEstimate estimate = quick_admission_estimate(
@@ -78,11 +89,11 @@ TEST(NewItemFitTest, ChargesExistingCopiesOnTheSourceMachine) {
   fits.name = "n1";
   fits.size_bytes = 1'500'000;
   fits.sources.push_back(SourceLocation{MachineId(0), SimTime::zero()});
-  EXPECT_TRUE(new_item_sources_fit(scenario, fits));
+  EXPECT_TRUE(new_item_sources_fit(source_storage(scenario), fits));
 
   DataItem too_big = fits;
   too_big.size_bytes = 2'500'000;
-  EXPECT_FALSE(new_item_sources_fit(scenario, too_big));
+  EXPECT_FALSE(new_item_sources_fit(source_storage(scenario), too_big));
 }
 
 TEST(NewItemFitTest, EachSourceMachineCheckedIndependently) {
@@ -94,11 +105,11 @@ TEST(NewItemFitTest, EachSourceMachineCheckedIndependently) {
   item.size_bytes = 10'000;
   item.sources.push_back(SourceLocation{MachineId(0), SimTime::zero()});
   item.sources.push_back(SourceLocation{MachineId(1), SimTime::zero()});
-  EXPECT_FALSE(new_item_sources_fit(scenario, item))
+  EXPECT_FALSE(new_item_sources_fit(source_storage(scenario), item))
       << "one overfull source machine sinks the whole payload";
 
   item.sources.pop_back();
-  EXPECT_TRUE(new_item_sources_fit(scenario, item));
+  EXPECT_TRUE(new_item_sources_fit(source_storage(scenario), item));
 }
 
 }  // namespace

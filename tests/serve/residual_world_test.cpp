@@ -177,7 +177,7 @@ TEST(ResidualWorldTest, WorldEqualsRebuildWhetherBuiltOrPatched) {
         probe.size_bytes = 4096;
         probe.sources.push_back(SourceLocation{MachineId(0), stager.now()});
         const ResidualWorld& world = stager.residual_world();
-        if (new_item_sources_fit(world.scenario, probe)) {
+        if (new_item_sources_fit(world.storage, probe)) {
           Scenario probed = world.scenario;
           std::vector<StorageTimeline> storage = world.storage;
           append_probe_item(probed, storage, probe);
@@ -338,7 +338,9 @@ TEST(ResidualWorldTest, ServiceMatchesUnsharedReferenceOnEveryWorldPath) {
       SimTime previous = SimTime::zero();
       for (std::size_t s = 0; s < submits.size(); ++s) {
         const SubmitRequest& submit = submits[s];
-        if (submit.new_item.has_value()) ASSERT_TRUE(service.new_item_fits(*submit.new_item));
+        if (submit.new_item.has_value()) {
+          ASSERT_TRUE(service.new_item_fits(*submit.new_item));
+        }
         const std::size_t patches_before = service.snapshot().world_patches;
         const AdmissionDecision decision = service.submit(submit);
         const Verdict& expected = reference.verdicts[s];

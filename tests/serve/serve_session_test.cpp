@@ -177,6 +177,13 @@ TEST(ServeSessionTest, NewItemSubmitAndInvalidItemErrors) {
                         "\"sources\":"
                         "[{\"machine\":\"M0\",\"available_at_usec\":0}]}}")),
                "invalid_item");
+  // invalid_item: one source machine named twice.
+  expect_error(session.handle_line(
+                   line("n5", "twice",
+                        ",\"new_item\":{\"size_bytes\":1000,\"sources\":"
+                        "[{\"machine\":\"M0\",\"available_at_usec\":0},"
+                        "{\"machine\":\"M0\",\"available_at_usec\":5}]}}")),
+               "invalid_item");
 }
 
 TEST(ServeSessionTest, CancelFreesSlotAndKeepsOldIdAnswerable) {
