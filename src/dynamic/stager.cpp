@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <numeric>
-#include <span>
 #include <utility>
 
 #include "obs/observer.hpp"
@@ -106,14 +105,15 @@ DynamicStager::DynamicStager(Scenario initial, SchedulerSpec spec,
   DS_ASSERT_MSG(is_valid_pair(spec_), "scheduler pair not admitted by the paper");
   options_.criterion = spec_.criterion;
 
-  available_.resize(base_.phys_links.size());
-  outages_.resize(base_.phys_links.size());
-  link_up_.assign(base_.phys_links.size(), true);
-  outage_since_.assign(base_.phys_links.size(), SimTime::zero());
-  consumed_.resize(base_.phys_links.size());
-  for (const VirtualLink& vl : base_.virt_links) {
-    available_[vl.phys.index()].insert_disjoint(vl.window);
-  }
+  down_.resize(base_.phys_links.size());
+  base_link_order_.resize(base_.virt_links.size());
+  std::iota(base_link_order_.begin(), base_link_order_.end(), std::size_t{0});
+  std::sort(base_link_order_.begin(), base_link_order_.end(),
+            [this](std::size_t a, std::size_t b) {
+              const VirtualLink& x = base_.virt_links[a];
+              const VirtualLink& y = base_.virt_links[b];
+              return x.phys != y.phys ? x.phys < y.phys : x.window.begin < y.window.begin;
+            });
 
   items_.reserve(base_.items.size());
   for (const DataItem& item : base_.items) {
@@ -172,9 +172,6 @@ void DynamicStager::commit_started(SimTime now) {
       continue;
     }
     committed_.push_back(planned);
-    const Interval busy{step.start, step.arrival};
-    available_[planned.phys.index()].subtract(busy);
-    consumed_[planned.phys.index()].insert_merge(busy);
 
     TrackedItem& item = items_[step.item.index()];
     bool updated = false;
@@ -277,32 +274,32 @@ void DynamicStager::note_world_patch() {
 
 void DynamicStager::build_residual_links(std::vector<VirtualLink>& links) const {
   links.clear();
-  std::vector<bool> degraded(base_.phys_links.size(), false);
-  for (const LinkDegradation& d : degradations_) degraded[d.link.index()] = true;
-  for (std::size_t p = 0; p < base_.phys_links.size(); ++p) {
-    const PhysicalLink& pl = base_.phys_links[p];
-    const PhysLinkId link(static_cast<std::int32_t>(p));
-    // Windows are disjoint and sorted, so those already over come first.
-    const std::vector<Interval>& windows = available_[p].intervals();
-    const auto open = std::partition_point(windows.begin(), windows.end(),
-                                           [this](const Interval& w) { return w.end <= now_; });
-    for (const Interval& window : std::span(open, windows.end())) {
-      const Interval clipped{max(window.begin, now_), window.end};
-      if (clipped.empty()) continue;
-      if (!degraded[p]) {
-        // No brownout on this link: one fragment at the nominal rate, which
-        // is what degraded_fragments() would return.
-        links.push_back(VirtualLink{link, pl.bandwidth_bps, clipped});
-        continue;
-      }
-      // Announced brownouts split the window into fragments carrying the
-      // degraded rate, so the replan prices transfers at what the link will
-      // actually move.
-      for (const auto& [frag, bps] :
-           degraded_fragments(clipped, pl.bandwidth_bps, link, degradations_)) {
-        links.push_back(VirtualLink{link, bps, frag});
+  // Busy time of the committed transfers still in flight, by physical link.
+  // Earlier transfers are over before now_, where the residual begins.
+  std::vector<std::pair<PhysLinkId, Interval>> in_flight;
+  for (const PlannedStep& planned : committed_) {
+    if (planned.step.arrival <= now_) continue;
+    in_flight.emplace_back(planned.phys, Interval{planned.step.start, planned.step.arrival});
+  }
+  std::sort(in_flight.begin(), in_flight.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second.begin < b.second.begin;
+  });
+  auto next_busy = in_flight.begin();
+  IntervalSet removed;  // down time and in-flight busy time of `removed_link`
+  PhysLinkId removed_link = PhysLinkId::invalid();
+  for (const std::size_t v : base_link_order_) {
+    VirtualLink open = base_.virt_links[v];
+    open.window.begin = max(open.window.begin, now_);
+    if (open.window.empty()) continue;
+    if (open.phys != removed_link) {
+      removed_link = open.phys;
+      removed = down_[open.phys.index()];
+      while (next_busy != in_flight.end() && next_busy->first < open.phys) ++next_busy;
+      for (; next_busy != in_flight.end() && next_busy->first == open.phys; ++next_busy) {
+        removed.insert_merge(next_busy->second);
       }
     }
+    append_surviving_links(open, removed, degradations_, links);
   }
 }
 
@@ -503,11 +500,8 @@ void DynamicStager::on_event(const StagingEvent& event) {
       stale_world(false, true);
     }
   } else if (const auto* outage = std::get_if<LinkOutageEvent>(&event.body)) {
-    const std::size_t p = outage->link.index();
-    DS_ASSERT_MSG(link_up_[p], "outage on a link that is already down");
-    link_up_[p] = false;
-    outage_since_[p] = now_;
-    available_[p].subtract(Interval{now_, SimTime::infinity()});
+    DS_ASSERT_MSG(!link_down(outage->link), "outage on a link that is already down");
+    down_[outage->link.index()].insert_disjoint(Interval{now_, SimTime::infinity()});
     fail_in_flight(outage->link, "link_outage");
     stale_world(true, true);
     bump("faults.outages");
@@ -518,11 +512,10 @@ void DynamicStager::on_event(const StagingEvent& event) {
           .field("link", outage->link.value());
     }
   } else if (const auto* restore = std::get_if<LinkRestoreEvent>(&event.body)) {
-    const std::size_t p = restore->link.index();
-    DS_ASSERT_MSG(!link_up_[p], "restore on a link that is up");
-    link_up_[p] = true;
-    outages_[p].insert_merge(Interval{outage_since_[p], now_});
-    rebuild_availability(restore->link);
+    DS_ASSERT_MSG(link_down(restore->link), "restore on a link that is up");
+    IntervalSet& down = down_[restore->link.index()];
+    const SimTime since = down.intervals().back().begin;
+    down.subtract(Interval{now_, SimTime::infinity()});
     stale_world(true, false);
     bump("faults.restores");
     if (trace() != nullptr) {
@@ -530,25 +523,20 @@ void DynamicStager::on_event(const StagingEvent& event) {
           .field("kind", "restore")
           .field("t_usec", now_.usec())
           .field("link", restore->link.value())
-          .field("down_since_usec", outage_since_[p].usec());
+          .field("down_since_usec", since.usec());
     }
   } else if (const auto* degrade = std::get_if<LinkDegradeEvent>(&event.body)) {
-    const std::size_t p = degrade->link.index();
-    DS_ASSERT_MSG(p < base_.phys_links.size(), "degrade on unknown link");
+    DS_ASSERT_MSG(degrade->link.index() < base_.phys_links.size(), "degrade on unknown link");
     DS_ASSERT_MSG(!degrade->window.empty() && degrade->window.begin == now_,
                   "degradations are announced at their window begin");
     DS_ASSERT_MSG(degrade->factor > 0.0 && degrade->factor < 1.0,
                   "degradation factor must lie in (0, 1)");
     degradations_.push_back(
         LinkDegradation{degrade->link, degrade->window, degrade->factor});
-    // In-flight transfers on the link were planned at the nominal rate and
-    // no longer complete on time: drop and let the replan re-stage them at
-    // the degraded rate. With the link down the availability is already
-    // gone and nothing is in flight.
-    if (link_up_[p]) {
-      fail_in_flight(degrade->link, "link_degrade");
-      rebuild_availability(degrade->link);
-    }
+    // In-flight transfers on the link were planned at the undegraded rate
+    // and no longer complete on time: drop and let the replan re-stage them
+    // at the degraded rate. A link that is down has nothing in flight.
+    fail_in_flight(degrade->link, "link_degrade");
     stale_world(true, true);
     bump("faults.degrades");
     if (options_.observer != nullptr && options_.observer->trace != nullptr) {
@@ -669,7 +657,6 @@ void DynamicStager::fail_in_flight(PhysLinkId link, const char* reason) {
       kept.push_back(planned);
       continue;
     }
-    consumed_[link.index()].subtract(Interval{step.start, step.arrival});
     bump("faults.inflight_dropped");
     TrackedItem& item = items_[step.item.index()];
     for (TrackedRequest& tracked : item.requests) {
@@ -739,20 +726,9 @@ void DynamicStager::rebuild_copies(ItemId id) {
   }
 }
 
-void DynamicStager::rebuild_availability(PhysLinkId link) {
-  // available = original windows − outage periods − consumed busy time.
-  IntervalSet rebuilt;
-  for (const VirtualLink& vl : base_.virt_links) {
-    if (vl.phys != link) continue;
-    rebuilt.insert_disjoint(vl.window);
-  }
-  for (const Interval& outage : outages_[link.index()].intervals()) {
-    rebuilt.subtract(outage);
-  }
-  for (const Interval& busy : consumed_[link.index()].intervals()) {
-    rebuilt.subtract(busy);
-  }
-  available_[link.index()] = std::move(rebuilt);
+bool DynamicStager::link_down(PhysLinkId link) const {
+  const IntervalSet& down = down_[link.index()];
+  return !down.empty() && down.intervals().back().end.is_infinite();
 }
 
 ItemId DynamicStager::item_id(const std::string& item_name) const {
@@ -891,21 +867,7 @@ Scenario DynamicStager::effective_scenario() const {
   effective.gc_gamma = base_.gc_gamma;
 
   for (const VirtualLink& vl : base_.virt_links) {
-    IntervalSet windows;
-    windows.insert_disjoint(vl.window);
-    for (const Interval& outage : outages_[vl.phys.index()].intervals()) {
-      windows.subtract(outage);
-    }
-    if (!link_up_[vl.phys.index()]) {
-      windows.subtract(Interval{outage_since_[vl.phys.index()], SimTime::infinity()});
-    }
-    for (const Interval& window : windows.intervals()) {
-      for (const auto& [frag, bps] : degraded_fragments(
-               window, vl.bandwidth_bps, vl.phys, degradations_)) {
-        effective.virt_links.push_back(
-            VirtualLink{vl.phys, bps, frag});
-      }
-    }
+    append_surviving_links(vl, down_[vl.phys.index()], degradations_, effective.virt_links);
   }
 
   for (const TrackedItem& item : items_) {

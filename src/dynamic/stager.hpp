@@ -36,10 +36,13 @@
 // previous replan committed, the engine verifies that replan's logged route
 // trees instead of re-running Dijkstra (StagingEngine::reset, replay_tree).
 //
-// Validation: effective_scenario() reconstructs the availability that
-// actually existed over the whole run (original windows minus outage
-// periods, plus added items/requests), so the merged schedule can be
-// replayed through sim/simulator like any static schedule.
+// Link availability is one record, each physical link's down time. Both link
+// views are the base virtual links minus it, split at announced degradations,
+// each piece at its own virtual link's bandwidth (append_surviving_links): the
+// residual's from now on, also minus the busy time of transfers in flight,
+// and effective_scenario()'s over the whole run. The latter, with every added
+// item and request, is what actually existed, so the merged schedule replays
+// through sim/simulator like any static schedule.
 #pragma once
 
 #include <memory>
@@ -270,8 +273,8 @@ class DynamicStager {
   /// availability forever, into `charge`.
   void permanent_charge(std::vector<StorageTimeline>& charge) const;
   void run_garbage_collection();
-  /// The residual's virtual links: remaining availability from now_ on,
-  /// split at announced degradations.
+  /// The residual's virtual links (see the header note), ordered by physical
+  /// link, then window begin.
   void build_residual_links(std::vector<VirtualLink>& links) const;
   /// The residual's items (every tracked item, its surviving copies as
   /// sources, its outstanding requests) and the storage their sources charge,
@@ -286,7 +289,8 @@ class DynamicStager {
   void index_arrivals();
   /// `reason` labels the requeue trace events ("link_outage"/"link_degrade").
   void fail_in_flight(PhysLinkId link, const char* reason);
-  void rebuild_availability(PhysLinkId link);
+  /// True while `link` is down: its last down period is still open.
+  bool link_down(PhysLinkId link) const;
   /// Re-derives an item's copy set from its original sources and the
   /// surviving committed transfers (gc-filtered), then re-resolves any
   /// unresolved request whose destination turns out to hold a copy. Used
@@ -301,19 +305,16 @@ class DynamicStager {
 
   // --- immutable world structure ---
   Scenario base_;  ///< machines, phys links, ORIGINAL windows, gamma, horizon
+  /// Indices into base_.virt_links by (physical link, window begin): the
+  /// order of the residual's virtual links.
+  std::vector<std::size_t> base_link_order_;
 
   // --- evolving world state ---
   SimTime now_ = SimTime::zero();
-  /// Remaining availability per physical link (original windows minus
-  /// committed busy time minus outage periods).
-  std::vector<IntervalSet> available_;  // per plink: available windows
-  std::vector<bool> link_up_;
-  /// Completed outage periods per plink, for effective_scenario and
-  /// availability reconstruction.
-  std::vector<IntervalSet> outages_;
-  std::vector<SimTime> outage_since_;  // valid while !link_up_
-  /// Busy time consumed by committed transfers, per plink.
-  std::vector<IntervalSet> consumed_;
+  /// Down time per physical link: [outage, restore) per outage, [outage, ∞)
+  /// while down. Adjacent periods stay apart: the last begins at the latest
+  /// outage.
+  std::vector<IntervalSet> down_;
   /// Bandwidth degradation windows announced so far (all links, appended in
   /// event order). residual_scenario and effective_scenario split link
   /// windows into fragments carrying the degraded rate.

@@ -118,6 +118,35 @@ std::vector<std::pair<Interval, std::int64_t>> degraded_fragments(
   return fragments;
 }
 
+void append_surviving_links(const VirtualLink& link, const IntervalSet& removed,
+                            const std::vector<LinkDegradation>& degradations,
+                            std::vector<VirtualLink>& out) {
+  const auto append = [&](const Interval& piece) {
+    if (piece.empty()) return;
+    const bool degraded =
+        std::any_of(degradations.begin(), degradations.end(), [&](const LinkDegradation& d) {
+          return d.link == link.phys && d.window.overlaps(piece);
+        });
+    if (!degraded) {  // degraded_fragments' answer, without its allocation
+      out.push_back(VirtualLink{link.phys, link.bandwidth_bps, piece});
+      return;
+    }
+    for (const auto& [frag, bps] :
+         degraded_fragments(piece, link.bandwidth_bps, link.phys, degradations)) {
+      out.push_back(VirtualLink{link.phys, bps, frag});
+    }
+  };
+  // Removed periods are sorted and disjoint: append the gaps between them.
+  SimTime begin = link.window.begin;
+  for (const Interval& down : removed.intervals()) {
+    if (down.end <= begin) continue;
+    if (down.begin >= link.window.end) break;
+    append(Interval{begin, down.begin});
+    begin = down.end;
+  }
+  append(Interval{begin, link.window.end});
+}
+
 Scenario apply_faults(const Scenario& scenario, const FaultSpec& faults) {
   Scenario out;
   out.machines = scenario.machines;
@@ -126,21 +155,13 @@ Scenario apply_faults(const Scenario& scenario, const FaultSpec& faults) {
   out.horizon = scenario.horizon;
   out.gc_gamma = scenario.gc_gamma;
 
+  IntervalSet down;
   for (const VirtualLink& vl : scenario.virt_links) {
-    IntervalSet windows;
-    windows.insert_disjoint(vl.window);
+    down.clear();
     for (const LinkOutage& outage : faults.outages) {
-      if (outage.link != vl.phys) continue;
-      windows.subtract(outage.window);
+      if (outage.link == vl.phys) down.insert_merge(outage.window);
     }
-    for (const Interval& window : windows.intervals()) {
-      for (const auto& [frag, bps] :
-           degraded_fragments(window, vl.bandwidth_bps, vl.phys,
-                              faults.degradations)) {
-        out.virt_links.push_back(
-            VirtualLink{vl.phys, bps, frag});
-      }
-    }
+    append_surviving_links(vl, down, faults.degradations, out.virt_links);
   }
 
   // A copy loss at an initial source ends that source's hold window at the

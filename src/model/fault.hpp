@@ -82,6 +82,15 @@ std::vector<std::pair<Interval, std::int64_t>> degraded_fragments(
     const Interval& window, std::int64_t base_bps, PhysLinkId link,
     const std::vector<LinkDegradation>& degradations);
 
+/// Appends what survives of virtual link `link` to `out`: its window minus
+/// `removed` (a set of down periods of its physical link), each remaining
+/// piece split at the link's degradations by degraded_fragments() at `link`'s
+/// own bandwidth. Pieces come in window order. apply_faults and the dynamic
+/// stager's link views are all built with it.
+void append_surviving_links(const VirtualLink& link, const IntervalSet& removed,
+                            const std::vector<LinkDegradation>& degradations,
+                            std::vector<VirtualLink>& out);
+
 /// The clairvoyant view: the scenario a scheduler that knew every fault in
 /// advance would plan against. Outage windows are subtracted from virtual
 /// links, degradation windows split them into fragments carrying the reduced

@@ -2,9 +2,14 @@
 // events, and the FaultSpec -> event-stream bridge (dynamic/fault_events).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "dynamic/fault_events.hpp"
 #include "dynamic/stager.hpp"
 #include "obs/observer.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "testing/builders.hpp"
 
@@ -217,6 +222,66 @@ TEST(StagerFaultTest, FaultEventsDriveOutageRecoveryWithCounters) {
   EXPECT_EQ(registry.counter_value("faults.restores"), 1u);
   EXPECT_EQ(registry.counter_value("faults.inflight_dropped"), 1u);
 
+  const SimReport replay = simulate(stager.effective_scenario(), result.schedule);
+  EXPECT_TRUE(replay.ok) << (replay.issues.empty() ? "" : replay.issues.front());
+}
+
+TEST(StagerFaultTest, DegradedWindowPlansAtTheWindowRate) {
+  // §3: every virtual link carries its own bandwidth, so a window may run
+  // below its physical link's rate. The 1 MB item takes 2 s at the window's
+  // 4 Mbit/s, not 1 s at the link's 8.
+  Scenario s = ScenarioBuilder()
+                   .machine(kGB)
+                   .machine(kGB)
+                   .link(0, 1, 8'000'000, kAlways)
+                   .item(1'000'000)
+                   .source(0, SimTime::zero())
+                   .request(1, at_min(30))
+                   .build_unchecked();
+  s.virt_links[0].bandwidth_bps = 4'000'000;
+  s.check_valid();
+  DynamicStager stager(s, full_one_c4(), c4_options());
+  const DynamicResult result = stager.finish();
+
+  ASSERT_EQ(result.requests.size(), 1u);
+  EXPECT_EQ(result.requests[0].arrival, at_sec(2));
+  const SimReport replay = simulate(stager.effective_scenario(), result.schedule);
+  EXPECT_TRUE(replay.ok) << (replay.issues.empty() ? "" : replay.issues.front());
+}
+
+TEST(StagerFaultTest, OutageRightAfterARestoreIsItsOwnPeriod) {
+  // A->B goes down at 0.5 s, comes back at 10 s and goes down again at the
+  // same instant, then comes back at 20 s. The second restore reports the
+  // second outage's start, and the effective windows lose [0.5 s, 20 s).
+  const Scenario s = testing::chain_scenario();
+  std::ostringstream out;
+  obs::RunTrace trace(out);
+  obs::RunObserver observer{nullptr, &trace};
+  DynamicStager stager(s, full_one_c4(), c4_options(&observer));
+  const PhysLinkId link(0);
+  stager.on_event({SimTime::from_usec(500'000), LinkOutageEvent{link}});
+  stager.on_event({at_sec(10), LinkRestoreEvent{link}});
+  stager.on_event({at_sec(10), LinkOutageEvent{link}});
+  stager.on_event({at_sec(20), LinkRestoreEvent{link}});
+  const DynamicResult result = stager.finish();
+
+  std::vector<std::int64_t> down_since;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    const std::string key = "\"down_since_usec\":";
+    const std::size_t at = line.find(key);
+    if (at != std::string::npos) down_since.push_back(std::stoll(line.substr(at + key.size())));
+  }
+  EXPECT_EQ(down_since, (std::vector<std::int64_t>{500'000, 10'000'000}));
+
+  std::vector<Interval> windows;
+  for (const VirtualLink& vl : stager.effective_scenario().virt_links) {
+    if (vl.phys == link) windows.push_back(vl.window);
+  }
+  EXPECT_EQ(windows, (std::vector<Interval>{{SimTime::zero(), SimTime::from_usec(500'000)},
+                                            {at_sec(20), at_min(120)}}));
+  EXPECT_TRUE(result.requests[0].satisfied);
+  EXPECT_EQ(result.requests[0].arrival, at_sec(22));
   const SimReport replay = simulate(stager.effective_scenario(), result.schedule);
   EXPECT_TRUE(replay.ok) << (replay.issues.empty() ? "" : replay.issues.front());
 }
