@@ -35,6 +35,16 @@ SimTime DynamicStager::TrackedItem::latest_known_deadline() const {
   return latest;
 }
 
+void DynamicStager::TrackedItem::add_copy(MachineId machine, SimTime available_at) {
+  for (Copy& copy : copies) {
+    if (copy.machine == machine) {
+      copy.available_at = min(copy.available_at, available_at);
+      return;
+    }
+  }
+  copies.push_back(Copy{machine, available_at});
+}
+
 std::optional<SimTime> DynamicStager::TrackedItem::last_loss_at(
     MachineId machine) const {
   std::optional<SimTime> latest;
@@ -108,12 +118,9 @@ DynamicStager::DynamicStager(Scenario initial, SchedulerSpec spec,
   down_.resize(base_.phys_links.size());
   base_link_order_.resize(base_.virt_links.size());
   std::iota(base_link_order_.begin(), base_link_order_.end(), std::size_t{0});
-  std::sort(base_link_order_.begin(), base_link_order_.end(),
-            [this](std::size_t a, std::size_t b) {
-              const VirtualLink& x = base_.virt_links[a];
-              const VirtualLink& y = base_.virt_links[b];
-              return x.phys != y.phys ? x.phys < y.phys : x.window.begin < y.window.begin;
-            });
+  std::ranges::sort(base_link_order_, {}, [this](std::size_t v) {
+    return std::pair(base_.virt_links[v].phys, base_.virt_links[v].window.begin);
+  });
 
   items_.reserve(base_.items.size());
   for (const DataItem& item : base_.items) {
@@ -174,15 +181,7 @@ void DynamicStager::commit_started(SimTime now) {
     committed_.push_back(planned);
 
     TrackedItem& item = items_[step.item.index()];
-    bool updated = false;
-    for (Copy& copy : item.copies) {
-      if (copy.machine == step.to) {
-        copy.available_at = min(copy.available_at, step.arrival);
-        updated = true;
-        break;
-      }
-    }
-    if (!updated) item.copies.push_back(Copy{step.to, step.arrival});
+    item.add_copy(step.to, step.arrival);
     note_arrival(item, step.to, step.arrival);
   }
   if (kept == plan_.size()) return;
@@ -281,9 +280,7 @@ void DynamicStager::build_residual_links(std::vector<VirtualLink>& links) const 
     if (planned.step.arrival <= now_) continue;
     in_flight.emplace_back(planned.phys, Interval{planned.step.start, planned.step.arrival});
   }
-  std::sort(in_flight.begin(), in_flight.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first < b.first : a.second.begin < b.second.begin;
-  });
+  std::ranges::sort(in_flight, {}, &std::pair<PhysLinkId, Interval>::first);
   auto next_busy = in_flight.begin();
   IntervalSet removed;  // down time and in-flight busy time of `removed_link`
   PhysLinkId removed_link = PhysLinkId::invalid();
@@ -691,16 +688,9 @@ void DynamicStager::rebuild_copies(ItemId id) {
   }
   for (const PlannedStep& planned : committed_) {
     if (planned.step.item != id) continue;
-    if (!survives(planned.step.to, planned.step.arrival)) continue;
-    bool merged = false;
-    for (Copy& copy : item.copies) {
-      if (copy.machine == planned.step.to) {
-        copy.available_at = min(copy.available_at, planned.step.arrival);
-        merged = true;
-        break;
-      }
+    if (survives(planned.step.to, planned.step.arrival)) {
+      item.add_copy(planned.step.to, planned.step.arrival);
     }
-    if (!merged) item.copies.push_back(Copy{planned.step.to, planned.step.arrival});
   }
 
   // Re-resolve requests a surviving copy still serves (an earlier delivery

@@ -215,6 +215,8 @@ class DynamicStager {
     /// Latest deadline among every request known so far (resolved or not);
     /// drives garbage collection exactly as the static model's rule does.
     SimTime latest_known_deadline() const;
+    /// A copy at `machine` from `available_at`; a machine keeps its earliest.
+    void add_copy(MachineId machine, SimTime available_at);
     /// Latest copy-loss time at `machine` (survival cutoff for re-derived
     /// copies); nullopt when no loss ever hit the machine.
     std::optional<SimTime> last_loss_at(MachineId machine) const;
