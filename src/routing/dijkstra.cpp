@@ -144,7 +144,8 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
 
     // The item must still reside on u when a transfer departs; transfers
     // departing after u's hold window has been garbage-collected are invalid.
-    const SimTime sender_hold_end = state.hold_end(item, u);
+    const SimTime sender_hold_end =
+        options.ignore_hold_ends ? SimTime::infinity() : state.hold_end(item, u);
     const SimTime depart_limit = min(sender_hold_end, prune_limit);
 
     for (const ReceiverGroup& group : topology.receivers(u)) {

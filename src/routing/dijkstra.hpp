@@ -40,6 +40,9 @@ struct DijkstraOptions {
   /// Empty span (the default) computes the full forest. The span must stay
   /// alive for the duration of the call only.
   std::span<const MachineId> targets;
+  /// Departures are limited by prune_after only, not by the sender's hold
+  /// end: the quick admission check's relaxation (serve/admission.hpp).
+  bool ignore_hold_ends = false;
 };
 
 struct DijkstraStats {

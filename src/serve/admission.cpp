@@ -37,9 +37,10 @@ QuickEstimate quick_admission_estimate(const NetworkState& pristine,
 
   // One deadline-pruned Dijkstra, stopping as soon as the destination
   // settles. The pristine NetworkState charges only the residual's copies —
-  // the "alone in the system" relaxation.
+  // the "alone in the system" relaxation — with no hold end (see the header).
   DijkstraOptions options;
   options.prune_after = request.deadline;
+  options.ignore_hold_ends = true;
   const std::array<MachineId, 1> targets{request.destination};
   options.targets = targets;
   const RouteTree tree = compute_route_tree(pristine, topology, item, options);

@@ -4,9 +4,11 @@
 // The estimate answers "could this request possibly be satisfied?" with one
 // deadline-pruned, target-limited Dijkstra over the stager's residual
 // scenario — the "alone in the residual system" relaxation of the bounds
-// module (core/bounds.cpp): no other outstanding request consumes links, and
-// only existing copies consume storage. The relaxation is safe in exactly
-// one direction, which is the one admission control needs:
+// module (core/bounds.cpp): no other outstanding request consumes links,
+// only existing copies consume storage, and the residual's hold ends do not
+// limit departures (admitting the request keeps its item's copies until at
+// least its deadline + γ). The relaxation is safe in exactly one direction,
+// which is the one admission control needs:
 //
 //   quick-infeasible  =>  no schedule on the residual can satisfy the
 //                         request  =>  reject without replanning.

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "dynamic/stager.hpp"
+#include "gen/generator.hpp"
 #include "testing/builders.hpp"
+#include "util/rng.hpp"
 
 namespace datastage {
 namespace {
@@ -77,6 +84,65 @@ TEST(QuickAdmissionTest, DestinationHoldingACopyArrivesImmediately) {
       scenario, "d0", Request{MachineId(2), at_min(30)}, weighting());
   EXPECT_TRUE(estimate.feasible);
   EXPECT_EQ(estimate.earliest_arrival, SimTime::zero());
+}
+
+TEST(QuickAdmissionTest, QuickInfeasibleMeansTheReplanMissesTheDeadline) {
+  // Small congested cases served as perfbench's serve_congested serves them:
+  // half of each item's requests start the stager, the rest arrive online at
+  // seeded instants in the first half of the time to their deadline. Every
+  // quick reject must be a request the full replan cannot meet either.
+  GeneratorConfig config = GeneratorConfig::congested();
+  config.min_machines = config.max_machines = 8;
+  config.min_requests_per_machine = config.max_requests_per_machine = 10;
+  EngineOptions options;
+  options.criterion = CostCriterion::kC4;
+  options.eu = EUWeights::from_log10_ratio(1.0);
+  struct Submit {
+    SimTime at;
+    std::string item;
+    Request request;
+  };
+  std::size_t quick_rejects = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    Scenario batch = generate_scenario(config, rng);
+    std::vector<Submit> submits;
+    for (DataItem& item : batch.items) {
+      const std::size_t keep = std::max<std::size_t>(1, item.requests.size() / 2);
+      for (std::size_t r = keep; r < item.requests.size(); ++r) {
+        const Request& request = item.requests[r];
+        submits.push_back({SimTime::from_usec(rng.uniform_i64(0, request.deadline.usec() / 2)),
+                           item.name, request});
+      }
+      item.requests.resize(keep);
+    }
+    std::stable_sort(submits.begin(), submits.end(),
+                     [](const Submit& a, const Submit& b) { return a.at < b.at; });
+
+    DynamicStager stager(batch, {HeuristicKind::kFullOne, CostCriterion::kC4}, options);
+    for (const Submit& submit : submits) {
+      stager.advance_to(submit.at);
+      const MachineId dest = submit.request.destination;
+      // Data already headed there is not requested again (a client skips it).
+      if (!stager.planned_arrival(submit.item, dest).is_infinite()) continue;
+      const QuickEstimate quick = quick_admission_estimate(
+          stager.residual_scenario(), submit.item, submit.request, weighting());
+      stager.on_event({submit.at, NewRequestEvent{submit.item, submit.request}});
+      const DynamicRequestStatus status = stager.request_status(submit.item, dest);
+      const bool met = status == DynamicRequestStatus::kSatisfied ||
+                       (status == DynamicRequestStatus::kPending &&
+                        stager.planned_arrival(submit.item, dest) <= submit.request.deadline);
+      if (!quick.feasible) {
+        ++quick_rejects;
+        EXPECT_FALSE(met) << "seed " << seed << ": quick-rejected " << submit.item << " at "
+                          << submit.at.usec() << " is met by the replan";
+      }
+      if (status == DynamicRequestStatus::kPending && !met) {
+        stager.on_event({submit.at, CancelRequestEvent{submit.item, dest}});
+      }
+    }
+  }
+  EXPECT_GT(quick_rejects, 0u);
 }
 
 TEST(NewItemFitTest, ChargesExistingCopiesOnTheSourceMachine) {

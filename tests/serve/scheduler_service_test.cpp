@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/generator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "serve/admission.hpp"
 #include "testing/builders.hpp"
+#include "util/rng.hpp"
 
 namespace datastage {
 namespace {
@@ -362,6 +364,30 @@ TEST(SchedulerServiceTest, QuickRejectedNewItemIsNotIntroduced) {
   EXPECT_EQ(decision.outcome, AdmissionOutcome::kQuickReject);
   EXPECT_FALSE(service.has_item("fresh"))
       << "a quick-rejected submit leaves no trace of its new item";
+}
+
+TEST(SchedulerServiceTest, QuickArrivalOfANewItemBoundsItsPlan) {
+  // datastage_gen --seed=5 --preset=light. A new item's residual gc time
+  // counts no request, so its relays there hold only until γ; the world
+  // that admits the request holds them until its deadline + γ. The quick
+  // check must not stop departures at the earlier hold end, or its arrival
+  // (3,716,140,094 µs) overshoots the plan's.
+  Rng rng(5);
+  ServiceOptions options;
+  options.engine.eu = EUWeights::from_log10_ratio(1.0);
+  SchedulerService service(generate_scenario(GeneratorConfig::light(), rng), options);
+
+  DataItem item;
+  item.name = "x";
+  item.size_bytes = 4096;
+  item.sources.push_back(SourceLocation{MachineId(0), SimTime::zero()});
+  SubmitRequest submit =
+      submit_at(SimTime::zero(), "x", 1, SimTime::from_usec(7'200'000'000), kPriorityHigh);
+  submit.new_item = item;
+  const AdmissionDecision decision = service.submit(submit);
+  EXPECT_EQ(decision.outcome, AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(decision.planned_arrival, SimTime::from_usec(1'620'383'051));
+  EXPECT_EQ(decision.quick_arrival, decision.planned_arrival);
 }
 
 TEST(SchedulerServiceTest, NewItemFitRespectsStorageCapacity) {
