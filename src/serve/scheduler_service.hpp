@@ -174,7 +174,8 @@ class SchedulerService {
   bool has_item(const std::string& item_name) const;
 
   /// Pre-check for SubmitRequest::new_item: the new sources must fit their
-  /// machines' storage on top of the current residual world.
+  /// machines' storage on top of the residual world at now(). Advance to the
+  /// submit's instant first: copies committed by then charge storage too.
   bool new_item_fits(const DataItem& item);
 
   ServiceSnapshot snapshot() const;

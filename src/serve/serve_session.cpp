@@ -185,6 +185,8 @@ std::string ServeSession::handle_submit(const SubmitCommand& submit) {
       item.sources.push_back(SourceLocation{machine->second,
                                             source.available_at});
     }
+    // Copies committed by `at` charge storage too: check the fit there.
+    service_.advance_to(submit.at);
     if (!service_.new_item_fits(item)) {
       return session_error(
           ServeErrorCode::kInvalidItem,

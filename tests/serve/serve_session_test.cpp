@@ -186,6 +186,33 @@ TEST(ServeSessionTest, NewItemSubmitAndInvalidItemErrors) {
                "invalid_item");
 }
 
+TEST(ServeSessionTest, NewItemFitIsCheckedAtTheSubmitInstant) {
+  // M1 holds 1.5 MB, and d0 (1 MB) lands there for good at 1 s. A 1 MB new
+  // item sourced at M1 fits at time 0 but not at 10 s, when it is submitted.
+  const Scenario scenario = testing::ScenarioBuilder()
+                                .machine(1 << 30)
+                                .machine(1'500'000)
+                                .link(0, 1, 8'000'000, {SimTime::zero(), testing::at_min(120)})
+                                .item(1'000'000)
+                                .source(0, SimTime::zero())
+                                .request(1, testing::at_min(30))
+                                .build();
+  for (const bool quick : {true, false}) {
+    ServiceOptions options;
+    options.quick_admission = quick;
+    ServeSession session(scenario, options);
+    expect_error(session.handle_line(
+                     "{\"v\":1,\"cmd\":\"submit\",\"id\":\"n1\",\"t_usec\":10000000,"
+                     "\"item\":\"fresh\",\"dest\":\"M0\",\"deadline_usec\":600000000,"
+                     "\"priority\":2,\"new_item\":{\"size_bytes\":1000000,\"sources\":"
+                     "[{\"machine\":\"M1\",\"available_at_usec\":0}]}}"),
+                 "invalid_item");
+    // Like a no-op cancel, the reply leaves the clock at the submit's instant.
+    const obs::JsonValue stats = parse(session.handle_line("{\"v\":1,\"cmd\":\"stats\"}"));
+    EXPECT_EQ(stats.find("now_usec")->number, 10'000'000.0) << "quick " << quick;
+  }
+}
+
 TEST(ServeSessionTest, CancelFreesSlotAndKeepsOldIdAnswerable) {
   ServeSession session = make_session();
   expect_ok(session.handle_line(submit_line("r1", 0, "d0", "M1",
