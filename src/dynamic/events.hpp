@@ -63,11 +63,14 @@ struct CopyLossEvent {
 
 /// An outstanding request (`item_name`, `destination`) is withdrawn: its
 /// transfers-to-come are abandoned at the next replan and the request is
-/// closed as cancelled (never satisfied). Cancelling an already-resolved or
-/// unknown request is a no-op.
+/// closed as cancelled (never satisfied). `request` names it by its index
+/// among the item's requests (RequestRef::k); -1 means the most recently
+/// added outstanding request for `destination`. Cancelling an
+/// already-resolved or unknown request is a no-op.
 struct CancelRequestEvent {
   std::string item_name;
   MachineId destination;
+  std::int32_t request = -1;
 };
 
 using StagingEventBody =

@@ -1,7 +1,6 @@
 #include "dynamic/stager.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <numeric>
 #include <utility>
 
@@ -218,14 +217,17 @@ void DynamicStager::run_garbage_collection() {
   // known at this point in time. Original sources and destinations that
   // received the item keep their copies.
   PermanentMachines permanent(base_.machine_count());
-  for (TrackedItem& item : items_) {
-    const SimTime gc = item.latest_known_deadline() + base_.gc_gamma;
-    if (now_ < gc) continue;
-    permanent.select(item);
-    const std::size_t erased = std::erase_if(
-        item.copies, [&permanent](const Copy& copy) { return !permanent.contains(copy.machine); });
-    if (erased > 0) stale_world(false, true);
-  }
+  for (TrackedItem& item : items_) collect_relays(item, permanent);
+}
+
+void DynamicStager::collect_relays(TrackedItem& item, PermanentMachines& permanent) {
+  if (now_ < item.latest_known_deadline() + base_.gc_gamma) return;
+  permanent.select(item);
+  const std::size_t erased = std::erase_if(
+      item.copies, [&permanent](const Copy& copy) { return !permanent.contains(copy.machine); });
+  if (erased == 0) return;
+  item.relays_erased_at = now_;
+  stale_world(false, true);
 }
 
 Scenario DynamicStager::residual_scenario() const {
@@ -408,19 +410,21 @@ std::vector<CommStep> DynamicStager::planned_steps() const {
 void DynamicStager::index_arrivals() {
   arrivals_.resize(items_.size());
   for (std::vector<DestinationArrival>& list : arrivals_) list.clear();
-  const auto add = [this](const PlannedStep& planned) {
-    const CommStep& step = planned.step;
+  const auto entry = [this](const CommStep& step) -> DestinationArrival& {
     std::vector<DestinationArrival>& list = arrivals_[step.item.index()];
     for (DestinationArrival& known : list) {
-      if (known.destination == step.to) {
-        known.arrival = min(known.arrival, step.arrival);
-        return;
-      }
+      if (known.destination == step.to) return known;
     }
-    list.push_back(DestinationArrival{step.to, step.arrival});
+    return list.emplace_back(DestinationArrival{step.to});
   };
-  for (const PlannedStep& planned : committed_) add(planned);
-  for (const PlannedStep& planned : plan_) add(planned);
+  for (const PlannedStep& planned : committed_) {
+    DestinationArrival& known = entry(planned.step);
+    known.committed = min(known.committed, planned.step.arrival);
+  }
+  for (const PlannedStep& planned : plan_) {
+    DestinationArrival& known = entry(planned.step);
+    known.planned = min(known.planned, planned.step.arrival);
+  }
 }
 
 void DynamicStager::advance_to(SimTime now) {
@@ -557,17 +561,27 @@ void DynamicStager::on_event(const StagingEvent& event) {
           .field("machine", loss->machine.value());
     }
   } else if (const auto* cancel = std::get_if<CancelRequestEvent>(&event.body)) {
-    // Withdraw the most recently added outstanding request for this (item,
-    // destination). Cancelling an unknown or already-resolved request is a
-    // no-op — the caller raced a delivery, and the delivered outcome stands.
+    // Withdraw the named request, or else the most recently added outstanding
+    // request for this (item, destination). Cancelling an unknown or
+    // already-resolved request is a no-op — the caller raced a delivery, and
+    // the delivered outcome stands. `position` counts the outstanding
+    // requests before the target: its index in the residual's list.
     TrackedItem* item = find_item(cancel->item_name);
     TrackedRequest* target = nullptr;
+    std::size_t position = 0;
+    std::size_t outstanding = 0;
     if (item != nullptr) {
-      for (TrackedRequest& tracked : item->requests) {
-        if (tracked.request.destination == cancel->destination &&
-            !tracked.resolved) {
+      for (std::size_t k = 0; k < item->requests.size(); ++k) {
+        TrackedRequest& tracked = item->requests[k];
+        if (tracked.resolved) continue;
+        const bool named = cancel->request >= 0
+                               ? k == static_cast<std::size_t>(cancel->request)
+                               : tracked.request.destination == cancel->destination;
+        if (named) {
           target = &tracked;
+          position = outstanding;
         }
+        ++outstanding;
       }
     }
     if (target != nullptr) {
@@ -575,17 +589,13 @@ void DynamicStager::on_event(const StagingEvent& event) {
       target->satisfied = false;
       target->cancelled = true;
       target->arrival = SimTime::infinity();
-      // The world loses exactly this outstanding request: the residual lists
-      // an item's outstanding requests in order, so the target is the last
-      // one for its destination. The gc time keeps counting it.
+      // The world loses exactly this outstanding request; the gc time keeps
+      // counting it.
       if (world_items_current_) {
-        std::vector<Request>& outstanding =
+        std::vector<Request>& residual =
             world_->scenario.items[static_cast<std::size_t>(item - items_.data())].requests;
-        const auto last = std::find_if(
-            outstanding.rbegin(), outstanding.rend(),
-            [cancel](const Request& r) { return r.destination == cancel->destination; });
-        DS_ASSERT_MSG(last != outstanding.rend(), "residual world lost a request");
-        outstanding.erase(std::next(last).base());
+        DS_ASSERT_MSG(position < residual.size(), "residual world lost a request");
+        residual.erase(residual.begin() + static_cast<std::ptrdiff_t>(position));
         note_world_patch();
       }
       bump("dynamic.cancels");
@@ -681,16 +691,21 @@ void DynamicStager::rebuild_copies(ItemId id) {
     const std::optional<SimTime> lost = item.last_loss_at(machine);
     return !lost.has_value() || available_at > *lost;
   };
+  // Nor must a relay copy that garbage collection erased: one from a
+  // transfer that started before the erasure, at a machine that does not
+  // keep the item for good.
+  PermanentMachines permanent(base_.machine_count());
+  permanent.select(item);
   item.copies.clear();
   for (const SourceLocation& src : item.original_sources) {
     if (!survives(src.machine, src.available_at)) continue;
     item.copies.push_back(Copy{src.machine, src.available_at});
   }
   for (const PlannedStep& planned : committed_) {
-    if (planned.step.item != id) continue;
-    if (survives(planned.step.to, planned.step.arrival)) {
-      item.add_copy(planned.step.to, planned.step.arrival);
-    }
+    const CommStep& step = planned.step;
+    if (step.item != id || !survives(step.to, step.arrival)) continue;
+    if (step.start < item.relays_erased_at && !permanent.contains(step.to)) continue;
+    item.add_copy(step.to, step.arrival);
   }
 
   // Re-resolve requests a surviving copy still serves (an earlier delivery
@@ -707,13 +722,7 @@ void DynamicStager::rebuild_copies(ItemId id) {
   }
 
   // Apply the gc rule the incremental path would have applied.
-  const SimTime gc = item.latest_known_deadline() + base_.gc_gamma;
-  if (now_ >= gc) {
-    PermanentMachines permanent(base_.machine_count());
-    permanent.select(item);
-    std::erase_if(item.copies,
-                  [&permanent](const Copy& copy) { return !permanent.contains(copy.machine); });
-  }
+  collect_relays(item, permanent);
 }
 
 bool DynamicStager::link_down(PhysLinkId link) const {
@@ -749,44 +758,60 @@ void DynamicStager::index_last_item() {
   by_name_.insert(it, last);
 }
 
-DynamicRequestStatus DynamicStager::request_status(
-    const std::string& item_name, MachineId destination) const {
-  return request_status(item_id(item_name), destination);
+RequestRef DynamicStager::newest_request(ItemId item) const {
+  return {item, static_cast<std::int32_t>(items_[item.index()].requests.size()) - 1};
 }
 
-DynamicRequestStatus DynamicStager::request_status(ItemId id,
+const DynamicStager::TrackedRequest& DynamicStager::tracked(RequestRef request) const {
+  return items_[request.item.index()].requests[static_cast<std::size_t>(request.k)];
+}
+
+DynamicRequestStatus DynamicStager::request_status(RequestRef request) const {
+  const TrackedRequest& tracked = this->tracked(request);
+  if (tracked.cancelled) return DynamicRequestStatus::kCancelled;
+  if (!tracked.resolved) return DynamicRequestStatus::kPending;
+  return tracked.satisfied ? DynamicRequestStatus::kSatisfied
+                           : DynamicRequestStatus::kUnsatisfied;
+}
+
+DynamicRequestStatus DynamicStager::request_status(const std::string& item_name,
                                                    MachineId destination) const {
+  const ItemId id = item_id(item_name);
   if (!id.valid()) return DynamicRequestStatus::kUnknown;
   // The most recently added request for this destination wins: re-submitting
   // after a cancel or an unsatisfied close starts a fresh lifecycle.
-  const TrackedRequest* latest = nullptr;
-  for (const TrackedRequest& tracked : items_[id.index()].requests) {
-    if (tracked.request.destination == destination) latest = &tracked;
+  const std::vector<TrackedRequest>& requests = items_[id.index()].requests;
+  for (std::size_t k = requests.size(); k-- > 0;) {
+    if (requests[k].request.destination == destination) {
+      return request_status(RequestRef{id, static_cast<std::int32_t>(k)});
+    }
   }
-  if (latest == nullptr) return DynamicRequestStatus::kUnknown;
-  if (latest->cancelled) return DynamicRequestStatus::kCancelled;
-  if (!latest->resolved) return DynamicRequestStatus::kPending;
-  return latest->satisfied ? DynamicRequestStatus::kSatisfied
-                           : DynamicRequestStatus::kUnsatisfied;
+  return DynamicRequestStatus::kUnknown;
+}
+
+SimTime DynamicStager::planned_arrival(RequestRef request) const {
+  const TrackedRequest& tracked = this->tracked(request);
+  if (tracked.resolved) return tracked.arrival;
+  for (const DestinationArrival& known : arrivals_[request.item.index()]) {
+    if (known.destination == tracked.request.destination) return known.planned;
+  }
+  return SimTime::infinity();
 }
 
 SimTime DynamicStager::planned_arrival(const std::string& item_name,
                                        MachineId destination) const {
-  return planned_arrival(item_id(item_name), destination);
-}
-
-SimTime DynamicStager::planned_arrival(ItemId id, MachineId destination) const {
+  const ItemId id = item_id(item_name);
   if (!id.valid()) return SimTime::infinity();
   SimTime earliest = SimTime::infinity();
-  // A closed request already knows its arrival; an outstanding one is served
-  // by the earliest committed or planned step landing at the destination.
   for (const TrackedRequest& tracked : items_[id.index()].requests) {
     if (tracked.request.destination == destination) {
       earliest = min(earliest, tracked.arrival);
     }
   }
   for (const DestinationArrival& known : arrivals_[id.index()]) {
-    if (known.destination == destination) earliest = min(earliest, known.arrival);
+    if (known.destination == destination) {
+      earliest = min(earliest, min(known.committed, known.planned));
+    }
   }
   return earliest;
 }

@@ -13,7 +13,8 @@
 //   * Garbage collection keeps the static rule — intermediate copies are
 //     removed at (latest known deadline + γ) — where "known" includes ad-hoc
 //     requests that arrived before the copy expired; expired copies cannot
-//     be revived by later requests.
+//     be revived by later requests, nor by the copy rebuild after an
+//     in-flight failure.
 //   * A request whose destination already holds a (late) copy is closed as
 //     unsatisfied rather than kept pending.
 //
@@ -35,6 +36,12 @@
 // buffers, and no replan starts from scratch: while it commits what the
 // previous replan committed, the engine verifies that replan's logged route
 // trees instead of re-running Dijkstra (StagingEngine::reset, replay_tree).
+//
+// Requests are addressed by RequestRef {item, k}: k indexes the item's tracked
+// requests, which like the items are append-only, so a handle names one
+// request for the whole run. Per-handle queries answer for that request
+// alone; the name-keyed ones answer for an (item, destination) pair, which
+// several requests may share over a run (a re-submit after a cancel).
 //
 // Link availability is one record, each physical link's down time. Both link
 // views are the base virtual links minus it, split at announced degradations,
@@ -79,8 +86,8 @@ struct DynamicRequestRecord {
   SimTime arrival = SimTime::infinity();
 };
 
-/// Lifecycle state of one (item, destination) request as seen by queries
-/// while the run is still in progress.
+/// Lifecycle state of one request as seen by queries while the run is still
+/// in progress.
 enum class DynamicRequestStatus {
   kUnknown,      ///< no such request was ever tracked
   kPending,      ///< outstanding: the stager is still trying to deliver it
@@ -152,18 +159,31 @@ class DynamicStager {
   /// residual scenario; invalid when there is none. Stable for the run.
   ItemId item_id(const std::string& item_name) const;
 
+  /// The handle of the request added last to `item`: after a
+  /// NewRequestEvent, that request.
+  RequestRef newest_request(ItemId item) const;
+  const std::string& item_name(ItemId item) const { return items_[item.index()].name; }
+  const Request& request(RequestRef request) const { return tracked(request).request; }
+
+  /// Status of one request.
+  DynamicRequestStatus request_status(RequestRef request) const;
   /// Status of the most recently added request for (item, destination);
   /// kUnknown when no such request was ever tracked.
   DynamicRequestStatus request_status(const std::string& item_name,
                                       MachineId destination) const;
-  DynamicRequestStatus request_status(ItemId item, MachineId destination) const;
 
-  /// Earliest arrival at which the committed + currently planned schedule
-  /// delivers `item_name` to `destination` (the resolved arrival for closed
-  /// requests); infinity when nothing is scheduled to arrive there.
+  /// The arrival one request is served by: its own once resolved (infinity
+  /// when it closed without one); while pending, the earliest planned step
+  /// to its destination that has not started. A started step resolves
+  /// every pending request at its destination (commit_started), so a
+  /// committed step never serves a pending request.
+  SimTime planned_arrival(RequestRef request) const;
+  /// Any committed or planned arrival of `item_name` at `destination`, or
+  /// the arrival a request there resolved with: the earliest, or infinity.
+  /// The probe for "is the data there or headed there" that perfbench's
+  /// serve client skips submits with.
   SimTime planned_arrival(const std::string& item_name,
                           MachineId destination) const;
-  SimTime planned_arrival(ItemId item, MachineId destination) const;
 
   SimTime now() const { return now_; }
   std::size_t replans() const { return replans_; }
@@ -209,8 +229,12 @@ class DynamicStager {
     std::int64_t size_bytes = 0;
     std::vector<SourceLocation> original_sources;
     std::vector<Copy> copies;  ///< current copies incl. staged/in-flight ones
-    std::vector<TrackedRequest> requests;
+    std::vector<TrackedRequest> requests;  ///< append-only: RequestRef::k
     std::vector<LossMark> losses;  ///< applied copy-loss faults
+    /// When garbage collection last erased relay copies of the item; zero
+    /// when it never did. A copy from a transfer that started earlier is
+    /// gone unless its machine keeps copies for good.
+    SimTime relays_erased_at = SimTime::zero();
 
     /// Latest deadline among every request known so far (resolved or not);
     /// drives garbage collection exactly as the static model's rule does.
@@ -240,10 +264,12 @@ class DynamicStager {
     std::vector<MachineId> selected_;  ///< the marked machines, to unmark
   };
 
-  /// The earliest committed or planned arrival of an item at one destination.
+  /// The earliest committed and the earliest planned arrival of an item at
+  /// one destination.
   struct DestinationArrival {
     MachineId destination;
-    SimTime arrival;
+    SimTime committed = SimTime::infinity();
+    SimTime planned = SimTime::infinity();
   };
 
   /// A transfer with its physical link resolved. Virtual-link ids in planned
@@ -255,6 +281,7 @@ class DynamicStager {
     PhysLinkId phys;
   };
 
+  const TrackedRequest& tracked(RequestRef request) const;
   /// Moves every planned step starting before `now` to committed_.
   void commit_started(SimTime now);
   /// Sets now_; a new instant clips the residual links differently.
@@ -275,6 +302,9 @@ class DynamicStager {
   /// availability forever, into `charge`.
   void permanent_charge(std::vector<StorageTimeline>& charge) const;
   void run_garbage_collection();
+  /// The gc rule for one item at now_: once its gc time has passed, only
+  /// its permanent copies stay. `permanent` is a reused buffer.
+  void collect_relays(TrackedItem& item, PermanentMachines& permanent);
   /// The residual's virtual links (see the header note), ordered by physical
   /// link, then window begin.
   void build_residual_links(std::vector<VirtualLink>& links) const;
@@ -294,9 +324,10 @@ class DynamicStager {
   /// True while `link` is down: its last down period is still open.
   bool link_down(PhysLinkId link) const;
   /// Re-derives an item's copy set from its original sources and the
-  /// surviving committed transfers (gc-filtered), then re-resolves any
-  /// unresolved request whose destination turns out to hold a copy. Used
-  /// after in-flight failures, which can invalidate incremental bookkeeping.
+  /// committed transfers whose copies neither a copy loss nor garbage
+  /// collection destroyed, then re-resolves any unresolved request whose
+  /// destination turns out to hold a copy. Used after in-flight failures,
+  /// which can invalidate incremental bookkeeping.
   void rebuild_copies(ItemId item);
   TrackedItem* find_item(const std::string& name);
   const TrackedItem* find_item(const std::string& name) const;
@@ -330,9 +361,11 @@ class DynamicStager {
   std::vector<PlannedStep> committed_;
   std::vector<PlannedStep> plan_;  ///< not yet started, replaced on replan
   /// Per item, one entry per destination of a committed or planned step:
-  /// planned_arrival's lookup. Only replan() changes committed_ ∪ plan_ as a
-  /// set (commit_started moves steps from plan_ to committed_, and
-  /// fail_in_flight is always followed by a replan), so it rebuilds this.
+  /// planned_arrival's lookup, rebuilt by replan(). Between replans only
+  /// commit_started moves steps from plan_ to committed_ (fail_in_flight is
+  /// always followed by a replan); an entry's `planned` may then name a
+  /// started step, but that step resolved every request at its destination,
+  /// so no pending request reads it.
   std::vector<std::vector<DestinationArrival>> arrivals_;
 
   SchedulerSpec spec_;

@@ -30,6 +30,8 @@ const char* admission_outcome_name(AdmissionOutcome outcome) {
       return "quick_reject";
     case AdmissionOutcome::kFullReject:
       return "full_reject";
+    case AdmissionOutcome::kInvalidItem:
+      return "invalid_item";
   }
   return "unknown";
 }
@@ -53,9 +55,9 @@ SchedulerService::SchedulerService(Scenario initial, ServiceOptions options)
   // The initial scenario's batch requests are the ledger's time-zero cohort:
   // they were "admitted" by accepting the scenario.
   for (std::size_t i = 0; i < initial.items.size(); ++i) {
-    for (const Request& request : initial.items[i].requests) {
-      ledger_.push_back({ItemId(static_cast<std::int32_t>(i)), request.destination,
-                         request.deadline, request.priority});
+    for (std::size_t k = 0; k < initial.items[i].requests.size(); ++k) {
+      ledger_.push_back(
+          {ItemId(static_cast<std::int32_t>(i)), static_cast<std::int32_t>(k)});
     }
   }
 }
@@ -100,19 +102,17 @@ void SchedulerService::drain_faults_and_advance(SimTime t) {
 double SchedulerService::committed_value() const {
   const obs::ScopedTimer timer(phases(), "serve.ledger");
   double value = 0.0;
-  for (const AdmittedRequest& admitted : ledger_) {
-    switch (stager_.request_status(admitted.item, admitted.destination)) {
+  for (const RequestRef admitted : ledger_) {
+    const Request& request = stager_.request(admitted);
+    switch (stager_.request_status(admitted)) {
       case DynamicRequestStatus::kSatisfied:
-        value += weighting_.weight(admitted.priority);
+        value += weighting_.weight(request.priority);
         break;
-      case DynamicRequestStatus::kPending: {
-        const SimTime arrival =
-            stager_.planned_arrival(admitted.item, admitted.destination);
-        if (!arrival.is_infinite() && arrival <= admitted.deadline) {
-          value += weighting_.weight(admitted.priority);
+      case DynamicRequestStatus::kPending:
+        if (stager_.planned_arrival(admitted) <= request.deadline) {
+          value += weighting_.weight(request.priority);
         }
         break;
-      }
       default:
         break;
     }
@@ -148,11 +148,6 @@ QuickEstimate SchedulerService::quick_estimate(const SubmitRequest& submit) {
                                   weighting_);
 }
 
-void SchedulerService::admit(const SubmitRequest& submit) {
-  ledger_.push_back({stager_.item_id(submit.item_name), submit.request.destination,
-                     submit.request.deadline, submit.request.priority});
-}
-
 AdmissionDecision SchedulerService::submit(const SubmitRequest& submit) {
   DS_ASSERT_MSG(!finished_, "submit after finish");
   DS_ASSERT_MSG(submit.at >= now(), "submits must arrive in time order");
@@ -160,6 +155,13 @@ AdmissionDecision SchedulerService::submit(const SubmitRequest& submit) {
   drain_faults_and_advance(submit.at);
 
   AdmissionDecision decision;
+  // The resource trackers assert, rather than check, that a new item's
+  // copies fit; copies committed by now charge storage too.
+  if (submit.new_item.has_value() &&
+      !new_item_sources_fit(stager_.residual_world().storage, *submit.new_item)) {
+    decision.outcome = AdmissionOutcome::kInvalidItem;
+    return decision;
+  }
   ++counts_.submits;
   bump("admission.submits");
 
@@ -188,36 +190,34 @@ AdmissionDecision SchedulerService::submit(const SubmitRequest& submit) {
   }
   stager_.on_event(
       {submit.at, NewRequestEvent{submit.item_name, submit.request}});
+  decision.request = stager_.newest_request(stager_.item_id(submit.item_name));
 
-  switch (stager_.request_status(submit.item_name,
-                                 submit.request.destination)) {
+  switch (stager_.request_status(decision.request)) {
     case DynamicRequestStatus::kSatisfied:
       // Resolved instantly: the destination already held a usable copy.
       decision.outcome = AdmissionOutcome::kAlreadySatisfied;
-      decision.planned_arrival =
-          stager_.planned_arrival(submit.item_name, submit.request.destination);
+      decision.planned_arrival = stager_.planned_arrival(decision.request);
       ++counts_.admitted;
       ++counts_.already_satisfied;
       bump("admission.admitted");
       bump("admission.already_satisfied");
-      admit(submit);
+      ledger_.push_back(decision.request);
       break;
     case DynamicRequestStatus::kPending: {
-      const SimTime arrival =
-          stager_.planned_arrival(submit.item_name, submit.request.destination);
-      if (!arrival.is_infinite() && arrival <= submit.request.deadline) {
+      const SimTime arrival = stager_.planned_arrival(decision.request);
+      if (arrival <= submit.request.deadline) {
         decision.outcome = AdmissionOutcome::kAdmitted;
         decision.planned_arrival = arrival;
         ++counts_.admitted;
         bump("admission.admitted");
-        admit(submit);
+        ledger_.push_back(decision.request);
         break;
       }
       // The full replan cannot meet the deadline: withdraw the request at
       // the same instant so a reject leaves no outstanding work behind.
-      stager_.on_event({submit.at, CancelRequestEvent{
-                                       submit.item_name,
-                                       submit.request.destination}});
+      stager_.on_event({submit.at, CancelRequestEvent{submit.item_name,
+                                                      submit.request.destination,
+                                                      decision.request.k}});
       decision.outcome = AdmissionOutcome::kFullReject;
       ++counts_.full_rejects;
       bump("admission.full_rejects");
@@ -260,16 +260,15 @@ void SchedulerService::finish_decision(AdmissionDecision& decision,
   }
 }
 
-bool SchedulerService::cancel(const std::string& item_name,
-                              MachineId destination, SimTime at) {
+bool SchedulerService::cancel(RequestRef request, SimTime at) {
   DS_ASSERT_MSG(!finished_, "cancel after finish");
   DS_ASSERT_MSG(at >= now(), "cancels must arrive in time order");
   drain_faults_and_advance(at);
-  const bool outstanding =
-      stager_.request_status(item_name, destination) ==
-      DynamicRequestStatus::kPending;
-  stager_.on_event({at, CancelRequestEvent{item_name, destination}});
+  const std::string& item_name = stager_.item_name(request.item);
+  const MachineId destination = stager_.request(request).destination;
+  const bool outstanding = stager_.request_status(request) == DynamicRequestStatus::kPending;
   if (outstanding) {
+    stager_.on_event({at, CancelRequestEvent{item_name, destination, request.k}});
     ++counts_.cancelled;
     bump("admission.cancelled");
   }
@@ -288,24 +287,6 @@ void SchedulerService::advance_to(SimTime t) {
   DS_ASSERT_MSG(!finished_, "advance after finish");
   DS_ASSERT_MSG(t >= now(), "time must be nondecreasing");
   drain_faults_and_advance(t);
-}
-
-DynamicRequestStatus SchedulerService::request_status(
-    const std::string& item_name, MachineId destination) const {
-  return stager_.request_status(item_name, destination);
-}
-
-SimTime SchedulerService::planned_arrival(const std::string& item_name,
-                                          MachineId destination) const {
-  return stager_.planned_arrival(item_name, destination);
-}
-
-bool SchedulerService::has_item(const std::string& item_name) const {
-  return stager_.has_item(item_name);
-}
-
-bool SchedulerService::new_item_fits(const DataItem& item) {
-  return new_item_sources_fit(stager_.residual_world().storage, item);
 }
 
 ServiceSnapshot SchedulerService::snapshot() const {

@@ -7,21 +7,28 @@
 // questions a long-running daemon faces instead:
 //
 //   submit(r)    -> AdmissionDecision   admit/reject now, with a plan summary
-//   cancel(...)  -> withdrew an outstanding request
+//                                       and the request's handle
+//   cancel(h, t) -> withdrew an outstanding request
 //   advance_to(t)                       simulation time passes
 //   snapshot()   -> ServiceSnapshot     aggregate serving state
 //   finish()     -> DynamicResult       merged schedule + request records
 //
-// Admission is two-stage (the RCD idea: decide cheaply, schedule fully only
-// for plausible work):
+// A submit that introduces a new item whose sources do not fit their
+// machines' storage at its instant is refused (kInvalidItem) before either
+// stage. Admission is two-stage (the RCD idea: decide cheaply, schedule
+// fully only for plausible work):
 //   1. quick estimate — one deadline-pruned Dijkstra on the residual
 //      scenario ("alone in the system", serve/admission.hpp). Infeasible
 //      here means infeasible, full stop: reject without touching the plan.
 //   2. full replan — inject the request into the stager, which schedules the
-//      residual problem from scratch, and admit iff the new plan delivers the
-//      item by its deadline. A request the plan cannot serve on time is
-//      withdrawn again (cancel event at the same instant), so a rejected
-//      submit leaves no outstanding work behind.
+//      residual problem from scratch, and admit iff the new plan delivers
+//      this request by its deadline (DynamicStager::planned_arrival of its
+//      handle). A request the plan cannot serve on time is withdrawn again
+//      (cancel event at the same instant), so a rejected submit leaves no
+//      outstanding work behind.
+//
+// Every admitted request enters the ledger by its handle, so
+// committed_value sums each admitted request once, by its own status.
 //
 // One residual world per submit: stage 1 reads the stager's residual world
 // (DynamicStager::residual_world(): the residual Scenario, its Topology and
@@ -74,6 +81,7 @@ enum class AdmissionOutcome {
   kAlreadySatisfied,  ///< destination already holds a usable copy
   kQuickReject,       ///< stage 1: infeasible even alone in the system
   kFullReject,        ///< stage 2: the full replan cannot meet the deadline
+  kInvalidItem,       ///< the new item's sources do not fit their machines
 };
 
 const char* admission_outcome_name(AdmissionOutcome outcome);
@@ -94,6 +102,9 @@ struct AdmissionDecision {
   /// The arrival the committed plan promises (for kAdmitted /
   /// kAlreadySatisfied); infinity on rejects.
   SimTime planned_arrival = SimTime::infinity();
+  /// The request's handle in the stager once stage 2 added it (admitted,
+  /// already satisfied or full reject); invalid otherwise.
+  RequestRef request;
   /// Replans this decision consumed (0 for quick rejects).
   std::size_t replans = 0;
   /// Weighted value the plan currently locks in across every admitted
@@ -156,29 +167,38 @@ class SchedulerService {
   /// Decides one request at submit.at (>= now(); time advances to it).
   AdmissionDecision submit(const SubmitRequest& submit);
 
-  /// Withdraws the outstanding request (item, destination) at time `at`.
-  /// False (and no replan) when no such request is outstanding.
-  bool cancel(const std::string& item_name, MachineId destination, SimTime at);
+  /// Withdraws `request` (an AdmissionDecision::request) at time `at`.
+  /// False (and no replan) when it is not outstanding.
+  bool cancel(RequestRef request, SimTime at);
 
   /// Advances the clock, applying any scheduled fault events on the way.
   void advance_to(SimTime t);
 
-  /// Lifecycle state of the most recent request for (item, destination).
+  /// Lifecycle state and arrival of one request (DynamicStager's
+  /// per-handle queries).
+  DynamicRequestStatus request_status(RequestRef request) const {
+    return stager_.request_status(request);
+  }
+  SimTime planned_arrival(RequestRef request) const {
+    return stager_.planned_arrival(request);
+  }
+
+  /// The name-keyed queries (DynamicStager): the status of the most recent
+  /// request for (item, destination), and any committed or planned arrival
+  /// of the item there.
   DynamicRequestStatus request_status(const std::string& item_name,
-                                      MachineId destination) const;
+                                      MachineId destination) const {
+    return stager_.request_status(item_name, destination);
+  }
+  SimTime planned_arrival(const std::string& item_name, MachineId destination) const {
+    return stager_.planned_arrival(item_name, destination);
+  }
 
-  /// Arrival the current plan promises for (item, destination).
-  SimTime planned_arrival(const std::string& item_name,
-                          MachineId destination) const;
-
-  bool has_item(const std::string& item_name) const;
-
-  /// Pre-check for SubmitRequest::new_item: the new sources must fit their
-  /// machines' storage on top of the residual world at now(). Advance to the
-  /// submit's instant first: copies committed by then charge storage too.
-  bool new_item_fits(const DataItem& item);
+  bool has_item(const std::string& item_name) const { return stager_.has_item(item_name); }
 
   ServiceSnapshot snapshot() const;
+  /// The planned steps not started yet (DynamicStager::planned_steps).
+  std::vector<CommStep> planned_steps() const { return stager_.planned_steps(); }
 
   /// Applies all remaining fault events and closes the run.
   DynamicResult finish();
@@ -186,16 +206,6 @@ class SchedulerService {
   SimTime now() const { return stager_.now(); }
 
  private:
-  /// An admission ledger entry; committed_value() re-evaluates each against
-  /// the live plan (a fault can un-commit what a submit once locked in). The
-  /// item is resolved to its stager index once, at admission.
-  struct AdmittedRequest {
-    ItemId item;
-    MachineId destination;
-    SimTime deadline;
-    Priority priority = kPriorityLow;
-  };
-
   /// Applies scheduled fault events with at <= t (faults order before the
   /// request events of the same instant), then advances the stager clock.
   void drain_faults_and_advance(SimTime t);
@@ -206,8 +216,6 @@ class SchedulerService {
   double committed_value() const;
   /// Stage 1 on the stager's residual world.
   QuickEstimate quick_estimate(const SubmitRequest& submit);
-  /// Appends `submit` to the ledger.
-  void admit(const SubmitRequest& submit);
   void bump(const char* counter) const;
   obs::RunTrace* trace() const;
   obs::PhaseTimer* phases() const;
@@ -223,7 +231,9 @@ class SchedulerService {
   std::vector<StagingEvent> fault_events_;
   std::size_t next_fault_ = 0;
 
-  std::vector<AdmittedRequest> ledger_;
+  /// Every admitted request; committed_value() re-evaluates each against
+  /// the live plan (a fault can un-commit what a submit once locked in).
+  std::vector<RequestRef> ledger_;
   /// Stage 1's pristine state, reset onto each residual world.
   std::optional<NetworkState> quick_state_;
   ServiceSnapshot counts_;  ///< now/replans/steps filled in snapshot()

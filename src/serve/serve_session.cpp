@@ -120,27 +120,6 @@ std::string ServeSession::handle(const ServeCommand& command) {
   return handle_shutdown();
 }
 
-std::pair<DynamicRequestStatus, SimTime> ServeSession::record_status(
-    const RequestRecord& record) const {
-  if (record.terminal) return {record.status, record.arrival};
-  const DynamicRequestStatus status =
-      service_.request_status(record.item, record.destination);
-  SimTime arrival = SimTime::infinity();
-  if (status == DynamicRequestStatus::kSatisfied ||
-      status == DynamicRequestStatus::kPending) {
-    arrival = service_.planned_arrival(record.item, record.destination);
-  }
-  return {status, arrival};
-}
-
-void ServeSession::freeze(RequestRecord& record) {
-  if (record.terminal) return;
-  const auto [status, arrival] = record_status(record);
-  record.terminal = true;
-  record.status = status;
-  record.arrival = arrival;
-}
-
 std::string ServeSession::handle_submit(const SubmitCommand& submit) {
   if (requests_.find(submit.id) != requests_.end()) {
     return session_error(ServeErrorCode::kDuplicateId,
@@ -185,13 +164,6 @@ std::string ServeSession::handle_submit(const SubmitCommand& submit) {
       item.sources.push_back(SourceLocation{machine->second,
                                             source.available_at});
     }
-    // Copies committed by `at` charge storage too: check the fit there.
-    service_.advance_to(submit.at);
-    if (!service_.new_item_fits(item)) {
-      return session_error(
-          ServeErrorCode::kInvalidItem,
-          "item '" + submit.item + "' does not fit its source machines");
-    }
     request.new_item = std::move(item);
   } else if (!service_.has_item(submit.item)) {
     return session_error(ServeErrorCode::kUnknownItem,
@@ -203,27 +175,14 @@ std::string ServeSession::handle_submit(const SubmitCommand& submit) {
                          "a request for ('" + submit.item + "', '" +
                              submit.dest + "') is already outstanding");
   }
-  // The (item, dest) slot is free again: the previous occupant (if any) is
-  // resolved. Freeze its outcome before the service's "latest request wins"
-  // queries start answering for the new one.
-  const std::pair<std::string, std::int32_t> slot{submit.item,
-                                                  dest->second.value()};
-  const auto previous = slots_.find(slot);
-  if (previous != slots_.end()) freeze(requests_.at(previous->second));
-
   const AdmissionDecision decision = service_.submit(request);
-
-  RequestRecord record;
-  record.item = submit.item;
-  record.destination = dest->second;
-  record.deadline = submit.deadline;
-  record.admitted = decision.admitted();
-  if (!record.admitted) {
-    record.terminal = true;
-    record.status = DynamicRequestStatus::kUnknown;  // reported as "rejected"
+  if (decision.outcome == AdmissionOutcome::kInvalidItem) {
+    return session_error(ServeErrorCode::kInvalidItem,
+                         "item '" + submit.item + "' does not fit its source machines");
   }
-  requests_.emplace(submit.id, std::move(record));
-  slots_[slot] = submit.id;
+  requests_.emplace(submit.id, decision.admitted()
+                                   ? std::optional<RequestRef>(decision.request)
+                                   : std::nullopt);
 
   std::string line = begin_ok("submit");
   append_string(line, "id", submit.id);
@@ -253,13 +212,11 @@ std::string ServeSession::handle_cancel(const CancelCommand& cancel) {
     return session_error(ServeErrorCode::kTimeRegression,
                          "cannot cancel in the past");
   }
-  RequestRecord& record = it->second;
+  // A rejected or resolved request has nothing outstanding to withdraw;
+  // the cancel is then a no-op, but time still passes to `at`.
   bool withdrawn = false;
-  // A rejected or already-frozen request has nothing outstanding to
-  // withdraw; the cancel is then a no-op, but time still passes to `at`.
-  if (record.admitted && !record.terminal) {
-    withdrawn = service_.cancel(record.item, record.destination, cancel.at);
-    freeze(record);
+  if (it->second.has_value()) {
+    withdrawn = service_.cancel(*it->second, cancel.at);
   } else {
     service_.advance_to(cancel.at);
   }
@@ -277,15 +234,17 @@ std::string ServeSession::handle_query(const QueryCommand& query) {
     return session_error(ServeErrorCode::kUnknownId,
                          "unknown id '" + query.id + "'");
   }
-  const RequestRecord& record = it->second;
   std::string line = begin_ok("query");
   append_string(line, "id", query.id);
-  if (!record.admitted) {
+  if (!it->second.has_value()) {
     append_string(line, "status", "rejected");
   } else {
-    const auto [status, arrival] = record_status(record);
+    const DynamicRequestStatus status = service_.request_status(*it->second);
     append_string(line, "status", request_status_name(status));
-    if (!arrival.is_infinite()) {
+    const SimTime arrival = service_.planned_arrival(*it->second);
+    if ((status == DynamicRequestStatus::kSatisfied ||
+         status == DynamicRequestStatus::kPending) &&
+        !arrival.is_infinite()) {
       append_int(line, "arrival_usec", arrival.usec());
     }
   }

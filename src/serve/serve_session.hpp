@@ -9,8 +9,8 @@
 // replaying a command script reproduces the decision log byte for byte.
 #pragma once
 
-#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -38,37 +38,18 @@ class ServeSession {
   const SchedulerService& service() const { return service_; }
 
  private:
-  /// Per-id outcome. Records of admitted requests stay live (queries read
-  /// the scheduler) until the (item, dest) slot is reused or cancelled; then
-  /// the terminal status freezes here.
-  struct RequestRecord {
-    std::string item;
-    MachineId destination;
-    SimTime deadline;
-    bool admitted = false;
-    bool terminal = false;  ///< status_/arrival_ frozen, stop asking the service
-    DynamicRequestStatus status = DynamicRequestStatus::kUnknown;
-    SimTime arrival = SimTime::infinity();
-  };
-
   std::string handle_submit(const SubmitCommand& submit);
   std::string handle_cancel(const CancelCommand& cancel);
   std::string handle_query(const QueryCommand& query);
   std::string handle_stats() const;
   std::string handle_shutdown();
-  /// Live or frozen status of a record, plus its arrival when resolved.
-  std::pair<DynamicRequestStatus, SimTime> record_status(
-      const RequestRecord& record) const;
-  /// Freezes the terminal status of the id currently occupying this record's
-  /// (item, dest) slot — called before the slot is reused or withdrawn.
-  void freeze(RequestRecord& record);
 
   SchedulerService service_;
   PriorityWeighting weighting_;
   std::map<std::string, MachineId, std::less<>> machines_;
-  std::map<std::string, RequestRecord, std::less<>> requests_;
-  /// (item, dest) -> id of the most recent submit for that slot.
-  std::map<std::pair<std::string, std::int32_t>, std::string> slots_;
+  /// Per id, the handle of its admitted request (queries and cancels ask the
+  /// service about that request alone); nullopt when the submit was rejected.
+  std::map<std::string, std::optional<RequestRef>, std::less<>> requests_;
   bool shut_down_ = false;
 };
 

@@ -71,11 +71,17 @@ cmp -s "$WORK_DIR/links1.norm" "$WORK_DIR/links8.norm"
 # datastage_serve: replaying a recorded command script must produce a
 # byte-identical decision log across runs and --jobs settings (the serving
 # determinism contract — wall-clock latency is measured but never logged).
+# The script cancels an admitted request and re-submits its (item, dest)
+# pair, so the log also covers per-request queries and the committed value
+# of a pair that two requests shared.
 cat > "$WORK_DIR/serve_script.txt" <<'EOF'
 {"v":1,"cmd":"stats"}
 {"v":1,"cmd":"submit","id":"s1","t_usec":0,"item":"serve_item","dest":"M1","deadline_usec":7200000000,"priority":2,"new_item":{"size_bytes":4096,"sources":[{"machine":"M0","available_at_usec":0}]}}
+{"v":1,"cmd":"cancel","id":"s1","t_usec":0}
+{"v":1,"cmd":"submit","id":"s2","t_usec":0,"item":"serve_item","dest":"M1","deadline_usec":7200000000,"priority":2}
 {"v":1,"cmd":"advance","to_usec":1800000000}
 {"v":1,"cmd":"query","id":"s1"}
+{"v":1,"cmd":"query","id":"s2"}
 {"v":1,"cmd":"stats"}
 {"v":1,"cmd":"shutdown"}
 EOF
@@ -90,6 +96,9 @@ EOF
     --decision-log="$WORK_DIR/serve8.log" > /dev/null
 cmp -s "$WORK_DIR/serve1.log" "$WORK_DIR/serve1b.log"
 cmp -s "$WORK_DIR/serve1.log" "$WORK_DIR/serve8.log"
+grep -q '"id":"s1","cancelled":true' "$WORK_DIR/serve1.log"
+grep -q '"id":"s2","outcome":"admitted"' "$WORK_DIR/serve1.log"
+grep -q '"id":"s1","status":"cancelled"' "$WORK_DIR/serve1.log"
 
 # --engine-jobs: the parallel plan-refresh path inside one engine must be
 # byte-identical to the serial engine in every artifact — the saved schedule,

@@ -286,5 +286,30 @@ TEST(StagerFaultTest, OutageRightAfterARestoreIsItsOwnPeriod) {
   EXPECT_TRUE(replay.ok) << (replay.issues.empty() ? "" : replay.issues.front());
 }
 
+TEST(StagerFaultTest, InFlightFailureDoesNotReviveGarbageCollectedRelays) {
+  // d0 relays through B at t=0 (arriving at 1 s) on its way to C; garbage
+  // collection erases that relay at 36 min (deadline 30 min + γ). A request
+  // at B at 40 min moves the gc time to 66 min, and the transfer that
+  // serves it fails in flight: rebuilding d0's copies must not bring back
+  // the erased relay, so the request stays pending and, with its only
+  // route down, ends unsatisfied.
+  const Scenario s = testing::chain_scenario();
+  DynamicStager stager(s, full_one_c4(), c4_options());
+  const SimTime at = at_min(40);
+  stager.on_event({at, NewRequestEvent{"d0", Request{MachineId(1), at_min(60), kPriorityHigh}}});
+  const RequestRef request = stager.newest_request(stager.item_id("d0"));
+  ASSERT_EQ(stager.request_status(request), DynamicRequestStatus::kPending);
+  stager.on_event({at + SimDuration::milliseconds(500), LinkOutageEvent{PhysLinkId(0)}});
+  EXPECT_EQ(stager.request_status(request), DynamicRequestStatus::kPending);
+  EXPECT_TRUE(stager.planned_arrival(request).is_infinite());
+
+  const DynamicResult result = stager.finish();
+  ASSERT_EQ(result.requests.size(), 2u);
+  EXPECT_TRUE(result.requests[0].satisfied);
+  EXPECT_FALSE(result.requests[1].satisfied);
+  const SimReport replay = simulate(stager.effective_scenario(), result.schedule);
+  EXPECT_TRUE(replay.ok) << (replay.issues.empty() ? "" : replay.issues.front());
+}
+
 }  // namespace
 }  // namespace datastage

@@ -338,9 +338,6 @@ TEST(ResidualWorldTest, ServiceMatchesUnsharedReferenceOnEveryWorldPath) {
       SimTime previous = SimTime::zero();
       for (std::size_t s = 0; s < submits.size(); ++s) {
         const SubmitRequest& submit = submits[s];
-        if (submit.new_item.has_value()) {
-          ASSERT_TRUE(service.new_item_fits(*submit.new_item));
-        }
         const std::size_t patches_before = service.snapshot().world_patches;
         const AdmissionDecision decision = service.submit(submit);
         const Verdict& expected = reference.verdicts[s];

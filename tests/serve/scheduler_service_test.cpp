@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "gen/generator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
@@ -126,11 +130,12 @@ TEST(SchedulerServiceTest, CancelFreesTheSlotForResubmission) {
 
   // Cancel before the serving transfer starts — once a step's start passes,
   // it is committed and the request resolves on its arrival instead.
-  EXPECT_TRUE(service.cancel("d0", MachineId(1), at_sec(0)));
-  EXPECT_EQ(service.request_status("d0", MachineId(1)),
-            DynamicRequestStatus::kCancelled);
-  EXPECT_FALSE(service.cancel("d0", MachineId(1), at_sec(0)))
+  EXPECT_TRUE(service.cancel(first.request, at_sec(0)));
+  EXPECT_EQ(service.request_status(first.request), DynamicRequestStatus::kCancelled);
+  const std::size_t replans = service.snapshot().replans;
+  EXPECT_FALSE(service.cancel(first.request, at_sec(0)))
       << "second cancel is a no-op";
+  EXPECT_EQ(service.snapshot().replans, replans) << "a no-op cancel does not replan";
 
   // The slot is free for a new lifecycle. By t=2 the batch d0->M2 transfer
   // has relayed a copy through M1, so the resubmission is satisfied on the
@@ -139,6 +144,51 @@ TEST(SchedulerServiceTest, CancelFreesTheSlotForResubmission) {
       service.submit(submit_at(at_sec(2), "d0", 1, at_sec(600)));
   EXPECT_EQ(second.outcome, AdmissionOutcome::kAlreadySatisfied);
   EXPECT_TRUE(second.admitted());
+  EXPECT_NE(second.request, first.request);
+  EXPECT_EQ(service.request_status(first.request), DynamicRequestStatus::kCancelled)
+      << "the first request keeps its own outcome";
+  EXPECT_EQ(second.committed_value, 200.0) << "the cancelled request counts nothing";
+}
+
+TEST(SchedulerServiceTest, CancelWithdrawsItsOwnRequestAmongReopenedOnes) {
+  // Two admitted requests for (d0, B): the first delivered at 1 s, the
+  // second satisfied on the spot at 3 s. Losing B's copy at 5 s re-opens
+  // both. Cancelling the first withdraws the first, not the newer one.
+  ServiceOptions options;
+  options.fault_events.push_back({at_sec(5), CopyLossEvent{"d0", MachineId(1)}});
+  SchedulerService service(chain_scenario(), options);
+  const AdmissionDecision first = service.submit(submit_at(at_sec(0), "d0", 1, at_sec(600)));
+  ASSERT_EQ(first.outcome, AdmissionOutcome::kAdmitted);
+  const AdmissionDecision second = service.submit(submit_at(at_sec(3), "d0", 1, at_sec(600)));
+  ASSERT_EQ(second.outcome, AdmissionOutcome::kAlreadySatisfied);
+  service.advance_to(at_sec(5));
+  ASSERT_EQ(service.request_status(first.request), DynamicRequestStatus::kPending);
+  ASSERT_EQ(service.request_status(second.request), DynamicRequestStatus::kPending);
+
+  EXPECT_TRUE(service.cancel(first.request, at_sec(5)));
+  EXPECT_EQ(service.request_status(first.request), DynamicRequestStatus::kCancelled);
+  EXPECT_EQ(service.request_status(second.request), DynamicRequestStatus::kPending);
+}
+
+TEST(SchedulerServiceTest, StaleRelayCopyDoesNotAdmitASubmit) {
+  // d0 relays through B at t=0 (arriving at 1 s) on its way to C; garbage
+  // collection erases that relay at 36 min (deadline 30 min + γ). A submit
+  // for B at 40 min due 0.5 s later cannot be met (the A->B hop takes 1 s):
+  // the replan plans nothing to B, so it is rejected, with no arrival, in
+  // either quick mode.
+  for (const bool quick : {true, false}) {
+    ServiceOptions options;
+    options.quick_admission = quick;
+    SchedulerService service(chain_scenario(), options);
+    const SimTime at = at_min(40);
+    const AdmissionDecision decision =
+        service.submit(submit_at(at, "d0", 1, at + SimDuration::milliseconds(500)));
+    EXPECT_EQ(decision.outcome, AdmissionOutcome::kFullReject) << "quick " << quick;
+    EXPECT_TRUE(decision.planned_arrival.is_infinite()) << "quick " << quick;
+    EXPECT_EQ(service.request_status(decision.request), DynamicRequestStatus::kCancelled)
+        << "quick " << quick;
+    EXPECT_EQ(service.snapshot().committed_value, 100.0) << "quick " << quick;
+  }
 }
 
 TEST(SchedulerServiceTest, SubmitAtRelayThatCannotKeepTheCopyIsRejected) {
@@ -192,7 +242,7 @@ TEST(SchedulerServiceTest, CommittedValueTracksAdmissions) {
   EXPECT_EQ(decision.outcome, AdmissionOutcome::kAdmitted);
   EXPECT_EQ(decision.committed_value, 110.0);
 
-  service.cancel("d0", MachineId(1), at_sec(0));
+  service.cancel(decision.request, at_sec(0));
   EXPECT_EQ(service.snapshot().committed_value, 100.0)
       << "cancellation releases the committed value";
 }
@@ -232,27 +282,28 @@ TEST(SchedulerServiceTest, CommittedValueMatchesPublicQueriesThroughFaults) {
   const PriorityWeighting weighting = options.engine.weighting;
 
   struct Admitted {
-    std::string item;
-    std::int32_t dest;
+    RequestRef request;
     SimTime deadline;
     Priority priority;
   };
   std::vector<Admitted> admitted;
-  for (const DataItem& item : scenario.items) {
-    for (const Request& r : item.requests) {
-      admitted.push_back({item.name, r.destination.value(), r.deadline, r.priority});
+  for (std::size_t i = 0; i < scenario.items.size(); ++i) {
+    const std::vector<Request>& requests = scenario.items[i].requests;
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      admitted.push_back({{ItemId(static_cast<std::int32_t>(i)), static_cast<std::int32_t>(k)},
+                          requests[k].deadline,
+                          requests[k].priority});
     }
   }
   const auto brute_value = [&] {
     double value = 0.0;
     for (const Admitted& a : admitted) {
-      const MachineId dest(a.dest);
-      switch (service.request_status(a.item, dest)) {
+      switch (service.request_status(a.request)) {
         case DynamicRequestStatus::kSatisfied:
           value += weighting.weight(a.priority);
           break;
         case DynamicRequestStatus::kPending: {
-          const SimTime arrival = service.planned_arrival(a.item, dest);
+          const SimTime arrival = service.planned_arrival(a.request);
           if (!arrival.is_infinite() && arrival <= a.deadline) {
             value += weighting.weight(a.priority);
           }
@@ -275,23 +326,99 @@ TEST(SchedulerServiceTest, CommittedValueMatchesPublicQueriesThroughFaults) {
       submit_at(at_sec(90), "d1", 0, at_min(90), kPriorityHigh),
   };
   std::size_t admits = 0;
+  std::vector<AdmissionDecision> decisions;
   for (const SubmitRequest& submit : script) {
-    const AdmissionDecision decision = service.submit(submit);
+    const AdmissionDecision& decision = decisions.emplace_back(service.submit(submit));
     if (decision.admitted()) {
       ++admits;
-      admitted.push_back({submit.item_name, submit.request.destination.value(),
-                          submit.request.deadline, submit.request.priority});
+      admitted.push_back({decision.request, submit.request.deadline, submit.request.priority});
     }
     EXPECT_EQ(decision.committed_value, brute_value()) << submit.item_name;
     EXPECT_EQ(service.snapshot().committed_value, brute_value()) << submit.item_name;
-    if (submit.at == at_sec(10)) {
-      service.cancel("d0", MachineId(2), at_sec(20));
+    if (submit.at == at_sec(10) && decisions.front().admitted()) {
+      service.cancel(decisions.front().request, at_sec(20));  // d0 -> M2
       EXPECT_EQ(service.snapshot().committed_value, brute_value()) << "after cancel";
     }
   }
   EXPECT_GE(admits, 3u);
   service.advance_to(at_min(100));
   EXPECT_EQ(service.snapshot().committed_value, brute_value());
+}
+
+TEST(SchedulerServiceTest, LedgerMatchesDeliveriesWithCancelsAndResubmits) {
+  // Congested cases whose later requests arrive online, closed loop as a
+  // session client submits them (no second outstanding request for an
+  // (item, dest) pair). Every third admitted request that is still pending
+  // is cancelled and its pair re-submitted at once. Throughout, a pending
+  // admitted request's planned arrival is that of a step not started yet;
+  // once every deadline has passed, the committed value is what the run
+  // delivers.
+  GeneratorConfig config = GeneratorConfig::congested();
+  config.min_machines = config.max_machines = 8;
+  config.min_requests_per_machine = config.max_requests_per_machine = 8;
+  const PriorityWeighting weighting = ServiceOptions{}.engine.weighting;
+  std::size_t resubmits_admitted = 0;
+  for (Scenario batch : generate_cases(config, 7, 3)) {
+    Rng rng(7);
+    std::vector<SubmitRequest> submits;
+    SimTime last_deadline = SimTime::zero();
+    for (DataItem& item : batch.items) {
+      const std::size_t keep = (item.requests.size() + 1) / 2;
+      for (std::size_t r = 0; r < item.requests.size(); ++r) {
+        last_deadline = max(last_deadline, item.requests[r].deadline);
+        if (r < keep) continue;
+        SubmitRequest submit;
+        submit.item_name = item.name;
+        submit.request = item.requests[r];
+        submit.at = SimTime::from_usec(rng.uniform_i64(0, submit.request.deadline.usec() / 2));
+        submits.push_back(std::move(submit));
+      }
+      item.requests.resize(keep);
+    }
+    std::stable_sort(submits.begin(), submits.end(),
+                     [](const SubmitRequest& a, const SubmitRequest& b) { return a.at < b.at; });
+
+    SchedulerService service(batch, {});
+    // Online admissions, with their destinations.
+    std::vector<std::pair<RequestRef, MachineId>> admitted;
+    const auto check_pending_arrivals = [&] {
+      const std::vector<CommStep> planned = service.planned_steps();
+      for (const auto& [request, dest] : admitted) {
+        if (service.request_status(request) != DynamicRequestStatus::kPending) continue;
+        const SimTime arrival = service.planned_arrival(request);
+        if (arrival.is_infinite()) continue;
+        EXPECT_TRUE(std::ranges::any_of(planned, [&](const CommStep& step) {
+          return step.item == request.item && step.to == dest && step.arrival == arrival &&
+                 step.start >= service.now();
+        })) << "request " << request.item.value() << ":" << request.k;
+      }
+    };
+    std::size_t admits = 0;
+    for (const SubmitRequest& submit : submits) {
+      if (service.request_status(submit.item_name, submit.request.destination) ==
+          DynamicRequestStatus::kPending) {
+        continue;
+      }
+      const AdmissionDecision decision = service.submit(submit);
+      if (!decision.admitted()) continue;
+      admitted.emplace_back(decision.request, submit.request.destination);
+      check_pending_arrivals();
+      if (++admits % 3 != 0 ||
+          service.request_status(decision.request) != DynamicRequestStatus::kPending) {
+        continue;
+      }
+      ASSERT_TRUE(service.cancel(decision.request, submit.at));
+      const AdmissionDecision again = service.submit(submit);
+      if (!again.admitted()) continue;
+      ++resubmits_admitted;
+      admitted.emplace_back(again.request, submit.request.destination);
+      check_pending_arrivals();
+    }
+    service.advance_to(last_deadline + SimDuration::seconds(1));
+    const double committed = service.snapshot().committed_value;
+    EXPECT_EQ(committed, service.finish().weighted_value(weighting));
+  }
+  EXPECT_GT(resubmits_admitted, 0u);
 }
 
 TEST(SchedulerServiceTest, EmitsAdmissionMetrics) {
@@ -334,7 +461,6 @@ TEST(SchedulerServiceTest, NewItemSubmitIntroducesAndDelivers) {
   item.name = "fresh";
   item.size_bytes = 500'000;
   item.sources.push_back(SourceLocation{MachineId(0), at_sec(0)});
-  ASSERT_TRUE(service.new_item_fits(item));
 
   SubmitRequest submit = submit_at(at_sec(0), "fresh", 2, at_sec(600));
   submit.new_item = item;
@@ -391,14 +517,55 @@ TEST(SchedulerServiceTest, QuickArrivalOfANewItemBoundsItsPlan) {
 }
 
 TEST(SchedulerServiceTest, NewItemFitRespectsStorageCapacity) {
-  // Machine 0 has 2 MB capacity, 1 MB of which the chain item occupies.
+  // The chain item occupies 1 MB of machine 0, so an item as large as the
+  // machine does not fit: the submit is refused before either stage, with
+  // no counter, replan or trace of the item.
   const Scenario scenario = chain_scenario();
   SchedulerService service(scenario, {});
+  const std::size_t replans = service.snapshot().replans;
   DataItem big;
   big.name = "big";
   big.size_bytes = scenario.machines[0].capacity_bytes;
   big.sources.push_back(SourceLocation{MachineId(0), at_sec(0)});
-  EXPECT_FALSE(service.new_item_fits(big));
+  SubmitRequest submit = submit_at(at_sec(0), "big", 2, at_sec(600));
+  submit.new_item = big;
+  const AdmissionDecision decision = service.submit(submit);
+  EXPECT_EQ(decision.outcome, AdmissionOutcome::kInvalidItem);
+  EXPECT_FALSE(decision.admitted());
+  EXPECT_FALSE(service.has_item("big"));
+  EXPECT_EQ(service.snapshot().submits, 0u);
+  EXPECT_EQ(service.snapshot().replans, replans);
+}
+
+TEST(SchedulerServiceTest, NewItemFitIsCheckedAtTheSubmitInstant) {
+  // M1 holds 1.5 MB, and d0 (1 MB) lands there for good at 1 s. A 1 MB new
+  // item sourced at M1 fits at time 0 but not at 10 s, when it is submitted
+  // with no pre-check: the service refuses it instead of injecting copies
+  // that do not fit.
+  const Scenario scenario = ScenarioBuilder()
+                                .machine(1 << 30)
+                                .machine(1'500'000)
+                                .link(0, 1, 8'000'000, {SimTime::zero(), at_min(120)})
+                                .item(1'000'000)
+                                .source(0, SimTime::zero())
+                                .request(1, at_min(30))
+                                .build();
+  for (const bool quick : {true, false}) {
+    ServiceOptions options;
+    options.quick_admission = quick;
+    SchedulerService service(scenario, options);
+    DataItem item;
+    item.name = "fresh";
+    item.size_bytes = 1'000'000;
+    item.sources.push_back(SourceLocation{MachineId(1), SimTime::zero()});
+    SubmitRequest submit = submit_at(at_sec(10), "fresh", 0, at_sec(600));
+    submit.new_item = item;
+    const AdmissionDecision decision = service.submit(submit);
+    EXPECT_EQ(decision.outcome, AdmissionOutcome::kInvalidItem) << "quick " << quick;
+    EXPECT_EQ(service.now(), at_sec(10)) << "quick " << quick;
+    EXPECT_FALSE(service.has_item("fresh")) << "quick " << quick;
+    EXPECT_EQ(service.snapshot().submits, 0u) << "quick " << quick;
+  }
 }
 
 TEST(SchedulerServiceTest, FinishDrainsRemainingFaults) {

@@ -223,7 +223,7 @@ TEST(ServeSessionTest, CancelFreesSlotAndKeepsOldIdAnswerable) {
       "{\"v\":1,\"cmd\":\"cancel\",\"id\":\"r1\",\"t_usec\":0}"));
   EXPECT_TRUE(cancel.find("cancelled")->boolean);
 
-  // Cancelling again is a no-op (already terminal), but still answers ok.
+  // Cancelling again is a no-op (already resolved), but still answers ok.
   const obs::JsonValue again = parse(session.handle_line(
       "{\"v\":1,\"cmd\":\"cancel\",\"id\":\"r1\",\"t_usec\":2000000}"));
   EXPECT_FALSE(again.find("cancelled")->boolean);
@@ -239,11 +239,17 @@ TEST(ServeSessionTest, CancelFreesSlotAndKeepsOldIdAnswerable) {
                 "{\"v\":1,\"cmd\":\"query\",\"id\":\"r2\"}")),
                 "status"),
             "satisfied");
-  // ...and the old id keeps answering with its frozen outcome.
+  // ...and the old id keeps answering with its own outcome.
   EXPECT_EQ(field(parse(session.handle_line(
                 "{\"v\":1,\"cmd\":\"query\",\"id\":\"r1\"}")),
                 "status"),
             "cancelled");
+  // The committed value counts the batch request and r2, not r1 as well,
+  // and is what the run delivers.
+  const obs::JsonValue stats = parse(session.handle_line("{\"v\":1,\"cmd\":\"stats\"}"));
+  EXPECT_EQ(stats.find("committed_value")->number, 200.0);
+  const obs::JsonValue summary = parse(session.handle_line("{\"v\":1,\"cmd\":\"shutdown\"}"));
+  EXPECT_EQ(summary.find("value")->number, 200.0);
 }
 
 TEST(ServeSessionTest, ShutdownLatchesAndSummarizes) {
