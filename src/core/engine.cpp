@@ -581,10 +581,9 @@ void StagingEngine::compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws) {
     job.replayed = replay_tree(item, plan, dopt.prune_after, job);
   }
   if (!job.repaired && !job.replayed) {
-    // A logging run needs the capacity rejections to mark the tree
-    // replayable.
-    compute_route_tree_into(state_, *topology_, item, dopt, ws.ws, plan.tree,
-                            instr_ != nullptr || logging_ ? &job.stats : nullptr);
+    plan.storage_free = compute_route_tree_into(state_, *topology_, item, dopt, ws.ws,
+                                                plan.tree,
+                                                instr_ != nullptr ? &job.stats : nullptr);
   }
   job.prune_after = dopt.prune_after;
   build_candidates_local(item, plan, ws);
@@ -595,11 +594,10 @@ bool StagingEngine::repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& w
   // last commit was its own with no foreign dispatch since (invalidate keeps
   // repair_roots empty otherwise).
   if (options_.paranoid || plan.repair_roots.empty()) return false;
-  // Guard 3: the item fits next to every machine's storage peak, now and so
-  // at every earlier state. can_hold never rejected it, departures are FIFO
-  // and every cached label is an exact earliest arrival.
-  const DataItem& it = scenario_->item(item);
-  if (it.size_bytes > state_.min_storage_headroom()) return false;
+  // Guard 3: the tree descends from a Dijkstra run in which storage rejected
+  // nothing, so departures were FIFO and its labels are exact earliest
+  // arrivals, which commits since could only raise.
+  if (!plan.storage_free) return false;
   // The committed receivers now hold copies available at exactly their old
   // labels; a fresh run settles a prefix of the old settle order with the
   // same labels and parent edges, those receivers as roots.
@@ -607,6 +605,7 @@ bool StagingEngine::repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& w
   // Guard 4: every pending target is reached with a parent by its deadline,
   // so its whole path was subscribed and a fresh run would settle it before
   // the prune horizon.
+  const DataItem& it = scenario_->item(item);
   for (const std::int32_t k : tracker_.pending_of(item)) {
     const Request& request = it.requests[static_cast<std::size_t>(k)];
     const TreeEdge* entry = plan.tree.entry(request.destination);
@@ -660,6 +659,7 @@ bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after
                                   ? SimTime::infinity()
                                   : prune_after + SimDuration::from_usec(1);
   plan.tree.reset(scenario_->machine_count());
+  plan.storage_free = true;  // the logged run's flag
   for (const LoggedEntry& entry : entries) {
     if (!entry.from.valid()) {
       const std::optional<SimTime> copy = state_.copy_available_at(item, entry.to);
@@ -714,14 +714,14 @@ bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after
   return true;
 }
 
-void StagingEngine::log_tree(std::size_t plan_index, SimTime prune_after,
-                             bool replayable) {
-  const std::span<const TreeEdge> entries = plans_[plan_index].tree.entries();
+void StagingEngine::log_tree(std::size_t plan_index, SimTime prune_after) {
+  const ItemPlan& plan = plans_[plan_index];
+  const std::span<const TreeEdge> entries = plan.tree.entries();
   log_.trees.push_back(LoggedTree{static_cast<std::uint32_t>(plan_index),
                                   static_cast<std::uint32_t>(iterations_),
                                   static_cast<std::uint32_t>(log_.entries.size()),
                                   static_cast<std::uint32_t>(entries.size()), prune_after,
-                                  replayable});
+                                  plan.storage_free});
   for (const TreeEdge& e : entries) {
     log_.entries.push_back(LoggedEntry{
         e.from, e.to, e.from.valid() ? scenario_->vlink(e.link).phys : PhysLinkId::invalid(),
@@ -757,13 +757,7 @@ void StagingEngine::merge_refresh_job(RefreshJob& job) {
       }
     }
   }
-  if (logging_) {
-    // A repaired tree equals a rejection-free Dijkstra run (the item fits
-    // the least headroom), and a replayed tree the storage-free forest its
-    // log held.
-    log_tree(plan_index, job.prune_after,
-             job.repaired || job.replayed || job.stats.capacity_rejections == 0);
-  }
+  if (logging_) log_tree(plan_index, job.prune_after);
   if (trace_ != nullptr) {
     trace_->event("recompute")
         .field("iter", iterations_)

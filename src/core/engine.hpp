@@ -35,8 +35,9 @@
 // rejection (tested against `paranoid` mode, which recomputes everything
 // every iteration; see docs/PERFORMANCE.md for the equivalence argument).
 // Where storage binds, a tight hold can break FIFO, and a cached tree may
-// differ from a recompute (ROADMAP item 1); repair and replay refuse to act
-// there.
+// differ from a recompute (ROADMAP item 1). Each plan records whether its
+// tree descends from a Dijkstra run in which storage rejected nothing
+// (ItemPlan::storage_free); repair and replay act only on such trees.
 #pragma once
 
 #include <array>
@@ -243,8 +244,7 @@ class StagingEngine {
     std::uint32_t first;
     std::uint32_t count;
     SimTime prune_after;
-    /// No storage check rejected a relaxation: the tree is the plain
-    /// FIFO earliest-arrival forest and may be replayed.
+    /// The plan's storage_free flag: the tree may be replayed.
     bool replayable;
   };
   /// One committed step, compared field by field with the next run's.
@@ -290,6 +290,10 @@ class StagingEngine {
 
   struct ItemPlan {
     RouteTree tree{0};
+    /// The tree descends from a Dijkstra run in which storage rejected
+    /// nothing (compute_route_tree_into's result; a repair keeps it, a replay
+    /// takes the logged run's). Only such a tree is repaired or replayed.
+    bool storage_free = false;
     bool dirty = true;
     bool exhausted = false;  ///< no pending dests; skip entirely
     /// Bumped whenever candidates are rebuilt or the plan retires; tournament
@@ -348,14 +352,14 @@ class StagingEngine {
     /// logging_ and neither repaired nor replayed).
     ReplayMiss miss = ReplayMiss::kLinksGrew;
     SimTime prune_after = SimTime::infinity();
-    DijkstraStats stats;
+    DijkstraStats stats;  ///< filled only when metrics are attached
   };
 
   /// Per-worker scratch for the compute phase: a Dijkstra workspace, the
-  /// target buffer, the node-mark epoch set, and the pooled buffers the
-  /// candidate rebuild recycles round over round (destination groups, path
-  /// walks). refresh_ws_[0] doubles as the serial path's scratch, so serial
-  /// and parallel runs share one code path.
+  /// target buffer, the node-mark epoch set, and the buffers the candidate
+  /// rebuild reuses round over round (the first-hop groups, a path walk, and
+  /// a pool of candidate destination lists). refresh_ws_[0] doubles as the
+  /// serial path's scratch, so serial and parallel runs share one code path.
   struct RefreshWorkspace {
     /// One pending destination in the first-hop grouping of a candidate
     /// rebuild (replaces the per-round std::map allocations
@@ -401,25 +405,25 @@ class StagingEngine {
   void compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws);
   /// Rebuilds the plan's tree without Dijkstra after its own commit, when
   /// that is exact: not paranoid, no foreign dispatch since the commit, the
-  /// item fits every machine's storage headroom, and every pending target
-  /// (ws.targets) stays reached with a parent by its deadline. False leaves
-  /// the tree for compute_route_tree_into to overwrite (docs/PERFORMANCE.md
-  /// item 8).
+  /// tree is storage_free, and every pending target (ws.targets) stays
+  /// reached with a parent by its deadline. False leaves the tree for
+  /// compute_route_tree_into to overwrite (docs/PERFORMANCE.md item 8).
   bool repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& ws);
   /// Rebuilds the plan's tree by verifying the previous run's tree current
   /// at this iteration, when that is exact: the run has retraced the
   /// previous run's commits, its links only shrank, the item is unchanged,
-  /// storage rejected nothing in the logged tree's run, and every kept edge
-  /// re-derives from its parent's label with the same start and arrival as
-  /// the unique earliest arrival of its sender->receiver group, and fits its
+  /// the logged tree was storage_free, and every kept edge re-derives from
+  /// its parent's label with the same start and arrival as the unique
+  /// earliest arrival of its sender->receiver group, and fits its
   /// receiver's storage now. False sets job.miss and leaves the tree for
   /// Dijkstra to overwrite (docs/PERFORMANCE.md item 11).
   bool replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after, RefreshJob& job);
   /// Starts the logs of a reset-started run: the current log becomes the
   /// previous run's, the new world is compared with it and recorded.
   void start_log();
-  /// Appends the merged plan's fresh tree to the log.
-  void log_tree(std::size_t plan_index, SimTime prune_after, bool replayable);
+  /// Appends the merged plan's fresh tree and its storage_free flag to the
+  /// log.
+  void log_tree(std::size_t plan_index, SimTime prune_after);
   /// Serial merge of one computed job, replaying the exact shared-state
   /// effect sequence of a serial recompute.
   void merge_refresh_job(RefreshJob& job);

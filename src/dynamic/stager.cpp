@@ -192,6 +192,7 @@ void DynamicStager::set_now(SimTime now) {
   if (now == now_) return;
   now_ = now;
   stale_world(true, false);
+  run_garbage_collection();
 }
 
 void DynamicStager::permanent_charge(std::vector<StorageTimeline>& charge) const {
@@ -356,7 +357,6 @@ void DynamicStager::build_residual_items(std::vector<DataItem>& items,
 
 void DynamicStager::replan() {
   ++replans_;
-  run_garbage_collection();
   const ResidualWorld& world = residual_world();
   if (options_.observer != nullptr && options_.observer->metrics != nullptr) {
     options_.observer->metrics->counter("dynamic.replans").inc();
@@ -437,11 +437,10 @@ void DynamicStager::advance_to(SimTime now) {
 void DynamicStager::on_event(const StagingEvent& event) {
   DS_ASSERT(!finished_);
   DS_ASSERT_MSG(event.at >= now_, "events must arrive in time order");
+  // set_now collects garbage before the event body: an ad-hoc request must
+  // not see (or revive) a copy that expired earlier.
   commit_started(event.at);
   set_now(event.at);
-  // Apply physical garbage collection *before* the event body: an ad-hoc
-  // request must not see (or revive) a copy that expired earlier.
-  run_garbage_collection();
 
   if (const auto* new_item = std::get_if<NewItemEvent>(&event.body)) {
     DS_ASSERT_MSG(find_item(new_item->item.name) == nullptr,

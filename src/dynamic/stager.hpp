@@ -11,10 +11,10 @@
 //
 // Semantics choices (documented deviations from the static model):
 //   * Garbage collection keeps the static rule — intermediate copies are
-//     removed at (latest known deadline + γ) — where "known" includes ad-hoc
-//     requests that arrived before the copy expired; expired copies cannot
-//     be revived by later requests, nor by the copy rebuild after an
-//     in-flight failure.
+//     removed at (latest known deadline + γ), checked whenever the clock
+//     moves — where "known" includes ad-hoc requests that arrived before the
+//     copy expired; expired copies cannot be revived by later requests, nor
+//     by the copy rebuild after an in-flight failure.
 //   * A request whose destination already holds a (late) copy is closed as
 //     unsatisfied rather than kept pending.
 //
@@ -25,9 +25,10 @@
 // the admission estimate (residual_world()), the replan and the withdrawal:
 //   * the topology is rebuilt only when link availability or the instant
 //     changed;
-//   * a new request patches the world (appends it) unless garbage collection
-//     erased a copy at this instant, the request moved its item's gc time,
-//     or it resolved on the spot;
+//   * a new request patches the world (appends it) unless the request moved
+//     its item's gc time or resolved on the spot (garbage collection runs
+//     whenever the clock moves, so it has erased any expired copy before the
+//     world is read);
 //   * a cancel patches the world (removes the request);
 //   * anything else rebuilds the items and timelines.
 // A patched world equals the rebuilt one field for field, so decisions do
@@ -284,7 +285,9 @@ class DynamicStager {
   const TrackedRequest& tracked(RequestRef request) const;
   /// Moves every planned step starting before `now` to committed_.
   void commit_started(SimTime now);
-  /// Sets now_; a new instant clips the residual links differently.
+  /// Sets now_; a new instant clips the residual links differently and
+  /// runs garbage collection. commit_started(now) must run first: at an
+  /// unchanged instant it commits nothing new, so nothing is left to collect.
   void set_now(SimTime now);
   void note_arrival(TrackedItem& item, MachineId machine, SimTime arrival);
   /// Applies a copy-loss fault: destroys the copy present at `machine` (if

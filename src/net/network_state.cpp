@@ -22,7 +22,6 @@ NetworkState::NetworkState(const Scenario& scenario)
   bind_items(&charges);
   storage_ = StorageTimeline::per_machine(scenario.machines, charges,
                                           "initial source copies exceed machine capacity");
-  refresh_headroom();
 }
 
 NetworkState::NetworkState(const Scenario& scenario,
@@ -39,7 +38,6 @@ void NetworkState::reset(const Scenario& scenario,
   links_.reset(scenario);
   bind_items(nullptr);
   storage_.assign(storage.begin(), storage.end());
-  refresh_headroom();
   transfer_count_ = 0;
 }
 
@@ -76,20 +74,6 @@ void NetworkState::bind_items(std::vector<StorageCharge>* charges) {
       copies.insert(slot, HeldCopy{{src.machine, src.available_at}, src.available_at});
     }
   }
-}
-
-void NetworkState::refresh_headroom() {
-  min_headroom_ = INT64_MAX;
-  for (const StorageTimeline& st : storage_) {
-    min_headroom_ = std::min(min_headroom_, st.headroom());
-  }
-}
-
-void NetworkState::allocate_storage(MachineId machine, std::int64_t bytes,
-                                    const Interval& iv) {
-  StorageTimeline& st = storage_[machine.index()];
-  st.allocate(bytes, iv);
-  min_headroom_ = std::min(min_headroom_, st.headroom());
 }
 
 const HeldCopy* NetworkState::find_copy(ItemId item, MachineId machine) const {
@@ -183,7 +167,7 @@ AppliedTransfer NetworkState::apply_transfer(ItemId item, VirtLinkId link,
 
   applied.storage_interval = hold_charge(item, to, start);
   if (applied.storage_interval.has_value()) {
-    allocate_storage(to, bytes, *applied.storage_interval);
+    storage_[to.index()].allocate(bytes, *applied.storage_interval);
   }
   std::vector<HeldCopy>& copies = copies_[item.index()];
   const auto it = copy_slot(copies, to);

@@ -73,12 +73,6 @@ class NetworkState {
   const LinkSchedule& links() const { return links_; }
   const StorageTimeline& storage(MachineId m) const { return storage_[m.index()]; }
 
-  /// The least storage headroom (capacity - peak) over all machines, O(1):
-  /// an item of at most this many bytes fits every hold window on every
-  /// machine, now and — headroom only shrinks — at every earlier state.
-  /// INT64_MAX for a scenario without machines.
-  std::int64_t min_storage_headroom() const { return min_headroom_; }
-
   /// All current copies of `item` (initial sources plus staged copies),
   /// ascending by machine.
   std::span<const HeldCopy> copies(ItemId item) const { return copies_[item.index()]; }
@@ -158,14 +152,6 @@ class NetworkState {
   /// requests (clearing what a previous scenario left); appends each source's
   /// storage charge to `charges` when it is non-null.
   void bind_items(std::vector<StorageCharge>* charges);
-  /// Recomputes min_headroom_ from storage_.
-  void refresh_headroom();
-
-  /// Charges `bytes` on `machine` over `iv` and keeps min_headroom_ current;
-  /// the one place a transfer charges storage (the constructor sweeps the
-  /// initial copies into the timelines in one pass).
-  void allocate_storage(MachineId machine, std::int64_t bytes, const Interval& iv);
-
   /// The copy of `item` at `machine`, or nullptr.
   const HeldCopy* find_copy(ItemId item, MachineId machine) const;
 
@@ -179,7 +165,6 @@ class NetworkState {
   std::vector<std::vector<MachineId>> dests_;  // [item] -> sorted machine ids
   std::vector<SimTime> gc_time_;               // [item] -> Scenario::gc_time
   std::size_t transfer_count_ = 0;
-  std::int64_t min_headroom_ = INT64_MAX;  ///< min over storage_ of headroom()
   std::optional<NetCounters> counters_;
 };
 

@@ -77,7 +77,7 @@ void DijkstraWorkspace::begin_run(std::size_t machine_count) {
   touched.clear();
 }
 
-void compute_route_tree_into(const NetworkState& state, const Topology& topology,
+bool compute_route_tree_into(const NetworkState& state, const Topology& topology,
                              ItemId item, const DijkstraOptions& options,
                              DijkstraWorkspace& workspace, RouteTree& tree,
                              DijkstraStats* stats) {
@@ -105,6 +105,7 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
     }
   }
   const bool track_targets = targets_left > 0;
+  bool storage_free = true;
 
   for (const Copy& copy : state.copies(item)) {
     // Root label: min with any existing label (a machine holds one copy, but
@@ -179,6 +180,7 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
         if (fit->arrival >= arrival_limit) continue;
         if (stats != nullptr) ++stats->storage_checks;
         if (!state.can_hold(item, v, fit->start)) {
+          storage_free = false;
           if (stats != nullptr) ++stats->capacity_rejections;
           continue;
         }
@@ -223,6 +225,7 @@ void compute_route_tree_into(const NetworkState& state, const Topology& topology
     tree.append(machine, ws.arrival[i], ws.has_parent[i] != 0, ws.edge[i]);
   }
   if (stats != nullptr) stats->kept_entries += tree.labeled_count();
+  return storage_free;
 }
 
 RouteTree compute_route_tree(const NetworkState& state, const Topology& topology,

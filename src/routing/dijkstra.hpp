@@ -91,8 +91,11 @@ struct DijkstraWorkspace {
 
 /// Runs the adapted Dijkstra for `item` over the current `state`, writing the
 /// forest into `tree` (reset in place — prior contents are discarded, buffers
-/// reused). `topology` must be built from `state.scenario()`.
-void compute_route_tree_into(const NetworkState& state, const Topology& topology,
+/// reused). `topology` must be built from `state.scenario()`. Returns true iff
+/// storage rejected no relaxation in this run: the tree is then the plain
+/// FIFO earliest-arrival forest, which StagingEngine's tree repair and
+/// replay require.
+bool compute_route_tree_into(const NetworkState& state, const Topology& topology,
                              ItemId item, const DijkstraOptions& options,
                              DijkstraWorkspace& workspace, RouteTree& tree,
                              DijkstraStats* stats = nullptr);

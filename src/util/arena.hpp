@@ -1,11 +1,11 @@
 // Pooled buffer arena for per-round container churn.
 //
-// The scheduling engine rebuilds plan-local containers (candidate destination
-// groups, route-tree paths) every refresh round. Destroying and reallocating
-// those vectors dominates small-scenario rounds and fragments the heap at the
-// huge scale tier. A VectorPool recycles the *storage*: release() parks a
-// vector's buffer, acquire() hands it back empty with its capacity intact, so
-// steady-state rounds perform no allocator traffic at all.
+// The scheduling engine rebuilds every refreshed plan's candidates each round,
+// and each candidate owns the vector of its destinations (Candidate::dests).
+// Destroying and reallocating those vectors every round is allocator traffic
+// that grows with the candidate count. A VectorPool recycles the *storage*:
+// release() parks a vector's buffer, acquire() hands it back empty with its
+// capacity intact, so steady-state rounds allocate no destination lists.
 //
 // Pools are deterministic by construction — they only affect where bytes
 // live, never what values code observes — and deliberately not thread-safe:

@@ -3,8 +3,8 @@
 // the committed receivers instead of re-running Dijkstra. After every commit
 // the committed item's plan_tree() must equal a fresh targeted Dijkstra on the
 // engine's own network, entry for entry, in both storage regimes: plentiful
-// storage (huge-preset shape, where repairs fire) and the paper's tight
-// storage (where the headroom guard refuses most of them).
+// storage (huge-preset shape) and the paper's tight storage, where a repair
+// fires only for a tree whose Dijkstra run met no storage rejection.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -132,16 +132,19 @@ TEST_P(SelfRepairTest, RepairedTreeEqualsFreshRunWhereStorageIsPlentiful) {
 }
 
 TEST_P(SelfRepairTest, RepairedTreeEqualsFreshRunWhereStorageBinds) {
-  // Paper-preset cases, where storage binds and the headroom guard refuses
-  // most repairs. Case 136 of this set is one where, under tight storage, a
-  // clean cached tree already differs from a fresh run when its item is
-  // committed (the incremental/paranoid gap, docs/PERFORMANCE.md): a repair
-  // there would carry the difference forward.
+  // Paper-preset cases, where storage binds. A repair fires only for a tree
+  // whose Dijkstra run met no storage rejection, and each case has some such
+  // trees among its committed items. Case 136 of this set is one where, under
+  // tight storage, a clean cached tree already differs from a fresh run when
+  // its item is committed (the incremental/paranoid gap, docs/PERFORMANCE.md):
+  // a repair of a tree whose run met a rejection would carry the difference
+  // forward.
   const std::vector<Scenario> cases = generate_cases(GeneratorConfig::paper(), 101, 137);
   for (const std::size_t case_index : {std::size_t{0}, std::size_t{1}, std::size_t{136}}) {
-    check_every_commit(cases[case_index], GetParam(),
-                       "paper case " + std::to_string(case_index));
+    const std::string label = "paper case " + std::to_string(case_index);
+    const RunCounts counts = check_every_commit(cases[case_index], GetParam(), label);
     if (HasFatalFailure()) return;
+    EXPECT_GT(counts.repairs, 0u) << label;
   }
 }
 
@@ -219,6 +222,59 @@ TEST(SelfRepairSurgicalTest, OwnHopIsRepairedNotRecomputed) {
   EXPECT_EQ(tree.arrival(MachineId(1)), at_sec(1));
   EXPECT_EQ(tree.arrival(MachineId(2)), at_sec(2));
   expect_same_tree(tree, fresh_tree(engine, Topology(s), s, ItemId(0)), "own hop");
+}
+
+// Item 0 travels M0 -> M1 -> M2 as in shared_link_scenario. M3 cannot hold
+// it (capacity below its size). Without `m3_link`, M3 has no incoming link
+// and is unrelated to item 0's run; with it, M0 -> M3 is the run's first
+// relaxation, and storage rejects it.
+Scenario tight_machine_scenario(bool m3_link) {
+  ScenarioBuilder builder;
+  builder.machine(kGB).machine(kGB).machine(kGB).machine(500'000);
+  builder.link(0, 1, 8'000'000, kAlways).link(1, 2, 8'000'000, kAlways);
+  if (m3_link) builder.link(0, 3, 8'000'000, kAlways);
+  return builder.item(1'000'000).source(0, SimTime::zero()).request(2, at_min(30)).build();
+}
+
+TEST(SelfRepairSurgicalTest, TightUnrelatedMachineDoesNotBlockTheRepair) {
+  // M3's headroom is below the item's size, but storage rejected nothing in
+  // the item's own run: its tree is repaired after its own hop.
+  const Scenario s = tight_machine_scenario(false);
+  StagingEngine engine(s, EngineOptions{});
+  const std::optional<Candidate> first = candidate_of(engine, ItemId(0));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->hop.to, MachineId(1));
+  const std::size_t runs = engine.dijkstra_runs();
+  engine.apply_hop(*first);
+  const RouteTree& tree = engine.plan_tree(ItemId(0));
+  EXPECT_EQ(engine.dijkstra_runs(), runs);
+  EXPECT_EQ(engine.tree_repairs(), 1u);
+  EXPECT_FALSE(tree.has_parent(MachineId(1)));
+  expect_same_tree(tree, fresh_tree(engine, Topology(s), s, ItemId(0)),
+                   "tight unrelated machine");
+}
+
+TEST(SelfRepairSurgicalTest, StorageRejectionInTheItemsRunForcesDijkstra) {
+  // Storage rejected M0 -> M3 in the item's run, so its tree is not repaired
+  // after its own hop: the refresh runs Dijkstra.
+  const Scenario s = tight_machine_scenario(true);
+  obs::MetricsRegistry metrics;
+  obs::RunObserver observer;
+  observer.metrics = &metrics;
+  EngineOptions options;
+  options.observer = &observer;
+  StagingEngine engine(s, options);
+  const std::optional<Candidate> first = candidate_of(engine, ItemId(0));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->hop.to, MachineId(1));
+  EXPECT_EQ(metrics.counter_value("dijkstra.capacity_rejections"), 1u);
+  const std::size_t runs = engine.dijkstra_runs();
+  engine.apply_hop(*first);
+  const RouteTree& tree = engine.plan_tree(ItemId(0));
+  EXPECT_EQ(engine.dijkstra_runs(), runs + 1);
+  EXPECT_EQ(engine.tree_repairs(), 0u);
+  expect_same_tree(tree, fresh_tree(engine, Topology(s), s, ItemId(0)),
+                   "rejection in the item's run");
 }
 
 TEST(SelfRepairSurgicalTest, SecondCommitOnTheSubscribedPathForcesDijkstra) {

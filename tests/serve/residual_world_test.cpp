@@ -125,14 +125,14 @@ void expect_same_topology(const Topology& a, const Topology& b) {
   }
 }
 
-/// Breakpoints, headroom, copies and holds of two states over one scenario.
+/// Storage timelines (breakpoints, peak, capacity), copies and holds of two
+/// states over one scenario.
 void expect_same_state(const NetworkState& a, const NetworkState& b) {
   const Scenario& scenario = a.scenario();
   for (std::size_t m = 0; m < scenario.machine_count(); ++m) {
     const MachineId machine(static_cast<std::int32_t>(m));
     EXPECT_TRUE(a.storage(machine) == b.storage(machine)) << "machine " << m;
   }
-  EXPECT_EQ(a.min_storage_headroom(), b.min_storage_headroom());
   for (std::size_t i = 0; i < scenario.item_count(); ++i) {
     const ItemId item(static_cast<std::int32_t>(i));
     ASSERT_EQ(a.copies(item).size(), b.copies(item).size());
@@ -392,7 +392,9 @@ TEST(ResidualWorldTest, ServiceMatchesUnsharedReferenceOnEveryWorldPath) {
   EXPECT_GT(patched, 0u);
   EXPECT_GT(gc_extended, 0u);
   EXPECT_GT(resolved_on_spot, 0u);
-  EXPECT_GT(gc_erased, 0u);
+  // Garbage collection runs when the clock moves, before stage 1 builds the
+  // world, so no replan finds copies erased since that build.
+  EXPECT_EQ(gc_erased, 0u);
   EXPECT_GT(withdrawals, 0u);
   EXPECT_GT(new_items, 0u);
   EXPECT_GT(outages, 0u);

@@ -173,9 +173,10 @@ TEST(SchedulerServiceTest, CancelWithdrawsItsOwnRequestAmongReopenedOnes) {
 TEST(SchedulerServiceTest, StaleRelayCopyDoesNotAdmitASubmit) {
   // d0 relays through B at t=0 (arriving at 1 s) on its way to C; garbage
   // collection erases that relay at 36 min (deadline 30 min + γ). A submit
-  // for B at 40 min due 0.5 s later cannot be met (the A->B hop takes 1 s):
-  // the replan plans nothing to B, so it is rejected, with no arrival, in
-  // either quick mode.
+  // for B at 40 min due 0.5 s later cannot be met (the A->B hop takes 1 s).
+  // Advancing the clock collects the relay before stage 1 reads the world,
+  // so the quick check rejects it; without the quick check the replan plans
+  // nothing to B. Either way it is rejected with no arrival.
   for (const bool quick : {true, false}) {
     ServiceOptions options;
     options.quick_admission = quick;
@@ -183,11 +184,16 @@ TEST(SchedulerServiceTest, StaleRelayCopyDoesNotAdmitASubmit) {
     const SimTime at = at_min(40);
     const AdmissionDecision decision =
         service.submit(submit_at(at, "d0", 1, at + SimDuration::milliseconds(500)));
-    EXPECT_EQ(decision.outcome, AdmissionOutcome::kFullReject) << "quick " << quick;
     EXPECT_TRUE(decision.planned_arrival.is_infinite()) << "quick " << quick;
-    EXPECT_EQ(service.request_status(decision.request), DynamicRequestStatus::kCancelled)
-        << "quick " << quick;
     EXPECT_EQ(service.snapshot().committed_value, 100.0) << "quick " << quick;
+    if (quick) {
+      EXPECT_EQ(decision.outcome, AdmissionOutcome::kQuickReject);
+      EXPECT_FALSE(decision.quick_feasible);
+      EXPECT_EQ(decision.request, RequestRef{});
+    } else {
+      EXPECT_EQ(decision.outcome, AdmissionOutcome::kFullReject);
+      EXPECT_EQ(service.request_status(decision.request), DynamicRequestStatus::kCancelled);
+    }
   }
 }
 
