@@ -86,6 +86,8 @@ struct ModeResult {
   std::size_t tree_recomputes = 0;
   std::size_t tree_repairs = 0;
   ReplayCounts replay;
+  std::size_t withdrawals_kept_plan = 0;
+  std::size_t shadow_refreshes = 0;
   double p50_usec = 0.0;
   double p99_usec = 0.0;
   double mean_usec = 0.0;
@@ -161,6 +163,8 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
     result.topology_builds += snap.topology_builds;
     result.residual_builds += snap.residual_builds;
     result.world_patches += snap.world_patches;
+    result.withdrawals_kept_plan += snap.withdrawals_kept_plan;
+    result.shadow_refreshes += snap.shadow_refreshes;
   }
   if (const obs::Histogram* h =
           registry.find_histogram("admission.decision_usec")) {
@@ -186,11 +190,15 @@ void write_layer_json(std::FILE* f, const char* name, std::int64_t nanos,
                last ? "" : ",");
 }
 
-/// The replan layer's engine work: Dijkstra runs, repairs, replays, misses.
+/// The replan layer's engine work: Dijkstra runs, repairs, replays, misses,
+/// withdrawals that kept the plan and the shadow refreshes watching cost.
 std::string replan_work_json(const ModeResult& mode) {
   std::string json = ", \"tree_recomputes\": " + std::to_string(mode.tree_recomputes) +
                      ", \"tree_repairs\": " + std::to_string(mode.tree_repairs) +
                      ", \"tree_replays\": " + std::to_string(mode.replay.replays) +
+                     ", \"withdrawals_kept_plan\": " +
+                     std::to_string(mode.withdrawals_kept_plan) +
+                     ", \"shadow_refreshes\": " + std::to_string(mode.shadow_refreshes) +
                      ", \"replay_misses\": {";
   for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
     if (r > 0) json += ", ";

@@ -66,6 +66,7 @@ struct StagingEngine::Instr {
   obs::Counter tree_recomputes;     ///< Dijkstra reruns (cache miss/dirty)
   obs::Counter tree_repairs;        ///< own-commit trees re-rooted instead
   obs::Counter tree_replays;        ///< previous run's trees verified instead
+  obs::Counter shadow_refreshes;    ///< shadow plan rebuilds (watch())
   obs::Counter replay_misses;       ///< logging-run Dijkstra runs, any reason
   /// The same misses by reason, indexed by ReplayMiss.
   std::array<obs::Counter, kReplayMissKinds> replay_miss_reasons;
@@ -103,6 +104,7 @@ struct StagingEngine::Instr {
         tree_recomputes(m.counter("engine.tree_recomputes")),
         tree_repairs(m.counter("engine.tree_repairs")),
         tree_replays(m.counter("engine.tree_replays")),
+        shadow_refreshes(m.counter("engine.shadow_refreshes")),
         replay_misses(m.counter("engine.replay_misses")),
         cache_hits(m.counter("engine.cache_hits")),
         candidates(m.counter("engine.candidates_scored")),
@@ -299,6 +301,16 @@ void StagingEngine::start_run() {
     plan.last_invalidated_by = -1;
     plan.repair_roots.clear();
   }
+  // Nothing is watched until watch(): the shadow stays retired.
+  for (Candidate& c : shadow_.candidates) refresh_ws_.front().dest_pool.release(std::move(c.dests));
+  shadow_.candidates.clear();
+  shadow_.repair_roots.clear();
+  shadow_.exhausted = true;
+  shadow_.dirty = false;
+  shadow_.best = kNoBest;
+  watched_ = RequestRef{};
+  watch_held_ = false;
+  shadow_refreshes_ = 0;
   active_plans_ = n;
   // Every plan starts dirty: seed the queue so the first refresh builds all.
   dirty_queue_.resize(n);
@@ -311,12 +323,83 @@ void StagingEngine::start_run() {
   tree_repairs_ = 0;
   iterations_ = 0;
   guard_tripped_ = false;
-  max_iterations_ = options_.max_iterations != 0
-                        ? options_.max_iterations
-                        : 1000 + 200 * scenario.request_count();
+  max_iterations_ = iteration_guard(scenario.request_count());
   lifecycle_ = trace_ != nullptr ? std::make_unique<Lifecycle>(scenario) : nullptr;
   replay_ = ReplayCounts{};
   if (logging_) start_log();
+}
+
+std::size_t StagingEngine::iteration_guard(std::size_t requests) const {
+  return options_.max_iterations != 0 ? options_.max_iterations : 1000 + 200 * requests;
+}
+
+void StagingEngine::watch(RequestRef request) {
+  DS_ASSERT_MSG(iterations_ == 0 && index_.live_entries() == 0,
+                "watch() precedes the run's first refresh");
+  if (options_.paranoid) return;  // the oracle runs as it always does
+  const DataItem& item = scenario_->item(request.item);
+  DS_ASSERT_MSG(request.k >= 0 && static_cast<std::size_t>(request.k) < item.requests.size(),
+                "watched request out of range");
+  const Request& left_out = item.requests[static_cast<std::size_t>(request.k)];
+  // Without the request the item's gc time is its other requests' latest
+  // deadline plus gamma, and the request's destination is a relay unless
+  // another request names it (Scenario::gc_time, NetworkState::hold_end).
+  SimTime latest = SimTime::zero();
+  bool destination_kept = false;
+  for (std::size_t k = 0; k < item.requests.size(); ++k) {
+    if (k == static_cast<std::size_t>(request.k)) continue;
+    latest = max(latest, item.requests[k].deadline);
+    destination_kept |= item.requests[k].destination == left_out.destination;
+  }
+  watched_ = request;
+  watch_held_ = true;
+  watched_rules_ = HoldRules{latest + scenario_->gc_gamma,
+                             destination_kept ? MachineId::invalid() : left_out.destination};
+  watch_max_iterations_ = iteration_guard(scenario_->request_count() - 1);
+  // One more index slot, for the shadow's subscriptions.
+  index_.reset(scenario_->virt_links.size(), scenario_->machine_count(), plans_.size() + 1);
+  shadow_.dirty = true;
+  shadow_.exhausted = false;
+}
+
+void StagingEngine::retire_shadow() {
+  if (shadow_.exhausted) return;
+  shadow_.exhausted = true;
+  shadow_.dirty = false;
+  shadow_.best = kNoBest;
+  for (Candidate& c : shadow_.candidates) refresh_ws_.front().dest_pool.release(std::move(c.dests));
+  shadow_.candidates.clear();
+  shadow_.used_links.clear();
+  shadow_.used_storage.clear();
+  shadow_.repair_roots.clear();
+  index_.unsubscribe_all(shadow_slot());
+}
+
+void StagingEngine::end_watch() {
+  watch_held_ = false;
+  retire_shadow();
+}
+
+void StagingEngine::check_watched_choice(const Candidate* best) {
+  // The other plans are those of a run without the request, so that run
+  // chooses the better of `best`'s rivals and the shadow's best.
+  const Candidate* alternative = shadow_best();
+  bool same = false;
+  if (best == nullptr) {
+    same = alternative == nullptr;
+  } else if (best->item != watched_.item) {
+    same = alternative == nullptr || candidate_less(*best, *alternative);
+  } else {
+    // The item's own candidate beat every rival: so does the shadow's best
+    // if it ties with it. The commit is compared when it is applied.
+    const bool serves_request =
+        std::any_of(best->dests.begin(), best->dests.end(), [this](const DestinationEval& d) {
+          return d.k == watched_.k && d.sat;
+        });
+    same = !serves_request && alternative != nullptr && !candidate_less(*best, *alternative) &&
+           !candidate_less(*alternative, *best);
+  }
+  if (!same) end_watch();
 }
 
 void StagingEngine::RunLog::clear() {
@@ -503,8 +586,11 @@ void StagingEngine::refresh_plans() {
   // exact shared-state sequence a serial refresh would have produced.
   for (RefreshJob& job : refresh_jobs_) merge_refresh_job(job);
   // Every live plan not recomputed this round reused its cached tree; the
-  // cache is provably identical to a recompute (see the header note).
-  last_round_cache_hits_ = active_plans_ - refresh_jobs_.size();
+  // cache is provably identical to a recompute (see the header note). The
+  // shadow's job, when there is one, comes last and is no plan's.
+  const bool shadow_job =
+      !refresh_jobs_.empty() && refresh_jobs_.back().plan == shadow_slot();
+  last_round_cache_hits_ = active_plans_ - (refresh_jobs_.size() - (shadow_job ? 1 : 0));
   if (instr_ != nullptr) instr_->cache_hits.inc(last_round_cache_hits_);
   if (phases_ != nullptr) {
     const std::int64_t ns = steady_clock_nanos() - t0;
@@ -537,6 +623,21 @@ void StagingEngine::collect_refresh_jobs() {
     refresh_jobs_.push_back(job);
   }
   dirty_queue_.clear();
+  // The shadow's job goes last, keeping the batch in ascending slot order.
+  if (!shadow_.dirty) return;
+  shadow_.dirty = false;
+  shadow_pending_.clear();
+  for (const std::int32_t k : tracker_.pending_of(watched_.item)) {
+    if (k != watched_.k) shadow_pending_.push_back(k);
+  }
+  if (shadow_pending_.empty()) {
+    retire_shadow();
+    return;
+  }
+  RefreshJob job;
+  job.plan = shadow_slot();
+  job.old_candidates = shadow_.candidates.size();
+  refresh_jobs_.push_back(job);
 }
 
 void StagingEngine::retire_plan(std::size_t plan_index) {
@@ -563,33 +664,42 @@ void StagingEngine::compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws) {
   // the (const) tracker, writes only the plan's own storage, this worker's
   // scratch and the job record. Every shared-state effect of the old serial
   // recompute lives in merge_refresh_job.
-  const ItemId item(static_cast<std::int32_t>(job.plan));
-  ItemPlan& plan = plans_[job.plan];
+  const bool shadow = job.plan == shadow_slot();
+  const ItemId item = slot_item(job.plan);
+  ItemPlan& plan = plan_at(job.plan);
+  const std::span<const std::int32_t> pending =
+      shadow ? std::span<const std::int32_t>(shadow_pending_) : tracker_.pending_of(item);
   DijkstraOptions dopt;
-  dopt.prune_after = tracker_.latest_pending_deadline(item);
+  dopt.hold_rules = shadow ? &watched_rules_ : nullptr;
   // The engine only reads labels of pending destinations (and their paths):
-  // hand Dijkstra the target set so it can stop once all are settled.
+  // hand Dijkstra the target set so it can stop once all are settled. The
+  // prune horizon is their latest deadline.
   ws.targets.clear();
   const DataItem& it = scenario_->item(item);
-  for (const std::int32_t k : tracker_.pending_of(item)) {
-    ws.targets.push_back(it.requests[static_cast<std::size_t>(k)].destination);
+  SimTime latest_deadline = SimTime::zero();
+  for (const std::int32_t k : pending) {
+    const Request& request = it.requests[static_cast<std::size_t>(k)];
+    ws.targets.push_back(request.destination);
+    latest_deadline = max(latest_deadline, request.deadline);
   }
+  dopt.prune_after = latest_deadline;
   dopt.targets = ws.targets;
-  job.repaired = repair_tree(item, plan, ws);
+  job.repaired = repair_tree(item, plan, pending, ws);
   plan.repair_roots.clear();
-  if (!job.repaired && logging_ && prev_log_.logged) {
+  if (!job.repaired && !shadow && logging_ && prev_log_.logged) {
     job.replayed = replay_tree(item, plan, dopt.prune_after, job);
   }
   if (!job.repaired && !job.replayed) {
-    plan.storage_free = compute_route_tree_into(state_, *topology_, item, dopt, ws.ws,
-                                                plan.tree,
-                                                instr_ != nullptr ? &job.stats : nullptr);
+    plan.storage_free = compute_route_tree_into(
+        state_, *topology_, item, dopt, ws.ws, plan.tree,
+        instr_ != nullptr && !shadow ? &job.stats : nullptr);
   }
   job.prune_after = dopt.prune_after;
-  build_candidates_local(item, plan, ws);
+  build_candidates_local(item, plan, pending, dopt.hold_rules, ws);
 }
 
-bool StagingEngine::repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& ws) {
+bool StagingEngine::repair_tree(ItemId item, ItemPlan& plan,
+                                std::span<const std::int32_t> pending, RefreshWorkspace& ws) {
   // Guards 1 and 2: paranoid mode stays the literal oracle, and the plan's
   // last commit was its own with no foreign dispatch since (invalidate keeps
   // repair_roots empty otherwise).
@@ -606,7 +716,7 @@ bool StagingEngine::repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& w
   // so its whole path was subscribed and a fresh run would settle it before
   // the prune horizon.
   const DataItem& it = scenario_->item(item);
-  for (const std::int32_t k : tracker_.pending_of(item)) {
+  for (const std::int32_t k : pending) {
     const Request& request = it.requests[static_cast<std::size_t>(k)];
     const TreeEdge* entry = plan.tree.entry(request.destination);
     if (entry == nullptr || !entry->from.valid() || entry->arrival > request.deadline) {
@@ -732,7 +842,26 @@ void StagingEngine::log_tree(std::size_t plan_index, SimTime prune_after) {
 void StagingEngine::merge_refresh_job(RefreshJob& job) {
   const std::size_t plan_index = job.plan;
   const ItemId item(static_cast<std::int32_t>(plan_index));
-  ItemPlan& plan = plans_[plan_index];
+  ItemPlan& plan = plan_at(plan_index);
+  // Replay the subscriptions the compute phase recorded, in recorded order:
+  // each emplace below was a subscribe call in the serial code, so posting
+  // lists end up byte-identical to a serial refresh.
+  const auto resubscribe = [&] {
+    index_.unsubscribe_all(plan_index);
+    for (const auto& [link, busy] : plan.used_links) {
+      index_.subscribe_link(plan_index, link, busy);
+    }
+    for (const auto& [machine, hold] : plan.used_storage) {
+      index_.subscribe_storage(plan_index, machine, hold);
+    }
+  };
+  if (plan_index == shadow_slot()) {
+    // The shadow's only shared state is its subscriptions.
+    ++shadow_refreshes_;
+    if (instr_ != nullptr) instr_->shadow_refreshes.inc();
+    resubscribe();
+    return;
+  }
   if (job.repaired) {
     ++tree_repairs_;
     if (instr_ != nullptr) instr_->tree_repairs.inc();
@@ -768,16 +897,7 @@ void StagingEngine::merge_refresh_job(RefreshJob& job) {
         .field("replayed", job.replayed);
   }
   candidate_total_ -= job.old_candidates;
-  index_.unsubscribe_all(plan_index);
-  // Replay the subscriptions the compute phase recorded, in recorded order:
-  // each emplace below was a subscribe call in the serial code, so posting
-  // lists end up byte-identical to a serial refresh.
-  for (const auto& [link, busy] : plan.used_links) {
-    index_.subscribe_link(plan_index, link, busy);
-  }
-  for (const auto& [machine, hold] : plan.used_storage) {
-    index_.subscribe_storage(plan_index, machine, hold);
-  }
+  resubscribe();
   candidate_total_ += plan.candidates.size();
   if (plan.best != kNoBest) push_best(plan_index);
   if (instr_ != nullptr) {
@@ -856,7 +976,8 @@ void StagingEngine::classify_requests(ItemId item, const ItemPlan& plan) {
 }
 
 void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
-                                           RefreshWorkspace& ws) {
+                                           std::span<const std::int32_t> pending,
+                                           const HoldRules* rules, RefreshWorkspace& ws) {
   ++plan.generation;  // existing tournament entries for this plan go stale
   for (Candidate& c : plan.candidates) ws.dest_pool.release(std::move(c.dests));
   plan.candidates.clear();
@@ -876,7 +997,7 @@ void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
   std::vector<GroupEntry>& groups = ws.groups;
   groups.clear();
 
-  for (const std::int32_t k : tracker_.pending_of(item)) {
+  for (const std::int32_t k : pending) {
     const Request& request = it.requests[static_cast<std::size_t>(k)];
     const TreeEdge* dest_entry = plan.tree.entry(request.destination);
     if (dest_entry == nullptr || dest_entry->arrival.is_infinite()) continue;
@@ -958,7 +1079,8 @@ void StagingEngine::build_candidates_local(ItemId item, ItemPlan& plan,
         const Interval busy{edge.start, edge.arrival};
         plan.used_links.emplace_back(edge.link, busy);
         // What can_hold checked for this node.
-        const std::optional<Interval> charge = state_.hold_charge(item, edge.to, edge.start);
+        const std::optional<Interval> charge =
+            state_.hold_charge(item, edge.to, edge.start, rules);
         if (charge.has_value()) plan.used_storage.emplace_back(edge.to, *charge);
       }
     }
@@ -1004,6 +1126,7 @@ std::optional<Candidate> StagingEngine::best_candidate() {
     std::pop_heap(best_heap_.begin(), best_heap_.end(), best_entry_after);
     best_heap_.pop_back();
   }
+  if (watch_held_) check_watched_choice(best);
   if (trace_ != nullptr) {
     auto event = trace_->event("round");
     event.field("iter", iterations_)
@@ -1039,9 +1162,22 @@ std::size_t StagingEngine::candidate_count() {
 AppliedTransfer StagingEngine::commit_edge(ItemId item, const TreeEdge& edge) {
   const std::size_t pending_before =
       (instr_ != nullptr || trace_ != nullptr) ? tracker_.pending_count() : 0;
+  // A run without the watched request charges the item's holds by its own
+  // rules, and a copy at the request's destination is held differently
+  // there (and may resolve the request here).
+  const bool watched = watch_held_ && item == watched_.item;
+  std::optional<Interval> shadow_charge;
+  if (watched) shadow_charge = state_.hold_charge(item, edge.to, edge.start, &watched_rules_);
   const AppliedTransfer applied = state_.apply_transfer(item, edge.link, edge.start);
   DS_ASSERT_MSG(applied.arrival == edge.arrival,
                 "committed transfer deviates from the planned tree edge");
+  if (watched) {
+    const Request& left_out =
+        scenario_->item(item).requests[static_cast<std::size_t>(watched_.k)];
+    if (shadow_charge != applied.storage_interval || edge.to == left_out.destination) {
+      end_watch();
+    }
+  }
   schedule_.add(
       CommStep{item, edge.from, edge.to, edge.link, edge.start, applied.arrival});
   if (lifecycle_ != nullptr) {
@@ -1098,79 +1234,106 @@ AppliedTransfer StagingEngine::commit_edge(ItemId item, const TreeEdge& edge) {
   return applied;
 }
 
-void StagingEngine::apply_hop(const Candidate& candidate) {
-  DS_ASSERT_MSG(!plans_[candidate.item.index()].dirty,
-                "candidate applied after its plan was invalidated");
-  const AppliedTransfer applied = commit_edge(candidate.item, candidate.hop);
-  invalidate(candidate.item, std::span(&applied, 1));
-  count_iteration();
-}
-
-void StagingEngine::apply_full_path_one(const Candidate& candidate) {
-  ItemPlan& plan = plans_[candidate.item.index()];
-  DS_ASSERT_MSG(!plan.dirty, "candidate applied after its plan was invalidated");
-
-  // Pick the destination to complete: the candidate's own for per-destination
-  // criteria; otherwise the most urgent satisfiable one of the group.
-  const DestinationEval* chosen = nullptr;
-  for (const DestinationEval& eval : candidate.dests) {
-    if (!eval.sat) continue;
-    if (chosen == nullptr || eval.slack_seconds < chosen->slack_seconds ||
-        (eval.slack_seconds == chosen->slack_seconds && eval.k < chosen->k)) {
-      chosen = &eval;
-    }
-  }
-  DS_ASSERT_MSG(chosen != nullptr, "candidate without satisfiable destination");
-
-  const MachineId dest = scenario_->item(candidate.item)
-                             .requests[static_cast<std::size_t>(chosen->k)]
-                             .destination;
-  plan.tree.path_to_into(dest, commit_path_scratch_);
-  applied_scratch_.clear();
-  for (const TreeEdge& edge : commit_path_scratch_) {
-    applied_scratch_.push_back(commit_edge(candidate.item, edge));
-  }
-  invalidate(candidate.item, applied_scratch_);
-  count_iteration();
-}
-
-void StagingEngine::apply_full_path_all(const Candidate& candidate) {
-  ItemPlan& plan = plans_[candidate.item.index()];
-  DS_ASSERT_MSG(!plan.dirty, "candidate applied after its plan was invalidated");
-
-  // Union of the tree paths to every satisfiable destination of the group;
-  // each machine has a unique parent edge, so dedupe by edge target.
-  ++node_mark_epoch_;
-  std::vector<TreeEdge>& edges = commit_edges_scratch_;
+void StagingEngine::commit_edges_of(CommitShape shape, const Candidate& candidate,
+                                    const RouteTree& tree, std::vector<TreeEdge>& edges) {
   edges.clear();
-  for (const DestinationEval& eval : candidate.dests) {
-    if (!eval.sat) continue;
-    const MachineId dest = scenario_->item(candidate.item)
-                               .requests[static_cast<std::size_t>(eval.k)]
-                               .destination;
-    plan.tree.path_to_into(dest, commit_path_scratch_);
-    for (const TreeEdge& edge : commit_path_scratch_) {
-      if (node_mark_[edge.to.index()] == node_mark_epoch_) continue;
-      node_mark_[edge.to.index()] = node_mark_epoch_;
-      edges.push_back(edge);
+  const DataItem& item = scenario_->item(candidate.item);
+  switch (shape) {
+    case CommitShape::kHop:
+      edges.push_back(candidate.hop);
+      return;
+    case CommitShape::kPathOne: {
+      // Complete the candidate's own destination for per-destination
+      // criteria; otherwise the most urgent satisfiable one of the group.
+      const DestinationEval* chosen = nullptr;
+      for (const DestinationEval& eval : candidate.dests) {
+        if (!eval.sat) continue;
+        if (chosen == nullptr || eval.slack_seconds < chosen->slack_seconds ||
+            (eval.slack_seconds == chosen->slack_seconds && eval.k < chosen->k)) {
+          chosen = &eval;
+        }
+      }
+      DS_ASSERT_MSG(chosen != nullptr, "candidate without satisfiable destination");
+      tree.path_to_into(item.requests[static_cast<std::size_t>(chosen->k)].destination, edges);
+      return;
     }
+    case CommitShape::kPathAll:
+      // Union of the tree paths to every satisfiable destination of the
+      // group; each machine has a unique parent edge, so dedupe by edge
+      // target.
+      ++node_mark_epoch_;
+      for (const DestinationEval& eval : candidate.dests) {
+        if (!eval.sat) continue;
+        tree.path_to_into(item.requests[static_cast<std::size_t>(eval.k)].destination,
+                          commit_path_scratch_);
+        for (const TreeEdge& edge : commit_path_scratch_) {
+          if (node_mark_[edge.to.index()] == node_mark_epoch_) continue;
+          node_mark_[edge.to.index()] = node_mark_epoch_;
+          edges.push_back(edge);
+        }
+      }
+      DS_ASSERT_MSG(!edges.empty(), "candidate without satisfiable destination");
+      // A parent's arrival strictly precedes its children's arrivals, so
+      // sorting by arrival yields a valid commit order (senders hold copies
+      // in time).
+      std::sort(edges.begin(), edges.end(), [](const TreeEdge& a, const TreeEdge& b) {
+        if (a.arrival != b.arrival) return a.arrival < b.arrival;
+        return a.to < b.to;
+      });
+      return;
   }
-  DS_ASSERT_MSG(!edges.empty(), "candidate without satisfiable destination");
+}
 
-  // A parent's arrival strictly precedes its children's arrivals, so sorting
-  // by arrival yields a valid commit order (senders hold copies in time).
-  std::sort(edges.begin(), edges.end(), [](const TreeEdge& a, const TreeEdge& b) {
-    if (a.arrival != b.arrival) return a.arrival < b.arrival;
-    return a.to < b.to;
-  });
-
+void StagingEngine::apply(CommitShape shape, const Candidate& candidate) {
+  const ItemPlan& plan = plans_[candidate.item.index()];
+  DS_ASSERT_MSG(!plan.dirty, "candidate applied after its plan was invalidated");
+  std::vector<TreeEdge>& edges = commit_edges_scratch_;
+  commit_edges_of(shape, candidate, plan.tree, edges);
+  if (watch_held_ && candidate.item == watched_.item) {
+    // The shadow's best ties with the candidate (check_watched_choice); a
+    // run without the request commits what it commits.
+    const Candidate* alternative = shadow_best();
+    if (alternative != nullptr) {
+      commit_edges_of(shape, *alternative, shadow_.tree, shadow_edges_scratch_);
+    }
+    if (alternative == nullptr || shadow_edges_scratch_ != edges) end_watch();
+  }
   applied_scratch_.clear();
-  applied_scratch_.reserve(edges.size());
   for (const TreeEdge& edge : edges) {
     applied_scratch_.push_back(commit_edge(candidate.item, edge));
   }
   invalidate(candidate.item, applied_scratch_);
   count_iteration();
+}
+
+void StagingEngine::apply_hop(const Candidate& candidate) {
+  apply(CommitShape::kHop, candidate);
+}
+
+void StagingEngine::apply_full_path_one(const Candidate& candidate) {
+  apply(CommitShape::kPathOne, candidate);
+}
+
+void StagingEngine::apply_full_path_all(const Candidate& candidate) {
+  apply(CommitShape::kPathAll, candidate);
+}
+
+void StagingEngine::note_own_commit(ItemPlan& self,
+                                    std::span<const AppliedTransfer> applied) {
+  self.dirty = true;
+  // The commit took edges of this plan's fresh tree: remember their
+  // receivers so the refresh may re-root the tree instead of re-running
+  // Dijkstra (repair_tree). An edge the tree does not hold forbids it.
+  self.repair_roots.clear();
+  for (const AppliedTransfer& t : applied) {
+    const TreeEdge* entry = self.tree.entry(t.storage_machine);
+    if (entry == nullptr || entry->link != t.link || entry->start != t.start ||
+        entry->arrival != t.arrival) {
+      self.repair_roots.clear();
+      break;
+    }
+    self.repair_roots.push_back(t.storage_machine);
+  }
 }
 
 void StagingEngine::invalidate(ItemId scheduled_item,
@@ -1179,75 +1342,62 @@ void StagingEngine::invalidate(ItemId scheduled_item,
   {
     ItemPlan& self = plans_[scheduled_item.index()];
     if (!self.dirty) {
-      self.dirty = true;
+      note_own_commit(self, applied);
       if (lifecycle_ != nullptr) {
         // Self-attribution is real: committing one destination of an item can
         // consume resources its other pending destinations relied on.
         self.last_invalidated_by = scheduled_item.value();
       }
       dirty_queue_.push_back(scheduled_item.index());
-      // The commit took edges of this plan's fresh tree: remember their
-      // receivers so the refresh may re-root the tree instead of re-running
-      // Dijkstra (repair_tree). An edge the tree does not hold forbids it.
-      self.repair_roots.clear();
-      for (const AppliedTransfer& t : applied) {
-        const TreeEdge* entry = self.tree.entry(t.storage_machine);
-        if (entry == nullptr || entry->link != t.link || entry->start != t.start ||
-            entry->arrival != t.arrival) {
-          self.repair_roots.clear();
-          break;
-        }
-        self.repair_roots.push_back(t.storage_machine);
-      }
     }
     if (instr_ != nullptr) instr_->invalidations_self.inc();
   }
+  // So is the shadow's, when it is the scheduled item's: it takes no
+  // dispatch of its own item's commit, as no plan does.
+  const std::size_t shadow = shadow_slot();
+  const bool shadow_committed = !shadow_.exhausted && scheduled_item == watched_.item;
+  if (shadow_committed && !shadow_.dirty) note_own_commit(shadow_, applied);
 
   // Dispatch each applied transfer through the inverted index: only plans
   // subscribed to the touched link/storage are examined, instead of every
   // plan's whole resource list. Per plan, the first conflicting (transfer,
   // link-before-storage) pair wins — the same cause the old full scan
-  // assigned — because a dirtied plan is skipped by later dispatches.
+  // assigned — because a dirtied plan is skipped by later dispatches. The
+  // shadow is dirtied like a plan but neither queued nor recorded: its
+  // refresh is collected on its flag.
   const bool record = instr_ != nullptr || trace_ != nullptr;
   invalidation_scratch_.clear();
   std::size_t examined = 0;
+  // A hit on plan slot p; `fits` says whether a storage hit leaves p's hold
+  // fitting (a link hit always dirties).
+  const auto hit = [&](std::size_t p, InvalidationCause cause, const auto& fits) {
+    if (p == shadow && shadow_committed) return;
+    ItemPlan& plan = plan_at(p);
+    if (plan.dirty) plan.repair_roots.clear();  // guard 2: a foreign hit
+    if (plan.dirty || plan.exhausted || fits()) return;
+    plan.dirty = true;
+    if (p == shadow) return;
+    if (lifecycle_ != nullptr) plan.last_invalidated_by = scheduled_item.value();
+    dirty_queue_.push_back(p);
+    if (record) invalidation_scratch_.emplace_back(p, cause);
+  };
   for (const AppliedTransfer& t : applied) {
     examined += index_.dispatch_link(
-        t.link, t.link_busy, scheduled_item.index(),
-        [&](std::size_t p, const Interval&) {
-          ItemPlan& plan = plans_[p];
-          if (plan.dirty) plan.repair_roots.clear();  // guard 2: a foreign hit
-          if (plan.dirty || plan.exhausted) return;
-          plan.dirty = true;
-          if (lifecycle_ != nullptr) {
-            plan.last_invalidated_by = scheduled_item.value();
-          }
-          dirty_queue_.push_back(p);
-          if (record) {
-            invalidation_scratch_.emplace_back(p, InvalidationCause::kLink);
-          }
+        t.link, t.link_busy, scheduled_item.index(), [&](std::size_t p, const Interval&) {
+          hit(p, InvalidationCause::kLink, [] { return false; });
         });
     if (t.storage_interval.has_value()) {
       examined += index_.dispatch_storage(
           t.storage_machine, *t.storage_interval, scheduled_item.index(),
           [&](std::size_t p, const Interval& hold) {
-            ItemPlan& plan = plans_[p];
-            if (plan.dirty) plan.repair_roots.clear();  // guard 2: a foreign hit
-            if (plan.dirty || plan.exhausted) return;
             // Storage conflict: new usage overlaps a hold window this plan
             // checked and the hold no longer fits. (If it still fits, the
             // cached tree's capacity decisions are unchanged — alternatives
             // only got worse.)
-            const std::int64_t bytes = scenario_->items[p].size_bytes;
-            if (state_.storage(t.storage_machine).fits(bytes, hold)) return;
-            plan.dirty = true;
-            if (lifecycle_ != nullptr) {
-              plan.last_invalidated_by = scheduled_item.value();
-            }
-            dirty_queue_.push_back(p);
-            if (record) {
-              invalidation_scratch_.emplace_back(p, InvalidationCause::kStorage);
-            }
+            hit(p, InvalidationCause::kStorage, [&] {
+              const std::int64_t bytes = scenario_->item(slot_item(p)).size_bytes;
+              return state_.storage(t.storage_machine).fits(bytes, hold);
+            });
           });
     }
   }
@@ -1290,6 +1440,8 @@ void StagingEngine::count_iteration() {
   }
   ++iterations_;
   if (instr_ != nullptr) instr_->iterations.inc();
+  // A run without the watched request has a lower guard (or the same).
+  if (watch_held_ && iterations_ >= watch_max_iterations_) end_watch();
   if (iterations_ >= max_iterations_) {
     guard_tripped_ = true;
     if (instr_ != nullptr) instr_->guard_trips.inc();

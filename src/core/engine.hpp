@@ -38,6 +38,12 @@
 // differ from a recompute (ROADMAP item 1). Each plan records whether its
 // tree descends from a Dijkstra run in which storage rejected nothing
 // (ItemPlan::storage_free); repair and replay act only on such trees.
+//
+// A run may also watch one pending request (watch()): next to the item's
+// plan it keeps a shadow plan, the item as a run without that request plans
+// it, and checks every iteration that such a run would commit the same. A
+// run that held says the schedule without the request is the one it built,
+// so DynamicStager withdraws a fully rejected request without another run.
 #pragma once
 
 #include <array>
@@ -161,6 +167,28 @@ class StagingEngine {
   /// fresh engine would build.
   void reset(const Scenario& scenario, const Topology& topology,
              std::span<const StorageTimeline> storage);
+
+  /// Watches `request` of the run just started (its item and its index in
+  /// this run's scenario; it must be pending), before the run's first
+  /// refresh; paranoid runs ignore it. Next to the item's plan the engine
+  /// keeps a shadow plan: the item as a run without that request plans it,
+  /// with the other pending requests, their prune horizon and that run's
+  /// hold rules (HoldRules), its own tree, candidates, index subscriptions
+  /// and dirty flag, refreshed and repaired by the same rules as any plan.
+  /// It never enters the tournament and is never logged for replay. Each
+  /// best_candidate() checks that a run without the request would choose
+  /// the same step, and each commit of the item that it would commit the
+  /// same transfers with the same storage charges; the first iteration that
+  /// fails ends the watch (docs/PERFORMANCE.md item 12). The checks assume
+  /// a heuristic loop: each step applied is what best_candidate() returned.
+  void watch(RequestRef request);
+  /// True while every iteration of a watched run made the commit a run
+  /// without the watched request makes: once best_candidate() has returned
+  /// nullopt, that run's schedule is this one. False when nothing is
+  /// watched.
+  bool watch_held() const { return watch_held_; }
+  /// Refreshes of this run's shadow plan (0 unless a request is watched).
+  std::size_t shadow_refreshes() const { return shadow_refreshes_; }
 
   CostCriterion criterion() const { return options_.criterion; }
 
@@ -381,6 +409,43 @@ class StagingEngine {
     std::vector<std::uint8_t> keep;  ///< RouteTree::reroot_and_restrict scratch
   };
 
+  /// The shadow plan's slot in plan-indexed tables (the index, refresh
+  /// jobs): one past the last item's.
+  std::size_t shadow_slot() const { return plans_.size(); }
+  ItemPlan& plan_at(std::size_t slot) {
+    return slot == shadow_slot() ? shadow_ : plans_[slot];
+  }
+  ItemId slot_item(std::size_t slot) const {
+    return slot == shadow_slot() ? watched_.item
+                                 : ItemId(static_cast<std::int32_t>(slot));
+  }
+  /// The shadow plan's best candidate; nullptr when it has none.
+  const Candidate* shadow_best() const {
+    return shadow_.best == kNoBest ? nullptr : &shadow_.candidates[shadow_.best];
+  }
+  /// Retires the shadow plan, as retire_plan does a plan, keeping buffers.
+  void retire_shadow();
+  /// Ends the watch, retiring the shadow.
+  void end_watch();
+  /// Ends the watch unless a run without the watched request would choose
+  /// as best_candidate() did (`best`: its result).
+  void check_watched_choice(const Candidate* best);
+  /// What a heuristic commits of a candidate: its hop (partial path), the
+  /// path to one destination (full path/one), or the union of the paths to
+  /// every satisfiable destination (full path/all).
+  enum class CommitShape : std::uint8_t { kHop, kPathOne, kPathAll };
+  /// The edges `shape` commits of `candidate` over `tree`, in commit order
+  /// (uses node_mark_ and commit_path_scratch_).
+  void commit_edges_of(CommitShape shape, const Candidate& candidate, const RouteTree& tree,
+                       std::vector<TreeEdge>& edges);
+  /// The apply_* body: commits, invalidates and counts the iteration; on
+  /// the watched item, ends the watch unless the shadow's best commits the
+  /// same edges.
+  void apply(CommitShape shape, const Candidate& candidate);
+  /// Marks `self` dirty after its own commit of `applied`, with the
+  /// receivers a repair may re-root at.
+  void note_own_commit(ItemPlan& self, std::span<const AppliedTransfer> applied);
+
   /// Resolves engine_jobs and the observer's sinks (constructors only).
   void configure();
   /// Reads the observer's trace and phase timer, which a caller may attach
@@ -389,6 +454,8 @@ class StagingEngine {
   /// Puts every run-scoped member in the state a fresh engine on scenario_
   /// has, keeping buffers.
   void start_run();
+  /// The iteration guard of a run over `requests` requests.
+  std::size_t iteration_guard(std::size_t requests) const;
 
   /// Brings every plan up to date: recomputes the dirty set (incremental
   /// mode) or every live plan (paranoid mode marks them all dirty first),
@@ -405,10 +472,12 @@ class StagingEngine {
   void compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws);
   /// Rebuilds the plan's tree without Dijkstra after its own commit, when
   /// that is exact: not paranoid, no foreign dispatch since the commit, the
-  /// tree is storage_free, and every pending target (ws.targets) stays
-  /// reached with a parent by its deadline. False leaves the tree for
-  /// compute_route_tree_into to overwrite (docs/PERFORMANCE.md item 8).
-  bool repair_tree(ItemId item, ItemPlan& plan, RefreshWorkspace& ws);
+  /// tree is storage_free, and every target (ws.targets: the destinations
+  /// of the plan's `pending` requests) stays reached with a parent by its
+  /// deadline. False leaves the tree for compute_route_tree_into to
+  /// overwrite (docs/PERFORMANCE.md item 8).
+  bool repair_tree(ItemId item, ItemPlan& plan, std::span<const std::int32_t> pending,
+                   RefreshWorkspace& ws);
   /// Rebuilds the plan's tree by verifying the previous run's tree current
   /// at this iteration, when that is exact: the run has retraced the
   /// previous run's commits, its links only shrank, the item is unchanged,
@@ -441,7 +510,11 @@ class StagingEngine {
   /// touching only plan-local storage and the per-worker scratch. The
   /// matching shared-state work (index subscriptions, tournament push,
   /// totals, counters) happens in merge_refresh_job.
-  void build_candidates_local(ItemId item, ItemPlan& plan, RefreshWorkspace& ws);
+  /// `pending` are the plan's pending requests and `rules` its hold rules
+  /// (null but for the shadow plan).
+  void build_candidates_local(ItemId item, ItemPlan& plan,
+                              std::span<const std::int32_t> pending,
+                              const HoldRules* rules, RefreshWorkspace& ws);
   /// Lifecycle tracing: reclassifies every pending request of a freshly
   /// recomputed plan (feasible / deadline infeasible / no route) and emits
   /// request_lost / request_revived transitions. Only called when a trace is
@@ -512,6 +585,22 @@ class StagingEngine {
   std::vector<std::uint8_t> item_unchanged_;
   RunLog log_;       ///< this run's
   RunLog prev_log_;  ///< the previous reset-started run's
+
+  // --- The watched request (watch()) ---
+  RequestRef watched_;
+  bool watch_held_ = false;
+  /// The watched item's hold rules in a run without the request.
+  HoldRules watched_rules_{};
+  /// The iteration guard of a run without the request.
+  std::size_t watch_max_iterations_ = 0;
+  /// The watched item's plan in a run without the request; retired
+  /// (exhausted) when nothing is watched.
+  ItemPlan shadow_;
+  /// The shadow's pending requests: the item's, the watched one left out.
+  std::vector<std::int32_t> shadow_pending_;
+  std::vector<TreeEdge> shadow_edges_scratch_;
+  std::size_t shadow_refreshes_ = 0;
+
   std::size_t iterations_ = 0;
   std::size_t max_iterations_ = 0;
   bool guard_tripped_ = false;

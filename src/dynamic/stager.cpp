@@ -355,12 +355,10 @@ void DynamicStager::build_residual_items(std::vector<DataItem>& items,
   }
 }
 
-void DynamicStager::replan() {
+void DynamicStager::replan(std::optional<RequestRef> watched) {
   ++replans_;
+  bump("dynamic.replans");
   const ResidualWorld& world = residual_world();
-  if (options_.observer != nullptr && options_.observer->metrics != nullptr) {
-    options_.observer->metrics->counter("dynamic.replans").inc();
-  }
 
   {
     const obs::ScopedTimer timer(phases(), "dynamic.replan");
@@ -374,9 +372,24 @@ void DynamicStager::replan() {
     } else {
       engine_->reset(world.scenario, world.topology, world.storage);
     }
+    if (watched.has_value()) {
+      // The request is its item's last outstanding one, so the last of the
+      // residual item's requests.
+      const std::size_t k = world.scenario.items[watched->item.index()].requests.size() - 1;
+      DS_ASSERT_MSG(world.scenario.items[watched->item.index()].requests[k].destination ==
+                        tracked(*watched).request.destination,
+                    "watched request is not the residual item's last");
+      engine_->watch(RequestRef{watched->item, static_cast<std::int32_t>(k)});
+    }
     run_heuristic(spec_.heuristic, *engine_);
     const Schedule& schedule = engine_->finish_run();
     replay_counts_.add(engine_->replay_counts());
+    shadow_refreshes_ += engine_->shadow_refreshes();
+    // The plan is also the one without the request when the watch held
+    // through a loop the guard did not stop.
+    if (watched.has_value() && engine_->watch_held() && !engine_->guard_tripped()) {
+      plan_serves_without_ = watched;
+    }
 
     plan_.clear();
     for (const CommStep& step : schedule.steps()) {
@@ -387,17 +400,31 @@ void DynamicStager::replan() {
     }
     index_arrivals();
   }
-  if (options_.observer != nullptr && options_.observer->trace != nullptr) {
-    std::size_t residual_requests = 0;
-    for (const DataItem& item : world.scenario.items) residual_requests += item.requests.size();
-    options_.observer->trace->event("replan")
-        .field("replan", replans_)
-        .field("t_usec", now_.usec())
-        .field("residual_items", world.scenario.items.size())
-        .field("residual_requests", residual_requests)
-        .field("planned_steps", plan_.size())
-        .field("committed_steps", committed_.size());
-  }
+  trace_replan("engine_run");
+}
+
+void DynamicStager::keep_plan() {
+  ++replans_;
+  bump("dynamic.replans");
+  ++withdrawals_kept_plan_;
+  bump("dynamic.withdrawals_kept_plan");
+  trace_replan("kept_plan");
+}
+
+void DynamicStager::trace_replan(const char* served_by) {
+  if (trace() == nullptr) return;
+  // The world the plan serves, current after either path.
+  const Scenario& residual = world_->scenario;
+  std::size_t residual_requests = 0;
+  for (const DataItem& item : residual.items) residual_requests += item.requests.size();
+  trace()->event("replan")
+      .field("replan", replans_)
+      .field("t_usec", now_.usec())
+      .field("served_by", served_by)
+      .field("residual_items", residual.items.size())
+      .field("residual_requests", residual_requests)
+      .field("planned_steps", plan_.size())
+      .field("committed_steps", committed_.size());
 }
 
 std::vector<CommStep> DynamicStager::planned_steps() const {
@@ -430,6 +457,7 @@ void DynamicStager::index_arrivals() {
 void DynamicStager::advance_to(SimTime now) {
   DS_ASSERT(!finished_);
   DS_ASSERT_MSG(now >= now_, "time must be nondecreasing");
+  plan_serves_without_.reset();
   commit_started(now);
   set_now(now);
 }
@@ -437,10 +465,15 @@ void DynamicStager::advance_to(SimTime now) {
 void DynamicStager::on_event(const StagingEvent& event) {
   DS_ASSERT(!finished_);
   DS_ASSERT_MSG(event.at >= now_, "events must arrive in time order");
+  // Only the withdrawal of that request, next and at the same instant, may
+  // keep the plan.
+  std::optional<RequestRef> served_without = std::exchange(plan_serves_without_, std::nullopt);
+  if (event.at != now_) served_without.reset();
   // set_now collects garbage before the event body: an ad-hoc request must
   // not see (or revive) a copy that expired earlier.
   commit_started(event.at);
   set_now(event.at);
+  std::optional<RequestRef> watched;
 
   if (const auto* new_item = std::get_if<NewItemEvent>(&event.body)) {
     DS_ASSERT_MSG(find_item(new_item->item.name) == nullptr,
@@ -492,9 +525,12 @@ void DynamicStager::on_event(const StagingEvent& event) {
     // pre-pass depend on.
     const bool gc_kept = tracked.request.deadline <= item->latest_known_deadline();
     item->requests.push_back(tracked);
+    // An outstanding request's replan watches it, so that withdrawing it may
+    // keep the plan.
+    const ItemId id(static_cast<std::int32_t>(item - items_.data()));
+    if (!tracked.resolved) watched = newest_request(id);
     if (world_items_current_ && !tracked.resolved && gc_kept) {
-      world_->scenario.items[static_cast<std::size_t>(item - items_.data())]
-          .requests.push_back(tracked.request);
+      world_->scenario.items[id.index()].requests.push_back(tracked.request);
       note_world_patch();
     } else {
       stale_world(false, true);
@@ -569,6 +605,7 @@ void DynamicStager::on_event(const StagingEvent& event) {
     TrackedRequest* target = nullptr;
     std::size_t position = 0;
     std::size_t outstanding = 0;
+    RequestRef handle;
     if (item != nullptr) {
       for (std::size_t k = 0; k < item->requests.size(); ++k) {
         TrackedRequest& tracked = item->requests[k];
@@ -579,6 +616,8 @@ void DynamicStager::on_event(const StagingEvent& event) {
         if (named) {
           target = &tracked;
           position = outstanding;
+          handle = RequestRef{ItemId(static_cast<std::int32_t>(item - items_.data())),
+                              static_cast<std::int32_t>(k)};
         }
         ++outstanding;
       }
@@ -608,9 +647,17 @@ void DynamicStager::on_event(const StagingEvent& event) {
           .field("dest", cancel->destination.value())
           .field("outstanding", target != nullptr);
     }
+    // A no-op leaves the plan as it is. The withdrawal of the request the
+    // last replan watched keeps its plan when the watch held: that plan is
+    // the replan without the request (docs/PERFORMANCE.md item 12).
+    if (target == nullptr) return;
+    if (served_without == handle) {
+      keep_plan();
+      return;
+    }
   }
 
-  replan();
+  replan(watched);
 }
 
 void DynamicStager::apply_copy_loss(TrackedItem& item, MachineId machine) {

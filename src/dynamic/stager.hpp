@@ -8,6 +8,8 @@
 //   2. cancels every transfer that has not started,
 //   3. updates the world (new item / new request / link outage / restore),
 //   4. re-runs the configured static heuristic on the residual problem.
+// A cancel that withdraws nothing only moves the clock (steps 1–2 happen as
+// in advance_to, the plan stands), and a withdrawal may keep the plan (below).
 //
 // Semantics choices (documented deviations from the static model):
 //   * Garbage collection keeps the static rule — intermediate copies are
@@ -37,6 +39,11 @@
 // buffers, and no replan starts from scratch: while it commits what the
 // previous replan committed, the engine verifies that replan's logged route
 // trees instead of re-running Dijkstra (StagingEngine::reset, replay_tree).
+// A replan after a NewRequestEvent watches the request (StagingEngine::watch):
+// when its watch held, the run without the request would have built the same
+// schedule, so the withdrawal of exactly that request, next and at the same
+// instant (a full reject's), keeps the plan instead of running the engine. It
+// still patches the world and counts as a replan.
 //
 // Requests are addressed by RequestRef {item, k}: k indexes the item's tracked
 // requests, which like the items are append-only, so a handle names one
@@ -203,6 +210,12 @@ class DynamicStager {
   /// (StagingEngine::reset): plans rebuilt that way and Dijkstra runs replay
   /// could not serve, summed over replans.
   const ReplayCounts& replay_counts() const { return replay_counts_; }
+  /// Withdrawals served by keeping the plan of the replan that added the
+  /// request, without an engine run (counted in replans() too), and the
+  /// shadow-plan refreshes that watching such requests cost, summed over
+  /// replans (StagingEngine::watch).
+  std::size_t withdrawals_kept_plan() const { return withdrawals_kept_plan_; }
+  std::size_t shadow_refreshes() const { return shadow_refreshes_; }
 
  private:
   struct TrackedRequest {
@@ -319,7 +332,16 @@ class DynamicStager {
   /// Marks parts of the residual world out of date.
   void stale_world(bool links, bool items);
   void note_world_patch();
-  void replan();
+  /// Re-runs the heuristic on the residual world. `watched` (a handle) is
+  /// the request a NewRequestEvent just added: the engine watches it, and
+  /// when the watch holds its withdrawal may keep the plan.
+  void replan(std::optional<RequestRef> watched = std::nullopt);
+  /// Serves the withdrawal of plan_serves_without_ by the current plan: a
+  /// replan that runs no engine.
+  void keep_plan();
+  /// Emits the `replan` trace event; `served_by` is "engine_run" or
+  /// "kept_plan".
+  void trace_replan(const char* served_by);
   /// Rebuilds arrivals_ from committed_ and plan_.
   void index_arrivals();
   /// `reason` labels the requeue trace events ("link_outage"/"link_degrade").
@@ -386,6 +408,12 @@ class DynamicStager {
   std::size_t residual_builds_ = 0;
   std::size_t world_patches_ = 0;
   ReplayCounts replay_counts_;
+  /// The request (a handle) whose withdrawal the current plan serves as is:
+  /// the last replan watched it and its watch held. Any later event or
+  /// clock move clears it.
+  std::optional<RequestRef> plan_serves_without_;
+  std::size_t withdrawals_kept_plan_ = 0;
+  std::size_t shadow_refreshes_ = 0;
 
   std::size_t replans_ = 0;
   bool finished_ = false;

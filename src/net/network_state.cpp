@@ -106,20 +106,22 @@ std::optional<SimTime> NetworkState::hold_begin(ItemId item, MachineId machine) 
 }
 
 std::optional<Interval> NetworkState::hold_charge(ItemId item, MachineId machine,
-                                                  SimTime start) const {
+                                                  SimTime start,
+                                                  const HoldRules* rules) const {
   const HeldCopy* copy = find_copy(item, machine);
-  if (copy == nullptr) return Interval{start, hold_end(item, machine)};
+  if (copy == nullptr) return Interval{start, hold_end(item, machine, rules)};
   if (start < copy->hold_begin) return Interval{start, copy->hold_begin};
   return std::nullopt;
 }
 
-bool NetworkState::can_hold(ItemId item, MachineId machine, SimTime start) const {
+bool NetworkState::can_hold(ItemId item, MachineId machine, SimTime start,
+                            const HoldRules* rules) const {
   const std::int64_t bytes = scenario_->item(item).size_bytes;
   const StorageTimeline& st = storage_[machine.index()];
   // Fitting next to the peak means fitting any hold window: skip the copy
   // lookup and the window query.
   if (bytes <= st.headroom()) return true;
-  const std::optional<Interval> charge = hold_charge(item, machine, start);
+  const std::optional<Interval> charge = hold_charge(item, machine, start, rules);
   return !charge.has_value() || st.fits(bytes, *charge);
 }
 

@@ -40,6 +40,15 @@ struct HeldCopy : Copy {
   SimTime hold_begin;
 };
 
+/// One item's hold rules as a run whose scenario leaves out one of the
+/// item's requests sees them (StagingEngine's shadow plan): relays are held
+/// until `gc_time`, and `relay`, when valid, the left-out request's
+/// destination, is no destination of the item.
+struct HoldRules {
+  SimTime gc_time;
+  MachineId relay;
+};
+
 /// Record of the resources one applied transfer consumed; the scheduling
 /// engine uses it to invalidate cached route trees.
 struct AppliedTransfer {
@@ -93,8 +102,15 @@ class NetworkState {
   /// End of the storage hold window were `item` staged on `machine`
   /// (copy_hold_end): destinations keep data for the rest of the simulation,
   /// initial sources until their hold_until, intermediates until the item's
-  /// gc time, computed once when the scenario is bound.
-  SimTime hold_end(ItemId item, MachineId machine) const {
+  /// gc time, computed once when the scenario is bound. Non-null `rules`
+  /// replace the item's gc time and destinations as they say; they are for
+  /// that item only (so are those of hold_charge and can_hold).
+  SimTime hold_end(ItemId item, MachineId machine, const HoldRules* rules = nullptr) const {
+    if (rules != nullptr) {
+      return copy_hold_end(*scenario_, item, machine,
+                           machine != rules->relay && is_destination(item, machine),
+                           rules->gc_time);
+    }
     return copy_hold_end(*scenario_, item, machine, is_destination(item, machine),
                          gc_time_[item.index()]);
   }
@@ -106,11 +122,13 @@ class NetworkState {
   /// newly charges: the whole hold window [start, hold_end) for a new copy,
   /// the extension [start, begin) of a hold that begins later, and nothing
   /// for one that begins at or before `start`.
-  std::optional<Interval> hold_charge(ItemId item, MachineId machine, SimTime start) const;
+  std::optional<Interval> hold_charge(ItemId item, MachineId machine, SimTime start,
+                                      const HoldRules* rules = nullptr) const;
 
   /// Could `machine` store `item` from `start` to its hold end, given
   /// current allocations? Checks the hold_charge interval.
-  bool can_hold(ItemId item, MachineId machine, SimTime start) const;
+  bool can_hold(ItemId item, MachineId machine, SimTime start,
+                const HoldRules* rules = nullptr) const;
 
   /// Earliest feasible start on `link` for `item` at or after `ready_at`,
   /// considering only the link (capacity is the caller's separate check).

@@ -146,7 +146,8 @@ bool compute_route_tree_into(const NetworkState& state, const Topology& topology
     // The item must still reside on u when a transfer departs; transfers
     // departing after u's hold window has been garbage-collected are invalid.
     const SimTime sender_hold_end =
-        options.ignore_hold_ends ? SimTime::infinity() : state.hold_end(item, u);
+        options.ignore_hold_ends ? SimTime::infinity()
+                                 : state.hold_end(item, u, options.hold_rules);
     const SimTime depart_limit = min(sender_hold_end, prune_limit);
 
     for (const ReceiverGroup& group : topology.receivers(u)) {
@@ -179,7 +180,7 @@ bool compute_route_tree_into(const NetworkState& state, const Topology& topology
         if (fit->start >= sender_hold_end) continue;
         if (fit->arrival >= arrival_limit) continue;
         if (stats != nullptr) ++stats->storage_checks;
-        if (!state.can_hold(item, v, fit->start)) {
+        if (!state.can_hold(item, v, fit->start, options.hold_rules)) {
           storage_free = false;
           if (stats != nullptr) ++stats->capacity_rejections;
           continue;

@@ -43,6 +43,9 @@ struct DijkstraOptions {
   /// Departures are limited by prune_after only, not by the sender's hold
   /// end: the quick admission check's relaxation (serve/admission.hpp).
   bool ignore_hold_ends = false;
+  /// The item's hold rules in a run without one of its requests
+  /// (NetworkState::hold_end); null: the state's own.
+  const HoldRules* hold_rules = nullptr;
 };
 
 struct DijkstraStats {

@@ -300,6 +300,8 @@ ServiceSnapshot SchedulerService::snapshot() const {
   snap.residual_builds = stager_.residual_builds();
   snap.world_patches = stager_.world_patches();
   snap.replay = stager_.replay_counts();
+  snap.withdrawals_kept_plan = stager_.withdrawals_kept_plan();
+  snap.shadow_refreshes = stager_.shadow_refreshes();
   if (const obs::PhaseTimer* timer = phases()) {
     std::array<double, kServePhases.size()> seconds{};
     for (std::size_t p = 0; p < kServePhases.size(); ++p) {

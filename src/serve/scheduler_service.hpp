@@ -25,7 +25,9 @@
 //      this request by its deadline (DynamicStager::planned_arrival of its
 //      handle). A request the plan cannot serve on time is withdrawn again
 //      (cancel event at the same instant), so a rejected submit leaves no
-//      outstanding work behind.
+//      outstanding work behind. When the replan never used the request, the
+//      stager serves the withdrawal by keeping that plan, without a second
+//      engine run (StagingEngine::watch).
 //
 // Every admitted request enters the ledger by its handle, so
 // committed_value sums each admitted request once, by its own status.
@@ -152,6 +154,11 @@ struct ServiceSnapshot {
   /// Engine rebuilds served by replaying the previous replan's trees, and
   /// the Dijkstra runs replay could not serve by reason (deterministic).
   ReplayCounts replay;
+  /// Full-reject withdrawals served by keeping the submit replan's plan
+  /// without an engine run, and the shadow-plan refreshes that watching the
+  /// submitted requests cost (deterministic; DynamicStager).
+  std::size_t withdrawals_kept_plan = 0;
+  std::size_t shadow_refreshes = 0;
   /// Wall seconds per kServePhases entry, in that order; present only when
   /// a phase timer is attached. Measurement only, never deterministic.
   std::optional<std::array<double, kServePhases.size()>> phase_seconds;

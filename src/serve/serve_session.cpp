@@ -279,6 +279,8 @@ std::string ServeSession::handle_stats() const {
     line += "\":" + std::to_string(snap.replay.misses[r]);
   }
   line += "}";
+  append_size(line, "withdrawals_kept_plan", snap.withdrawals_kept_plan);
+  append_size(line, "shadow_refreshes", snap.shadow_refreshes);
   if (snap.phase_seconds.has_value()) {
     // Wall time, so only with a phase timer attached (--metrics-out): the
     // decision log stays byte-identical without one.

@@ -130,8 +130,10 @@ cmp -s "$WORK_DIR/serve1.log" "$WORK_DIR/serve_ej8.log"
 # of re-running Dijkstra (docs/PERFORMANCE.md item 11); --paranoid turns that
 # off along with the cache. The decision logs must match on a congested case
 # with submits at several instants, new items and full rejects (each one a
-# withdrawal replan); --no-quick sends every submit through the replan. Only
-# `stats` lines differ, by the replay counts they report.
+# withdrawal replan, which keeps the submit replan's plan when that replan
+# never used the request: item 12; w1 is due 1 ms after its submit);
+# --no-quick sends every submit through the replan. Only `stats` lines
+# differ, by the replay and kept-plan counts they report.
 "$TOOLS_DIR/datastage_gen" --seed=5 --preset=congested --quiet \
     --out="$WORK_DIR/congested.ds"
 cat > "$WORK_DIR/replay_script.txt" <<'EOF'
@@ -140,6 +142,7 @@ cat > "$WORK_DIR/replay_script.txt" <<'EOF'
 {"v":1,"cmd":"submit","id":"n1","t_usec":1600000000,"item":"fresh","dest":"M1","deadline_usec":5400000000,"priority":2,"new_item":{"size_bytes":4096,"sources":[{"machine":"M0","available_at_usec":1600000000}]}}
 {"v":1,"cmd":"submit","id":"r1","t_usec":1700000000,"item":"huge","dest":"M3","deadline_usec":1700001000,"priority":2,"new_item":{"size_bytes":4000000000,"sources":[{"machine":"M7","available_at_usec":1700000000}]}}
 {"v":1,"cmd":"submit","id":"a3","t_usec":2000000000,"item":"d1","dest":"M7","deadline_usec":5000000000,"priority":0}
+{"v":1,"cmd":"submit","id":"w1","t_usec":2100000000,"item":"d2","dest":"M3","deadline_usec":2100001000,"priority":0}
 {"v":1,"cmd":"advance","to_usec":2500000000}
 {"v":1,"cmd":"query","id":"a1"}
 {"v":1,"cmd":"stats"}
@@ -155,10 +158,13 @@ grep -v '"cmd":"stats"' "$WORK_DIR/replay.log" > "$WORK_DIR/replay.norm"
 grep -v '"cmd":"stats"' "$WORK_DIR/paranoid.log" > "$WORK_DIR/paranoid.norm"
 cmp -s "$WORK_DIR/replay.norm" "$WORK_DIR/paranoid.norm"
 # The script takes the paths it claims: a withdrawal, an admitted new item,
-# and replans that replay (none under --paranoid).
-grep -q '"outcome":"full_reject"' "$WORK_DIR/replay.log"
+# replans that replay and withdrawals that keep the plan (none of either
+# under --paranoid).
+grep -q '"id":"w1","outcome":"full_reject"' "$WORK_DIR/replay.log"
 grep -q '"id":"n1","outcome":"admitted"' "$WORK_DIR/replay.log"
 grep -q '"tree_replays":[1-9]' "$WORK_DIR/replay.log"
 grep -q '"tree_replays":0,' "$WORK_DIR/paranoid.log"
+grep -q '"withdrawals_kept_plan":[1-9]' "$WORK_DIR/replay.log"
+grep -q '"withdrawals_kept_plan":0,' "$WORK_DIR/paranoid.log"
 
 echo "determinism smoke test passed"

@@ -115,6 +115,29 @@ TEST(CancelRequestTest, CancelOfResolvedOrUnknownRequestIsNoop) {
   EXPECT_FALSE(result.requests[0].cancelled);
 }
 
+TEST(CancelRequestTest, NoopCancelOnlyAdvancesTheClock) {
+  DynamicStager stager(chain_scenario(), spec(), {});
+  const std::size_t replans = stager.replans();
+  const std::vector<CommStep> plan = stager.planned_steps();
+  // Unknown item, unrequested destination, out-of-range handle: no replan.
+  stager.on_event({at_sec(0), CancelRequestEvent{"nope", MachineId(2)}});
+  stager.on_event({at_sec(0), CancelRequestEvent{"d0", MachineId(0)}});
+  stager.on_event({at_sec(0), CancelRequestEvent{"d0", MachineId(2), 7}});
+  EXPECT_EQ(stager.replans(), replans);
+  EXPECT_EQ(stager.planned_steps(), plan);
+  // At a later instant the clock moves and the started hop commits, as
+  // advance_to would; the plan stands.
+  stager.on_event({at_sec(1), CancelRequestEvent{"nope", MachineId(2)}});
+  EXPECT_EQ(stager.replans(), replans);
+  EXPECT_EQ(stager.now(), at_sec(1));
+  EXPECT_EQ(stager.committed_step_count(), 1u);
+  EXPECT_EQ(stager.planned_step_count(), 1u);
+  // A resolved request: the delivery stands, still without a replan.
+  stager.on_event({at_sec(10), CancelRequestEvent{"d0", MachineId(2)}});
+  EXPECT_EQ(stager.replans(), replans);
+  EXPECT_EQ(stager.request_status("d0", MachineId(2)), DynamicRequestStatus::kSatisfied);
+}
+
 TEST(CancelRequestTest, CancellationSurvivesCopyLoss) {
   DynamicStager stager(chain_scenario(), spec(), {});
   stager.on_event({at_sec(0), CancelRequestEvent{"d0", MachineId(2)}});
