@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/line_reader.hpp"
 
 namespace datastage {
 namespace {
@@ -34,68 +35,50 @@ void save_schedule(const std::string& path, const Schedule& schedule) {
   write_schedule(out, schedule);
 }
 
+namespace {
+
+void parse_directive(LineReader& in, std::string_view directive, Schedule& schedule) {
+  if (directive != "step") {
+    in.fail("unknown directive '" + std::string(directive) + "'");
+    return;
+  }
+  if (in.fields_left() < 6) {
+    in.fail("expected: step <item> <from> <to> <link> <start> <arrival>");
+    return;
+  }
+  std::int32_t item = 0;
+  std::int32_t from = 0;
+  std::int32_t to = 0;
+  std::int32_t link = 0;
+  std::int64_t start = 0;
+  std::int64_t arrival = 0;
+  if (!in.read_int(item, "item") || !in.read_int(from, "from") ||
+      !in.read_int(to, "to") || !in.read_int(link, "link") ||
+      !in.read_int(start, "start") || !in.read_int(arrival, "arrival") ||
+      !in.at_line_end()) {
+    return;
+  }
+  if (arrival < start) {
+    in.fail("arrival precedes start");
+    return;
+  }
+  schedule.add(CommStep{ItemId(item), MachineId(from), MachineId(to), VirtLinkId(link),
+                        SimTime::from_usec(start), SimTime::from_usec(arrival)});
+}
+
+}  // namespace
+
 std::optional<Schedule> read_schedule(std::istream& is, std::string* error) {
-  auto fail = [error](int line, const std::string& msg) {
-    if (error != nullptr) *error = "line " + std::to_string(line) + ": " + msg;
-    return std::nullopt;
-  };
-
-  std::string line;
-  int line_no = 0;
-  if (!std::getline(is, line)) return fail(1, "empty input");
-  ++line_no;
-  {
-    std::istringstream header(line);
-    std::string magic;
-    std::string version;
-    header >> magic >> version;
-    if (magic != kMagic || version != kVersion) {
-      return fail(line_no, "malformed header (expected 'datastage-schedule v1')");
-    }
-  }
-
-  Schedule schedule;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    std::istringstream ss(line);
-    std::string directive;
-    ss >> directive;
-    if (directive != "step") return fail(line_no, "unknown directive '" + directive + "'");
-
-    std::int32_t item = 0;
-    std::int32_t from = 0;
-    std::int32_t to = 0;
-    std::int32_t link = 0;
-    std::int64_t start = 0;
-    std::int64_t arrival = 0;
-    if (!(ss >> item >> from >> to >> link >> start >> arrival)) {
-      return fail(line_no, "expected: step <item> <from> <to> <link> <start> <arrival>");
-    }
-    if (arrival < start) return fail(line_no, "arrival precedes start");
-    schedule.add(CommStep{ItemId(item), MachineId(from), MachineId(to),
-                          VirtLinkId(link), SimTime::from_usec(start),
-                          SimTime::from_usec(arrival)});
-  }
-  return schedule;
+  return read_lines(is, kMagic, kVersion, error, parse_directive);
 }
 
 std::optional<Schedule> schedule_from_string(const std::string& text,
                                              std::string* error) {
-  std::istringstream ss(text);
-  return read_schedule(ss, error);
+  return read_string(text, error, read_schedule);
 }
 
 std::optional<Schedule> load_schedule(const std::string& path, std::string* error) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    if (error != nullptr) *error = "cannot open file: " + path;
-    return std::nullopt;
-  }
-  return read_schedule(in, error);
+  return read_file(path, error, read_schedule);
 }
 
 }  // namespace datastage

@@ -2,8 +2,9 @@
 //
 // Lets the CLI tools persist a computed schedule next to its scenario file,
 // diff schedules between runs, and replay a saved schedule through the
-// simulator later. Versioned, line-oriented, strict parsing — same design as
-// model/scenario_io.
+// simulator later. Versioned (`datastage-schedule v1`) and line-oriented, read
+// by the shared util/line_reader: its rules for comments, blank lines,
+// whole-token numbers, trailing tokens and line-numbered errors apply here.
 #pragma once
 
 #include <iosfwd>

@@ -1,11 +1,11 @@
 #include "model/fault_io.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/line_reader.hpp"
 
 namespace datastage {
 namespace {
@@ -54,152 +54,57 @@ void save_faults(const std::string& path, const FaultSpec& faults) {
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(std::istream& is) : is_(is) {}
-
-  std::optional<FaultSpec> run(std::string* error) {
-    FaultSpec f;
-    std::string line;
-    if (!next_line(line) || !parse_header(line)) {
-      fail("missing or malformed header (expected 'datastage-faults v1')");
+void parse_directive(LineReader& in, std::string_view directive, FaultSpec& f) {
+  if (directive == "outage") {
+    std::int32_t link = 0;
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
+    if (in.read_int(link, "link") && in.read_int(begin, "begin") &&
+        in.read_int(end, "end") && in.at_line_end()) {
+      f.outages.push_back(LinkOutage{
+          PhysLinkId(link),
+          Interval{SimTime::from_usec(begin), SimTime::from_usec(end)}});
     }
-    while (!failed_ && next_line(line)) {
-      parse_line(line, f);
+  } else if (directive == "degrade") {
+    std::int32_t link = 0;
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
+    std::int64_t ppm = 0;
+    if (in.read_int(link, "link") && in.read_int(begin, "begin") &&
+        in.read_int(end, "end") && in.read_int(ppm, "factor ppm") &&
+        in.at_line_end()) {
+      f.degradations.push_back(LinkDegradation{
+          PhysLinkId(link),
+          Interval{SimTime::from_usec(begin), SimTime::from_usec(end)},
+          static_cast<double>(ppm) / kFactorScale});
     }
-    if (failed_) {
-      if (error != nullptr) *error = error_;
-      return std::nullopt;
+  } else if (directive == "copyloss") {
+    std::string item;
+    std::int32_t machine = 0;
+    std::int64_t at = 0;
+    if (in.read_name(item, "item name") && in.read_int(machine, "machine") &&
+        in.read_int(at, "time") && in.at_line_end()) {
+      f.copy_losses.push_back(
+          CopyLoss{std::move(item), MachineId(machine), SimTime::from_usec(at)});
     }
-    return f;
+  } else {
+    in.fail("unknown directive '" + std::string(directive) + "'");
   }
-
- private:
-  bool next_line(std::string& line) {
-    while (std::getline(is_, line)) {
-      ++line_no_;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      if (line.find_first_not_of(" \t\r") != std::string::npos) return true;
-    }
-    return false;
-  }
-
-  bool parse_header(const std::string& line) {
-    std::istringstream ss(line);
-    std::string magic;
-    std::string version;
-    ss >> magic >> version;
-    return magic == kMagic && version == kVersion;
-  }
-
-  void fail(const std::string& msg) {
-    if (failed_) return;
-    failed_ = true;
-    error_ = "line " + std::to_string(line_no_) + ": " + msg;
-  }
-
-  /// Whole-token integer parse: partial parses and overflow are errors,
-  /// never silent fallbacks (same contract as scenario_io and CliFlags).
-  template <class Int>
-  bool read_int(std::istringstream& ss, Int& out, const char* what) {
-    std::string token;
-    if (!(ss >> token)) {
-      fail(std::string("expected ") + what);
-      return false;
-    }
-    const char* last = token.data() + token.size();
-    const auto [ptr, ec] = std::from_chars(token.data(), last, out);
-    if (ec != std::errc() || ptr != last) {
-      fail(std::string("malformed ") + what + " '" + token + "'");
-      return false;
-    }
-    return true;
-  }
-
-  bool read_name(std::istringstream& ss, std::string& out, const char* what) {
-    if (!(ss >> out)) {
-      fail(std::string("expected ") + what);
-      return false;
-    }
-    return true;
-  }
-
-  bool at_line_end(std::istringstream& ss) {
-    std::string junk;
-    if (ss >> junk) {
-      fail("unexpected trailing token '" + junk + "'");
-      return false;
-    }
-    return true;
-  }
-
-  void parse_line(const std::string& line, FaultSpec& f) {
-    std::istringstream ss(line);
-    std::string directive;
-    ss >> directive;
-    if (directive == "outage") {
-      std::int32_t link = 0;
-      std::int64_t begin = 0;
-      std::int64_t end = 0;
-      if (read_int(ss, link, "link") && read_int(ss, begin, "begin") &&
-          read_int(ss, end, "end") && at_line_end(ss)) {
-        f.outages.push_back(LinkOutage{
-            PhysLinkId(link),
-            Interval{SimTime::from_usec(begin), SimTime::from_usec(end)}});
-      }
-    } else if (directive == "degrade") {
-      std::int32_t link = 0;
-      std::int64_t begin = 0;
-      std::int64_t end = 0;
-      std::int64_t ppm = 0;
-      if (read_int(ss, link, "link") && read_int(ss, begin, "begin") &&
-          read_int(ss, end, "end") && read_int(ss, ppm, "factor ppm") &&
-          at_line_end(ss)) {
-        f.degradations.push_back(LinkDegradation{
-            PhysLinkId(link),
-            Interval{SimTime::from_usec(begin), SimTime::from_usec(end)},
-            static_cast<double>(ppm) / kFactorScale});
-      }
-    } else if (directive == "copyloss") {
-      std::string item;
-      std::int32_t machine = 0;
-      std::int64_t at = 0;
-      if (read_name(ss, item, "item name") && read_int(ss, machine, "machine") &&
-          read_int(ss, at, "time") && at_line_end(ss)) {
-        f.copy_losses.push_back(
-            CopyLoss{std::move(item), MachineId(machine), SimTime::from_usec(at)});
-      }
-    } else {
-      fail("unknown directive '" + directive + "'");
-    }
-  }
-
-  std::istream& is_;
-  int line_no_ = 0;
-  bool failed_ = false;
-  std::string error_;
-};
+}
 
 }  // namespace
 
 std::optional<FaultSpec> read_faults(std::istream& is, std::string* error) {
-  return Parser(is).run(error);
+  return read_lines(is, kMagic, kVersion, error, parse_directive);
 }
 
 std::optional<FaultSpec> faults_from_string(const std::string& text,
                                             std::string* error) {
-  std::istringstream ss(text);
-  return read_faults(ss, error);
+  return read_string(text, error, read_faults);
 }
 
 std::optional<FaultSpec> load_faults(const std::string& path, std::string* error) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    if (error != nullptr) *error = "cannot open file: " + path;
-    return std::nullopt;
-  }
-  return read_faults(in, error);
+  return read_file(path, error, read_faults);
 }
 
 }  // namespace datastage

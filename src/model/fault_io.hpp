@@ -1,8 +1,9 @@
 // Plain-text fault-spec serialization.
 //
-// Same design as scenario_io: a stable, diff-friendly, line-oriented,
-// versioned format with strict parsing (unknown directives, malformed or
-// trailing tokens are errors). A FaultSpec file travels alongside a scenario
+// A stable, diff-friendly, line-oriented, versioned format
+// (`datastage-faults v1`), read by the shared util/line_reader: its rules for
+// comments, blank lines, whole-token numbers, trailing tokens and
+// line-numbered errors apply here. A FaultSpec file travels alongside a scenario
 // file; validation against the scenario happens at use time via
 // FaultSpec::validate. Degradation factors are serialized as integer parts
 // per million, so write -> read -> write is byte-identical and no float

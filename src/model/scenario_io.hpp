@@ -2,7 +2,10 @@
 //
 // A stable, diff-friendly, line-oriented format so that generated test cases
 // can be saved, inspected, replayed and shipped as regression fixtures. The
-// format is versioned; parsing is strict (unknown directives are errors).
+// format is versioned (`datastage-scenario v1`). It is read by the shared
+// util/line_reader, which sets the rules for comments, blank lines,
+// whole-token numbers, trailing tokens and line-numbered errors; this module
+// adds its directives and validates the parsed scenario.
 #pragma once
 
 #include <iosfwd>

@@ -52,6 +52,30 @@ std::string json_number(double v) {
   return std::string(buf, end);
 }
 
+void json_key(std::string& out, std::string_view key) {
+  if (!out.empty() && out.back() != '{') out += ',';
+  out += '"';
+  out += key;
+  out += "\":";
+}
+
+void json_field(std::string& out, std::string_view key, double value) {
+  json_key(out, key);
+  out += json_number(value);
+}
+
+void json_field(std::string& out, std::string_view key, bool value) {
+  json_key(out, key);
+  out += value ? "true" : "false";
+}
+
+void json_field(std::string& out, std::string_view key, std::string_view value) {
+  json_key(out, key);
+  out += '"';
+  out += json_escape(value);
+  out += '"';
+}
+
 namespace {
 
 class Parser {

@@ -7,6 +7,7 @@
 // not a general-purpose JSON library.
 #pragma once
 
+#include <concepts>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -44,5 +45,27 @@ std::string json_escape(std::string_view s);
 /// Renders a double as JSON: shortest round-trip form, integral values
 /// without a trailing ".0" mantissa are kept exact.
 std::string json_number(double v);
+
+/// Appends one `"key":value` member to a JSON object being built in `out`,
+/// preceded by a comma unless `out` ends with the object's opening brace;
+/// json_key appends `"key":` alone for a nested value the caller writes.
+/// Keys are written as given (escape any that are not fixed ASCII names);
+/// string values are escaped and doubles rendered by json_number.
+void json_field(std::string& out, std::string_view key, double value);
+void json_field(std::string& out, std::string_view key, bool value);
+void json_field(std::string& out, std::string_view key, std::string_view value);
+/// C-string literals must land in the string overload — without this,
+/// overload resolution prefers the pointer-to-bool standard conversion over
+/// the user-defined conversion to string_view.
+inline void json_field(std::string& out, std::string_view key, const char* value) {
+  json_field(out, key, std::string_view(value));
+}
+void json_key(std::string& out, std::string_view key);
+template <typename T>
+  requires(std::integral<T> && !std::same_as<T, bool>)
+void json_field(std::string& out, std::string_view key, T value) {
+  json_key(out, key);
+  out += std::to_string(value);
+}
 
 }  // namespace datastage::obs

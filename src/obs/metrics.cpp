@@ -177,25 +177,13 @@ Table MetricsRegistry::to_table() const {
 
 std::string MetricsRegistry::to_json() const {
   std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(name) + "\":" + std::to_string(value);
-  }
+  for (const auto& [name, value] : counters_) json_field(out, json_escape(name), value);
   out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(name) + "\":" + json_number(value);
-  }
+  for (const auto& [name, value] : gauges_) json_field(out, json_escape(name), value);
   out += "},\"histograms\":{";
-  first = true;
   for (const auto& [name, h] : histograms_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(name) + "\":{\"bounds\":[";
+    json_key(out, json_escape(name));
+    out += "{\"bounds\":[";
     for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
       if (i != 0) out += ',';
       out += json_number(h.upper_bounds()[i]);
@@ -205,15 +193,16 @@ std::string MetricsRegistry::to_json() const {
       if (i != 0) out += ',';
       out += std::to_string(h.bucket_counts()[i]);
     }
-    out += "],\"count\":" + std::to_string(h.count());
-    out += ",\"sum\":" + json_number(h.sum());
-    out += ",\"min\":" + json_number(h.min());
-    out += ",\"max\":" + json_number(h.max());
+    out += ']';
+    json_field(out, "count", h.count());
+    json_field(out, "sum", h.sum());
+    json_field(out, "min", h.min());
+    json_field(out, "max", h.max());
     // Derived from the buckets above; from_json ignores them, so the
     // document still round-trips exactly.
-    out += ",\"p50\":" + json_number(h.p50());
-    out += ",\"p90\":" + json_number(h.p90());
-    out += ",\"p99\":" + json_number(h.p99());
+    json_field(out, "p50", h.p50());
+    json_field(out, "p90", h.p90());
+    json_field(out, "p99", h.p99());
     out += '}';
   }
   out += "}}";

@@ -2,53 +2,17 @@
 
 #include <ostream>
 
-#include "obs/json.hpp"
-
 namespace datastage::obs {
 
-RunTrace::Event::Event(RunTrace& trace, std::string_view type) : trace_(&trace) {
-  line_ = "{\"seq\":" + std::to_string(trace.next_seq_++) + ",\"type\":\"" +
-          json_escape(type) + '"';
+RunTrace::Event::Event(RunTrace& trace, std::string_view type)
+    : trace_(&trace), line_("{") {
+  json_field(line_, "seq", trace.next_seq_++);
+  json_field(line_, "type", type);
 }
 
 RunTrace::Event::~Event() {
   line_ += '}';
   trace_->write_line(line_);
-}
-
-RunTrace::Event& RunTrace::Event::field(const char* key, std::int64_t value) {
-  line_ += ",\"";
-  line_ += key;
-  line_ += "\":" + std::to_string(value);
-  return *this;
-}
-
-RunTrace::Event& RunTrace::Event::field(const char* key, std::uint64_t value) {
-  line_ += ",\"";
-  line_ += key;
-  line_ += "\":" + std::to_string(value);
-  return *this;
-}
-
-RunTrace::Event& RunTrace::Event::field(const char* key, double value) {
-  line_ += ",\"";
-  line_ += key;
-  line_ += "\":" + json_number(value);
-  return *this;
-}
-
-RunTrace::Event& RunTrace::Event::field(const char* key, bool value) {
-  line_ += ",\"";
-  line_ += key;
-  line_ += value ? "\":true" : "\":false";
-  return *this;
-}
-
-RunTrace::Event& RunTrace::Event::field(const char* key, std::string_view value) {
-  line_ += ",\"";
-  line_ += key;
-  line_ += "\":\"" + json_escape(value) + '"';
-  return *this;
 }
 
 void RunTrace::write_line(const std::string& line) {

@@ -12,12 +12,12 @@
 // obs::RunObserver; unobserved runs never construct events.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <type_traits>
+
+#include "obs/json.hpp"
 
 namespace datastage::obs {
 
@@ -31,27 +31,11 @@ class RunTrace {
     Event(const Event&) = delete;
     Event& operator=(const Event&) = delete;
 
-    Event& field(const char* key, std::int64_t value);
-    Event& field(const char* key, std::uint64_t value);
-    Event& field(const char* key, double value);
-    Event& field(const char* key, bool value);
-    Event& field(const char* key, std::string_view value);
-    /// C-string literals must land in the string overload — without this,
-    /// overload resolution prefers the pointer-to-bool standard conversion
-    /// over the user-defined conversion to string_view.
-    Event& field(const char* key, const char* value) {
-      return field(key, std::string_view(value));
-    }
-    /// Narrower integers widen to the matching 64-bit overload.
+    /// Appends `"key":value`, rendered by obs::json_field.
     template <typename T>
-      requires(std::integral<T> && !std::same_as<T, bool> &&
-               !std::same_as<T, std::int64_t> && !std::same_as<T, std::uint64_t>)
-    Event& field(const char* key, T value) {
-      if constexpr (std::is_signed_v<T>) {
-        return field(key, static_cast<std::int64_t>(value));
-      } else {
-        return field(key, static_cast<std::uint64_t>(value));
-      }
+    Event& field(const char* key, const T& value) {
+      json_field(line_, key, value);
+      return *this;
     }
 
    private:

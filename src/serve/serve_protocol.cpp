@@ -122,13 +122,6 @@ bool parse_new_item(const JsonValue& value, NewItemPayload* out,
   return true;
 }
 
-void append_time(std::string& line, const char* key, SimTime t) {
-  line += ",\"";
-  line += key;
-  line += "\":";
-  line += std::to_string(t.usec());
-}
-
 }  // namespace
 
 const char* serve_error_code_name(ServeErrorCode code) {
@@ -262,54 +255,59 @@ std::optional<ServeCommand> parse_command(std::string_view line,
 }
 
 std::string serialize_command(const ServeCommand& command) {
-  std::string line = "{\"v\":";
-  line += std::to_string(kServeProtocolVersion);
-  line += ",\"cmd\":\"";
+  std::string line = "{";
+  obs::json_field(line, "v", kServeProtocolVersion);
   if (const auto* submit = std::get_if<SubmitCommand>(&command)) {
-    line += "submit\",\"id\":\"" + obs::json_escape(submit->id) + "\"";
-    append_time(line, "t_usec", submit->at);
-    line += ",\"item\":\"" + obs::json_escape(submit->item) + "\"";
-    line += ",\"dest\":\"" + obs::json_escape(submit->dest) + "\"";
-    append_time(line, "deadline_usec", submit->deadline);
-    line += ",\"priority\":" + std::to_string(submit->priority);
+    obs::json_field(line, "cmd", "submit");
+    obs::json_field(line, "id", submit->id);
+    obs::json_field(line, "t_usec", submit->at.usec());
+    obs::json_field(line, "item", submit->item);
+    obs::json_field(line, "dest", submit->dest);
+    obs::json_field(line, "deadline_usec", submit->deadline.usec());
+    obs::json_field(line, "priority", submit->priority);
     if (submit->new_item.has_value()) {
-      line += ",\"new_item\":{\"size_bytes\":" +
-              std::to_string(submit->new_item->size_bytes) + ",\"sources\":[";
+      obs::json_key(line, "new_item");
+      line += "{";
+      obs::json_field(line, "size_bytes", submit->new_item->size_bytes);
+      obs::json_key(line, "sources");
+      line += "[";
       bool first = true;
       for (const NewItemPayload::Source& source : submit->new_item->sources) {
         if (!first) line += ",";
         first = false;
-        line += "{\"machine\":\"" + obs::json_escape(source.machine) +
-                "\",\"available_at_usec\":" +
-                std::to_string(source.available_at.usec()) + "}";
+        line += "{";
+        obs::json_field(line, "machine", source.machine);
+        obs::json_field(line, "available_at_usec", source.available_at.usec());
+        line += "}";
       }
       line += "]}";
     }
   } else if (const auto* cancel = std::get_if<CancelCommand>(&command)) {
-    line += "cancel\",\"id\":\"" + obs::json_escape(cancel->id) + "\"";
-    append_time(line, "t_usec", cancel->at);
+    obs::json_field(line, "cmd", "cancel");
+    obs::json_field(line, "id", cancel->id);
+    obs::json_field(line, "t_usec", cancel->at.usec());
   } else if (const auto* advance = std::get_if<AdvanceCommand>(&command)) {
-    line += "advance\"";
-    append_time(line, "to_usec", advance->to);
+    obs::json_field(line, "cmd", "advance");
+    obs::json_field(line, "to_usec", advance->to.usec());
   } else if (const auto* query = std::get_if<QueryCommand>(&command)) {
-    line += "query\",\"id\":\"" + obs::json_escape(query->id) + "\"";
+    obs::json_field(line, "cmd", "query");
+    obs::json_field(line, "id", query->id);
   } else if (std::holds_alternative<StatsCommand>(command)) {
-    line += "stats\"";
+    obs::json_field(line, "cmd", "stats");
   } else {
-    line += "shutdown\"";
+    obs::json_field(line, "cmd", "shutdown");
   }
   line += "}";
   return line;
 }
 
 std::string error_response(const ServeError& error) {
-  std::string line = "{\"v\":";
-  line += std::to_string(kServeProtocolVersion);
-  line += ",\"ok\":false,\"error\":\"";
-  line += serve_error_code_name(error.code);
-  line += "\",\"message\":\"";
-  line += obs::json_escape(error.message);
-  line += "\"}";
+  std::string line = "{";
+  obs::json_field(line, "v", kServeProtocolVersion);
+  obs::json_field(line, "ok", false);
+  obs::json_field(line, "error", serve_error_code_name(error.code));
+  obs::json_field(line, "message", error.message);
+  line += "}";
   return line;
 }
 

@@ -28,45 +28,11 @@ const char* request_status_name(DynamicRequestStatus status) {
 /// Starts a success line: {"v":1,"ok":true,"cmd":"<cmd>". Every response
 /// opens with the same two fixed keys so consumers can dispatch cheaply.
 std::string begin_ok(const char* cmd) {
-  std::string line = "{\"v\":";
-  line += std::to_string(kServeProtocolVersion);
-  line += ",\"ok\":true,\"cmd\":\"";
-  line += cmd;
-  line += "\"";
+  std::string line = "{";
+  obs::json_field(line, "v", kServeProtocolVersion);
+  obs::json_field(line, "ok", true);
+  obs::json_field(line, "cmd", cmd);
   return line;
-}
-
-void append_string(std::string& line, const char* key, std::string_view value) {
-  line += ",\"";
-  line += key;
-  line += "\":\"";
-  line += obs::json_escape(value);
-  line += "\"";
-}
-
-void append_int(std::string& line, const char* key, std::int64_t value) {
-  line += ",\"";
-  line += key;
-  line += "\":";
-  line += std::to_string(value);
-}
-
-void append_size(std::string& line, const char* key, std::size_t value) {
-  append_int(line, key, static_cast<std::int64_t>(value));
-}
-
-void append_bool(std::string& line, const char* key, bool value) {
-  line += ",\"";
-  line += key;
-  line += "\":";
-  line += value ? "true" : "false";
-}
-
-void append_double(std::string& line, const char* key, double value) {
-  line += ",\"";
-  line += key;
-  line += "\":";
-  line += obs::json_number(value);
 }
 
 std::string session_error(ServeErrorCode code, std::string message) {
@@ -112,7 +78,7 @@ std::string ServeSession::handle(const ServeCommand& command) {
     }
     service_.advance_to(advance->to);
     std::string line = begin_ok("advance");
-    append_int(line, "now_usec", service_.now().usec());
+    obs::json_field(line, "now_usec", service_.now().usec());
     line += "}";
     return line;
   }
@@ -185,19 +151,19 @@ std::string ServeSession::handle_submit(const SubmitCommand& submit) {
                                    : std::nullopt);
 
   std::string line = begin_ok("submit");
-  append_string(line, "id", submit.id);
-  append_string(line, "outcome", admission_outcome_name(decision.outcome));
-  append_bool(line, "admitted", decision.admitted());
-  append_bool(line, "quick_checked", decision.quick_checked);
-  append_bool(line, "quick_feasible", decision.quick_feasible);
+  obs::json_field(line, "id", submit.id);
+  obs::json_field(line, "outcome", admission_outcome_name(decision.outcome));
+  obs::json_field(line, "admitted", decision.admitted());
+  obs::json_field(line, "quick_checked", decision.quick_checked);
+  obs::json_field(line, "quick_feasible", decision.quick_feasible);
   if (!decision.quick_arrival.is_infinite()) {
-    append_int(line, "quick_arrival_usec", decision.quick_arrival.usec());
+    obs::json_field(line, "quick_arrival_usec", decision.quick_arrival.usec());
   }
   if (!decision.planned_arrival.is_infinite()) {
-    append_int(line, "planned_arrival_usec", decision.planned_arrival.usec());
+    obs::json_field(line, "planned_arrival_usec", decision.planned_arrival.usec());
   }
-  append_size(line, "replans", decision.replans);
-  append_double(line, "committed_value", decision.committed_value);
+  obs::json_field(line, "replans", decision.replans);
+  obs::json_field(line, "committed_value", decision.committed_value);
   line += "}";
   return line;
 }
@@ -221,9 +187,9 @@ std::string ServeSession::handle_cancel(const CancelCommand& cancel) {
     service_.advance_to(cancel.at);
   }
   std::string line = begin_ok("cancel");
-  append_string(line, "id", cancel.id);
-  append_bool(line, "cancelled", withdrawn);
-  append_int(line, "now_usec", service_.now().usec());
+  obs::json_field(line, "id", cancel.id);
+  obs::json_field(line, "cancelled", withdrawn);
+  obs::json_field(line, "now_usec", service_.now().usec());
   line += "}";
   return line;
 }
@@ -235,17 +201,17 @@ std::string ServeSession::handle_query(const QueryCommand& query) {
                          "unknown id '" + query.id + "'");
   }
   std::string line = begin_ok("query");
-  append_string(line, "id", query.id);
+  obs::json_field(line, "id", query.id);
   if (!it->second.has_value()) {
-    append_string(line, "status", "rejected");
+    obs::json_field(line, "status", "rejected");
   } else {
     const DynamicRequestStatus status = service_.request_status(*it->second);
-    append_string(line, "status", request_status_name(status));
+    obs::json_field(line, "status", request_status_name(status));
     const SimTime arrival = service_.planned_arrival(*it->second);
     if ((status == DynamicRequestStatus::kSatisfied ||
          status == DynamicRequestStatus::kPending) &&
         !arrival.is_infinite()) {
-      append_int(line, "arrival_usec", arrival.usec());
+      obs::json_field(line, "arrival_usec", arrival.usec());
     }
   }
   line += "}";
@@ -255,42 +221,38 @@ std::string ServeSession::handle_query(const QueryCommand& query) {
 std::string ServeSession::handle_stats() const {
   const ServiceSnapshot snap = service_.snapshot();
   std::string line = begin_ok("stats");
-  append_int(line, "now_usec", snap.now.usec());
-  append_size(line, "submits", snap.submits);
-  append_size(line, "admitted", snap.admitted);
-  append_size(line, "already_satisfied", snap.already_satisfied);
-  append_size(line, "quick_rejects", snap.quick_rejects);
-  append_size(line, "full_rejects", snap.full_rejects);
-  append_size(line, "cancelled", snap.cancelled);
-  append_size(line, "replans", snap.replans);
-  append_size(line, "committed_steps", snap.committed_steps);
-  append_size(line, "planned_steps", snap.planned_steps);
-  append_double(line, "committed_value", snap.committed_value);
-  append_size(line, "topology_builds", snap.topology_builds);
-  append_size(line, "residual_builds", snap.residual_builds);
-  append_size(line, "world_patches", snap.world_patches);
-  append_size(line, "tree_replays", snap.replay.replays);
-  append_size(line, "replay_misses", snap.replay.total_misses());
-  line += ",\"replay_misses_by_reason\":{";
+  obs::json_field(line, "now_usec", snap.now.usec());
+  obs::json_field(line, "submits", snap.submits);
+  obs::json_field(line, "admitted", snap.admitted);
+  obs::json_field(line, "already_satisfied", snap.already_satisfied);
+  obs::json_field(line, "quick_rejects", snap.quick_rejects);
+  obs::json_field(line, "full_rejects", snap.full_rejects);
+  obs::json_field(line, "cancelled", snap.cancelled);
+  obs::json_field(line, "replans", snap.replans);
+  obs::json_field(line, "committed_steps", snap.committed_steps);
+  obs::json_field(line, "planned_steps", snap.planned_steps);
+  obs::json_field(line, "committed_value", snap.committed_value);
+  obs::json_field(line, "topology_builds", snap.topology_builds);
+  obs::json_field(line, "residual_builds", snap.residual_builds);
+  obs::json_field(line, "world_patches", snap.world_patches);
+  obs::json_field(line, "tree_replays", snap.replay.replays);
+  obs::json_field(line, "replay_misses", snap.replay.total_misses());
+  obs::json_key(line, "replay_misses_by_reason");
+  line += "{";
   for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
-    if (r > 0) line += ",";
-    line += "\"";
-    line += replay_miss_name(static_cast<ReplayMiss>(r));
-    line += "\":" + std::to_string(snap.replay.misses[r]);
+    obs::json_field(line, replay_miss_name(static_cast<ReplayMiss>(r)),
+                    snap.replay.misses[r]);
   }
   line += "}";
-  append_size(line, "withdrawals_kept_plan", snap.withdrawals_kept_plan);
-  append_size(line, "shadow_refreshes", snap.shadow_refreshes);
+  obs::json_field(line, "withdrawals_kept_plan", snap.withdrawals_kept_plan);
+  obs::json_field(line, "shadow_refreshes", snap.shadow_refreshes);
   if (snap.phase_seconds.has_value()) {
     // Wall time, so only with a phase timer attached (--metrics-out): the
     // decision log stays byte-identical without one.
-    line += ",\"phase_seconds\":{";
+    obs::json_key(line, "phase_seconds");
+    line += "{";
     for (std::size_t p = 0; p < kServePhases.size(); ++p) {
-      if (p > 0) line += ",";
-      line += "\"";
-      line += kServePhases[p];
-      line += "\":";
-      line += obs::json_number((*snap.phase_seconds)[p]);
+      obs::json_field(line, kServePhases[p], (*snap.phase_seconds)[p]);
     }
     line += "}";
   }
@@ -302,10 +264,10 @@ std::string ServeSession::handle_shutdown() {
   const DynamicResult result = service_.finish();
   shut_down_ = true;
   std::string line = begin_ok("shutdown");
-  append_size(line, "requests", result.requests.size());
-  append_size(line, "satisfied", result.satisfied_count());
-  append_double(line, "value", result.weighted_value(weighting_));
-  append_size(line, "replans", result.replans);
+  obs::json_field(line, "requests", result.requests.size());
+  obs::json_field(line, "satisfied", result.satisfied_count());
+  obs::json_field(line, "value", result.weighted_value(weighting_));
+  obs::json_field(line, "replans", result.replans);
   line += "}";
   return line;
 }

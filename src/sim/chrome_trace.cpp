@@ -14,25 +14,28 @@ namespace {
 constexpr int kSimPid = 1;
 constexpr int kWallPid = 2;
 
-void append_event(std::string& out, const std::string& body) {
+/// Opens one event object with its name and phase; the caller adds the other
+/// members and closes it.
+void begin_event(std::string& out, std::string_view name, const char* phase) {
   if (out.back() != '[') out += ',';
-  out += '{' + body + '}';
+  out += '{';
+  obs::json_field(out, "name", name);
+  obs::json_field(out, "ph", phase);
 }
 
-std::string field(std::string_view key, const std::string& raw) {
-  return '"' + std::string(key) + "\":" + raw;
-}
-
-std::string str_field(std::string_view key, std::string_view value) {
-  return '"' + std::string(key) + "\":\"" + obs::json_escape(value) + '"';
+void begin_args(std::string& out) {
+  obs::json_key(out, "args");
+  out += '{';
 }
 
 void append_metadata(std::string& out, std::string_view name, int pid,
                      std::int64_t tid, std::string_view value) {
-  append_event(out, str_field("name", name) + ",\"ph\":\"M\"," +
-                        field("pid", std::to_string(pid)) + ',' +
-                        field("tid", std::to_string(tid)) + ",\"args\":{" +
-                        str_field("name", value) + '}');
+  begin_event(out, name, "M");
+  obs::json_field(out, "pid", pid);
+  obs::json_field(out, "tid", tid);
+  begin_args(out);
+  obs::json_field(out, "name", value);
+  out += "}}";
 }
 
 }  // namespace
@@ -69,17 +72,16 @@ std::string chrome_trace_json(const Scenario& scenario, const Schedule& schedule
   });
   for (const CommStep* step : steps) {
     const std::size_t phys = scenario.vlink(step->link).phys.index();
-    const std::int64_t dur = (step->arrival - step->start).usec();
-    append_event(
-        out,
-        str_field("name", scenario.item(step->item).name) + ",\"ph\":\"X\"," +
-            field("pid", std::to_string(kSimPid)) + ',' +
-            field("tid", std::to_string(link_track_id(phys))) + ',' +
-            field("ts", std::to_string(step->start.usec())) + ',' +
-            field("dur", std::to_string(dur)) + ",\"args\":{" +
-            str_field("from", scenario.machine(step->from).name) + ',' +
-            str_field("to", scenario.machine(step->to).name) + ',' +
-            field("vlink", std::to_string(step->link.index())) + '}');
+    begin_event(out, scenario.item(step->item).name, "X");
+    obs::json_field(out, "pid", kSimPid);
+    obs::json_field(out, "tid", link_track_id(phys));
+    obs::json_field(out, "ts", step->start.usec());
+    obs::json_field(out, "dur", (step->arrival - step->start).usec());
+    begin_args(out);
+    obs::json_field(out, "from", scenario.machine(step->from).name);
+    obs::json_field(out, "to", scenario.machine(step->to).name);
+    obs::json_field(out, "vlink", step->link.index());
+    out += "}}";
   }
 
   if (options.outcomes != nullptr) {
@@ -88,16 +90,17 @@ std::string chrome_trace_json(const Scenario& scenario, const Schedule& schedule
       for (std::size_t k = 0; k < item.requests.size(); ++k) {
         if ((*options.outcomes)[i][k].satisfied) continue;
         const Request& request = item.requests[k];
-        append_event(
-            out,
-            str_field("name", "miss " + item.name + " @" +
-                                  scenario.machine(request.destination).name) +
-                ",\"ph\":\"i\",\"s\":\"t\"," +
-                field("pid", std::to_string(kSimPid)) + ',' +
-                field("tid", std::to_string(miss_tid)) + ',' +
-                field("ts", std::to_string(request.deadline.usec())) +
-                ",\"args\":{" + field("item", std::to_string(i)) + ',' +
-                field("k", std::to_string(k)) + '}');
+        begin_event(out,
+                    "miss " + item.name + " @" + scenario.machine(request.destination).name,
+                    "i");
+        obs::json_field(out, "s", "t");
+        obs::json_field(out, "pid", kSimPid);
+        obs::json_field(out, "tid", miss_tid);
+        obs::json_field(out, "ts", request.deadline.usec());
+        begin_args(out);
+        obs::json_field(out, "item", i);
+        obs::json_field(out, "k", k);
+        out += "}}";
       }
     }
   }
@@ -118,10 +121,13 @@ std::string chrome_trace_json(const Scenario& scenario, const Schedule& schedule
     double cursor_us = 0.0;
     for (const std::string& phase : order) {
       const double dur_us = static_cast<double>(options.phases->nanos(phase)) / 1e3;
-      append_event(out, str_field("name", phase) + ",\"ph\":\"X\"," +
-                            field("pid", std::to_string(kWallPid)) +
-                            ",\"tid\":1," + field("ts", obs::json_number(cursor_us)) +
-                            ',' + field("dur", obs::json_number(dur_us)) + ",\"args\":{}");
+      begin_event(out, phase, "X");
+      obs::json_field(out, "pid", kWallPid);
+      obs::json_field(out, "tid", 1);
+      obs::json_field(out, "ts", cursor_us);
+      obs::json_field(out, "dur", dur_us);
+      begin_args(out);
+      out += "}}";
       cursor_us += dur_us;
     }
   }

@@ -1,10 +1,10 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <system_error>
+
+#include "util/parse_number.hpp"
 
 namespace datastage {
 
@@ -62,27 +62,23 @@ std::string CliFlags::get_string(const std::string& name,
 
 namespace {
 
-// Strict whole-string numeric parsing. std::from_chars rejects leading
-// whitespace and stray signs on its own; requiring the entire value to be
-// consumed catches trailing junk ("--jobs=8x") that strtoll/strtod silently
-// accepted.
 template <class T>
 T parse_numeric_or_die(const std::string& name, const std::string& value,
                        const char* kind) {
   T parsed{};
-  const char* last = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), last, parsed);
-  if (ec == std::errc::result_out_of_range) {
-    std::fprintf(stderr, "invalid value for --%s: '%s' (out of range for %s)\n",
-                 name.c_str(), value.c_str(), kind);
-    std::exit(2);
+  switch (parse_number(value, parsed)) {
+    case NumberParse::kOk:
+      return parsed;
+    case NumberParse::kOutOfRange:
+      std::fprintf(stderr, "invalid value for --%s: '%s' (out of range for %s)\n",
+                   name.c_str(), value.c_str(), kind);
+      break;
+    case NumberParse::kMalformed:
+      std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
+                   name.c_str(), value.c_str(), kind);
+      break;
   }
-  if (ec != std::errc() || ptr != last || value.empty()) {
-    std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n", name.c_str(),
-                 value.c_str(), kind);
-    std::exit(2);
-  }
-  return parsed;
+  std::exit(2);
 }
 
 }  // namespace

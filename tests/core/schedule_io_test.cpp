@@ -60,6 +60,32 @@ TEST(ScheduleIoTest, RejectsMalformedStep) {
   EXPECT_NE(error.find("line 2"), std::string::npos);
 }
 
+TEST(ScheduleIoTest, RejectsPartlyNumericField) {
+  std::string error;
+  EXPECT_FALSE(schedule_from_string("datastage-schedule v1\nstep 0 1 2 3 100 200x\n",
+                                    &error)
+                   .has_value());
+  EXPECT_NE(error.find("malformed"), std::string::npos);
+  EXPECT_NE(error.find("200x"), std::string::npos);
+  EXPECT_NE(error.find("line 2"), std::string::npos);
+}
+
+TEST(ScheduleIoTest, RejectsTrailingToken) {
+  std::string error;
+  EXPECT_FALSE(schedule_from_string(
+                   "datastage-schedule v1\nstep 0 1 2 3 100 200 trailing junk\n", &error)
+                   .has_value());
+  EXPECT_NE(error.find("trailing"), std::string::npos);
+}
+
+TEST(ScheduleIoTest, CommentBeforeHeaderAccepted) {
+  const std::string text = "# saved plan\n\n" + schedule_to_string(sample_schedule());
+  std::string error;
+  const auto parsed = schedule_from_string(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->size(), 2u);
+}
+
 TEST(ScheduleIoTest, RejectsArrivalBeforeStart) {
   std::string error;
   EXPECT_FALSE(schedule_from_string(

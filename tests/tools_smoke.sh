@@ -88,6 +88,12 @@ PYEOF
       --request="$item:$k" > "$WORK_DIR/$name.request.txt"
   grep -q "$reason" "$WORK_DIR/$name.request.txt"
 done
+# A selector is whole numbers: "0x" is not item 0.
+status=0
+"$TOOLS_DIR/datastage_explain" "$WORK_DIR/full_one_C4.jsonl" --request=0x \
+    > /dev/null 2> "$WORK_DIR/err.txt" || status=$?
+test "$status" -eq 1
+grep -q "bad --request" "$WORK_DIR/err.txt"
 
 # Chrome trace export must be loadable Trace Event JSON, and
 # --metrics-format=openmetrics must produce a well-formed text exposition.
@@ -128,6 +134,11 @@ test "$status" -eq 1
 grep -q "engine.tree_recomputes" "$WORK_DIR/benchdiff.txt"
 "$TOOLS_DIR/datastage_benchdiff" "$WORK_DIR/metrics.json" \
     "$WORK_DIR/metrics_perturbed.json" --warn-only > /dev/null
+status=0
+"$TOOLS_DIR/datastage_benchdiff" "$WORK_DIR/metrics.json" "$WORK_DIR/metrics.json" \
+    --thresholds=engine=0.5x > /dev/null 2> "$WORK_DIR/err.txt" || status=$?
+test "$status" -eq 1
+grep -q "bad --thresholds" "$WORK_DIR/err.txt"
 # The host facts every BENCH_*.json records (host_cores, build_type) label
 # the run: documents from different hosts diff clean and never list them.
 python3 - "$WORK_DIR/metrics.json" "$WORK_DIR/host_a.json" "$WORK_DIR/host_b.json" <<'PYEOF'
@@ -255,6 +266,18 @@ status=0
     > /dev/null 2> "$WORK_DIR/verify_err.txt" || status=$?
 test "$status" -eq 2
 grep -q "cannot load scenario" "$WORK_DIR/verify_err.txt"
+
+# A schedule file is read strictly: a step whose last field is partly numeric
+# or that carries an extra token is a load error, never a silently trimmed
+# step that might verify as VALID.
+for edit in 's/$/x/' 's/$/ 7/'; do
+  sed "2$edit" "$WORK_DIR/plan.dss" > "$WORK_DIR/bad.dss"
+  status=0
+  "$TOOLS_DIR/datastage_verify" "$WORK_DIR/case.ds" "$WORK_DIR/bad.dss" \
+      > /dev/null 2> "$WORK_DIR/verify_err.txt" || status=$?
+  test "$status" -eq 2
+  grep -q "cannot load schedule" "$WORK_DIR/verify_err.txt"
+done
 
 # Every tool answers --help: exit 0 and a list of its known flags on stdout.
 for tool in "$TOOLS_DIR"/datastage_*; do

@@ -37,6 +37,7 @@
 
 #include "obs/json.hpp"
 #include "util/cli.hpp"
+#include "util/parse_number.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -121,11 +122,11 @@ std::optional<std::vector<Override>> parse_overrides(const std::string& spec) {
         spec.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
     const std::size_t eq = entry.find('=');
     if (eq == std::string::npos || eq == 0) return std::nullopt;
-    try {
-      overrides.push_back({entry.substr(0, eq), std::stod(entry.substr(eq + 1))});
-    } catch (...) {
+    double threshold = 0.0;
+    if (parse_number(std::string_view(entry).substr(eq + 1), threshold) != NumberParse::kOk) {
       return std::nullopt;
     }
+    overrides.push_back({entry.substr(0, eq), threshold});
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

@@ -26,6 +26,7 @@
 #include "core/schedule_io.hpp"
 #include "obs/trace_reader.hpp"
 #include "util/cli.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 using namespace datastage;
@@ -39,11 +40,11 @@ struct RequestSelector {
 
 std::optional<RequestSelector> parse_request_flag(const std::string& spec) {
   RequestSelector sel;
-  const std::size_t colon = spec.find(':');
-  try {
-    sel.item = std::stoll(spec.substr(0, colon));
-    if (colon != std::string::npos) sel.k = std::stoll(spec.substr(colon + 1));
-  } catch (...) {
+  const std::string_view text(spec);
+  const std::size_t colon = text.find(':');
+  if (parse_number(text.substr(0, colon), sel.item) != NumberParse::kOk ||
+      (colon != std::string::npos &&
+       parse_number(text.substr(colon + 1), sel.k) != NumberParse::kOk)) {
     return std::nullopt;
   }
   if (sel.item < 0 || (colon != std::string::npos && sel.k < 0)) return std::nullopt;
