@@ -88,6 +88,7 @@ struct ModeResult {
   ReplayCounts replay;
   std::size_t withdrawals_kept_plan = 0;
   std::size_t shadow_refreshes = 0;
+  std::size_t gc_extensions_refused = 0;
   double p50_usec = 0.0;
   double p99_usec = 0.0;
   double mean_usec = 0.0;
@@ -165,6 +166,7 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
     result.world_patches += snap.world_patches;
     result.withdrawals_kept_plan += snap.withdrawals_kept_plan;
     result.shadow_refreshes += snap.shadow_refreshes;
+    result.gc_extensions_refused += snap.gc_extensions_refused;
   }
   if (const obs::Histogram* h =
           registry.find_histogram("admission.decision_usec")) {
@@ -191,7 +193,8 @@ void write_layer_json(std::FILE* f, const char* name, std::int64_t nanos,
 }
 
 /// The replan layer's engine work: Dijkstra runs, repairs, replays, misses,
-/// withdrawals that kept the plan and the shadow refreshes watching cost.
+/// withdrawals that kept the plan, the shadow refreshes watching cost and
+/// the requests refused because a relay could not hold their gc time.
 std::string replan_work_json(const ModeResult& mode) {
   std::string json = ", \"tree_recomputes\": " + std::to_string(mode.tree_recomputes) +
                      ", \"tree_repairs\": " + std::to_string(mode.tree_repairs) +
@@ -199,6 +202,8 @@ std::string replan_work_json(const ModeResult& mode) {
                      ", \"withdrawals_kept_plan\": " +
                      std::to_string(mode.withdrawals_kept_plan) +
                      ", \"shadow_refreshes\": " + std::to_string(mode.shadow_refreshes) +
+                     ", \"gc_extensions_refused\": " +
+                     std::to_string(mode.gc_extensions_refused) +
                      ", \"replay_misses\": {";
   for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
     if (r > 0) json += ", ";

@@ -39,8 +39,10 @@ const char* replay_miss_name(ReplayMiss reason) {
       return "diverged";
     case ReplayMiss::kItemChanged:
       return "item_changed";
-    case ReplayMiss::kStorage:
-      return "storage";
+    case ReplayMiss::kStorageRejected:
+      return "storage_rejected";
+    case ReplayMiss::kHoldMisfit:
+      return "hold_misfit";
     case ReplayMiss::kVerifyFailed:
       return "verify_failed";
   }
@@ -341,19 +343,16 @@ void StagingEngine::watch(RequestRef request) {
   DS_ASSERT_MSG(request.k >= 0 && static_cast<std::size_t>(request.k) < item.requests.size(),
                 "watched request out of range");
   const Request& left_out = item.requests[static_cast<std::size_t>(request.k)];
-  // Without the request the item's gc time is its other requests' latest
-  // deadline plus gamma, and the request's destination is a relay unless
-  // another request names it (Scenario::gc_time, NetworkState::hold_end).
-  SimTime latest = SimTime::zero();
-  bool destination_kept = false;
-  for (std::size_t k = 0; k < item.requests.size(); ++k) {
-    if (k == static_cast<std::size_t>(request.k)) continue;
-    latest = max(latest, item.requests[k].deadline);
-    destination_kept |= item.requests[k].destination == left_out.destination;
-  }
+  // Without the request the item's gc time is the one a scenario without it
+  // has, and the request's destination is a relay unless another request
+  // names it (Scenario::gc_time, NetworkState::hold_end).
+  const bool destination_kept =
+      std::count_if(item.requests.begin(), item.requests.end(), [&left_out](const Request& r) {
+        return r.destination == left_out.destination;
+      }) > 1;
   watched_ = request;
   watch_held_ = true;
-  watched_rules_ = HoldRules{latest + scenario_->gc_gamma,
+  watched_rules_ = HoldRules{scenario_->gc_time(request.item, request.k),
                              destination_kept ? MachineId::invalid() : left_out.destination};
   watch_max_iterations_ = iteration_guard(scenario_->request_count() - 1);
   // One more index slot, for the shadow's subscriptions.
@@ -749,7 +748,7 @@ bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after
   }
   const LoggedTree& logged = prev_log_.trees[plan.replay_tree];
   if (!logged.replayable) {
-    job.miss = ReplayMiss::kStorage;
+    job.miss = ReplayMiss::kStorageRejected;
     return false;
   }
   job.miss = ReplayMiss::kVerifyFailed;
@@ -815,7 +814,7 @@ bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after
     }
     if (!found.valid()) return false;
     if (!state_.can_hold(item, entry.to, entry.start)) {
-      job.miss = ReplayMiss::kStorage;
+      job.miss = ReplayMiss::kHoldMisfit;
       return false;
     }
     plan.tree.append(entry.to, entry.arrival, true,

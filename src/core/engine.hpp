@@ -35,7 +35,7 @@
 // rejection (tested against `paranoid` mode, which recomputes everything
 // every iteration; see docs/PERFORMANCE.md for the equivalence argument).
 // Where storage binds, a tight hold can break FIFO, and a cached tree may
-// differ from a recompute (ROADMAP item 1). Each plan records whether its
+// differ from a recompute (ROADMAP item 2). Each plan records whether its
 // tree descends from a Dijkstra run in which storage rejected nothing
 // (ItemPlan::storage_free); repair and replay act only on such trees.
 //
@@ -85,19 +85,21 @@ void set_default_engine_jobs(std::size_t jobs);
 std::size_t default_engine_jobs();
 
 /// Why a reset-started run rebuilt a plan by Dijkstra instead of replaying
-/// the previous run's tree (StagingEngine::replay_tree checks them in this
-/// order).
+/// the previous run's tree (StagingEngine::replay_tree checks the first four
+/// in this order, then each kept edge).
 enum class ReplayMiss : std::uint8_t {
-  kLinksGrew,     ///< a virtual link is not inside an old window of its rate
-  kDiverged,      ///< the run's commits left the previous run's
-  kItemChanged,   ///< the item differs, or the old run logged no tree for it
-  kStorage,       ///< storage rejected the old run or rejects a kept edge
-  kVerifyFailed,  ///< an edge no longer re-derives uniquely
+  kLinksGrew,        ///< a virtual link is not inside an old window of its rate
+  kDiverged,         ///< the run's commits left the previous run's
+  kItemChanged,      ///< the item differs, or the old run logged no tree for it
+  kStorageRejected,  ///< storage rejected the old run (storage_free was down)
+  kHoldMisfit,       ///< a kept edge's hold no longer fits
+  kVerifyFailed,     ///< an edge no longer re-derives uniquely
 };
-inline constexpr std::size_t kReplayMissKinds = 5;
+inline constexpr std::size_t kReplayMissKinds = 6;
 
 /// The reason's name in metrics (`engine.replay_misses_<name>`) and serve
-/// `stats`: links_grew, diverged, item_changed, storage, verify_failed.
+/// `stats`: links_grew, diverged, item_changed, storage_rejected,
+/// hold_misfit, verify_failed.
 const char* replay_miss_name(ReplayMiss reason);
 
 /// Plan rebuilds served by replay, and Dijkstra runs replay could not serve

@@ -6,7 +6,6 @@
 
 #include "obs/observer.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace datastage {
 
@@ -26,12 +25,10 @@ std::size_t DynamicResult::satisfied_count() const {
   return n;
 }
 
-SimTime DynamicStager::TrackedItem::latest_known_deadline() const {
-  SimTime latest = SimTime::zero();
-  for (const TrackedRequest& r : requests) {
-    latest = max(latest, r.request.deadline);
-  }
-  return latest;
+SimTime DynamicStager::TrackedItem::gc_time(SimDuration gamma) const {
+  return relay_gc_time(requests, SimTime::zero(), gamma, [](const TrackedRequest& r) {
+    return r.counted ? r.request.deadline : SimTime::zero();
+  });
 }
 
 void DynamicStager::TrackedItem::add_copy(MachineId machine, SimTime available_at) {
@@ -195,34 +192,17 @@ void DynamicStager::set_now(SimTime now) {
   run_garbage_collection();
 }
 
-void DynamicStager::permanent_charge(std::vector<StorageTimeline>& charge) const {
-  std::vector<StorageCharge> charges;
-  PermanentMachines permanent(base_.machine_count());
-  for (const TrackedItem& item : items_) {
-    permanent.select(item);
-    for (const Copy& copy : item.copies) {
-      if (!permanent.contains(copy.machine)) continue;
-      charges.push_back(StorageCharge{copy.machine, item.size_bytes,
-                                      Interval{copy.available_at, SimTime::infinity()}});
-    }
-  }
-  // Every permanent copy was capacity-checked with an infinite hold when it
-  // was created, so they always fit together.
-  StorageTimeline::per_machine(base_.machines, charges,
-                               "permanent copies must always fit", charge);
-}
-
 void DynamicStager::run_garbage_collection() {
-  // The static model's rule (§4.4): intermediate copies are removed γ after
-  // the latest deadline of the item's requests — here, the latest deadline
-  // known at this point in time. Original sources and destinations that
-  // received the item keep their copies.
+  // The relay-hold rule (§4.4, relay_gc_time): relay copies are removed γ
+  // after the latest deadline among the item's requests that count so far.
+  // Original sources and destinations that received the item keep their
+  // copies.
   PermanentMachines permanent(base_.machine_count());
   for (TrackedItem& item : items_) collect_relays(item, permanent);
 }
 
 void DynamicStager::collect_relays(TrackedItem& item, PermanentMachines& permanent) {
-  if (now_ < item.latest_known_deadline() + base_.gc_gamma) return;
+  if (now_ < item.gc_time(base_.gc_gamma)) return;
   permanent.select(item);
   const std::size_t erased = std::erase_if(
       item.copies, [&permanent](const Copy& copy) { return !permanent.contains(copy.machine); });
@@ -306,18 +286,15 @@ void DynamicStager::build_residual_links(std::vector<VirtualLink>& links) const 
 void DynamicStager::build_residual_items(std::vector<DataItem>& items,
                                          std::vector<StorageTimeline>& storage) const {
   // Every tracked item appears (copies charge storage even with nothing
-  // outstanding); only outstanding requests are carried over. Permanent
-  // copies (original sources, served destinations) hold forever;
-  // intermediate copies hold until the item's gc time (latest known deadline
-  // + γ). A feasibility pre-pass drops intermediate copies that no longer
-  // fit — an ad-hoc request can extend gc windows beyond what was
-  // capacity-checked when the copy was staged. The pre-pass's timelines end
-  // up charged with every source the residual keeps: they are `storage`.
-  //
-  // Pass 1: permanent copies across all items.
-  permanent_charge(storage);
-
-  // Pass 2: intermediate copies, dropped if they no longer fit.
+  // outstanding). Its outstanding requests are listed; the resolved ones
+  // that count carry their latest deadline as the item's resolved_deadline,
+  // so the residual's gc time is the stager's (relay_gc_time). Permanent
+  // copies (original sources, served destinations) hold forever, relay
+  // copies until the gc time. A request enters the plan only when every
+  // relay copy of its item can hold to the gc time it sets (on_event), so
+  // the charges fit together: the sweep aborts otherwise. Its timelines are
+  // `storage`.
+  std::vector<StorageCharge> charges;
   PermanentMachines permanent(base_.machine_count());
   items.resize(items_.size());
   for (std::size_t i = 0; i < items_.size(); ++i) {
@@ -327,32 +304,34 @@ void DynamicStager::build_residual_items(std::vector<DataItem>& items,
     d.size_bytes = item.size_bytes;
     d.sources.clear();
     d.requests.clear();
-    const SimTime gc = item.latest_known_deadline() + base_.gc_gamma;
+    d.resolved_deadline = SimTime::zero();
+    for (const TrackedRequest& tracked : item.requests) {
+      if (!tracked.resolved) {
+        d.requests.push_back(tracked.request);
+      } else if (tracked.counted) {
+        d.resolved_deadline = max(d.resolved_deadline, tracked.request.deadline);
+      }
+    }
+    const SimTime gc = item.gc_time(base_.gc_gamma);
     permanent.select(item);
     for (const Copy& copy : item.copies) {
-      SourceLocation src{copy.machine, copy.available_at, SimTime::infinity()};
-      if (permanent.contains(copy.machine)) {
-        d.sources.push_back(src);
-        continue;
-      }
-      src.hold_until = gc;
-      const Interval hold = src.hold_window();
-      if (hold.empty()) continue;  // gc already due: the copy is gone
-      StorageTimeline& st = storage[copy.machine.index()];
-      if (!st.fits(item.size_bytes, hold)) {
-        log_debug([&item] {
-          return "dynamic: dropping staged copy of " + item.name +
-                 " (gc window grew past capacity)";
-        });
-        continue;
-      }
-      st.allocate(item.size_bytes, hold);
+      const SourceLocation src{copy.machine, copy.available_at,
+                               permanent.contains(copy.machine) ? SimTime::infinity() : gc};
+      if (src.hold_window().empty()) continue;  // gc already due: the copy is gone
+      charges.push_back(StorageCharge{copy.machine, item.size_bytes, src.hold_window()});
       d.sources.push_back(src);
     }
-    for (const TrackedRequest& tracked : item.requests) {
-      if (!tracked.resolved) d.requests.push_back(tracked.request);
-    }
   }
+  StorageTimeline::per_machine(base_.machines, charges,
+                               "a relay copy is held past what its machine can store",
+                               storage);
+}
+
+bool DynamicStager::relay_holds(const TrackedItem& item, const Copy& copy, SimTime gc,
+                                SimTime until) {
+  const Interval extension{max(gc, copy.available_at), until};
+  return extension.empty() ||
+         residual_world().storage[copy.machine.index()].fits(item.size_bytes, extension);
 }
 
 void DynamicStager::replan(std::optional<RequestRef> watched) {
@@ -497,39 +476,51 @@ void DynamicStager::on_event(const StagingEvent& event) {
     TrackedItem* item = find_item(new_request->item_name);
     DS_ASSERT_MSG(item != nullptr, "ad-hoc request for unknown item");
     TrackedRequest tracked{new_request->request, false, false, SimTime::infinity()};
+    const ItemId id(static_cast<std::int32_t>(item - items_.data()));
+    const SimTime gc = item->gc_time(base_.gc_gamma);
     // If the destination already holds a copy, the request resolves on the
     // spot (the data is there; on time iff it is already usable). Serving it
-    // makes the copy a destination copy, held forever: a relayed copy that
-    // cannot be held forever next to the permanent copies cannot serve the
-    // request, which then closes unsatisfied and leaves the copy transient.
+    // makes the copy a destination copy, held forever: a relay copy that
+    // cannot be held forever cannot serve the request, which then closes
+    // unsatisfied and never counts. Otherwise a request that counts holds
+    // every relay copy of the item to the gc time it sets; one that a relay
+    // cannot hold that long is refused and closes unsatisfied, so that every
+    // relay is held as long as the plan charged it.
     PermanentMachines permanent(base_.machine_count());
     permanent.select(*item);
-    std::vector<StorageTimeline> charge;  // built on first use
-    for (const Copy& copy : item->copies) {
-      if (copy.machine != tracked.request.destination) continue;
+    const MachineId destination = tracked.request.destination;
+    const auto held = std::ranges::find(item->copies, destination, &Copy::machine);
+    const bool at_copy = held != item->copies.end();
+    const SimTime extended = max(gc, tracked.request.deadline + base_.gc_gamma);
+    const auto relay_holds_to_gc = [&](const Copy& copy) {
+      return permanent.contains(copy.machine) || copy.machine == destination ||
+             relay_holds(*item, copy, gc, extended);
+    };
+    if (at_copy && !permanent.contains(destination) &&
+        !relay_holds(*item, *held, gc, SimTime::infinity())) {
       tracked.resolved = true;
-      if (!permanent.contains(copy.machine)) {
-        if (charge.empty()) permanent_charge(charge);
-        if (!charge[copy.machine.index()].fits(
-                item->size_bytes, Interval{copy.available_at, SimTime::infinity()})) {
-          continue;
-        }
-      }
-      tracked.arrival = copy.available_at;
-      tracked.satisfied = copy.available_at <= tracked.request.deadline;
+      tracked.counted = false;
+    } else if (!std::ranges::all_of(item->copies, relay_holds_to_gc)) {
+      tracked.resolved = true;
+      tracked.counted = false;
+      ++gc_extensions_refused_;
+      bump("dynamic.gc_extensions_refused");
+    } else if (at_copy) {
+      tracked.resolved = true;
+      tracked.arrival = held->available_at;
+      tracked.satisfied = held->available_at <= tracked.request.deadline;
     }
+    item->requests.push_back(tracked);
+    // A request that never entered the plan leaves the world and the plan as
+    // they are.
+    if (!tracked.counted) return;
     // The world gains the request as one more outstanding request of its
     // item, unless the request changes more than that: closing on the spot
-    // can make a copy permanent, and a later deadline moves the item's gc
-    // time, which every intermediate copy's hold window and the storage
-    // pre-pass depend on.
-    const bool gc_kept = tracked.request.deadline <= item->latest_known_deadline();
-    item->requests.push_back(tracked);
-    // An outstanding request's replan watches it, so that withdrawing it may
-    // keep the plan.
-    const ItemId id(static_cast<std::int32_t>(item - items_.data()));
+    // makes a copy permanent, and a later deadline moves the item's gc time,
+    // which every relay copy's hold window depends on. An outstanding
+    // request's replan watches it, so that withdrawing it may keep the plan.
     if (!tracked.resolved) watched = newest_request(id);
-    if (world_items_current_ && !tracked.resolved && gc_kept) {
+    if (world_items_current_ && !tracked.resolved && extended == gc) {
       world_->scenario.items[id.index()].requests.push_back(tracked.request);
       note_world_patch();
     } else {
@@ -622,14 +613,28 @@ void DynamicStager::on_event(const StagingEvent& event) {
         ++outstanding;
       }
     }
+    bool relays_shortened = false;
     if (target != nullptr) {
+      const SimTime gc = item->gc_time(base_.gc_gamma);
       target->resolved = true;
       target->satisfied = false;
       target->cancelled = true;
+      target->counted = false;
       target->arrival = SimTime::infinity();
-      // The world loses exactly this outstanding request; the gc time keeps
-      // counting it.
-      if (world_items_current_) {
+      // A withdrawn request holds no relay copy. When that lowers the gc time
+      // of an item that holds relay copies, their hold windows shrink: the
+      // world is rebuilt, and the plan, which charged them to the old time,
+      // is not kept. Otherwise the world loses exactly this request.
+      if (item->gc_time(base_.gc_gamma) < gc) {
+        PermanentMachines permanent(base_.machine_count());
+        permanent.select(*item);
+        relays_shortened = std::ranges::any_of(item->copies, [&](const Copy& copy) {
+          return !permanent.contains(copy.machine) && copy.available_at < gc;
+        });
+      }
+      if (relays_shortened) {
+        stale_world(false, true);
+      } else if (world_items_current_) {
         std::vector<Request>& residual =
             world_->scenario.items[static_cast<std::size_t>(item - items_.data())].requests;
         DS_ASSERT_MSG(position < residual.size(), "residual world lost a request");
@@ -651,7 +656,7 @@ void DynamicStager::on_event(const StagingEvent& event) {
     // last replan watched keeps its plan when the watch held: that plan is
     // the replan without the request (docs/PERFORMANCE.md item 12).
     if (target == nullptr) return;
-    if (served_without == handle) {
+    if (served_without == handle && !relays_shortened) {
       keep_plan();
       return;
     }
@@ -686,7 +691,7 @@ void DynamicStager::apply_copy_loss(TrackedItem& item, MachineId machine) {
   // feasibility — an infeasible re-delivery simply stays unsatisfied.
   for (TrackedRequest& tracked : item.requests) {
     if (tracked.request.destination != machine || !tracked.resolved) continue;
-    if (tracked.cancelled) continue;  // cancellation is final
+    if (!tracked.counted) continue;  // withdrawn or refused: final
     if (tracked.request.deadline < now_) continue;
     tracked.resolved = false;
     tracked.satisfied = false;
@@ -944,7 +949,7 @@ Scenario DynamicStager::effective_scenario() const {
       d.sources.push_back(src);
     }
     for (const TrackedRequest& tracked : item.requests) {
-      d.requests.push_back(tracked.request);
+      if (tracked.counted) d.requests.push_back(tracked.request);
     }
     effective.items.push_back(std::move(d));
   }

@@ -9,16 +9,28 @@
 //   3. updates the world (new item / new request / link outage / restore),
 //   4. re-runs the configured static heuristic on the residual problem.
 // A cancel that withdraws nothing only moves the clock (steps 1–2 happen as
-// in advance_to, the plan stands), and a withdrawal may keep the plan (below).
+// in advance_to, the plan stands), a request that never enters the plan
+// (below) changes neither world nor plan, and a withdrawal may keep the plan
+// (below).
 //
 // Semantics choices (documented deviations from the static model):
-//   * Garbage collection keeps the static rule — intermediate copies are
-//     removed at (latest known deadline + γ), checked whenever the clock
-//     moves — where "known" includes ad-hoc requests that arrived before the
-//     copy expired; expired copies cannot be revived by later requests, nor
-//     by the copy rebuild after an in-flight failure.
-//   * A request whose destination already holds a (late) copy is closed as
-//     unsatisfied rather than kept pending.
+//   * One relay-hold rule (relay_gc_time, model/scenario.hpp): relay copies
+//     are removed at the item's gc time, γ after the latest deadline among
+//     the item's requests that count, checked whenever the clock moves. A
+//     request counts from the moment it enters the plan, also once
+//     resolved, until it is withdrawn. A request never enters the plan when
+//     it closes at a relay copy its destination cannot keep for good, or
+//     when a relay copy of its item cannot be held to the later gc time its
+//     deadline sets: such a request is refused and closes unsatisfied
+//     (gc_extensions_refused()). The residual item carries its resolved
+//     requests' latest deadline (DataItem::resolved_deadline), and
+//     effective_scenario() lists exactly the requests that count, so the
+//     engine, its shadow plan and the replay hold every relay copy as long
+//     as the stager does. Expired copies cannot be revived by later
+//     requests, nor by the copy rebuild after an in-flight failure.
+//   * A request whose destination already holds a copy closes on the spot:
+//     satisfied when that copy is on time and kept for good, unsatisfied
+//     otherwise, rather than kept pending.
 //
 // Residual world: every replan schedules the residual problem (below) as a
 // fresh engine would, and the stager keeps that problem between calls, in
@@ -31,7 +43,8 @@
 //     its item's gc time or resolved on the spot (garbage collection runs
 //     whenever the clock moves, so it has erased any expired copy before the
 //     world is read);
-//   * a cancel patches the world (removes the request);
+//   * a cancel patches the world (removes the request), unless it lowers the
+//     gc time of an item that holds relay copies, whose hold windows shrink;
 //   * anything else rebuilds the items and timelines.
 // A patched world equals the rebuilt one field for field, so decisions do
 // not depend on which path served them. Replans run the heuristic loop on
@@ -42,8 +55,9 @@
 // A replan after a NewRequestEvent watches the request (StagingEngine::watch):
 // when its watch held, the run without the request would have built the same
 // schedule, so the withdrawal of exactly that request, next and at the same
-// instant (a full reject's), keeps the plan instead of running the engine. It
-// still patches the world and counts as a replan.
+// instant (a full reject's), keeps the plan instead of running the engine,
+// unless it shortened relay holds the plan charged. It still patches the
+// world and counts as a replan.
 //
 // Requests are addressed by RequestRef {item, k}: k indexes the item's tracked
 // requests, which like the items are append-only, so a handle names one
@@ -216,6 +230,10 @@ class DynamicStager {
   /// replans (StagingEngine::watch).
   std::size_t withdrawals_kept_plan() const { return withdrawals_kept_plan_; }
   std::size_t shadow_refreshes() const { return shadow_refreshes_; }
+  /// Requests refused at arrival because a relay copy of their item could not
+  /// be held to the later gc time their deadline sets (also counted as
+  /// dynamic.gc_extensions_refused).
+  std::size_t gc_extensions_refused() const { return gc_extensions_refused_; }
 
  private:
   struct TrackedRequest {
@@ -229,6 +247,10 @@ class DynamicStager {
     /// Withdrawn via CancelRequestEvent (implies resolved, never satisfied);
     /// cancellation is final — faults cannot re-open a cancelled request.
     bool cancelled = false;
+    /// Holds the item's relay copies (relay_gc_time): from the moment the
+    /// request enters the plan until it is withdrawn. A request refused or
+    /// closed at its arrival never does; like a withdrawn one it is final.
+    bool counted = true;
   };
 
   /// A copy-loss fault that destroyed a copy at `machine` at time `at`.
@@ -250,9 +272,9 @@ class DynamicStager {
     /// gone unless its machine keeps copies for good.
     SimTime relays_erased_at = SimTime::zero();
 
-    /// Latest deadline among every request known so far (resolved or not);
-    /// drives garbage collection exactly as the static model's rule does.
-    SimTime latest_known_deadline() const;
+    /// When its relay copies are collected: relay_gc_time over the requests
+    /// that count.
+    SimTime gc_time(SimDuration gamma) const;
     /// A copy at `machine` from `available_at`; a machine keeps its earliest.
     void add_copy(MachineId machine, SimTime available_at);
     /// Latest copy-loss time at `machine` (survival cutoff for re-derived
@@ -314,9 +336,6 @@ class DynamicStager {
   /// destination) for reason "link_outage" / "link_degrade" / "copy_loss".
   void trace_requeue(const TrackedItem& item, const Request& request,
                      const char* reason) const;
-  /// Per-machine storage charged by every permanent copy, each held from its
-  /// availability forever, into `charge`.
-  void permanent_charge(std::vector<StorageTimeline>& charge) const;
   void run_garbage_collection();
   /// The gc rule for one item at now_: once its gc time has passed, only
   /// its permanent copies stay. `permanent` is a reused buffer.
@@ -329,6 +348,9 @@ class DynamicStager {
   /// into reused buffers.
   void build_residual_items(std::vector<DataItem>& items,
                             std::vector<StorageTimeline>& storage) const;
+  /// Whether `item`'s relay `copy`, which the world holds until `gc`, can be
+  /// held until `until`: the extension checked against the world's storage.
+  bool relay_holds(const TrackedItem& item, const Copy& copy, SimTime gc, SimTime until);
   /// Marks parts of the residual world out of date.
   void stale_world(bool links, bool items);
   void note_world_patch();
@@ -414,6 +436,7 @@ class DynamicStager {
   std::optional<RequestRef> plan_serves_without_;
   std::size_t withdrawals_kept_plan_ = 0;
   std::size_t shadow_refreshes_ = 0;
+  std::size_t gc_extensions_refused_ = 0;
 
   std::size_t replans_ = 0;
   bool finished_ = false;

@@ -78,10 +78,30 @@ struct DataItem {
   std::int64_t size_bytes = 0;
   std::vector<SourceLocation> sources;
   std::vector<Request> requests;
+  /// The latest deadline among requests that hold the item's relay copies
+  /// without being listed in `requests`: in a residual scenario, the item's
+  /// resolved requests (DynamicStager). Zero in a static scenario.
+  SimTime resolved_deadline = SimTime::zero();
 
-  /// Latest deadline over all requests; drives garbage collection (§4.4).
+  /// Latest deadline over the listed requests: no later arrival counts.
   SimTime latest_deadline() const;
 };
+
+/// The relay-hold rule (§4.4), in one place: an item's relay copies are held
+/// until γ after the latest deadline among the requests that count, and at
+/// least until `floor` + γ. `counted_deadline(request)` is a request's
+/// deadline when it counts and SimTime::zero() when it does not. Every
+/// request of a static scenario counts. In the dynamic extension a request
+/// counts from the moment it enters the plan, also once resolved, until it
+/// is withdrawn; a request refused or closed at its arrival never counts
+/// (DynamicStager). Scenario::gc_time and the stager compute through it.
+template <class Requests, class CountedDeadline>
+SimTime relay_gc_time(const Requests& requests, SimTime floor, SimDuration gamma,
+                      CountedDeadline counted_deadline) {
+  SimTime latest = floor;
+  for (const auto& request : requests) latest = max(latest, counted_deadline(request));
+  return latest + gamma;
+}
 
 /// A full problem instance.
 struct Scenario {
@@ -112,9 +132,17 @@ struct Scenario {
     return items[ref.item.index()].requests[static_cast<std::size_t>(ref.k)];
   }
 
-  /// Garbage-collection time for an item: latest deadline + γ (§4.4).
-  SimTime gc_time(ItemId id) const {
-    return item(id).latest_deadline() + gc_gamma;
+  /// Garbage-collection time for an item (relay_gc_time): its listed
+  /// requests and resolved_deadline count, except request `left_out` when it
+  /// is not negative: the gc time a scenario without that request has.
+  SimTime gc_time(ItemId id, std::int32_t left_out = -1) const {
+    const DataItem& it = item(id);
+    const Request* skipped =
+        left_out < 0 ? nullptr : &it.requests[static_cast<std::size_t>(left_out)];
+    return relay_gc_time(it.requests, it.resolved_deadline, gc_gamma,
+                         [skipped](const Request& r) {
+                           return &r == skipped ? SimTime::zero() : r.deadline;
+                         });
   }
 
   /// Structural validation. Returns a list of human-readable defects; an
@@ -130,7 +158,7 @@ struct Scenario {
 /// End of the storage hold window for a copy of `item` staged on `machine`
 /// (§4.4): a destination keeps its data to the end of the simulation, an
 /// initial source until its hold_until, any other machine until gc_time
-/// (latest deadline + γ). `is_destination` is supplied by the caller because
+/// (relay_gc_time). `is_destination` is supplied by the caller because
 /// each resource tracker derives it differently; `gc_time` is
 /// `scenario.gc_time(item)`, which NetworkState computes once per item when
 /// it binds a scenario. Shared by NetworkState (and through it the routing

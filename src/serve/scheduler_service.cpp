@@ -302,6 +302,7 @@ ServiceSnapshot SchedulerService::snapshot() const {
   snap.replay = stager_.replay_counts();
   snap.withdrawals_kept_plan = stager_.withdrawals_kept_plan();
   snap.shadow_refreshes = stager_.shadow_refreshes();
+  snap.gc_extensions_refused = stager_.gc_extensions_refused();
   if (const obs::PhaseTimer* timer = phases()) {
     std::array<double, kServePhases.size()> seconds{};
     for (std::size_t p = 0; p < kServePhases.size(); ++p) {

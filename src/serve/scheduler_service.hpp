@@ -159,6 +159,10 @@ struct ServiceSnapshot {
   /// submitted requests cost (deterministic; DynamicStager).
   std::size_t withdrawals_kept_plan = 0;
   std::size_t shadow_refreshes = 0;
+  /// Requests refused at arrival because a relay copy of their item could
+  /// not be held to the later gc time their deadline sets; answered as full
+  /// rejects (deterministic; DynamicStager).
+  std::size_t gc_extensions_refused = 0;
   /// Wall seconds per kServePhases entry, in that order; present only when
   /// a phase timer is attached. Measurement only, never deterministic.
   std::optional<std::array<double, kServePhases.size()>> phase_seconds;

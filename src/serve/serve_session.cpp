@@ -246,6 +246,7 @@ std::string ServeSession::handle_stats() const {
   line += "}";
   obs::json_field(line, "withdrawals_kept_plan", snap.withdrawals_kept_plan);
   obs::json_field(line, "shadow_refreshes", snap.shadow_refreshes);
+  obs::json_field(line, "gc_extensions_refused", snap.gc_extensions_refused);
   if (snap.phase_seconds.has_value()) {
     // Wall time, so only with a phase timer attached (--metrics-out): the
     // decision log stays byte-identical without one.

@@ -8,7 +8,9 @@ PLACEHOLDER_ token, when an experiment heading of EXPERIMENTS.md (`## E<n>`
 or `### E<n>`) repeats an earlier one (a stale copy of a section), or when
 a BENCH_*.json at the source root is empty, is not valid JSON, does not
 record the host it ran on (`host_cores`, `build_type`), or holds tier rows
-with differing key sets (a curve regenerated only in part).
+with differing key sets (a curve regenerated only in part), or when
+BENCH_serve.json does not record `verdicts_identical` as true (the quick and
+full serve modes must admit the same requests).
 """
 import glob
 import json
@@ -61,6 +63,9 @@ def main(root):
         for field in ("host_cores", "build_type"):
             if field not in doc:
                 problems.append(f"{name}: no {field}")
+        if name == "BENCH_serve.json" and doc.get("verdicts_identical") is not True:
+            problems.append(f"{name}: verdicts_identical is "
+                            f"{json.dumps(doc.get('verdicts_identical'))}, not true")
         rows = doc.get("tiers", [])
         if rows:
             keys = set(rows[0])

@@ -257,7 +257,8 @@ TEST(EngineReplayTest, KeptHoldThatNoLongerFitsIsNotReplayed) {
       logged_engine(*before, HeuristicKind::kFullOne);
   const std::string schedule = run(*engine, *after, HeuristicKind::kFullOne);
   EXPECT_EQ(schedule, fresh_schedule(after->scenario, HeuristicKind::kFullOne));
-  EXPECT_EQ(engine->replay_counts().miss(Miss::kStorage), 1u);
+  EXPECT_EQ(engine->replay_counts().miss(Miss::kHoldMisfit), 1u);
+  EXPECT_EQ(engine->replay_counts().miss(Miss::kStorageRejected), 0u);
   EXPECT_EQ(engine->replay_counts().miss(Miss::kItemChanged), 1u);  // the new item
   EXPECT_EQ(engine->tree_replays(), 0u);
   // Routed around B, through D.
@@ -274,7 +275,8 @@ TEST(EngineReplayTest, TreeFromARunWithStorageRejectionsIsNotReplayed) {
   EXPECT_EQ(run(*engine, *world, HeuristicKind::kFullOne),
             fresh_schedule(world->scenario, HeuristicKind::kFullOne));
   EXPECT_EQ(engine->tree_replays(), 0u);
-  EXPECT_EQ(engine->replay_counts().miss(Miss::kStorage), 1u);
+  EXPECT_EQ(engine->replay_counts().miss(Miss::kStorageRejected), 1u);
+  EXPECT_EQ(engine->replay_counts().miss(Miss::kHoldMisfit), 0u);
 }
 
 TEST(EngineReplayTest, ChangedItemIsNotReplayedOthersAre) {

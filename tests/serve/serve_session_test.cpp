@@ -298,8 +298,8 @@ TEST(ServeSessionTest, StatsReportReplayCounts) {
     }
     return parse(session.handle_line(stats));
   };
-  const char* reasons[] = {"links_grew", "diverged", "item_changed", "storage",
-                           "verify_failed"};
+  const char* reasons[] = {"links_grew",  "diverged",    "item_changed", "storage_rejected",
+                           "hold_misfit", "verify_failed"};
 
   const obs::JsonValue counts = run(false);
   ASSERT_NE(counts.find("tree_replays"), nullptr);
