@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,13 +74,17 @@ struct BenchSetup {
   bool verbose = false;
 };
 
-inline bool parse_bench_flags(int argc, const char* const* argv, BenchSetup& setup,
-                              std::vector<std::string> extra_flags = {}) {
+/// Parses the shared flags into `setup` and hands back the parsed flags, so a
+/// binary reads its `extra_flags` from the same parse. nullopt (after a
+/// message on stderr) on an unknown flag or a bad --weighting.
+inline std::optional<CliFlags> parse_bench_flags(int argc, const char* const* argv,
+                                                 BenchSetup& setup,
+                                                 std::vector<std::string> extra_flags = {}) {
   std::vector<std::string> known{"cases", "seed", "weighting", "csv", "jobs",
                                  "verbose"};
   known.insert(known.end(), extra_flags.begin(), extra_flags.end());
   CliFlags flags;
-  if (!flags.parse(argc, argv, known)) return false;
+  if (!flags.parse(argc, argv, known)) return std::nullopt;
 
   setup.config.cases = static_cast<std::size_t>(flags.get_int("cases", 40));
   setup.config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2000));
@@ -100,9 +105,9 @@ inline bool parse_bench_flags(int argc, const char* const* argv, BenchSetup& set
   } else {
     std::fprintf(stderr, "unknown --weighting '%s' (use 1,10,100 or 1,5,10)\n",
                  weighting.c_str());
-    return false;
+    return std::nullopt;
   }
-  return true;
+  return flags;
 }
 
 inline void print_header(const std::string& title, const BenchSetup& setup) {

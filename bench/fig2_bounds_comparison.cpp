@@ -11,12 +11,10 @@
 int main(int argc, char** argv) {
   using namespace datastage;
   benchtool::BenchSetup setup;
-  if (!benchtool::parse_bench_flags(argc, argv, setup, {"minmax"})) return 1;
-  CliFlags minmax_flags;
-  const bool want_minmax =
-      minmax_flags.parse(argc, argv,
-                         {"cases", "seed", "weighting", "csv", "verbose", "minmax"}) &&
-      minmax_flags.get_bool("minmax", false);
+  const std::optional<CliFlags> flags =
+      benchtool::parse_bench_flags(argc, argv, setup, {"minmax"});
+  if (!flags) return 1;
+  const bool want_minmax = flags->get_bool("minmax", false);
   benchtool::print_header(
       "Figure 2 — heuristics' best criterion (C4) vs upper and lower bounds",
       setup);

@@ -134,20 +134,15 @@ void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
 
 int main(int argc, char** argv) {
   benchtool::BenchSetup setup;
-  std::vector<std::string> extra{"out", "grid", "engine-jobs"};
-  CliFlags flags;  // re-parse only the extra flags; shared ones go to setup
-  if (!benchtool::parse_bench_flags(argc, argv, setup, extra)) return 1;
-  if (!flags.parse(argc, argv,
-                   {"cases", "seed", "weighting", "csv", "jobs", "verbose", "out",
-                    "grid", "engine-jobs"})) {
-    return 1;
-  }
-  const std::string out_path = flags.get_string("out", "BENCH_engine.json");
+  const std::optional<CliFlags> flags =
+      benchtool::parse_bench_flags(argc, argv, setup, {"out", "grid", "engine-jobs"});
+  if (!flags) return 1;
+  const std::string out_path = flags->get_string("out", "BENCH_engine.json");
   const auto engine_jobs_flag =
-      static_cast<std::size_t>(flags.get_int("engine-jobs", 8));
+      static_cast<std::size_t>(flags->get_int("engine-jobs", 8));
   const std::size_t engine_jobs =
       engine_jobs_flag == 0 ? ThreadPool::hardware_jobs() : engine_jobs_flag;
-  const std::string grid_name = flags.get_string("grid", "all");
+  const std::string grid_name = flags->get_string("grid", "all");
   const std::vector<GridEntry> grid = build_grid(grid_name);
   if (grid.empty()) {
     std::fprintf(stderr, "unknown --grid '%s' (use small, medium, large or all)\n",

@@ -49,15 +49,10 @@ void write_point_json(std::FILE* f, const FaultSweepPoint& point, bool last) {
 
 int main(int argc, char** argv) {
   benchtool::BenchSetup setup;
-  if (!benchtool::parse_bench_flags(argc, argv, setup, {"out", "fault-seed"}))
-    return 1;
-  CliFlags flags;  // re-parse only the extra flags; shared ones go to setup
-  if (!flags.parse(argc, argv,
-                   {"cases", "seed", "weighting", "csv", "jobs", "verbose", "out",
-                    "fault-seed"})) {
-    return 1;
-  }
-  const std::string out_path = flags.get_string("out", "BENCH_faults.json");
+  const std::optional<CliFlags> flags =
+      benchtool::parse_bench_flags(argc, argv, setup, {"out", "fault-seed"});
+  if (!flags) return 1;
+  const std::string out_path = flags->get_string("out", "BENCH_faults.json");
 
   // Lighter default than the figure benches: every (scheduler, intensity,
   // case) cell runs four schedulers' worth of work (plan + replay + dynamic
@@ -72,7 +67,7 @@ int main(int argc, char** argv) {
       SchedulerSpec{HeuristicKind::kFullOne, CostCriterion::kC4}};
 
   FaultSweepConfig config;
-  config.fault_seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 9000));
+  config.fault_seed = static_cast<std::uint64_t>(flags->get_int("fault-seed", 9000));
 
   EngineOptions options;
   options.weighting = setup.weighting;

@@ -137,14 +137,11 @@ std::vector<Tier> build_tiers(const std::string& which) {
 
 int main(int argc, char** argv) {
   benchtool::BenchSetup setup;
-  if (!benchtool::parse_bench_flags(argc, argv, setup, {"out", "tier"})) return 1;
-  CliFlags flags;
-  if (!flags.parse(argc, argv, {"cases", "seed", "weighting", "csv", "jobs",
-                                "verbose", "out", "tier"})) {
-    return 1;
-  }
-  const std::string out_path = flags.get_string("out", "BENCH_scale.json");
-  const std::string tier_name = flags.get_string("tier", "all");
+  const std::optional<CliFlags> flags =
+      benchtool::parse_bench_flags(argc, argv, setup, {"out", "tier"});
+  if (!flags) return 1;
+  const std::string out_path = flags->get_string("out", "BENCH_scale.json");
+  const std::string tier_name = flags->get_string("tier", "all");
   const std::vector<Tier> tiers = build_tiers(tier_name);
   if (tiers.empty()) {
     std::fprintf(stderr,

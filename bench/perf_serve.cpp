@@ -248,14 +248,10 @@ void write_mode_json(std::FILE* f, const char* key, const ModeResult& mode) {
 
 int main(int argc, char** argv) {
   benchtool::BenchSetup setup;
-  if (!benchtool::parse_bench_flags(argc, argv, setup, {"out"})) return 1;
-  CliFlags flags;
-  if (!flags.parse(argc, argv,
-                   {"cases", "seed", "weighting", "csv", "jobs", "verbose",
-                    "out"})) {
-    return 1;
-  }
-  const std::string out_path = flags.get_string("out", "BENCH_serve.json");
+  const std::optional<CliFlags> flags =
+      benchtool::parse_bench_flags(argc, argv, setup, {"out"});
+  if (!flags) return 1;
+  const std::string out_path = flags->get_string("out", "BENCH_serve.json");
 
   // Lighter default than the figure benches: every stripped request costs a
   // full replan in "full" mode, on the oversubscribed preset.

@@ -98,7 +98,8 @@ void BM_PartialC4_Paranoid(benchmark::State& state) {
   EngineOptions options = bench_options(CostCriterion::kC4);
   options.paranoid = true;
   for (auto _ : state) {
-    const StagingResult result = run_partial_path(scenario, options);
+    const StagingResult result =
+        run_spec({HeuristicKind::kPartial, CostCriterion::kC4}, scenario, options);
     benchmark::DoNotOptimize(result.dijkstra_runs);
   }
   const benchtool::EngineCostSnapshot snap = benchtool::snapshot_engine_cost(

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "core/bounds.hpp"
-#include "core/heuristics.hpp"
+#include "core/registry.hpp"
 #include "gen/generator.hpp"
 #include "model/transforms.hpp"
 #include "sim/simulator.hpp"
@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
     EngineOptions options;
     options.weighting = weighting;
     options.eu = EUWeights::from_log10_ratio(1.0);
-    const StagingResult result = run_full_path_one(degraded, options);
+    const StagingResult result =
+        run_spec({HeuristicKind::kFullOne, CostCriterion::kC4}, degraded, options);
     const SimReport report = simulate(degraded, result.schedule);
     if (!report.ok) {
       std::fprintf(stderr, "replay failed: %s\n", report.issues.front().c_str());

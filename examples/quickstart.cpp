@@ -5,8 +5,8 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "core/heuristics.hpp"
 #include "core/metrics.hpp"
+#include "core/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
@@ -66,9 +66,9 @@ int main() {
 
   // --- 3. Schedule ---------------------------------------------------------
   EngineOptions options;
-  options.criterion = CostCriterion::kC4;
   options.eu = EUWeights::from_log10_ratio(1.0);
-  const StagingResult result = run_full_path_one(scenario, options);
+  const StagingResult result =
+      run_spec({HeuristicKind::kFullOne, CostCriterion::kC4}, scenario, options);
 
   // --- 4. Inspect ----------------------------------------------------------
   std::printf("Schedule:\n%s\n", schedule_trace(scenario, result.schedule).c_str());

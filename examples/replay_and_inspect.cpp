@@ -8,8 +8,8 @@
 #include <filesystem>
 
 #include "common_flags.hpp"
-#include "core/heuristics.hpp"
 #include "core/metrics.hpp"
+#include "core/registry.hpp"
 #include "core/schedule_io.hpp"
 #include "gen/generator.hpp"
 #include "model/describe.hpp"
@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
   std::printf("\nProfile:\n%s\n", describe_table(describe(scenario)).to_text().c_str());
 
   // 2. Schedule and persist the plan.
-  EngineOptions options;
-  options.criterion = CostCriterion::kC5;  // the tuning-free extension
-  const StagingResult result = run_full_path_one(scenario, options);
+  // C5: the tuning-free extension.
+  const StagingResult result =
+      run_spec({HeuristicKind::kFullOne, CostCriterion::kC5}, scenario, EngineOptions{});
   const std::string schedule_path = dir + "/plan.dss";
   save_schedule(schedule_path, result.schedule);
   std::printf("schedule written to %s (%zu transfers)\n\n", schedule_path.c_str(),

@@ -751,91 +751,41 @@ bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after
     job.miss = ReplayMiss::kStorageRejected;
     return false;
   }
-  job.miss = ReplayMiss::kVerifyFailed;
-  if (logged.prune_after != prune_after) return false;
+  if (logged.prune_after != prune_after) {
+    job.miss = ReplayMiss::kVerifyFailed;
+    return false;
+  }
 
   // The logged tree is the storage-free earliest-arrival forest of its
   // world, and this run's availability is a subset of that world's: every
-  // label can only have risen, storage or not. A kept edge that still
-  // departs from its parent's old label, arrives at its old label and is
-  // admitted by storage keeps that label exact, and it keeps the parent
-  // tie-break when no other edge of its group arrives as early
-  // (docs/PERFORMANCE.md item 11).
-  const std::span<const LoggedEntry> entries(prev_log_.entries.data() + logged.first,
-                                             logged.count);
-  const std::int64_t item_bytes = scenario_->item(item).size_bytes;
-  const SimTime prune_limit = prune_after >= SimTime::infinity()
-                                  ? SimTime::infinity()
-                                  : prune_after + SimDuration::from_usec(1);
-  plan.tree.reset(scenario_->machine_count());
-  plan.storage_free = true;  // the logged run's flag
-  for (const LoggedEntry& entry : entries) {
-    if (!entry.from.valid()) {
-      const std::optional<SimTime> copy = state_.copy_available_at(item, entry.to);
-      if (!copy.has_value() || *copy != entry.arrival) return false;
-      plan.tree.append(entry.to, entry.arrival, false, TreeEdge{});
-      continue;
-    }
-    // Entries are sorted by machine, and a kept entry's parent is kept.
-    const auto parent = std::lower_bound(
-        entries.begin(), entries.end(), entry.from,
-        [](const LoggedEntry& e, MachineId machine) { return e.to < machine; });
-    if (parent == entries.end() || parent->to != entry.from) return false;
-    const SimTime ready = parent->arrival;
-    if (ready > prune_after) return false;
-    const std::span<const ReceiverGroup> groups = topology_->receivers(entry.from);
-    const auto group = std::lower_bound(
-        groups.begin(), groups.end(), entry.to,
-        [](const ReceiverGroup& g, MachineId machine) { return g.to < machine; });
-    if (group == groups.end() || group->to != entry.to) return false;
-    const SimTime sender_hold_end = state_.hold_end(item, entry.from);
-    const SimTime depart_limit = min(sender_hold_end, prune_limit);
-    // The edges a Dijkstra scan would accept, arriving at or before the
-    // logged arrival: exactly one, the logged edge on its new link id.
-    VirtLinkId found = VirtLinkId::invalid();
-    for (const OutEdge& out : topology_->edges(*group)) {
-      const SimTime earliest = max(ready, out.window.begin);
-      if (earliest >= depart_limit || earliest > entry.arrival) break;
-      const SimDuration occupancy =
-          transfer_duration(item_bytes, out.bandwidth_bps) + out.latency;
-      const SimTime earliest_arrival = earliest + occupancy;
-      if (earliest_arrival > entry.arrival || earliest_arrival > out.window.end) continue;
-      const std::optional<LinkFit> fit =
-          state_.links().earliest_fit(out.link, out.window, occupancy, ready);
-      if (!fit.has_value() || fit->start >= sender_hold_end ||
-          fit->arrival >= prune_limit || fit->arrival > entry.arrival) {
-        continue;
-      }
-      if (found.valid() || fit->start != entry.start || fit->arrival != entry.arrival ||
-          scenario_->vlink(out.link).phys != entry.phys) {
-        return false;
-      }
-      found = out.link;
-    }
-    if (!found.valid()) return false;
-    if (!state_.can_hold(item, entry.to, entry.start)) {
+  // label can only have risen, storage or not. A kept edge that the
+  // relaxation rule still takes from its parent's old label at its old
+  // start and arrival, alone in its group and admitted by storage, keeps
+  // that label exact and the parent tie-break (docs/PERFORMANCE.md item 11).
+  switch (verify_route_tree(state_, *topology_, item,
+                            std::span(prev_log_.entries).subspan(logged.first, logged.count),
+                            prune_after, plan.tree)) {
+    case ForestCheck::kVerified:
+      plan.storage_free = true;  // the logged run's flag
+      return true;
+    case ForestCheck::kMismatch:
+      job.miss = ReplayMiss::kVerifyFailed;
+      return false;
+    case ForestCheck::kHoldMisfit:
       job.miss = ReplayMiss::kHoldMisfit;
       return false;
-    }
-    plan.tree.append(entry.to, entry.arrival, true,
-                     TreeEdge{entry.from, entry.to, found, entry.start, entry.arrival});
   }
-  return true;
+  DS_UNREACHABLE("bad forest check");
 }
 
 void StagingEngine::log_tree(std::size_t plan_index, SimTime prune_after) {
   const ItemPlan& plan = plans_[plan_index];
-  const std::span<const TreeEdge> entries = plan.tree.entries();
   log_.trees.push_back(LoggedTree{static_cast<std::uint32_t>(plan_index),
                                   static_cast<std::uint32_t>(iterations_),
                                   static_cast<std::uint32_t>(log_.entries.size()),
-                                  static_cast<std::uint32_t>(entries.size()), prune_after,
-                                  plan.storage_free});
-  for (const TreeEdge& e : entries) {
-    log_.entries.push_back(LoggedEntry{
-        e.from, e.to, e.from.valid() ? scenario_->vlink(e.link).phys : PhysLinkId::invalid(),
-        e.start, e.arrival});
-  }
+                                  static_cast<std::uint32_t>(plan.tree.labeled_count()),
+                                  prune_after, plan.storage_free});
+  log_route_tree(*scenario_, plan.tree, log_.entries);
 }
 
 void StagingEngine::merge_refresh_job(RefreshJob& job) {
@@ -1233,15 +1183,15 @@ AppliedTransfer StagingEngine::commit_edge(ItemId item, const TreeEdge& edge) {
   return applied;
 }
 
-void StagingEngine::commit_edges_of(CommitShape shape, const Candidate& candidate,
+void StagingEngine::commit_edges_of(HeuristicKind kind, const Candidate& candidate,
                                     const RouteTree& tree, std::vector<TreeEdge>& edges) {
   edges.clear();
   const DataItem& item = scenario_->item(candidate.item);
-  switch (shape) {
-    case CommitShape::kHop:
+  switch (kind) {
+    case HeuristicKind::kPartial:
       edges.push_back(candidate.hop);
       return;
-    case CommitShape::kPathOne: {
+    case HeuristicKind::kFullOne: {
       // Complete the candidate's own destination for per-destination
       // criteria; otherwise the most urgent satisfiable one of the group.
       const DestinationEval* chosen = nullptr;
@@ -1256,7 +1206,7 @@ void StagingEngine::commit_edges_of(CommitShape shape, const Candidate& candidat
       tree.path_to_into(item.requests[static_cast<std::size_t>(chosen->k)].destination, edges);
       return;
     }
-    case CommitShape::kPathAll:
+    case HeuristicKind::kFullAll:
       // Union of the tree paths to every satisfiable destination of the
       // group; each machine has a unique parent edge, so dedupe by edge
       // target.
@@ -1283,17 +1233,17 @@ void StagingEngine::commit_edges_of(CommitShape shape, const Candidate& candidat
   }
 }
 
-void StagingEngine::apply(CommitShape shape, const Candidate& candidate) {
+void StagingEngine::apply(HeuristicKind kind, const Candidate& candidate) {
   const ItemPlan& plan = plans_[candidate.item.index()];
   DS_ASSERT_MSG(!plan.dirty, "candidate applied after its plan was invalidated");
   std::vector<TreeEdge>& edges = commit_edges_scratch_;
-  commit_edges_of(shape, candidate, plan.tree, edges);
+  commit_edges_of(kind, candidate, plan.tree, edges);
   if (watch_held_ && candidate.item == watched_.item) {
     // The shadow's best ties with the candidate (check_watched_choice); a
     // run without the request commits what it commits.
     const Candidate* alternative = shadow_best();
     if (alternative != nullptr) {
-      commit_edges_of(shape, *alternative, shadow_.tree, shadow_edges_scratch_);
+      commit_edges_of(kind, *alternative, shadow_.tree, shadow_edges_scratch_);
     }
     if (alternative == nullptr || shadow_edges_scratch_ != edges) end_watch();
   }
@@ -1303,18 +1253,6 @@ void StagingEngine::apply(CommitShape shape, const Candidate& candidate) {
   }
   invalidate(candidate.item, applied_scratch_);
   count_iteration();
-}
-
-void StagingEngine::apply_hop(const Candidate& candidate) {
-  apply(CommitShape::kHop, candidate);
-}
-
-void StagingEngine::apply_full_path_one(const Candidate& candidate) {
-  apply(CommitShape::kPathOne, candidate);
-}
-
-void StagingEngine::apply_full_path_all(const Candidate& candidate) {
-  apply(CommitShape::kPathAll, candidate);
 }
 
 void StagingEngine::note_own_commit(ItemPlan& self,

@@ -28,7 +28,9 @@
 //     now hold copies at their old labels (repair_tree);
 //   * an engine started by reset() replays its previous run: while the new
 //     run commits what the old one did, a dirty plan is rebuilt by verifying
-//     the old run's tree edge by edge instead of by Dijkstra (replay_tree).
+//     the old run's tree edge by edge instead of by Dijkstra (replay_tree,
+//     through routing's verify_route_tree, which relaxes by the kernel's own
+//     test_out_edge).
 // Because reservations and allocations only ever shrink the feasible set and
 // departures are FIFO while storage admits every hold, unaffected cached
 // trees stay equal to a recompute wherever the item never meets a storage
@@ -138,6 +140,19 @@ struct EngineOptions {
   std::size_t engine_jobs = default_engine_jobs();
 };
 
+/// The paper's three heuristics (§4.5-§4.7) share one greedy loop
+/// (run_heuristic, core/heuristics.hpp) and differ only in what they commit
+/// of the chosen candidate: its hop, the path to one destination, or the
+/// union of the paths to every satisfiable destination of its group.
+enum class HeuristicKind : std::uint8_t {
+  kPartial,  ///< partial path (§4.5): the candidate's hop
+  kFullOne,  ///< full path/one destination (§4.6): C1 completes the
+             ///< candidate's destination, aggregate criteria the most urgent
+             ///< satisfiable one of the group
+  kFullAll,  ///< full path/all destinations (§4.7): the tree paths to every
+             ///< satisfiable destination of the group
+};
+
 /// A valid next communication step: move `item` over `hop` (the shared first
 /// hop of the grouped destinations' shortest paths). For per-destination
 /// criteria (C1, priority_only) the group contains exactly one destination.
@@ -209,17 +224,18 @@ class StagingEngine {
   /// them — the cheap form for benches and traces.
   std::size_t candidate_count();
 
-  /// Commits exactly one hop (partial path heuristic, §4.5).
-  void apply_hop(const Candidate& candidate);
-
-  /// Commits the full path to one destination (full path/one destination
-  /// heuristic, §4.6): C1 uses the candidate's single destination; aggregate
-  /// criteria complete the most urgent satisfiable destination of the group.
-  void apply_full_path_one(const Candidate& candidate);
-
-  /// Commits the tree paths to every satisfiable destination of the group
-  /// (full path/all destinations heuristic, §4.7).
-  void apply_full_path_all(const Candidate& candidate);
+  /// Commits what `kind` takes of `candidate` (see HeuristicKind), which
+  /// best_candidate() returned this iteration, invalidates the plans the
+  /// commit touched and counts the iteration.
+  void apply(HeuristicKind kind, const Candidate& candidate);
+  /// apply() under each heuristic's name.
+  void apply_hop(const Candidate& candidate) { apply(HeuristicKind::kPartial, candidate); }
+  void apply_full_path_one(const Candidate& candidate) {
+    apply(HeuristicKind::kFullOne, candidate);
+  }
+  void apply_full_path_all(const Candidate& candidate) {
+    apply(HeuristicKind::kFullAll, candidate);
+  }
 
   /// True once the iteration guard tripped (pathological input protection).
   bool guard_tripped() const { return guard_tripped_; }
@@ -257,16 +273,6 @@ class StagingEngine {
   static constexpr std::size_t kNoBest = static_cast<std::size_t>(-1);
   static constexpr std::uint32_t kNoTree = UINT32_MAX;
 
-  /// One kept tree entry as logged: the virtual link by its physical link,
-  /// since virtual-link ids are renumbered from one run's world to the next.
-  /// A root entry has an invalid `from` and `phys`.
-  struct LoggedEntry {
-    MachineId from;
-    MachineId to;
-    PhysLinkId phys;
-    SimTime start;
-    SimTime arrival;
-  };
   /// One refreshed tree: entries [first, first + count) of RunLog::entries.
   struct LoggedTree {
     std::uint32_t plan;
@@ -304,7 +310,7 @@ class StagingEngine {
     std::vector<ItemSignature> items;
     std::vector<SourceLocation> sources;
     std::vector<Request> requests;
-    std::vector<LoggedEntry> entries;
+    std::vector<LoggedEdge> entries;
     std::vector<LoggedTree> trees;
     std::vector<LoggedCommit> commits;
     /// commits.size() at the end of each iteration.
@@ -432,18 +438,10 @@ class StagingEngine {
   /// Ends the watch unless a run without the watched request would choose
   /// as best_candidate() did (`best`: its result).
   void check_watched_choice(const Candidate* best);
-  /// What a heuristic commits of a candidate: its hop (partial path), the
-  /// path to one destination (full path/one), or the union of the paths to
-  /// every satisfiable destination (full path/all).
-  enum class CommitShape : std::uint8_t { kHop, kPathOne, kPathAll };
-  /// The edges `shape` commits of `candidate` over `tree`, in commit order
+  /// The edges `kind` commits of `candidate` over `tree`, in commit order
   /// (uses node_mark_ and commit_path_scratch_).
-  void commit_edges_of(CommitShape shape, const Candidate& candidate, const RouteTree& tree,
+  void commit_edges_of(HeuristicKind kind, const Candidate& candidate, const RouteTree& tree,
                        std::vector<TreeEdge>& edges);
-  /// The apply_* body: commits, invalidates and counts the iteration; on
-  /// the watched item, ends the watch unless the shadow's best commits the
-  /// same edges.
-  void apply(CommitShape shape, const Candidate& candidate);
   /// Marks `self` dirty after its own commit of `applied`, with the
   /// receivers a repair may re-root at.
   void note_own_commit(ItemPlan& self, std::span<const AppliedTransfer> applied);
@@ -480,14 +478,13 @@ class StagingEngine {
   /// overwrite (docs/PERFORMANCE.md item 8).
   bool repair_tree(ItemId item, ItemPlan& plan, std::span<const std::int32_t> pending,
                    RefreshWorkspace& ws);
-  /// Rebuilds the plan's tree by verifying the previous run's tree current
-  /// at this iteration, when that is exact: the run has retraced the
-  /// previous run's commits, its links only shrank, the item is unchanged,
-  /// the logged tree was storage_free, and every kept edge re-derives from
-  /// its parent's label with the same start and arrival as the unique
-  /// earliest arrival of its sender->receiver group, and fits its
-  /// receiver's storage now. False sets job.miss and leaves the tree for
-  /// Dijkstra to overwrite (docs/PERFORMANCE.md item 11).
+  /// Rebuilds the plan's tree from the previous run's tree current at this
+  /// iteration, when that is exact: the run has retraced the previous run's
+  /// commits, its links only shrank, the item is unchanged, the logged tree
+  /// was storage_free under the same prune horizon, and verify_route_tree
+  /// (routing/dijkstra.hpp) re-derives it on this run's state. False sets
+  /// job.miss and leaves the tree for Dijkstra to overwrite
+  /// (docs/PERFORMANCE.md item 11).
   bool replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after, RefreshJob& job);
   /// Starts the logs of a reset-started run: the current log becomes the
   /// previous run's, the new world is compared with it and recorded.

@@ -17,6 +17,49 @@ struct Choice {
   TreeEdge hop;
 };
 
+/// Valid next steps plus the optimistic bound.
+struct Frontier {
+  std::vector<Choice> choices;
+  /// The weighted value of every pending request still individually
+  /// satisfiable on the state.
+  double optimistic = 0.0;
+};
+
+/// The frontier of a search state from one route tree per pending item: a
+/// pending request is satisfiable when the tree reaches its destination by
+/// a transfer by its deadline, and the choices are each item's distinct
+/// first hops towards its satisfiable destinations, in ascending item and
+/// receiver order.
+Frontier frontier_of(const Scenario& scenario, const Topology& topology,
+                     const PriorityWeighting& weighting, const NetworkState& state,
+                     const OutcomeTracker& tracker) {
+  Frontier f;
+  for (std::size_t i = 0; i < scenario.item_count(); ++i) {
+    const ItemId item(static_cast<std::int32_t>(i));
+    if (!tracker.any_pending(item)) continue;
+    DijkstraOptions dopt;
+    dopt.prune_after = tracker.latest_pending_deadline(item);
+    const RouteTree tree = compute_route_tree(state, topology, item, dopt);
+
+    std::map<std::int32_t, TreeEdge> hops;
+    const DataItem& it = scenario.item(item);
+    for (const std::int32_t k : tracker.pending_of(item)) {
+      const Request& request = it.requests[static_cast<std::size_t>(k)];
+      if (!tree.reached(request.destination)) continue;
+      if (!tree.has_parent(request.destination)) continue;
+      if (tree.arrival(request.destination) > request.deadline) continue;
+      f.optimistic += weighting.weight(request.priority);
+      const TreeEdge& hop = tree.first_hop(request.destination);
+      hops.emplace(hop.to.value(), hop);
+    }
+    for (const auto& [to, hop] : hops) {
+      (void)to;
+      f.choices.push_back(Choice{item, hop});
+    }
+  }
+  return f;
+}
+
 class Searcher {
  public:
   Searcher(const Scenario& scenario, const SearchOptions& options)
@@ -35,42 +78,6 @@ class Searcher {
   }
 
  private:
-  /// Valid next steps plus the optimistic bound: the weighted value of every
-  /// pending request still individually satisfiable on the current state.
-  struct Frontier {
-    std::vector<Choice> choices;
-    double optimistic = 0.0;
-  };
-
-  Frontier frontier(const NetworkState& state, const OutcomeTracker& tracker) {
-    Frontier f;
-    for (std::size_t i = 0; i < scenario_.item_count(); ++i) {
-      const ItemId item(static_cast<std::int32_t>(i));
-      if (!tracker.any_pending(item)) continue;
-      DijkstraOptions dopt;
-      dopt.prune_after = tracker.latest_pending_deadline(item);
-      const RouteTree tree = compute_route_tree(state, topology_, item, dopt);
-
-      // Distinct first hops toward satisfiable destinations.
-      std::map<std::int32_t, TreeEdge> hops;
-      const DataItem& it = scenario_.item(item);
-      for (const std::int32_t k : tracker.pending_of(item)) {
-        const Request& request = it.requests[static_cast<std::size_t>(k)];
-        if (!tree.reached(request.destination)) continue;
-        if (!tree.has_parent(request.destination)) continue;
-        if (tree.arrival(request.destination) > request.deadline) continue;
-        f.optimistic += options_.weighting.weight(request.priority);
-        const TreeEdge& hop = tree.first_hop(request.destination);
-        hops.emplace(hop.to.value(), hop);
-      }
-      for (const auto& [to, hop] : hops) {
-        (void)to;
-        f.choices.push_back(Choice{item, hop});
-      }
-    }
-    return f;
-  }
-
   void dfs(NetworkState& state, OutcomeTracker& tracker, Schedule& schedule,
            double value) {
     if (report_.nodes >= options_.max_nodes) {
@@ -79,7 +86,8 @@ class Searcher {
     }
     ++report_.nodes;
 
-    const Frontier f = frontier(state, tracker);
+    const Frontier f =
+        frontier_of(scenario_, topology_, options_.weighting, state, tracker);
     if (value > report_.best_value) {
       report_.best_value = value;
       report_.best.schedule = schedule;
@@ -126,9 +134,10 @@ struct BeamState {
   OutcomeTracker tracker;
   Schedule schedule;
   double value = 0.0;
-  double optimistic = 0.0;  ///< upper bound on additional value
+  /// Its next steps, and the upper bound on additional value.
+  Frontier frontier;
 
-  double score() const { return value + optimistic; }
+  double score() const { return value + frontier.optimistic; }
 };
 
 class BeamSearcher {
@@ -139,19 +148,17 @@ class BeamSearcher {
   StagingResult run() {
     std::vector<BeamState> beam;
     beam.push_back(BeamState{NetworkState(scenario_), OutcomeTracker(scenario_),
-                             Schedule{}, 0.0, 0.0});
+                             Schedule{}, 0.0, {}});
+    beam.front().frontier = frontier(beam.front());
     BeamState best = beam.front();
     std::size_t expansions = 0;
 
     while (!beam.empty() && expansions < options_.max_expansions) {
       std::vector<BeamState> next;
-      for (BeamState& state : beam) {
-        const std::vector<Choice> choices = frontier_choices(state);
-        if (choices.empty()) continue;
-        for (const Choice& choice : choices) {
+      for (const BeamState& state : beam) {
+        for (const Choice& choice : state.frontier.choices) {
           if (++expansions > options_.max_expansions) break;
-          BeamState successor{state.state, state.tracker, state.schedule,
-                              0.0, 0.0};
+          BeamState successor{state.state, state.tracker, state.schedule, 0.0, {}};
           const AppliedTransfer applied = successor.state.apply_transfer(
               choice.item, choice.hop.link, choice.hop.start);
           successor.schedule.add(CommStep{choice.item, choice.hop.from,
@@ -161,7 +168,7 @@ class BeamSearcher {
                                          applied.arrival);
           successor.value = weighted_value(scenario_, options_.weighting,
                                            successor.tracker.outcomes());
-          successor.optimistic = optimistic_bound(successor);
+          successor.frontier = frontier(successor);
           if (successor.value > best.value) best = successor;
           next.push_back(std::move(successor));
         }
@@ -187,50 +194,8 @@ class BeamSearcher {
   }
 
  private:
-  std::vector<Choice> frontier_choices(const BeamState& bs) {
-    std::vector<Choice> choices;
-    for (std::size_t i = 0; i < scenario_.item_count(); ++i) {
-      const ItemId item(static_cast<std::int32_t>(i));
-      if (!bs.tracker.any_pending(item)) continue;
-      DijkstraOptions dopt;
-      dopt.prune_after = bs.tracker.latest_pending_deadline(item);
-      const RouteTree tree = compute_route_tree(bs.state, topology_, item, dopt);
-      std::map<std::int32_t, TreeEdge> hops;
-      const DataItem& it = scenario_.item(item);
-      for (const std::int32_t k : bs.tracker.pending_of(item)) {
-        const Request& request = it.requests[static_cast<std::size_t>(k)];
-        if (!tree.reached(request.destination)) continue;
-        if (!tree.has_parent(request.destination)) continue;
-        if (tree.arrival(request.destination) > request.deadline) continue;
-        const TreeEdge& hop = tree.first_hop(request.destination);
-        hops.emplace(hop.to.value(), hop);
-      }
-      for (const auto& [to, hop] : hops) {
-        (void)to;
-        choices.push_back(Choice{item, hop});
-      }
-    }
-    return choices;
-  }
-
-  double optimistic_bound(const BeamState& bs) {
-    double bound = 0.0;
-    for (std::size_t i = 0; i < scenario_.item_count(); ++i) {
-      const ItemId item(static_cast<std::int32_t>(i));
-      if (!bs.tracker.any_pending(item)) continue;
-      DijkstraOptions dopt;
-      dopt.prune_after = bs.tracker.latest_pending_deadline(item);
-      const RouteTree tree = compute_route_tree(bs.state, topology_, item, dopt);
-      const DataItem& it = scenario_.item(item);
-      for (const std::int32_t k : bs.tracker.pending_of(item)) {
-        const Request& request = it.requests[static_cast<std::size_t>(k)];
-        if (tree.reached(request.destination) &&
-            tree.arrival(request.destination) <= request.deadline) {
-          bound += options_.weighting.weight(request.priority);
-        }
-      }
-    }
-    return bound;
+  Frontier frontier(const BeamState& bs) const {
+    return frontier_of(scenario_, topology_, options_.weighting, bs.state, bs.tracker);
   }
 
   const Scenario& scenario_;

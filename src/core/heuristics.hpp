@@ -1,9 +1,10 @@
-// Entry points for the paper's three heuristics, the two random lower-bound
-// procedures (§5.2) and the priority-first simplified scheme (§5.4).
+// The one loop of the paper's three heuristics, the two random lower-bound
+// procedures (§5.2), and the priority-first simplified scheme (§5.4) and
+// earliest-deadline-first, which run that loop under their own costs. Named
+// heuristic/criterion pairs run through run_spec (core/registry.hpp).
 //
-// All functions take the scenario by const reference and return a
-// StagingResult whose schedule can be independently replayed and verified by
-// the simulator in src/sim.
+// The functions that take a scenario return a StagingResult whose schedule
+// can be independently replayed and verified by the simulator in src/sim.
 #pragma once
 
 #include "core/engine.hpp"
@@ -13,26 +14,15 @@
 
 namespace datastage {
 
-/// Partial path heuristic (§4.5): each iteration commits the single cheapest
-/// next hop among all items.
-StagingResult run_partial_path(const Scenario& scenario, const EngineOptions& options);
-
-/// Full path/one destination heuristic (§4.6): each iteration commits the
-/// whole path of the cheapest candidate to one destination.
-StagingResult run_full_path_one(const Scenario& scenario, const EngineOptions& options);
-
-/// Full path/all destinations heuristic (§4.7): each iteration commits the
-/// tree paths to every satisfiable destination sharing the first hop.
-/// C1 is rejected (the paper excludes the pair; asserts).
-StagingResult run_full_path_all(const Scenario& scenario, const EngineOptions& options);
-
-/// The loops of the three heuristics above on a caller-built engine: each
-/// runs until no candidate is left and does not finish the engine. The
-/// functions above construct an engine, run its loop and finish it;
-/// DynamicStager runs them on one engine it resets per replan.
-void run_partial_path(StagingEngine& engine);
-void run_full_path_one(StagingEngine& engine);
-void run_full_path_all(StagingEngine& engine);
+/// The greedy loop of the paper's three heuristics (§4.5-§4.7) on a
+/// caller-built engine whose options carry the cost criterion: while
+/// best_candidate() returns a step, commit what `kind` takes of it
+/// (StagingEngine::apply). Does not finish the engine. run_spec
+/// (core/registry.hpp) builds an engine, runs this loop and finishes it;
+/// DynamicStager runs it on one engine it resets per replan. Full path/all
+/// destinations with a per-destination criterion (C1) asserts: the paper
+/// excludes the pair (§4.8).
+void run_heuristic(HeuristicKind kind, StagingEngine& engine);
 
 /// Lower bound 1 (§5.2, "single_Dij_random"): one Dijkstra per item on the
 /// pristine network, paths replayed in random item order, conflicting
@@ -46,12 +36,14 @@ StagingResult run_random_dijkstra(const Scenario& scenario,
                                   const PriorityWeighting& weighting, Rng& rng);
 
 /// The §5.4 simplified scheme: all highest-priority requests scheduled before
-/// any lower class, ignoring urgency (full-path completion per request).
+/// any lower class, ignoring urgency: the full path/one destination loop
+/// under the priority-only cost.
 StagingResult run_priority_first(const Scenario& scenario,
                                  const PriorityWeighting& weighting);
 
 /// Related-work baseline (§2): earliest-deadline-first — requests completed
-/// (full path) strictly by absolute deadline, ignoring priority and slack.
+/// (full path/one destination loop) strictly by absolute deadline, ignoring
+/// priority and slack.
 StagingResult run_earliest_deadline_first(const Scenario& scenario,
                                           const PriorityWeighting& weighting);
 

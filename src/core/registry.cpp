@@ -68,21 +68,9 @@ StagingResult run_spec(const SchedulerSpec& spec, const Scenario& scenario,
   DS_ASSERT_MSG(is_valid_pair(spec), "scheduler pair not admitted by the paper");
   EngineOptions options = base_options;
   options.criterion = spec.criterion;
-  switch (spec.heuristic) {
-    case HeuristicKind::kPartial: return run_partial_path(scenario, options);
-    case HeuristicKind::kFullOne: return run_full_path_one(scenario, options);
-    case HeuristicKind::kFullAll: return run_full_path_all(scenario, options);
-  }
-  DS_UNREACHABLE("bad heuristic kind");
-}
-
-void run_heuristic(HeuristicKind kind, StagingEngine& engine) {
-  switch (kind) {
-    case HeuristicKind::kPartial: return run_partial_path(engine);
-    case HeuristicKind::kFullOne: return run_full_path_one(engine);
-    case HeuristicKind::kFullAll: return run_full_path_all(engine);
-  }
-  DS_UNREACHABLE("bad heuristic kind");
+  StagingEngine engine(scenario, options);
+  run_heuristic(spec.heuristic, engine);
+  return engine.finish();
 }
 
 CaseResult run_case(const SchedulerSpec& spec, const Scenario& scenario,

@@ -15,12 +15,6 @@
 
 namespace datastage {
 
-enum class HeuristicKind {
-  kPartial,   ///< partial path (§4.5)
-  kFullOne,   ///< full path/one destination (§4.6)
-  kFullAll,   ///< full path/all destinations (§4.7)
-};
-
 const char* heuristic_name(HeuristicKind kind);
 
 /// A heuristic/cost-criterion pairing (a "series" in the figures).
@@ -48,13 +42,10 @@ std::optional<SchedulerSpec> parse_spec(const std::string& name);
 /// True iff the pair is one the paper admits (rejects full_all + C1).
 bool is_valid_pair(const SchedulerSpec& spec);
 
-/// Runs the pair on a scenario.
+/// Runs the pair on a scenario: builds an engine under `options` with the
+/// pair's criterion, runs run_heuristic on it and finishes it.
 StagingResult run_spec(const SchedulerSpec& spec, const Scenario& scenario,
                        const EngineOptions& options);
-
-/// Runs the heuristic's loop on a caller-built engine (whose options carry
-/// the criterion) without finishing it.
-void run_heuristic(HeuristicKind kind, StagingEngine& engine);
 
 /// Everything the experiment layer needs from one (scheduler, scenario) run:
 /// the raw staging result plus the evaluation numbers every figure and table

@@ -81,14 +81,8 @@ bool compute_route_tree_into(const NetworkState& state, const Topology& topology
                              ItemId item, const DijkstraOptions& options,
                              DijkstraWorkspace& workspace, RouteTree& tree,
                              DijkstraStats* stats) {
-  const Scenario& scenario = state.scenario();
-  const std::size_t n = scenario.machine_count();
-  const std::int64_t item_bytes = scenario.item(item).size_bytes;
-  // First time past the prune horizon, saturated so an infinite horizon
-  // cannot overflow: arrivals and departures at or after it are pruned.
-  const SimTime prune_limit = options.prune_after >= SimTime::infinity()
-                                  ? SimTime::infinity()
-                                  : options.prune_after + SimDuration::from_usec(1);
+  const std::size_t n = state.scenario().machine_count();
+  EdgeScan scan(state, item, options.hold_rules, options.prune_after);
   DijkstraWorkspace& ws = workspace;
   ws.begin_run(n);
 
@@ -145,10 +139,9 @@ bool compute_route_tree_into(const NetworkState& state, const Topology& topology
 
     // The item must still reside on u when a transfer departs; transfers
     // departing after u's hold window has been garbage-collected are invalid.
-    const SimTime sender_hold_end =
-        options.ignore_hold_ends ? SimTime::infinity()
-                                 : state.hold_end(item, u, options.hold_rules);
-    const SimTime depart_limit = min(sender_hold_end, prune_limit);
+    scan.begin_sender(ready, options.ignore_hold_ends
+                                 ? SimTime::infinity()
+                                 : state.hold_end(item, u, options.hold_rules));
 
     for (const ReceiverGroup& group : topology.receivers(u)) {
       const MachineId v = group.to;
@@ -158,33 +151,11 @@ bool compute_route_tree_into(const NetworkState& state, const Topology& topology
       SimTime current = labeled ? ws.arrival[vi] : SimTime::infinity();
 
       for (const OutEdge& out : topology.edges(group)) {
-        if (stats != nullptr) ++stats->relaxations;
-        // Cheap tests first. No fit departs before `earliest` or arrives
-        // before `earliest + occupancy`, so a link these bounds reject would
-        // fail the same checks after the search; only survivors pay for it.
-        // `earliest` only grows along the group and `current` only shrinks,
-        // so once the departure bound fails it fails for the rest.
-        const SimTime earliest = max(ready, out.window.begin);
-        if (earliest >= min(depart_limit, current)) break;
-        const SimDuration occupancy =
-            transfer_duration(item_bytes, out.bandwidth_bps) + out.latency;
-        const SimTime earliest_arrival = earliest + occupancy;
-        const SimTime arrival_limit = min(current, prune_limit);
-        if (earliest_arrival >= arrival_limit) continue;
-        if (earliest_arrival > out.window.end) continue;
-
-        if (stats != nullptr) ++stats->link_searches;
-        const std::optional<LinkFit> fit =
-            state.links().earliest_fit(out.link, out.window, occupancy, ready);
-        if (!fit.has_value()) continue;
-        if (fit->start >= sender_hold_end) continue;
-        if (fit->arrival >= arrival_limit) continue;
-        if (stats != nullptr) ++stats->storage_checks;
-        if (!state.can_hold(item, v, fit->start, options.hold_rules)) {
-          storage_free = false;
-          if (stats != nullptr) ++stats->capacity_rejections;
-          continue;
-        }
+        LinkFit fit;
+        const EdgeTest test = test_out_edge(scan, out, v, current, fit, stats);
+        if (test == EdgeTest::kStop) break;
+        if (test == EdgeTest::kNoRoom) storage_free = false;
+        if (test != EdgeTest::kFits) continue;
 
         if (!labeled) {
           labeled = true;
@@ -192,10 +163,10 @@ bool compute_route_tree_into(const NetworkState& state, const Topology& topology
           ws.settled[vi] = 0;
           ws.touched.push_back(v);
         }
-        current = fit->arrival;
+        current = fit.arrival;
         ws.arrival[vi] = current;
         ws.has_parent[vi] = 1;
-        ws.edge[vi] = TreeEdge{u, v, out.link, fit->start, fit->arrival};
+        ws.edge[vi] = TreeEdge{u, v, out.link, fit.start, fit.arrival};
         push_or_decrease(ws, v);
       }
     }
@@ -227,6 +198,66 @@ bool compute_route_tree_into(const NetworkState& state, const Topology& topology
   }
   if (stats != nullptr) stats->kept_entries += tree.labeled_count();
   return storage_free;
+}
+
+void log_route_tree(const Scenario& scenario, const RouteTree& tree,
+                    std::vector<LoggedEdge>& out) {
+  for (const TreeEdge& e : tree.entries()) {
+    out.push_back(LoggedEdge{e.from, e.to,
+                             e.from.valid() ? scenario.vlink(e.link).phys : PhysLinkId::invalid(),
+                             e.start, e.arrival});
+  }
+}
+
+ForestCheck verify_route_tree(const NetworkState& state, const Topology& topology, ItemId item,
+                              std::span<const LoggedEdge> forest, SimTime prune_after,
+                              RouteTree& tree) {
+  const Scenario& scenario = state.scenario();
+  EdgeScan scan(state, item, nullptr, prune_after);
+  tree.reset(scenario.machine_count());
+  for (const LoggedEdge& entry : forest) {
+    if (!entry.from.valid()) {
+      const std::optional<SimTime> copy = state.copy_available_at(item, entry.to);
+      if (!copy.has_value() || *copy != entry.arrival) return ForestCheck::kMismatch;
+      tree.append(entry.to, entry.arrival, false, TreeEdge{});
+      continue;
+    }
+    // Entries are sorted by machine, and a kept entry's parent is kept.
+    const auto parent = std::lower_bound(
+        forest.begin(), forest.end(), entry.from,
+        [](const LoggedEdge& e, MachineId machine) { return e.to < machine; });
+    if (parent == forest.end() || parent->to != entry.from) return ForestCheck::kMismatch;
+    const SimTime ready = parent->arrival;
+    if (ready > prune_after) return ForestCheck::kMismatch;
+    const std::span<const ReceiverGroup> groups = topology.receivers(entry.from);
+    const auto group = std::lower_bound(
+        groups.begin(), groups.end(), entry.to,
+        [](const ReceiverGroup& g, MachineId machine) { return g.to < machine; });
+    if (group == groups.end() || group->to != entry.to) return ForestCheck::kMismatch;
+    scan.begin_sender(ready, state.hold_end(item, entry.from));
+    // The edges a Dijkstra scan would take, arriving by the logged arrival:
+    // exactly one, the logged edge on its (possibly renumbered) link.
+    const SimTime below = entry.arrival + SimDuration::from_usec(1);
+    VirtLinkId found = VirtLinkId::invalid();
+    bool fits = false;
+    for (const OutEdge& out : topology.edges(*group)) {
+      LinkFit fit;
+      const EdgeTest test = test_out_edge(scan, out, entry.to, below, fit, nullptr);
+      if (test == EdgeTest::kStop) break;
+      if (test == EdgeTest::kSkip) continue;
+      if (found.valid() || fit.start != entry.start || fit.arrival != entry.arrival ||
+          scenario.vlink(out.link).phys != entry.phys) {
+        return ForestCheck::kMismatch;
+      }
+      found = out.link;
+      fits = test == EdgeTest::kFits;
+    }
+    if (!found.valid()) return ForestCheck::kMismatch;
+    if (!fits) return ForestCheck::kHoldMisfit;
+    tree.append(entry.to, entry.arrival, true,
+                TreeEdge{entry.from, entry.to, found, entry.start, entry.arrival});
+  }
+  return ForestCheck::kVerified;
 }
 
 RouteTree compute_route_tree(const NetworkState& state, const Topology& topology,

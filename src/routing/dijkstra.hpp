@@ -13,9 +13,17 @@
 // receiver's hold window and may fit where an earlier one does not, so there
 // the forest is the paper's greedy label-setting result, not the optimum over
 // all paths.
+//
+// The relaxation rule, what one out-edge of a settled sender offers its
+// receiver, has one home: test_out_edge below. The Dijkstra kernel relaxes
+// with it, and verify_route_tree re-derives a logged forest's edges with it,
+// so that an engine run can keep a previous run's tree instead of searching
+// again (StagingEngine's replay; docs/PERFORMANCE.md item 11). A change to
+// the rule (a tie-break, a goal-directed bound) is made in that function.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -56,6 +64,83 @@ struct DijkstraStats {
   std::size_t capacity_rejections = 0;
   std::size_t kept_entries = 0;  ///< entries of the finished tree
 };
+
+/// What one out-edge offers its receiver under test_out_edge.
+enum class EdgeTest : std::uint8_t {
+  kStop,    ///< nothing, nor does any later edge of the receiver group
+  kSkip,    ///< nothing
+  kNoRoom,  ///< a transfer, but the receiver's storage cannot hold the copy
+  kFits,    ///< a transfer the receiver can hold
+};
+
+/// The bounds of a relaxation: the run's, and the settled sender's (set by
+/// begin_sender).
+struct EdgeScan {
+  const NetworkState* state;
+  ItemId item;
+  std::int64_t item_bytes;
+  const HoldRules* hold_rules;
+  /// Arrivals and departures at or after it are pruned.
+  SimTime prune_limit;
+  SimTime ready;     ///< the sender's label: no departure before it
+  SimTime hold_end;  ///< departures at or after it find no copy to send
+  SimTime depart_limit;  ///< min(hold_end, prune_limit)
+
+  /// `prune_after`: labels strictly beyond it are not expanded.
+  EdgeScan(const NetworkState& network, ItemId scanned, const HoldRules* rules,
+           SimTime prune_after)
+      : state(&network),
+        item(scanned),
+        item_bytes(network.scenario().item(scanned).size_bytes),
+        hold_rules(rules),
+        // Saturated, so an infinite horizon cannot overflow.
+        prune_limit(prune_after >= SimTime::infinity()
+                         ? SimTime::infinity()
+                         : prune_after + SimDuration::from_usec(1)) {}
+
+  void begin_sender(SimTime sender_ready, SimTime sender_hold_end) {
+    ready = sender_ready;
+    hold_end = sender_hold_end;
+    depart_limit = min(sender_hold_end, prune_limit);
+  }
+};
+
+/// The relaxation test of out-edge `out` towards receiver `to` (paper §4.2):
+/// arrivals at or after `below` (the receiver's label) offer nothing. Cheap
+/// bounds first: no fit departs before `earliest` or arrives before
+/// `earliest + occupancy`, so an edge they reject would fail the same checks
+/// after the link search. `earliest` only grows along a receiver group and
+/// `below` does not, so once the departure bound fails (kStop) it fails for
+/// the rest of the group. The earliest fit on the link must depart before
+/// the sender's hold end and arrive before the prune limit and `below`; it
+/// goes to `fit`, and the receiver's storage decides kNoRoom or kFits.
+/// Counts into `stats` when non-null.
+inline EdgeTest test_out_edge(const EdgeScan& scan, const OutEdge& out, MachineId to,
+                              SimTime below, LinkFit& fit, DijkstraStats* stats) {
+  if (stats != nullptr) ++stats->relaxations;
+  const SimTime earliest = max(scan.ready, out.window.begin);
+  if (earliest >= min(scan.depart_limit, below)) return EdgeTest::kStop;
+  const SimDuration occupancy =
+      transfer_duration(scan.item_bytes, out.bandwidth_bps) + out.latency;
+  const SimTime earliest_arrival = earliest + occupancy;
+  const SimTime arrival_limit = min(below, scan.prune_limit);
+  if (earliest_arrival >= arrival_limit) return EdgeTest::kSkip;
+  if (earliest_arrival > out.window.end) return EdgeTest::kSkip;
+
+  if (stats != nullptr) ++stats->link_searches;
+  const std::optional<LinkFit> found =
+      scan.state->links().earliest_fit(out.link, out.window, occupancy, scan.ready);
+  if (!found.has_value()) return EdgeTest::kSkip;
+  if (found->start >= scan.hold_end) return EdgeTest::kSkip;
+  if (found->arrival >= arrival_limit) return EdgeTest::kSkip;
+  fit = *found;
+  if (stats != nullptr) ++stats->storage_checks;
+  if (!scan.state->can_hold(scan.item, to, found->start, scan.hold_rules)) {
+    if (stats != nullptr) ++stats->capacity_rejections;
+    return EdgeTest::kNoRoom;
+  }
+  return EdgeTest::kFits;
+}
 
 /// Caller-owned scratch buffers reused across runs: an indexed heap plus the
 /// dense per-machine label arrays the search relaxes against. The labels are
@@ -102,6 +187,49 @@ bool compute_route_tree_into(const NetworkState& state, const Topology& topology
                              ItemId item, const DijkstraOptions& options,
                              DijkstraWorkspace& workspace, RouteTree& tree,
                              DijkstraStats* stats = nullptr);
+
+/// One entry of a route tree as a log keeps it from one world to the next:
+/// the virtual link by its physical link, since virtual-link ids are
+/// renumbered when link availability changes. A root entry has an invalid
+/// `from` and `phys`.
+struct LoggedEdge {
+  MachineId from;
+  MachineId to;
+  PhysLinkId phys;
+  SimTime start;
+  SimTime arrival;
+};
+
+/// Appends `tree`'s entries (ascending by machine) to `out` as LoggedEdges;
+/// `scenario` is the one the tree was computed on.
+void log_route_tree(const Scenario& scenario, const RouteTree& tree,
+                    std::vector<LoggedEdge>& out);
+
+/// verify_route_tree's verdict.
+enum class ForestCheck : std::uint8_t {
+  kVerified,
+  kMismatch,    ///< an entry no longer re-derives
+  kHoldMisfit,  ///< an edge re-derives, but its receiver cannot hold the copy
+};
+
+/// Rebuilds `tree` from `forest`, a logged targeted tree of `item` (entries
+/// ascending by machine, each kept entry's parent kept), when every entry
+/// re-derives on `state` with the hold rules of the state's scenario: a root
+/// from the receiver's copy, available at its logged arrival; an edge from
+/// its parent's entry, by test_out_edge under the prune horizon
+/// `prune_after` (the parent's arrival must not lie past it), as the only
+/// out-edge of its sender->receiver group that offers a transfer arriving by
+/// the logged arrival, with the logged start, arrival and physical link, and
+/// one the receiver can hold. Dijkstra keeps the first of tied edges; the
+/// verifier refuses ties. Counts nothing. On a verdict other than kVerified
+/// the tree holds a prefix of the forest.
+///
+/// When `forest` is the storage-free tree (compute_route_tree_into returned
+/// true) of a world whose availability contained this one, a verified tree
+/// is the one a targeted run on `state` builds (docs/PERFORMANCE.md item 11).
+ForestCheck verify_route_tree(const NetworkState& state, const Topology& topology, ItemId item,
+                              std::span<const LoggedEdge> forest, SimTime prune_after,
+                              RouteTree& tree);
 
 /// Convenience wrapper allocating a fresh workspace and tree per call. The
 /// scheduling engine uses compute_route_tree_into; one-shot callers (bounds,

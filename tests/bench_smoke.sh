@@ -66,5 +66,22 @@ for bench in "$BENCH_DIR"/*; do
   esac
 done
 
+# A binary's own flags come from the same parse as the shared ones: fig2
+# with --jobs next to its --minmax must print the dispersion table and
+# report no flag unknown.
+fig2="$BENCH_DIR/fig2_bounds_comparison"
+if [ -x "$fig2" ]; then
+  out="$("$fig2" --cases=1 --jobs=1 --minmax 2>&1)" || {
+    echo "FAILED: fig2_bounds_comparison --jobs=1 --minmax" >&2
+    failures=$((failures + 1))
+  }
+  if ! echo "$out" | grep -q '| mean *| min *| max *| stddev *|' ||
+      echo "$out" | grep -q 'unknown flag'; then
+    echo "FAILED (--minmax table with --jobs): fig2_bounds_comparison" >&2
+    echo "$out" >&2
+    failures=$((failures + 1))
+  fi
+fi
+
 [ "$failures" -eq 0 ] && echo "bench smoke test passed"
 exit "$failures"

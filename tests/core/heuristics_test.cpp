@@ -23,9 +23,14 @@ EngineOptions options_with(CostCriterion criterion,
   return options;
 }
 
+/// The pair of `kind` and the options' criterion.
+StagingResult run(HeuristicKind kind, const Scenario& s, const EngineOptions& options) {
+  return run_spec({kind, options.criterion}, s, options);
+}
+
 TEST(PartialPathTest, DeliversSingleRequestOnChain) {
   const Scenario s = testing::chain_scenario();
-  const StagingResult result = run_partial_path(s, options_with(CostCriterion::kC4));
+  const StagingResult result = run(HeuristicKind::kPartial, s, options_with(CostCriterion::kC4));
   ASSERT_EQ(result.outcomes.size(), 1u);
   EXPECT_TRUE(result.outcomes[0][0].satisfied);
   EXPECT_EQ(result.outcomes[0][0].arrival, at_sec(2));
@@ -42,7 +47,7 @@ TEST(PartialPathTest, UnreachableDeadlineGetsNoResources) {
                          .source(0, SimTime::zero())
                          .request(1, at_min(30))
                          .build();
-  const StagingResult result = run_partial_path(s, options_with(CostCriterion::kC4));
+  const StagingResult result = run(HeuristicKind::kPartial, s, options_with(CostCriterion::kC4));
   EXPECT_FALSE(result.outcomes[0][0].satisfied);
   EXPECT_TRUE(result.schedule.empty());  // Sat == 0: the data does not move
 }
@@ -64,7 +69,7 @@ TEST(PartialPathTest, HigherPriorityWinsLinkContention) {
           .request(1, at_sec(1), kPriorityHigh)
           .build();
   const StagingResult result =
-      run_partial_path(s, options_with(CostCriterion::kC1, EUWeights::priority_only()));
+      run(HeuristicKind::kPartial, s, options_with(CostCriterion::kC1, EUWeights::priority_only()));
   EXPECT_FALSE(result.outcomes[0][0].satisfied);
   EXPECT_TRUE(result.outcomes[1][0].satisfied);
 }
@@ -84,7 +89,7 @@ TEST(PartialPathTest, UrgencyOnlyPrefersTighterDeadline) {
           .request(1, at_sec(1), kPriorityLow)  // tight deadline, low prio
           .build();
   const StagingResult result =
-      run_partial_path(s, options_with(CostCriterion::kC1, EUWeights::urgency_only()));
+      run(HeuristicKind::kPartial, s, options_with(CostCriterion::kC1, EUWeights::urgency_only()));
   // Urgency-only schedules the tight request first; the loose one becomes
   // unsatisfiable because the window closes.
   EXPECT_TRUE(result.outcomes[1][0].satisfied);
@@ -93,7 +98,7 @@ TEST(PartialPathTest, UrgencyOnlyPrefersTighterDeadline) {
 
 TEST(FullPathOneTest, CompletesWholePathPerIteration) {
   const Scenario s = testing::chain_scenario();
-  const StagingResult result = run_full_path_one(s, options_with(CostCriterion::kC4));
+  const StagingResult result = run(HeuristicKind::kFullOne, s, options_with(CostCriterion::kC4));
   EXPECT_TRUE(result.outcomes[0][0].satisfied);
   EXPECT_EQ(result.schedule.size(), 2u);
   EXPECT_EQ(result.iterations, 1u);  // one decision schedules both hops
@@ -111,7 +116,7 @@ TEST(FullPathAllTest, ServesAllDestinationsSharingFirstHop) {
                          .request(2, at_min(30))
                          .request(3, at_min(30))
                          .build();
-  const StagingResult result = run_full_path_all(s, options_with(CostCriterion::kC4));
+  const StagingResult result = run(HeuristicKind::kFullAll, s, options_with(CostCriterion::kC4));
   EXPECT_TRUE(result.outcomes[0][0].satisfied);
   EXPECT_TRUE(result.outcomes[0][1].satisfied);
   // Shared hop 0->1 scheduled once, then 1->2 and 1->3: three steps total in
@@ -122,7 +127,8 @@ TEST(FullPathAllTest, ServesAllDestinationsSharingFirstHop) {
 
 TEST(FullPathAllTest, RejectsPerDestinationCriterion) {
   const Scenario s = testing::chain_scenario();
-  EXPECT_DEATH(run_full_path_all(s, options_with(CostCriterion::kC1)), "aggregate");
+  StagingEngine engine(s, options_with(CostCriterion::kC1));
+  EXPECT_DEATH(run_heuristic(HeuristicKind::kFullAll, engine), "aggregate");
 }
 
 TEST(IntermediateDeliveryTest, PathThroughDestinationSatisfiesIt) {
@@ -137,7 +143,7 @@ TEST(IntermediateDeliveryTest, PathThroughDestinationSatisfiesIt) {
                          .request(1, at_min(30))
                          .request(2, at_min(30))
                          .build();
-  const StagingResult result = run_full_path_all(s, options_with(CostCriterion::kC4));
+  const StagingResult result = run(HeuristicKind::kFullAll, s, options_with(CostCriterion::kC4));
   EXPECT_TRUE(result.outcomes[0][0].satisfied);
   EXPECT_TRUE(result.outcomes[0][1].satisfied);
   EXPECT_EQ(result.schedule.size(), 2u);

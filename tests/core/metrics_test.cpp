@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/heuristics.hpp"
+#include "core/registry.hpp"
 #include "testing/builders.hpp"
 
 namespace datastage {
@@ -33,7 +33,7 @@ TEST(MetricsTest, ComputesSatisfactionAndQuality) {
   const Scenario s = mixed_scenario();
   EngineOptions options;
   options.eu = EUWeights{1.0, 1.0};
-  const StagingResult result = run_full_path_one(s, options);
+  const StagingResult result = run_spec({HeuristicKind::kFullOne, CostCriterion::kC4}, s, options);
   const ResultMetrics m =
       compute_metrics(s, PriorityWeighting::w_1_10_100(), result);
 
@@ -78,7 +78,7 @@ TEST(MetricsTest, TableRendersKeyRows) {
   const Scenario s = mixed_scenario();
   EngineOptions options;
   options.eu = EUWeights{1.0, 1.0};
-  const StagingResult result = run_full_path_one(s, options);
+  const StagingResult result = run_spec({HeuristicKind::kFullOne, CostCriterion::kC4}, s, options);
   const Table table =
       metrics_table(compute_metrics(s, PriorityWeighting::w_1_10_100(), result));
   const std::string text = table.to_text();

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/heuristics.hpp"
+#include "core/registry.hpp"
 #include "sim/simulator.hpp"
 #include "testing/builders.hpp"
 
@@ -98,7 +98,7 @@ TEST(ScheduleIoTest, SavedScheduleReplaysIdentically) {
   const Scenario s = testing::chain_scenario();
   EngineOptions options;
   options.eu = EUWeights{1.0, 1.0};
-  const StagingResult result = run_full_path_one(s, options);
+  const StagingResult result = run_spec({HeuristicKind::kFullOne, CostCriterion::kC4}, s, options);
 
   const std::string path = ::testing::TempDir() + "/schedule_io_test.dss";
   save_schedule(path, result.schedule);

@@ -35,6 +35,7 @@ namespace {
 
 using testing::at_min;
 using testing::at_sec;
+using testing::OnlineRequest;
 using testing::ScenarioBuilder;
 
 constexpr SchedulerSpec kFullOneC4{HeuristicKind::kFullOne, CostCriterion::kC4};
@@ -45,32 +46,6 @@ EngineOptions c4_options(bool paranoid) {
   options.eu = EUWeights::from_log10_ratio(1.0);
   options.paranoid = paranoid;
   return options;
-}
-
-struct OnlineRequest {
-  SimTime at;
-  std::string item;
-  Request request;
-};
-
-/// The serve_congested split: the first half of each item's requests stays
-/// in the batch, the rest arrives at seeded instants in the first half of
-/// its time to deadline.
-std::vector<OnlineRequest> split_online(Scenario& batch, Rng& rng) {
-  std::vector<OnlineRequest> online;
-  for (DataItem& item : batch.items) {
-    const std::size_t keep =
-        item.requests.size() <= 1 ? item.requests.size() : item.requests.size() / 2;
-    for (std::size_t r = keep; r < item.requests.size(); ++r) {
-      const Request& request = item.requests[r];
-      online.push_back({SimTime::from_usec(rng.uniform_i64(0, request.deadline.usec() / 2)),
-                        item.name, request});
-    }
-    item.requests.resize(keep);
-  }
-  std::stable_sort(online.begin(), online.end(),
-                   [](const OnlineRequest& a, const OnlineRequest& b) { return a.at < b.at; });
-  return online;
 }
 
 std::string steps_string(std::span<const CommStep> steps) {
@@ -111,7 +86,7 @@ TEST(StagerReplayTest, PlanEqualsParanoidAfterEveryEventOnCongestedStreams) {
   for (const std::uint64_t seed : {31ULL, 32ULL, 33ULL, 34ULL}) {
     Scenario batch = generate_cases(config, seed, 1).front();
     Rng rng(seed * 7919);
-    const std::vector<OnlineRequest> online = split_online(batch, rng);
+    const std::vector<OnlineRequest> online = testing::split_online(batch, rng);
 
     EngineOptions live_options = c4_options(false);
     live_options.observer = &observer;
@@ -203,7 +178,7 @@ TEST(StagerWithdrawalTest, PlanAfterEveryWithdrawalEqualsAFreshEngineRun) {
       for (const std::uint64_t seed : {31ULL, 32ULL, 33ULL, 34ULL, 35ULL, 36ULL}) {
         Scenario batch = generate_cases(config, seed, 1).front();
         Rng rng(seed * 7919);
-        const std::vector<OnlineRequest> online = split_online(batch, rng);
+        const std::vector<OnlineRequest> online = testing::split_online(batch, rng);
         EngineOptions options = c4_options(false);
         options.observer = &observer;
         options.engine_jobs = jobs;

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <map>
 
-#include "core/heuristics.hpp"
+#include "core/registry.hpp"
 #include "gen/generator.hpp"
 #include "model/describe.hpp"
 #include "net/topology.hpp"
@@ -102,9 +102,8 @@ TEST(GeneratorConfigTest, FivePriorityClasses) {
   const PriorityWeighting weighting({1.0, 3.0, 9.0, 27.0, 81.0});
   EngineOptions options;
   options.weighting = weighting;
-  options.criterion = CostCriterion::kC4;
   options.eu = EUWeights::from_log10_ratio(1.0);
-  const StagingResult result = run_full_path_one(s, options);
+  const StagingResult result = run_spec({HeuristicKind::kFullOne, CostCriterion::kC4}, s, options);
   EXPECT_GT(weighted_value(s, weighting, result.outcomes), 0.0);
 }
 

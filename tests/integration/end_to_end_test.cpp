@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "core/bounds.hpp"
-#include "core/heuristics.hpp"
 #include "core/registry.hpp"
 #include "gen/generator.hpp"
 #include "model/scenario_io.hpp"
@@ -108,7 +107,8 @@ TEST_P(SeedSweepTest, PipelineInvariantsHold) {
   EngineOptions options;
   options.weighting = weighting;
   options.eu = EUWeights::from_log10_ratio(1.0);
-  const StagingResult result = run_full_path_one(scenario, options);
+  const StagingResult result =
+      run_spec({HeuristicKind::kFullOne, CostCriterion::kC4}, scenario, options);
 
   const SimReport report = simulate(scenario, result.schedule);
   ASSERT_TRUE(report.ok) << report.issues.front();
@@ -140,8 +140,10 @@ TEST(EndToEndTest, ScheduleSurvivesSerializationRoundTrip) {
 
   EngineOptions options;
   options.eu = EUWeights::from_log10_ratio(1.0);
-  const StagingResult a = run_full_path_one(original, options);
-  const StagingResult b = run_full_path_one(*reloaded, options);
+  const StagingResult a =
+      run_spec({HeuristicKind::kFullOne, CostCriterion::kC4}, original, options);
+  const StagingResult b =
+      run_spec({HeuristicKind::kFullOne, CostCriterion::kC4}, *reloaded, options);
   ASSERT_EQ(a.schedule.size(), b.schedule.size());
   EXPECT_TRUE(std::equal(a.schedule.steps().begin(), a.schedule.steps().end(),
                          b.schedule.steps().begin()));

@@ -97,30 +97,14 @@ TEST(QuickAdmissionTest, QuickInfeasibleMeansTheReplanMissesTheDeadline) {
   EngineOptions options;
   options.criterion = CostCriterion::kC4;
   options.eu = EUWeights::from_log10_ratio(1.0);
-  struct Submit {
-    SimTime at;
-    std::string item;
-    Request request;
-  };
   std::size_t quick_rejects = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed);
     Scenario batch = generate_scenario(config, rng);
-    std::vector<Submit> submits;
-    for (DataItem& item : batch.items) {
-      const std::size_t keep = std::max<std::size_t>(1, item.requests.size() / 2);
-      for (std::size_t r = keep; r < item.requests.size(); ++r) {
-        const Request& request = item.requests[r];
-        submits.push_back({SimTime::from_usec(rng.uniform_i64(0, request.deadline.usec() / 2)),
-                           item.name, request});
-      }
-      item.requests.resize(keep);
-    }
-    std::stable_sort(submits.begin(), submits.end(),
-                     [](const Submit& a, const Submit& b) { return a.at < b.at; });
+    const std::vector<testing::OnlineRequest> submits = testing::split_online(batch, rng);
 
     DynamicStager stager(batch, {HeuristicKind::kFullOne, CostCriterion::kC4}, options);
-    for (const Submit& submit : submits) {
+    for (const testing::OnlineRequest& submit : submits) {
       stager.advance_to(submit.at);
       const MachineId dest = submit.request.destination;
       // Data already headed there is not requested again (a client skips it).

@@ -25,6 +25,7 @@
 #include "net/topology.hpp"
 #include "serve/admission.hpp"
 #include "serve/scheduler_service.hpp"
+#include "testing/builders.hpp"
 #include "util/rng.hpp"
 
 namespace datastage {
@@ -47,26 +48,18 @@ std::vector<Scenario> congested_cases(std::uint64_t seed, std::size_t count) {
   return generate_cases(config, seed, count);
 }
 
-/// Keeps the first half of each item's requests as the batch and turns the
-/// rest into submits at seeded instants in the first half of their time to
-/// deadline, sorted by time (the serve_congested split).
+/// The serve_congested split (testing::split_online) of `batch`, drawn from
+/// `seed`, as submits.
 std::vector<SubmitRequest> split_online(Scenario& batch, std::uint64_t seed) {
-  std::vector<SubmitRequest> submits;
   Rng rng(seed);
-  for (DataItem& item : batch.items) {
-    const std::size_t keep =
-        item.requests.size() <= 1 ? item.requests.size() : item.requests.size() / 2;
-    for (std::size_t r = keep; r < item.requests.size(); ++r) {
-      SubmitRequest submit;
-      submit.item_name = item.name;
-      submit.request = item.requests[r];
-      submit.at = SimTime::from_usec(rng.uniform_i64(0, submit.request.deadline.usec() / 2));
-      submits.push_back(std::move(submit));
-    }
-    item.requests.resize(keep);
+  std::vector<SubmitRequest> submits;
+  for (testing::OnlineRequest& online : testing::split_online(batch, rng)) {
+    SubmitRequest submit;
+    submit.item_name = std::move(online.item);
+    submit.request = online.request;
+    submit.at = online.at;
+    submits.push_back(std::move(submit));
   }
-  std::stable_sort(submits.begin(), submits.end(),
-                   [](const SubmitRequest& a, const SubmitRequest& b) { return a.at < b.at; });
   return submits;
 }
 

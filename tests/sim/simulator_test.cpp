@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/heuristics.hpp"
+#include "core/registry.hpp"
 #include "testing/builders.hpp"
 
 namespace datastage {
@@ -199,7 +199,7 @@ TEST(SimulatorTest, AgreesWithHeuristicOnChain) {
   const Scenario s = testing::chain_scenario();
   EngineOptions options;
   options.eu = EUWeights{1.0, 1.0};
-  const StagingResult result = run_partial_path(s, options);
+  const StagingResult result = run_spec({HeuristicKind::kPartial, CostCriterion::kC4}, s, options);
   const SimReport report = simulate(s, result.schedule);
   ASSERT_TRUE(report.ok);
   EXPECT_EQ(report.outcomes, result.outcomes);

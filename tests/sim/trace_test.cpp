@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/heuristics.hpp"
+#include "core/registry.hpp"
 #include "testing/builders.hpp"
 
 namespace datastage {
@@ -13,7 +13,7 @@ using testing::at_min;
 StagingResult chain_result(const Scenario& s) {
   EngineOptions options;
   options.eu = EUWeights{1.0, 1.0};
-  return run_partial_path(s, options);
+  return run_spec({HeuristicKind::kPartial, CostCriterion::kC4}, s, options);
 }
 
 TEST(TraceTest, ScheduleTraceNamesEverything) {

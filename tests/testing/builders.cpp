@@ -1,5 +1,7 @@
 #include "testing/builders.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace datastage::testing {
@@ -88,6 +90,23 @@ Scenario chain_scenario() {
       .source(0, SimTime::zero())
       .request(2, at_min(30), kPriorityHigh)
       .build();
+}
+
+std::vector<OnlineRequest> split_online(Scenario& batch, Rng& rng) {
+  std::vector<OnlineRequest> online;
+  for (DataItem& item : batch.items) {
+    const std::size_t keep =
+        item.requests.size() <= 1 ? item.requests.size() : item.requests.size() / 2;
+    for (std::size_t r = keep; r < item.requests.size(); ++r) {
+      const Request& request = item.requests[r];
+      online.push_back({SimTime::from_usec(rng.uniform_i64(0, request.deadline.usec() / 2)),
+                        item.name, request});
+    }
+    item.requests.resize(keep);
+  }
+  std::stable_sort(online.begin(), online.end(),
+                   [](const OnlineRequest& a, const OnlineRequest& b) { return a.at < b.at; });
+  return online;
 }
 
 }  // namespace datastage::testing

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "model/scenario.hpp"
+#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace datastage::testing {
@@ -56,5 +58,19 @@ class ScenarioBuilder {
 /// hop, one 1 MB item sourced at A (t=0) and requested at C (deadline 30min,
 /// high priority). Many tests start from this and perturb it.
 Scenario chain_scenario();
+
+/// One request of a batch scenario moved to an online arrival.
+struct OnlineRequest {
+  SimTime at;
+  std::string item;
+  Request request;
+};
+
+/// The serve_congested split: the first half of each item's requests (a
+/// single request: all of it) stays in `batch`, the rest arrives at
+/// instants drawn from `rng` in the first half of its time to deadline, one
+/// draw per moved request in item and request order. Sorted stably by
+/// arrival time.
+std::vector<OnlineRequest> split_online(Scenario& batch, Rng& rng);
 
 }  // namespace datastage::testing
