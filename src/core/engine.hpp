@@ -144,7 +144,7 @@ struct EngineOptions {
 /// (run_heuristic, core/heuristics.hpp) and differ only in what they commit
 /// of the chosen candidate: its hop, the path to one destination, or the
 /// union of the paths to every satisfiable destination of its group.
-enum class HeuristicKind : std::uint8_t {
+enum class HeuristicKind {
   kPartial,  ///< partial path (§4.5): the candidate's hop
   kFullOne,  ///< full path/one destination (§4.6): C1 completes the
              ///< candidate's destination, aggregate criteria the most urgent
