@@ -25,8 +25,7 @@
 // (`tree_recomputes`), repaired and replayed trees, and replay misses by
 // reason (docs/PERFORMANCE.md item 11). Every count covers the timed submits
 // only, not the plan each case's service starts with: it is the difference
-// of two snapshots (ServiceSnapshot), or of two registry readings for the
-// engine's own counters. The admitted set must be identical
+// of two snapshots (ServiceSnapshot). The admitted set must be identical
 // across modes — the quick estimate may only reject requests the full replan
 // would reject too.
 // Written to BENCH_serve.json (the serving perf baseline; CI diffs it
@@ -79,9 +78,6 @@ struct ModeResult {
   /// The service's and the stager's counts over the timed submits.
   AdmissionCounts admission;
   DynamicCounts dynamic;
-  /// Engine work inside the timed submits that only the registry counts.
-  std::size_t tree_recomputes = 0;
-  std::size_t tree_repairs = 0;
   double p50_usec = 0.0;
   double p99_usec = 0.0;
   double mean_usec = 0.0;
@@ -100,11 +96,6 @@ struct ModeResult {
     return admissions_per_sec() / static_cast<double>(ThreadPool::hardware_jobs());
   }
 };
-
-std::size_t counter_value(const obs::MetricsRegistry& registry, const char* name) {
-  const auto it = registry.counters().find(name);
-  return it == registry.counters().end() ? 0 : static_cast<std::size_t>(it->second);
-}
 
 ModeResult run_mode(const std::vector<Scenario>& cases,
                     const PriorityWeighting& weighting, bool quick) {
@@ -126,8 +117,6 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
     // The service reads the observer through its pointer: phases attached
     // now leave out the initial plan and both snapshots.
     const ServiceSnapshot before = service.snapshot();
-    const std::size_t recomputes_before = counter_value(registry, "engine.tree_recomputes");
-    const std::size_t repairs_before = counter_value(registry, "engine.tree_repairs");
     observer.phases = &result.phases;
     const std::int64_t t0 = steady_clock_nanos();
     for (const OnlineSubmit& submit : online) {
@@ -140,8 +129,6 @@ ModeResult run_mode(const std::vector<Scenario>& cases,
     }
     result.wall_ns += steady_clock_nanos() - t0;
     observer.phases = nullptr;
-    result.tree_recomputes += counter_value(registry, "engine.tree_recomputes") - recomputes_before;
-    result.tree_repairs += counter_value(registry, "engine.tree_repairs") - repairs_before;
 
     const ServiceSnapshot after = service.snapshot();
     result.admission += after.admission;
@@ -178,19 +165,20 @@ void write_layer_json(std::FILE* f, const char* name, std::int64_t nanos,
 /// the requests refused because a relay could not hold their gc time.
 std::string replan_work_json(const ModeResult& mode) {
   const DynamicCounts& work = mode.dynamic;
-  std::string json = ", \"tree_recomputes\": " + std::to_string(mode.tree_recomputes) +
-                     ", \"tree_repairs\": " + std::to_string(mode.tree_repairs) +
-                     ", \"tree_replays\": " + std::to_string(work.replay.replays) +
+  const EngineCounts& engine = work.engine;
+  std::string json = ", \"tree_recomputes\": " + std::to_string(engine.dijkstra_runs) +
+                     ", \"tree_repairs\": " + std::to_string(engine.tree_repairs) +
+                     ", \"tree_replays\": " + std::to_string(engine.tree_replays) +
                      ", \"withdrawals_kept_plan\": " +
                      std::to_string(work.withdrawals_kept_plan) +
-                     ", \"shadow_refreshes\": " + std::to_string(work.shadow_refreshes) +
+                     ", \"shadow_refreshes\": " + std::to_string(engine.shadow_refreshes) +
                      ", \"gc_extensions_refused\": " +
                      std::to_string(work.gc_extensions_refused) +
                      ", \"replay_misses\": {";
   for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
     if (r > 0) json += ", ";
     json += std::string("\"") + replay_miss_name(static_cast<ReplayMiss>(r)) +
-            "\": " + std::to_string(work.replay.misses[r]);
+            "\": " + std::to_string(engine.replay_misses[r]);
   }
   return json + "}";
 }
@@ -265,8 +253,8 @@ int main(int argc, char** argv) {
                    std::to_string(work.replans), std::to_string(work.topology_builds),
                    std::to_string(work.residual_builds),
                    std::to_string(work.world_patches),
-                   std::to_string(mode.tree_recomputes),
-                   std::to_string(work.replay.replays)});
+                   std::to_string(work.engine.dijkstra_runs),
+                   std::to_string(work.engine.tree_replays)});
   };
   add_row("quick", quick);
   add_row("full", full);

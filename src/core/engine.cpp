@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "obs/observer.hpp"
 #include "util/assert.hpp"
@@ -49,99 +50,97 @@ const char* replay_miss_name(ReplayMiss reason) {
   return "unknown";
 }
 
-std::size_t ReplayCounts::total_misses() const {
+std::size_t EngineCounts::total_misses() const {
   std::size_t total = 0;
-  for (const std::size_t n : misses) total += n;
+  for (const std::size_t n : replay_misses) total += n;
   return total;
 }
 
-ReplayCounts& ReplayCounts::operator+=(const ReplayCounts& other) {
-  replays += other.replays;
-  for (std::size_t r = 0; r < kReplayMissKinds; ++r) misses[r] += other.misses[r];
-  return *this;
+namespace {
+
+/// Applies `op` to each field of `a` with the same field of `b`.
+template <typename Op>
+void combine(EngineCounts& a, const EngineCounts& b, Op op) {
+  op(a.iterations, b.iterations);
+  op(a.scoring_rounds, b.scoring_rounds);
+  op(a.dijkstra_runs, b.dijkstra_runs);
+  op(a.tree_repairs, b.tree_repairs);
+  op(a.tree_replays, b.tree_replays);
+  for (std::size_t r = 0; r < kReplayMissKinds; ++r) op(a.replay_misses[r], b.replay_misses[r]);
+  op(a.shadow_refreshes, b.shadow_refreshes);
+  op(a.cache_hits, b.cache_hits);
+  op(a.candidates_scored, b.candidates_scored);
+  op(a.best_rescans, b.best_rescans);
+  op(a.steps_committed, b.steps_committed);
+  op(a.requests_satisfied, b.requests_satisfied);
+  op(a.invalidations_link, b.invalidations_link);
+  op(a.invalidations_storage, b.invalidations_storage);
+  op(a.invalidations_self, b.invalidations_self);
+  op(a.invalidations_checked, b.invalidations_checked);
+  op(a.invalidations_scan_equiv, b.invalidations_scan_equiv);
+  op(a.guard_trips, b.guard_trips);
+  op(a.dijkstra.pops, b.dijkstra.pops);
+  op(a.dijkstra.relaxations, b.dijkstra.relaxations);
+  op(a.dijkstra.link_searches, b.dijkstra.link_searches);
+  op(a.dijkstra.storage_checks, b.dijkstra.storage_checks);
+  op(a.dijkstra.capacity_rejections, b.dijkstra.capacity_rejections);
+  op(a.dijkstra.kept_entries, b.dijkstra.kept_entries);
 }
 
-ReplayCounts& ReplayCounts::operator-=(const ReplayCounts& other) {
-  replays -= other.replays;
-  for (std::size_t r = 0; r < kReplayMissKinds; ++r) misses[r] -= other.misses[r];
-  return *this;
-}
-
-/// Counter handles resolved once at engine construction. Grouped here (not
-/// in the header) so engine.hpp only needs forward declarations of obs.
-struct StagingEngine::Instr {
-  obs::Counter iterations;
-  obs::Counter rounds;              ///< candidate scoring rounds (refreshes)
-  obs::Counter tree_recomputes;     ///< Dijkstra reruns (cache miss/dirty)
-  obs::Counter tree_repairs;        ///< own-commit trees re-rooted instead
-  obs::Counter tree_replays;        ///< previous run's trees verified instead
-  obs::Counter shadow_refreshes;    ///< shadow plan rebuilds (watch())
-  obs::Counter replay_misses;       ///< logging-run Dijkstra runs, any reason
-  /// The same misses by reason, indexed by ReplayMiss.
-  std::array<obs::Counter, kReplayMissKinds> replay_miss_reasons;
-  obs::Counter cache_hits;          ///< clean cached trees reused in a round
-  obs::Counter candidates;          ///< candidates generated and scored
-  obs::Counter best_rescans;        ///< per-plan best recomputations
-  obs::Counter steps_committed;     ///< tree edges committed to the network
-  obs::Counter requests_satisfied;  ///< requests resolved by a committed edge
-  obs::Counter invalidations_link;
-  obs::Counter invalidations_storage;
-  obs::Counter invalidations_self;  ///< scheduled item's own plan dirtied
-  obs::Counter invalidations_checked;     ///< index entries examined
-  obs::Counter invalidations_scan_equiv;  ///< entries a full scan would examine
-  obs::Counter dijkstra_pops;
-  obs::Counter dijkstra_relaxations;     ///< out-links examined in unsettled groups
-  obs::Counter dijkstra_link_searches;   ///< relaxations past the cheap bounds
-  obs::Counter dijkstra_storage_checks;  ///< link fits checked with can_hold
-  obs::Counter dijkstra_capacity_rejections;
-  obs::Counter dijkstra_kept_entries;  ///< entries of the trees Dijkstra built
-  obs::Counter guard_trips;
-  /// Deadline margin (seconds) of each satisfied request, recorded at finish.
-  obs::Histogram* satisfied_slack_seconds;
-  /// Per-round refresh latency (microseconds). Observed only when a phase
-  /// timer is attached — wall time is not byte-comparable, and the
-  /// deterministic documents (harness per-case registries) have none.
-  obs::Histogram* refresh_batch_usec;
-
-  explicit Instr(obs::MetricsRegistry& m)
-      : iterations(m.counter("engine.iterations")),
-        rounds(m.counter("engine.scoring_rounds")),
-        tree_recomputes(m.counter("engine.tree_recomputes")),
-        tree_repairs(m.counter("engine.tree_repairs")),
-        tree_replays(m.counter("engine.tree_replays")),
-        shadow_refreshes(m.counter("engine.shadow_refreshes")),
-        replay_misses(m.counter("engine.replay_misses")),
-        cache_hits(m.counter("engine.cache_hits")),
-        candidates(m.counter("engine.candidates_scored")),
-        best_rescans(m.counter("engine.best_rescans")),
-        steps_committed(m.counter("engine.steps_committed")),
-        requests_satisfied(m.counter("engine.requests_satisfied")),
-        invalidations_link(m.counter("engine.invalidations_link")),
-        invalidations_storage(m.counter("engine.invalidations_storage")),
-        invalidations_self(m.counter("engine.invalidations_self")),
-        invalidations_checked(m.counter("engine.invalidations_checked")),
-        invalidations_scan_equiv(m.counter("engine.invalidations_scan_equiv")),
-        dijkstra_pops(m.counter("dijkstra.heap_pops")),
-        dijkstra_relaxations(m.counter("dijkstra.relaxations")),
-        dijkstra_link_searches(m.counter("dijkstra.link_searches")),
-        dijkstra_storage_checks(m.counter("dijkstra.storage_checks")),
-        dijkstra_capacity_rejections(m.counter("dijkstra.capacity_rejections")),
-        dijkstra_kept_entries(m.counter("dijkstra.kept_entries")),
-        guard_trips(m.counter("engine.guard_trips")),
-        satisfied_slack_seconds(&m.histogram("engine.satisfied_slack_seconds",
-                                             {0.1, 1.0, 10.0, 60.0, 600.0, 3600.0})),
-        refresh_batch_usec(&m.histogram(
-            "engine.refresh_batch_usec",
-            {50.0, 200.0, 1000.0, 5000.0, 20000.0, 100000.0})) {
-    for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
-      replay_miss_reasons[r] = m.counter(std::string("engine.replay_misses_") +
-                                         replay_miss_name(static_cast<ReplayMiss>(r)));
-    }
+/// Publishes a finished run's counts: one row per registry counter, with
+/// the field, or the sum, that is its value. Every row creates its counter,
+/// so a run publishes each name, zero or not.
+void publish_counts(obs::MetricsRegistry& m, const EngineCounts& c, const NetworkState& net) {
+  const auto row = [&m](std::string_view name, std::size_t value) { m.counter(name).inc(value); };
+  row("engine.iterations", c.iterations);
+  row("engine.scoring_rounds", c.scoring_rounds);
+  row("engine.tree_recomputes", c.dijkstra_runs);
+  row("engine.tree_repairs", c.tree_repairs);
+  row("engine.tree_replays", c.tree_replays);
+  row("engine.replay_misses", c.total_misses());
+  for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
+    row(std::string("engine.replay_misses_") + replay_miss_name(static_cast<ReplayMiss>(r)),
+        c.replay_misses[r]);
   }
-};
+  row("engine.shadow_refreshes", c.shadow_refreshes);
+  row("engine.cache_hits", c.cache_hits);
+  row("engine.candidates_scored", c.candidates_scored);
+  row("engine.best_rescans", c.best_rescans);
+  row("engine.steps_committed", c.steps_committed);
+  row("engine.requests_satisfied", c.requests_satisfied);
+  row("engine.invalidations_link", c.invalidations_link);
+  row("engine.invalidations_storage", c.invalidations_storage);
+  row("engine.invalidations_self", c.invalidations_self);
+  row("engine.invalidations_checked", c.invalidations_checked);
+  row("engine.invalidations_scan_equiv", c.invalidations_scan_equiv);
+  row("engine.guard_trips", c.guard_trips);
+  row("dijkstra.heap_pops", c.dijkstra.pops);
+  row("dijkstra.relaxations", c.dijkstra.relaxations);
+  row("dijkstra.link_searches", c.dijkstra.link_searches);
+  row("dijkstra.storage_checks", c.dijkstra.storage_checks);
+  row("dijkstra.capacity_rejections", c.dijkstra.capacity_rejections);
+  row("dijkstra.kept_entries", c.dijkstra.kept_entries);
+  // Every transfer reserves one link busy window.
+  row("net.transfers", net.transfer_count());
+  row("net.link_reservations", net.transfer_count());
+  row("net.storage_allocations", net.storage_allocations());
+  row("net.hold_extensions", net.hold_extensions());
+}
+
+}  // namespace
+
+EngineCounts& EngineCounts::operator+=(const EngineCounts& other) {
+  combine(*this, other, [](std::size_t& x, std::size_t y) { x += y; });
+  return *this;
+}
+
+EngineCounts& EngineCounts::operator-=(const EngineCounts& other) {
+  combine(*this, other, [](std::size_t& x, std::size_t y) { x -= y; });
+  return *this;
+}
 
 /// Per-request lifecycle state behind the span-model trace events. Kept out
-/// of the header (like Instr) and allocated only when a trace is attached.
+/// of the header and allocated only when a trace is attached.
 struct StagingEngine::Lifecycle {
   enum class Status : std::uint8_t {
     kUnknown,             ///< plan not classified yet
@@ -268,9 +267,12 @@ void StagingEngine::configure() {
                                                     : options_.engine_jobs;
   refresh_ws_.resize(1);  // ensure_pool adds one workspace per worker
   attach_observer();
-  if (options_.observer != nullptr && options_.observer->metrics != nullptr) {
-    instr_ = std::make_unique<Instr>(*options_.observer->metrics);
-    state_.attach_metrics(*options_.observer->metrics);
+  metrics_ = options_.observer != nullptr ? options_.observer->metrics : nullptr;
+  if (metrics_ != nullptr) {
+    satisfied_slack_seconds_ = &metrics_->histogram(
+        "engine.satisfied_slack_seconds", {0.1, 1.0, 10.0, 60.0, 600.0, 3600.0});
+    refresh_batch_usec_ = &metrics_->histogram(
+        "engine.refresh_batch_usec", {50.0, 200.0, 1000.0, 5000.0, 20000.0, 100000.0});
   }
 }
 
@@ -314,7 +316,6 @@ void StagingEngine::start_run() {
   shadow_.best = kNoBest;
   watched_ = RequestRef{};
   watch_held_ = false;
-  shadow_refreshes_ = 0;
   active_plans_ = n;
   // Every plan starts dirty: seed the queue so the first refresh builds all.
   dirty_queue_.resize(n);
@@ -323,13 +324,10 @@ void StagingEngine::start_run() {
   refresh_jobs_.clear();
   candidate_total_ = 0;
   last_round_cache_hits_ = 0;
-  dijkstra_runs_ = 0;
-  tree_repairs_ = 0;
-  iterations_ = 0;
+  counts_ = EngineCounts{};
   guard_tripped_ = false;
   max_iterations_ = iteration_guard(scenario.request_count());
   lifecycle_ = trace_ != nullptr ? std::make_unique<Lifecycle>(scenario) : nullptr;
-  replay_ = ReplayCounts{};
   if (logging_) start_log();
 }
 
@@ -338,7 +336,7 @@ std::size_t StagingEngine::iteration_guard(std::size_t requests) const {
 }
 
 void StagingEngine::watch(RequestRef request) {
-  DS_ASSERT_MSG(iterations_ == 0 && index_.live_entries() == 0,
+  DS_ASSERT_MSG(counts_.iterations == 0 && index_.live_entries() == 0,
                 "watch() precedes the run's first refresh");
   if (options_.paranoid) return;  // the oracle runs as it always does
   const DataItem& item = scenario_->item(request.item);
@@ -556,7 +554,7 @@ ThreadPool* StagingEngine::ensure_pool() {
 }
 
 void StagingEngine::refresh_plans() {
-  if (instr_ != nullptr) instr_->rounds.inc();
+  ++counts_.scoring_rounds;
   const std::int64_t t0 = phases_ != nullptr ? steady_clock_nanos() : 0;
   if (options_.paranoid) {
     // The paper's literal procedure: rebuild every live plan every round.
@@ -592,10 +590,12 @@ void StagingEngine::refresh_plans() {
   const bool shadow_job =
       !refresh_jobs_.empty() && refresh_jobs_.back().plan == shadow_slot();
   last_round_cache_hits_ = active_plans_ - (refresh_jobs_.size() - (shadow_job ? 1 : 0));
-  if (instr_ != nullptr) instr_->cache_hits.inc(last_round_cache_hits_);
+  counts_.cache_hits += last_round_cache_hits_;
   if (phases_ != nullptr) {
     const std::int64_t ns = steady_clock_nanos() - t0;
-    if (instr_ != nullptr) instr_->refresh_batch_usec->observe(static_cast<double>(ns) / 1000.0);
+    if (refresh_batch_usec_ != nullptr) {
+      refresh_batch_usec_->observe(static_cast<double>(ns) / 1000.0);
+    }
     phases_->add_nanos("engine.refresh", ns);
   }
 }
@@ -689,8 +689,7 @@ void StagingEngine::compute_refresh_job(RefreshJob& job, RefreshWorkspace& ws) {
   }
   if (!job.repaired && !job.replayed) {
     plan.storage_free = compute_route_tree_into(
-        state_, *topology_, item, dopt, ws.ws, plan.tree,
-        instr_ != nullptr && !shadow ? &job.stats : nullptr);
+        state_, *topology_, item, dopt, ws.ws, plan.tree, shadow ? nullptr : &job.stats);
   }
   job.prune_after = dopt.prune_after;
   build_candidates_local(item, plan, pending, dopt.hold_rules, ws);
@@ -738,7 +737,8 @@ bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after
   // The previous run's tree current at this iteration: the last one it
   // refreshed at or before it.
   while (plan.replay_next < plan.replay_end &&
-         prev_log_.trees[prev_log_.plan_trees[plan.replay_next]].iteration <= iterations_) {
+         prev_log_.trees[prev_log_.plan_trees[plan.replay_next]].iteration <=
+             counts_.iterations) {
     plan.replay_tree = prev_log_.plan_trees[plan.replay_next++];
   }
   if (item_unchanged_[item.index()] == 0 || plan.replay_tree == kNoTree) {
@@ -780,7 +780,7 @@ bool StagingEngine::replay_tree(ItemId item, ItemPlan& plan, SimTime prune_after
 void StagingEngine::log_tree(std::size_t plan_index, SimTime prune_after) {
   const ItemPlan& plan = plans_[plan_index];
   log_.trees.push_back(LoggedTree{static_cast<std::uint32_t>(plan_index),
-                                  static_cast<std::uint32_t>(iterations_),
+                                  static_cast<std::uint32_t>(counts_.iterations),
                                   static_cast<std::uint32_t>(log_.entries.size()),
                                   static_cast<std::uint32_t>(plan.tree.labeled_count()),
                                   prune_after, plan.storage_free});
@@ -805,39 +805,29 @@ void StagingEngine::merge_refresh_job(RefreshJob& job) {
   };
   if (plan_index == shadow_slot()) {
     // The shadow's only shared state is its subscriptions.
-    ++shadow_refreshes_;
-    if (instr_ != nullptr) instr_->shadow_refreshes.inc();
+    ++counts_.shadow_refreshes;
     resubscribe();
     return;
   }
   if (job.repaired) {
-    ++tree_repairs_;
-    if (instr_ != nullptr) instr_->tree_repairs.inc();
+    ++counts_.tree_repairs;
   } else if (job.replayed) {
-    ++replay_.replays;
-    if (instr_ != nullptr) instr_->tree_replays.inc();
+    ++counts_.tree_replays;
   } else {
-    ++dijkstra_runs_;
-    const bool missed = logging_ && prev_log_.logged;
-    if (missed) ++replay_.misses[static_cast<std::size_t>(job.miss)];
-    if (instr_ != nullptr) {
-      instr_->tree_recomputes.inc();
-      instr_->dijkstra_pops.inc(job.stats.pops);
-      instr_->dijkstra_relaxations.inc(job.stats.relaxations);
-      instr_->dijkstra_link_searches.inc(job.stats.link_searches);
-      instr_->dijkstra_storage_checks.inc(job.stats.storage_checks);
-      instr_->dijkstra_capacity_rejections.inc(job.stats.capacity_rejections);
-      instr_->dijkstra_kept_entries.inc(job.stats.kept_entries);
-      if (missed) {
-        instr_->replay_misses.inc();
-        instr_->replay_miss_reasons[static_cast<std::size_t>(job.miss)].inc();
-      }
-    }
+    ++counts_.dijkstra_runs;
+    if (logging_ && prev_log_.logged) ++counts_.replay_misses[static_cast<std::size_t>(job.miss)];
+    DijkstraStats& total = counts_.dijkstra;
+    total.pops += job.stats.pops;
+    total.relaxations += job.stats.relaxations;
+    total.link_searches += job.stats.link_searches;
+    total.storage_checks += job.stats.storage_checks;
+    total.capacity_rejections += job.stats.capacity_rejections;
+    total.kept_entries += job.stats.kept_entries;
   }
   if (logging_) log_tree(plan_index, job.prune_after);
   if (trace_ != nullptr) {
     trace_->event("recompute")
-        .field("iter", iterations_)
+        .field("iter", counts_.iterations)
         .field("item", item.value())
         .field("pending", tracker_.pending_of(item).size())
         .field("prune_after_usec", job.prune_after.usec())
@@ -848,10 +838,8 @@ void StagingEngine::merge_refresh_job(RefreshJob& job) {
   resubscribe();
   candidate_total_ += plan.candidates.size();
   if (plan.best != kNoBest) push_best(plan_index);
-  if (instr_ != nullptr) {
-    instr_->candidates.inc(plan.candidates.size());
-    instr_->best_rescans.inc();
-  }
+  counts_.candidates_scored += plan.candidates.size();
+  ++counts_.best_rescans;
   if (lifecycle_ != nullptr) classify_requests(item, plan);
   plan.dirty = false;
   plan.last_invalidated_by = -1;
@@ -899,7 +887,7 @@ void StagingEngine::classify_requests(ItemId item, const ItemPlan& plan) {
       // the destination, opening a faster route than before.
       if (st.status != Status::kUnknown) {
         trace_->event("request_revived")
-            .field("iter", iterations_)
+            .field("iter", counts_.iterations)
             .field("item", item.value())
             .field("k", k)
             .field("dest", dest.value());
@@ -908,7 +896,7 @@ void StagingEngine::classify_requests(ItemId item, const ItemPlan& plan) {
       st.lost_to = -1;
     } else {
       auto event = trace_->event("request_lost");
-      event.field("iter", iterations_)
+      event.field("iter", counts_.iterations)
           .field("item", item.value())
           .field("k", k)
           .field("dest", dest.value())
@@ -1077,7 +1065,7 @@ std::optional<Candidate> StagingEngine::best_candidate() {
   if (watch_held_) check_watched_choice(best);
   if (trace_ != nullptr) {
     auto event = trace_->event("round");
-    event.field("iter", iterations_)
+    event.field("iter", counts_.iterations)
         .field("candidates", candidate_total_)
         .field("pending_requests", tracker_.pending_count())
         .field("cache_hits", last_round_cache_hits_);
@@ -1108,8 +1096,7 @@ std::size_t StagingEngine::candidate_count() {
 }
 
 AppliedTransfer StagingEngine::commit_edge(ItemId item, const TreeEdge& edge) {
-  const std::size_t pending_before =
-      (instr_ != nullptr || trace_ != nullptr) ? tracker_.pending_count() : 0;
+  const std::size_t pending_before = tracker_.pending_count();
   // A run without the watched request charges the item's holds by its own
   // rules, and a copy at the request's destination is held differently
   // there (and may resolve the request here).
@@ -1143,7 +1130,7 @@ AppliedTransfer StagingEngine::commit_edge(ItemId item, const TreeEdge& edge) {
       st.status = Lifecycle::Status::kSatisfied;
       st.ever_feasible = true;
       trace_->event("request_satisfied")
-          .field("iter", iterations_)
+          .field("iter", counts_.iterations)
           .field("item", item.value())
           .field("k", k)
           .field("dest", edge.to.value())
@@ -1161,23 +1148,19 @@ AppliedTransfer StagingEngine::commit_edge(ItemId item, const TreeEdge& edge) {
     log_.commits.push_back(commit);
     if (k >= prev_log_.commits.size() || prev_log_.commits[k] != commit) diverged_ = true;
   }
-  if (instr_ != nullptr || trace_ != nullptr) {
-    const std::size_t satisfied = pending_before - tracker_.pending_count();
-    if (instr_ != nullptr) {
-      instr_->steps_committed.inc();
-      instr_->requests_satisfied.inc(satisfied);
-    }
-    if (trace_ != nullptr) {
-      trace_->event("commit")
-          .field("iter", iterations_)
-          .field("item", item.value())
-          .field("from", edge.from.value())
-          .field("to", edge.to.value())
-          .field("link", edge.link.value())
-          .field("start_usec", edge.start.usec())
-          .field("arrival_usec", applied.arrival.usec())
-          .field("satisfied", satisfied);
-    }
+  const std::size_t satisfied = pending_before - tracker_.pending_count();
+  ++counts_.steps_committed;
+  counts_.requests_satisfied += satisfied;
+  if (trace_ != nullptr) {
+    trace_->event("commit")
+        .field("iter", counts_.iterations)
+        .field("item", item.value())
+        .field("from", edge.from.value())
+        .field("to", edge.to.value())
+        .field("link", edge.link.value())
+        .field("start_usec", edge.start.usec())
+        .field("arrival_usec", applied.arrival.usec())
+        .field("satisfied", satisfied);
   }
   return applied;
 }
@@ -1286,7 +1269,7 @@ void StagingEngine::invalidate(ItemId scheduled_item,
       }
       dirty_queue_.push_back(scheduled_item.index());
     }
-    if (instr_ != nullptr) instr_->invalidations_self.inc();
+    ++counts_.invalidations_self;
   }
   // So is the shadow's, when it is the scheduled item's: it takes no
   // dispatch of its own item's commit, as no plan does.
@@ -1299,9 +1282,8 @@ void StagingEngine::invalidate(ItemId scheduled_item,
   // plan's whole resource list. Per plan, the first conflicting (transfer,
   // link-before-storage) pair wins — the same cause the old full scan
   // assigned — because a dirtied plan is skipped by later dispatches. The
-  // shadow is dirtied like a plan but neither queued nor recorded: its
+  // shadow is dirtied like a plan but neither queued nor counted: its
   // refresh is collected on its flag.
-  const bool record = instr_ != nullptr || trace_ != nullptr;
   invalidation_scratch_.clear();
   std::size_t examined = 0;
   // A hit on plan slot p; `fits` says whether a storage hit leaves p's hold
@@ -1315,7 +1297,9 @@ void StagingEngine::invalidate(ItemId scheduled_item,
     if (p == shadow) return;
     if (lifecycle_ != nullptr) plan.last_invalidated_by = scheduled_item.value();
     dirty_queue_.push_back(p);
-    if (record) invalidation_scratch_.emplace_back(p, cause);
+    ++(cause == InvalidationCause::kLink ? counts_.invalidations_link
+                                         : counts_.invalidations_storage);
+    if (trace_ != nullptr) invalidation_scratch_.emplace_back(p, cause);
   };
   for (const AppliedTransfer& t : applied) {
     examined += index_.dispatch_link(
@@ -1338,29 +1322,20 @@ void StagingEngine::invalidate(ItemId scheduled_item,
     }
   }
 
-  if (!record) return;
-  if (instr_ != nullptr) {
-    instr_->invalidations_checked.inc(examined);
-    // What a full scan of every live plan's resource list would have walked
-    // for this commit — the counterfactual the index avoids.
-    instr_->invalidations_scan_equiv.inc(index_.live_entries());
-  }
+  counts_.invalidations_checked += examined;
+  // What a full scan of every live plan's resource list would have walked
+  // for this commit — the counterfactual the index avoids.
+  counts_.invalidations_scan_equiv += index_.live_entries();
+  if (trace_ == nullptr) return;
   // Emit in ascending plan order, matching the order the old full scan
   // produced (dispatch discovers plans in posting-list order).
   std::sort(invalidation_scratch_.begin(), invalidation_scratch_.end());
   for (const auto& [p, cause] : invalidation_scratch_) {
-    if (instr_ != nullptr) {
-      (cause == InvalidationCause::kLink ? instr_->invalidations_link
-                                         : instr_->invalidations_storage)
-          .inc();
-    }
-    if (trace_ != nullptr) {
-      trace_->event("invalidate")
-          .field("iter", iterations_)
-          .field("item", static_cast<std::int64_t>(p))
-          .field("by_item", scheduled_item.value())
-          .field("cause", cause == InvalidationCause::kLink ? "link" : "storage");
-    }
+    trace_->event("invalidate")
+        .field("iter", counts_.iterations)
+        .field("item", static_cast<std::int64_t>(p))
+        .field("by_item", scheduled_item.value())
+        .field("cause", cause == InvalidationCause::kLink ? "link" : "storage");
   }
 }
 
@@ -1368,21 +1343,20 @@ void StagingEngine::count_iteration() {
   if (logging_) {
     // ... and iteration for iteration.
     const auto commits = static_cast<std::uint32_t>(log_.commits.size());
-    if (iterations_ >= prev_log_.iteration_end.size() ||
-        prev_log_.iteration_end[iterations_] != commits) {
+    if (counts_.iterations >= prev_log_.iteration_end.size() ||
+        prev_log_.iteration_end[counts_.iterations] != commits) {
       diverged_ = true;
     }
     log_.iteration_end.push_back(commits);
   }
-  ++iterations_;
-  if (instr_ != nullptr) instr_->iterations.inc();
+  ++counts_.iterations;
   // A run without the watched request has a lower guard (or the same).
-  if (watch_held_ && iterations_ >= watch_max_iterations_) end_watch();
-  if (iterations_ >= max_iterations_) {
+  if (watch_held_ && counts_.iterations >= watch_max_iterations_) end_watch();
+  if (counts_.iterations >= max_iterations_) {
     guard_tripped_ = true;
-    if (instr_ != nullptr) instr_->guard_trips.inc();
+    ++counts_.guard_trips;
     if (trace_ != nullptr) {
-      trace_->event("guard_trip").field("iter", iterations_);
+      trace_->event("guard_trip").field("iter", counts_.iterations);
     }
     log_warn("staging engine iteration guard tripped; stopping the loop");
   }
@@ -1405,9 +1379,9 @@ void StagingEngine::observe_finish() {
     for (std::size_t k = 0; k < outcomes[i].size(); ++k) {
       const RequestOutcome& outcome = outcomes[i][k];
       outcome.satisfied ? ++satisfied : ++dropped;
-      if (instr_ != nullptr && outcome.satisfied) {
+      if (metrics_ != nullptr && outcome.satisfied) {
         const Request& request = scenario_->items[i].requests[k];
-        instr_->satisfied_slack_seconds->observe(
+        satisfied_slack_seconds_->observe(
             (request.deadline - outcome.arrival).as_seconds());
       }
       if (trace_ != nullptr) {
@@ -1452,9 +1426,9 @@ void StagingEngine::observe_finish() {
       }
     }
   }
-  if (instr_ != nullptr && options_.observer != nullptr &&
-      options_.observer->metrics != nullptr) {
-    obs::MetricsRegistry& m = *options_.observer->metrics;
+  if (metrics_ != nullptr) {
+    obs::MetricsRegistry& m = *metrics_;
+    publish_counts(m, counts_, state_);
     m.counter("engine.requests_satisfied_final").inc(satisfied);
     m.counter("engine.requests_dropped").inc(dropped);
     m.counter("engine.runs").inc();
@@ -1467,8 +1441,8 @@ void StagingEngine::observe_finish() {
   }
   if (trace_ != nullptr) {
     trace_->event("finish")
-        .field("iterations", iterations_)
-        .field("dijkstra_runs", dijkstra_runs_)
+        .field("iterations", counts_.iterations)
+        .field("dijkstra_runs", counts_.dijkstra_runs)
         .field("steps", schedule_.size())
         .field("satisfied", satisfied)
         .field("dropped", dropped)
@@ -1477,7 +1451,7 @@ void StagingEngine::observe_finish() {
 }
 
 const Schedule& StagingEngine::finish_run() {
-  if (instr_ != nullptr || trace_ != nullptr) observe_finish();
+  if (metrics_ != nullptr || trace_ != nullptr) observe_finish();
   return schedule_;
 }
 
@@ -1486,8 +1460,8 @@ StagingResult StagingEngine::finish() {
   StagingResult result;
   result.schedule = std::move(schedule_);
   result.outcomes = tracker_.take_outcomes();
-  result.dijkstra_runs = dijkstra_runs_;
-  result.iterations = iterations_;
+  result.dijkstra_runs = counts_.dijkstra_runs;
+  result.iterations = counts_.iterations;
   return result;
 }
 

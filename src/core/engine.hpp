@@ -46,6 +46,12 @@
 // it, and checks every iteration that such a run would commit the same. A
 // run that held says the schedule without the request is the one it built,
 // so DynamicStager withdraws a fully rejected request without another run.
+//
+// Every count of a run's work is one field of EngineCounts (counts()): the
+// engine keeps them with plain increments whether or not anything observes
+// it, and publishes them to an attached metrics registry once, when the run
+// finishes. The registry's engine.*, dijkstra.* and net.* counters advance
+// then, not while the run goes on.
 #pragma once
 
 #include <array>
@@ -73,6 +79,8 @@ class ThreadPool;
 
 namespace obs {
 struct RunObserver;
+class Histogram;
+class MetricsRegistry;
 class PhaseTimer;
 class RunTrace;
 }  // namespace obs
@@ -104,18 +112,49 @@ inline constexpr std::size_t kReplayMissKinds = 6;
 /// hold_misfit, verify_failed.
 const char* replay_miss_name(ReplayMiss reason);
 
-/// Plan rebuilds served by replay, and Dijkstra runs replay could not serve
-/// by reason. Deterministic: a function of the runs' inputs.
-struct ReplayCounts {
-  std::size_t replays = 0;
-  std::array<std::size_t, kReplayMissKinds> misses{};
+/// The work of one engine run, every count the engine keeps (deterministic:
+/// a function of the run's inputs). The engine keeps it with plain
+/// increments on every run and publishes it once, when the run finishes, to
+/// an attached registry: each field as engine.<field> unless its comment
+/// names another counter (the table in engine.cpp maps each name to its
+/// field).
+struct EngineCounts {
+  std::size_t iterations = 0;
+  std::size_t scoring_rounds = 0;  ///< candidate scoring rounds (refreshes)
+  /// Plans rebuilt by a Dijkstra run (tree_recomputes); repaired and
+  /// replayed trees count below.
+  std::size_t dijkstra_runs = 0;
+  /// Plans rebuilt by re-rooting their cached tree after their own commit
+  /// instead of a Dijkstra run (0 under paranoid).
+  std::size_t tree_repairs = 0;
+  /// Plans rebuilt by verifying the previous run's tree.
+  std::size_t tree_replays = 0;
+  /// Dijkstra runs of a run that could replay, by reason
+  /// (replay_misses_<reason>; replay_misses is their sum). All zero for
+  /// constructor-started runs, a reset-started run without a previous one,
+  /// and paranoid runs.
+  std::array<std::size_t, kReplayMissKinds> replay_misses{};
+  std::size_t shadow_refreshes = 0;   ///< shadow plan rebuilds (watch())
+  std::size_t cache_hits = 0;         ///< clean cached trees reused in a round
+  std::size_t candidates_scored = 0;  ///< candidates generated and scored
+  std::size_t best_rescans = 0;       ///< per-plan best recomputations
+  std::size_t steps_committed = 0;    ///< tree edges committed to the network
+  std::size_t requests_satisfied = 0;  ///< requests resolved by a committed edge
+  std::size_t invalidations_link = 0;
+  std::size_t invalidations_storage = 0;
+  std::size_t invalidations_self = 0;        ///< scheduled item's own plan dirtied
+  std::size_t invalidations_checked = 0;     ///< index entries examined
+  std::size_t invalidations_scan_equiv = 0;  ///< entries a full scan would examine
+  std::size_t guard_trips = 0;
+  /// The Dijkstra runs' work (dijkstra.<field>, pops as dijkstra.heap_pops).
+  DijkstraStats dijkstra;
 
   std::size_t miss(ReplayMiss reason) const {
-    return misses[static_cast<std::size_t>(reason)];
+    return replay_misses[static_cast<std::size_t>(reason)];
   }
   std::size_t total_misses() const;
-  ReplayCounts& operator+=(const ReplayCounts& other);
-  ReplayCounts& operator-=(const ReplayCounts& other);
+  EngineCounts& operator+=(const EngineCounts& other);
+  EngineCounts& operator-=(const EngineCounts& other);
 };
 
 struct EngineOptions {
@@ -130,8 +169,9 @@ struct EngineOptions {
   /// the guard protects experiments from pathological hand-built inputs.
   std::size_t max_iterations = 0;
   /// Optional observability sinks (see obs/observer.hpp). nullptr — the
-  /// default — keeps the hot loop free of any metric or trace work; set, it
-  /// never changes scheduling decisions, only records them.
+  /// default — keeps the hot loop free of any trace work, and the run
+  /// publishes its counts nowhere; set, it never changes scheduling
+  /// decisions, only records them.
   obs::RunObserver* observer = nullptr;
   /// Worker threads for intra-scenario parallelism (the per-round plan
   /// refresh). 1 = serial; 0 = one per hardware thread. Schedules, metrics
@@ -173,7 +213,7 @@ class StagingEngine {
   /// adopting NetworkState constructor). Both must outlive the engine's use.
   StagingEngine(const Scenario& scenario, const Topology& topology,
                 std::span<const StorageTimeline> storage, EngineOptions options);
-  ~StagingEngine();  // out-of-line: Instr is defined in engine.cpp
+  ~StagingEngine();  // out-of-line: Lifecycle is defined in engine.cpp
 
   /// Starts a new run on another problem, as the constructor above would,
   /// but on this engine's buffers: plans, route trees, candidate lists,
@@ -205,8 +245,6 @@ class StagingEngine {
   /// nullopt, that run's schedule is this one. False when nothing is
   /// watched.
   bool watch_held() const { return watch_held_; }
-  /// Refreshes of this run's shadow plan (0 unless a request is watched).
-  std::size_t shadow_refreshes() const { return shadow_refreshes_; }
 
   CostCriterion criterion() const { return options_.criterion; }
 
@@ -245,25 +283,17 @@ class StagingEngine {
   /// except through reset().
   StagingResult finish();
 
-  /// Finalizes the run as finish() does (final metrics and trace events) but
-  /// leaves the schedule in the engine, valid until the next reset().
+  /// Finalizes the run as finish() does (publishes its counts and final
+  /// metrics, emits the final trace events) but leaves the schedule in the
+  /// engine, valid until the next reset().
   const Schedule& finish_run();
 
   // --- Introspection (tests, traces) ---
   const NetworkState& network() const { return state_; }
   const OutcomeTracker& tracker() const { return tracker_; }
-  /// Dijkstra runs only; repaired trees count in tree_repairs().
-  std::size_t dijkstra_runs() const { return dijkstra_runs_; }
-  /// Plans rebuilt by re-rooting their cached tree after their own commit
-  /// instead of a Dijkstra run (0 under paranoid).
-  std::size_t tree_repairs() const { return tree_repairs_; }
-  /// Plans rebuilt by verifying the previous run's tree this run.
-  std::size_t tree_replays() const { return replay_.replays; }
-  /// This run's replays and the Dijkstra runs replay could not serve (all
-  /// zero for constructor-started runs, a reset-started run without a
-  /// previous one, and paranoid runs).
-  const ReplayCounts& replay_counts() const { return replay_; }
-  std::size_t iterations() const { return iterations_; }
+  /// This run's work so far; after finish() or finish_run(), the whole
+  /// run's, until the next reset().
+  const EngineCounts& counts() const { return counts_; }
   /// The (fresh) route tree of an item; recomputes if dirty. The tree is
   /// exact on the item's pending destinations and their paths; labels of
   /// other machines may be tentative (target-set early termination). A
@@ -277,7 +307,7 @@ class StagingEngine {
   /// One refreshed tree: entries [first, first + count) of RunLog::entries.
   struct LoggedTree {
     std::uint32_t plan;
-    std::uint32_t iteration;  ///< iterations_ at the refresh
+    std::uint32_t iteration;  ///< counts_.iterations at the refresh
     std::uint32_t first;
     std::uint32_t count;
     SimTime prune_after;
@@ -377,7 +407,7 @@ class StagingEngine {
   enum class InvalidationCause : std::uint8_t { kLink, kStorage };
 
   /// One unit of refresh work: the plan to rebuild plus everything the serial
-  /// merge needs to replay the exact counter/trace sequence of a serial
+  /// merge needs to replay the exact count/trace sequence of a serial
   /// recompute (Dijkstra stats, the prune horizon, the pre-rebuild candidate
   /// count for the global total).
   struct RefreshJob {
@@ -389,7 +419,7 @@ class StagingEngine {
     /// logging_ and neither repaired nor replayed).
     ReplayMiss miss = ReplayMiss::kLinksGrew;
     SimTime prune_after = SimTime::infinity();
-    DijkstraStats stats;  ///< filled only when metrics are attached
+    DijkstraStats stats;  ///< the Dijkstra run's (empty for the shadow's)
   };
 
   /// Per-worker scratch for the compute phase: a Dijkstra workspace, the
@@ -450,7 +480,8 @@ class StagingEngine {
   /// Resolves engine_jobs and the observer's sinks (constructors only).
   void configure();
   /// Reads the observer's trace and phase timer, which a caller may attach
-  /// between runs (the metric handles are resolved once, in configure()).
+  /// between runs (the registry and its histograms are resolved once, in
+  /// configure()).
   void attach_observer();
   /// Puts every run-scoped member in the state a fresh engine on scenario_
   /// has, keeping buffers.
@@ -522,7 +553,8 @@ class StagingEngine {
   void classify_requests(ItemId item, const ItemPlan& plan);
   /// Pushes plan's current best into the tournament heap.
   void push_best(std::size_t plan_index);
-  /// Emits per-request outcome events and final satisfaction counters.
+  /// Publishes counts_ and the final satisfaction counters to the registry
+  /// and emits per-request outcome events, as far as each sink is attached.
   void observe_finish();
   /// Commits one tree edge: network transfer + schedule step + satisfaction.
   AppliedTransfer commit_edge(ItemId item, const TreeEdge& edge);
@@ -569,9 +601,7 @@ class StagingEngine {
   std::size_t active_plans_ = 0;     ///< plans not yet retired
   std::size_t candidate_total_ = 0;  ///< Σ plan.candidates.size() (live plans)
   std::size_t last_round_cache_hits_ = 0;  ///< clean plans reused last refresh
-  std::size_t dijkstra_runs_ = 0;
-  std::size_t tree_repairs_ = 0;
-  ReplayCounts replay_;
+  EngineCounts counts_;
 
   // --- Replay of the previous run (reset-started runs only) ---
   /// This run logs and may replay: started by reset(), not paranoid.
@@ -599,19 +629,20 @@ class StagingEngine {
   /// The shadow's pending requests: the item's, the watched one left out.
   std::vector<std::int32_t> shadow_pending_;
   std::vector<TreeEdge> shadow_edges_scratch_;
-  std::size_t shadow_refreshes_ = 0;
 
-  std::size_t iterations_ = 0;
   std::size_t max_iterations_ = 0;
   bool guard_tripped_ = false;
 
-  /// Pre-resolved metric counter handles; allocated once at construction
-  /// when (and only when) an observer with a metrics registry is configured,
-  /// so the unobserved hot loop performs no metric work beyond null checks.
-  struct Instr;
-  std::unique_ptr<Instr> instr_;
+  /// The observer's registry, which finish_run() publishes counts_ to, and
+  /// its two engine histograms; null without one.
+  obs::MetricsRegistry* metrics_ = nullptr;
+  /// Deadline margin (seconds) of each satisfied request, recorded at finish.
+  obs::Histogram* satisfied_slack_seconds_ = nullptr;
+  /// Per-round refresh latency (microseconds), observed only when a phase
+  /// timer is attached too.
+  obs::Histogram* refresh_batch_usec_ = nullptr;
   obs::RunTrace* trace_ = nullptr;
-  /// Wall-clock refresh timing sink. Deliberately separate from instr_:
+  /// Wall-clock refresh timing sink. Deliberately separate from metrics_:
   /// timing values differ run to run, so they are recorded only for callers
   /// that attach a phase timer (full observability documents) and never leak
   /// into the deterministic, byte-comparable metrics registries.

@@ -24,8 +24,7 @@ DynamicCounts& DynamicCounts::operator+=(const DynamicCounts& other) {
   world_patches += other.world_patches;
   withdrawals_kept_plan += other.withdrawals_kept_plan;
   gc_extensions_refused += other.gc_extensions_refused;
-  shadow_refreshes += other.shadow_refreshes;
-  replay += other.replay;
+  engine += other.engine;
   return *this;
 }
 
@@ -36,8 +35,7 @@ DynamicCounts& DynamicCounts::operator-=(const DynamicCounts& other) {
   world_patches -= other.world_patches;
   withdrawals_kept_plan -= other.withdrawals_kept_plan;
   gc_extensions_refused -= other.gc_extensions_refused;
-  shadow_refreshes -= other.shadow_refreshes;
-  replay -= other.replay;
+  engine -= other.engine;
   return *this;
 }
 
@@ -366,8 +364,7 @@ void DynamicStager::replan(std::optional<RequestRef> watched) {
     }
     run_heuristic(spec_.heuristic, *engine_);
     const Schedule& schedule = engine_->finish_run();
-    counts_.replay += engine_->replay_counts();
-    counts_.shadow_refreshes += engine_->shadow_refreshes();
+    counts_.engine += engine_->counts();
     // The plan is also the one without the request when the watch held
     // through a loop the guard did not stop.
     if (watched.has_value() && engine_->watch_held() && !engine_->guard_tripped()) {

@@ -120,9 +120,9 @@ enum class DynamicRequestStatus {
 };
 
 /// The stager's work so far (deterministic). The first six are counted with
-/// the registry counter dynamic.<name> (obs::count); the last two sum the
-/// engine runs, which count them as engine.shadow_refreshes,
-/// engine.tree_replays and engine.replay_misses_<reason>.
+/// the registry counter dynamic.<name> (obs::count); `engine` sums the
+/// counts of every engine run, which each run publishes when it finishes
+/// (EngineCounts: engine.<name> and dijkstra.<name>).
 struct DynamicCounts {
   std::size_t replans = 0;  ///< the constructor's first plan included
   std::size_t topology_builds = 0;  ///< residual links and Topology built
@@ -133,8 +133,7 @@ struct DynamicCounts {
   /// Requests refused because a relay copy of their item could not be held
   /// to the later gc time their deadline sets.
   std::size_t gc_extensions_refused = 0;
-  std::size_t shadow_refreshes = 0;  ///< StagingEngine::watch's cost
-  ReplayCounts replay;               ///< StagingEngine::reset's replays
+  EngineCounts engine;  ///< every replan's engine run, summed
 
   DynamicCounts& operator+=(const DynamicCounts& other);
   DynamicCounts& operator-=(const DynamicCounts& other);

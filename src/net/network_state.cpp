@@ -39,6 +39,8 @@ void NetworkState::reset(const Scenario& scenario,
   bind_items(nullptr);
   storage_.assign(storage.begin(), storage.end());
   transfer_count_ = 0;
+  storage_allocations_ = 0;
+  hold_extensions_ = 0;
 }
 
 void NetworkState::bind_items(std::vector<StorageCharge>* charges) {
@@ -81,15 +83,6 @@ const HeldCopy* NetworkState::find_copy(ItemId item, MachineId machine) const {
   const auto it = copy_slot(copies, machine);
   if (it == copies.end() || it->machine != machine) return nullptr;
   return &*it;
-}
-
-void NetworkState::attach_metrics(obs::MetricsRegistry& registry) {
-  counters_ = NetCounters{
-      registry.counter("net.transfers"),
-      registry.counter("net.link_reservations"),
-      registry.counter("net.storage_allocations"),
-      registry.counter("net.hold_extensions"),
-  };
 }
 
 std::optional<SimTime> NetworkState::copy_available_at(ItemId item,
@@ -155,10 +148,6 @@ AppliedTransfer NetworkState::apply_transfer(ItemId item, VirtLinkId link,
 
   links_.reserve(link, bytes, start);
   const SimTime arrival = start + links_.occupancy(link, bytes);
-  if (counters_.has_value()) {
-    counters_->transfers.inc();
-    counters_->link_reservations.inc();
-  }
 
   AppliedTransfer applied;
   applied.start = start;
@@ -178,12 +167,12 @@ AppliedTransfer NetworkState::apply_transfer(ItemId item, VirtLinkId link,
     // earlier and make it usable sooner.
     if (start < it->hold_begin) {
       it->hold_begin = start;
-      if (counters_.has_value()) counters_->hold_extensions.inc();
+      ++hold_extensions_;
     }
     it->available_at = min(it->available_at, arrival);
   } else {
     copies.insert(it, HeldCopy{{to, arrival}, start});
-    if (counters_.has_value()) counters_->storage_allocations.inc();
+    ++storage_allocations_;
   }
 
   ++transfer_count_;

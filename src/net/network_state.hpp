@@ -22,7 +22,6 @@
 #include "model/scenario.hpp"
 #include "net/link_schedule.hpp"
 #include "net/storage_timeline.hpp"
-#include "obs/metrics.hpp"
 #include "util/ids.hpp"
 
 namespace datastage {
@@ -149,23 +148,15 @@ class NetworkState {
   /// holds a usable copy by `start`; the link fits; storage fits.
   AppliedTransfer apply_transfer(ItemId item, VirtLinkId link, SimTime start);
 
-  /// Number of transfers applied so far.
+  /// Number of transfers applied so far; each reserved one link busy
+  /// window.
   std::size_t transfer_count() const { return transfer_count_; }
-
-  /// Wires resource-accounting counters (`net.*`) into `registry`. Without
-  /// this call the state counts nothing beyond transfer_count(). Handles are
-  /// copied with the state (branch-and-bound clones share the registry).
-  void attach_metrics(obs::MetricsRegistry& registry);
+  /// Transfers that registered a new copy at their receiver.
+  std::size_t storage_allocations() const { return storage_allocations_; }
+  /// Transfers that started an existing copy's hold earlier.
+  std::size_t hold_extensions() const { return hold_extensions_; }
 
  private:
-  /// Pre-resolved counter handles; engaged only after attach_metrics.
-  struct NetCounters {
-    obs::Counter transfers;
-    obs::Counter link_reservations;    ///< busy-window subtractions on links
-    obs::Counter storage_allocations;  ///< new hold windows charged
-    obs::Counter hold_extensions;      ///< existing holds extended earlier
-  };
-
   /// Fills copies_, dests_ and gc_time_ from the scenario's sources and
   /// requests (clearing what a previous scenario left); appends each source's
   /// storage charge to `charges` when it is non-null.
@@ -183,7 +174,8 @@ class NetworkState {
   std::vector<std::vector<MachineId>> dests_;  // [item] -> sorted machine ids
   std::vector<SimTime> gc_time_;               // [item] -> Scenario::gc_time
   std::size_t transfer_count_ = 0;
-  std::optional<NetCounters> counters_;
+  std::size_t storage_allocations_ = 0;
+  std::size_t hold_extensions_ = 0;
 };
 
 }  // namespace datastage

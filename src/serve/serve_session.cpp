@@ -235,17 +235,17 @@ std::string ServeSession::handle_stats() const {
   obs::json_field(line, "topology_builds", snap.dynamic.topology_builds);
   obs::json_field(line, "residual_builds", snap.dynamic.residual_builds);
   obs::json_field(line, "world_patches", snap.dynamic.world_patches);
-  obs::json_field(line, "tree_replays", snap.dynamic.replay.replays);
-  obs::json_field(line, "replay_misses", snap.dynamic.replay.total_misses());
+  obs::json_field(line, "tree_replays", snap.dynamic.engine.tree_replays);
+  obs::json_field(line, "replay_misses", snap.dynamic.engine.total_misses());
   obs::json_key(line, "replay_misses_by_reason");
   line += "{";
   for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
     obs::json_field(line, replay_miss_name(static_cast<ReplayMiss>(r)),
-                    snap.dynamic.replay.misses[r]);
+                    snap.dynamic.engine.replay_misses[r]);
   }
   line += "}";
   obs::json_field(line, "withdrawals_kept_plan", snap.dynamic.withdrawals_kept_plan);
-  obs::json_field(line, "shadow_refreshes", snap.dynamic.shadow_refreshes);
+  obs::json_field(line, "shadow_refreshes", snap.dynamic.engine.shadow_refreshes);
   obs::json_field(line, "gc_extensions_refused", snap.dynamic.gc_extensions_refused);
   if (snap.phase_seconds.has_value()) {
     // Wall time, so only with a phase timer attached (--metrics-out): the

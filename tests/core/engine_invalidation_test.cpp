@@ -85,7 +85,7 @@ TEST(EngineInvalidationTest, DisjointStorageDoesNotInvalidate) {
   StagingEngine engine(s, c4_options());
   auto best = engine.best_candidate();
   ASSERT_TRUE(best.has_value());
-  const std::size_t runs_after_first = engine.dijkstra_runs();
+  const std::size_t runs_after_first = engine.counts().dijkstra_runs;
   EXPECT_EQ(runs_after_first, 2u);
   engine.apply_full_path_one(*best);
 
@@ -94,7 +94,7 @@ TEST(EngineInvalidationTest, DisjointStorageDoesNotInvalidate) {
   // Only the scheduled item went dirty; it is exhausted, so zero recomputes.
   // The other item's plan was reused — UNLESS its tree shared the first
   // parallel link; parallel links keep the trees disjoint here.
-  EXPECT_LE(engine.dijkstra_runs(), runs_after_first + 1);
+  EXPECT_LE(engine.counts().dijkstra_runs, runs_after_first + 1);
   engine.apply_full_path_one(*best);
   const StagingResult result = engine.finish();
   EXPECT_TRUE(result.outcomes[0][0].satisfied);
@@ -118,7 +118,7 @@ TEST(EngineInvalidationTest, LinkConflictInvalidatesOnlyOverlapping) {
   StagingEngine engine(s, c4_options());
   auto best = engine.best_candidate();
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(engine.dijkstra_runs(), 2u);
+  EXPECT_EQ(engine.counts().dijkstra_runs, 2u);
   EXPECT_EQ(best->item, ItemId(0));  // earlier deadline -> more urgent
   engine.apply_hop(*best);
 
@@ -127,7 +127,7 @@ TEST(EngineInvalidationTest, LinkConflictInvalidatesOnlyOverlapping) {
   best = engine.best_candidate();
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->item, ItemId(1));
-  EXPECT_EQ(engine.dijkstra_runs(), 2u);  // zero extra runs
+  EXPECT_EQ(engine.counts().dijkstra_runs, 2u);  // zero extra runs
 }
 
 TEST(EngineInvalidationTest, LazyEqualsParanoidOnDenseContention) {

@@ -95,7 +95,7 @@ std::vector<obs::TraceEvent> traced_run(StagingEngine& engine, obs::RunObserver&
 }
 
 std::size_t misses(const StagingEngine& engine) {
-  return engine.replay_counts().total_misses();
+  return engine.counts().total_misses();
 }
 
 /// An engine whose logging run (the first reset) has scheduled `first`.
@@ -104,7 +104,7 @@ std::unique_ptr<StagingEngine> logged_engine(const World& first, HeuristicKind k
                                                 first.storage, c4_options());
   run_heuristic(kind, *engine);  // a constructor-started run logs nothing
   run(*engine, first, kind);
-  EXPECT_EQ(engine->tree_replays(), 0u);
+  EXPECT_EQ(engine->counts().tree_replays, 0u);
   EXPECT_EQ(misses(*engine), 0u);
   return engine;
 }
@@ -125,12 +125,12 @@ TEST(EngineReplayTest, IdenticalScenarioReplaysEveryRefresh) {
       const std::unique_ptr<StagingEngine> engine = logged_engine(*world, kind);
       const std::string expected = fresh_schedule(world->scenario, kind);
       EXPECT_EQ(run(*engine, *world, kind), expected) << heuristic_name(kind);
-      EXPECT_EQ(engine->dijkstra_runs(), 0u) << heuristic_name(kind);
-      EXPECT_GT(engine->tree_replays(), 0u) << heuristic_name(kind);
+      EXPECT_EQ(engine->counts().dijkstra_runs, 0u) << heuristic_name(kind);
+      EXPECT_GT(engine->counts().tree_replays, 0u) << heuristic_name(kind);
       EXPECT_EQ(misses(*engine), 0u);
       // Replayed trees are logged again: the next run replays them too.
       EXPECT_EQ(run(*engine, *world, kind), expected);
-      EXPECT_EQ(engine->dijkstra_runs(), 0u);
+      EXPECT_EQ(engine->counts().dijkstra_runs, 0u);
     }
   }
 }
@@ -139,13 +139,13 @@ TEST(EngineReplayTest, ConstructorRunsNeitherLogNorReplay) {
   const std::unique_ptr<World> world = make_world(roomy_cases(5150, 1).front());
   StagingEngine engine(world->scenario, world->topology, world->storage, c4_options());
   run_heuristic(HeuristicKind::kFullOne, engine);
-  EXPECT_EQ(engine.tree_replays(), 0u);
+  EXPECT_EQ(engine.counts().tree_replays, 0u);
   EXPECT_EQ(misses(engine), 0u);
   // The first reset-started run has no log to replay and counts no misses.
   run(engine, *world, HeuristicKind::kFullOne);
-  EXPECT_EQ(engine.tree_replays(), 0u);
+  EXPECT_EQ(engine.counts().tree_replays, 0u);
   EXPECT_EQ(misses(engine), 0u);
-  EXPECT_GT(engine.dijkstra_runs(), 0u);
+  EXPECT_GT(engine.counts().dijkstra_runs, 0u);
 }
 
 TEST(EngineReplayTest, ParanoidNeverReplays) {
@@ -157,7 +157,7 @@ TEST(EngineReplayTest, ParanoidNeverReplays) {
   for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(run(engine, *world, HeuristicKind::kFullOne),
               fresh_schedule(world->scenario, HeuristicKind::kFullOne));
-    EXPECT_EQ(engine.tree_replays(), 0u);
+    EXPECT_EQ(engine.counts().tree_replays, 0u);
     EXPECT_EQ(misses(engine), 0u);
   }
 }
@@ -172,9 +172,9 @@ TEST(EngineReplayTest, GrownWindowTurnsReplayOffForTheRun) {
       logged_engine(*before, HeuristicKind::kFullOne);
   EXPECT_EQ(run(*engine, *after, HeuristicKind::kFullOne),
             fresh_schedule(after->scenario, HeuristicKind::kFullOne));
-  EXPECT_EQ(engine->tree_replays(), 0u);
-  EXPECT_GT(engine->dijkstra_runs(), 0u);
-  EXPECT_EQ(engine->replay_counts().miss(Miss::kLinksGrew), engine->dijkstra_runs());
+  EXPECT_EQ(engine->counts().tree_replays, 0u);
+  EXPECT_GT(engine->counts().dijkstra_runs, 0u);
+  EXPECT_EQ(engine->counts().miss(Miss::kLinksGrew), engine->counts().dijkstra_runs);
 }
 
 TEST(EngineReplayTest, SplitAndRenumberedLinksReplayWithTheNewIds) {
@@ -195,8 +195,8 @@ TEST(EngineReplayTest, SplitAndRenumberedLinksReplayWithTheNewIds) {
       logged_engine(*before, HeuristicKind::kPartial);
   const std::string schedule = run(*engine, *after, HeuristicKind::kPartial);
   EXPECT_EQ(schedule, fresh_schedule(after->scenario, HeuristicKind::kPartial));
-  EXPECT_EQ(engine->dijkstra_runs(), 0u);
-  EXPECT_GT(engine->tree_replays(), 0u);
+  EXPECT_EQ(engine->counts().dijkstra_runs, 0u);
+  EXPECT_GT(engine->counts().tree_replays, 0u);
   // The replayed tree names the new links: A->B is link 2, B->C link 0.
   const Schedule& steps = engine->finish_run();
   ASSERT_EQ(steps.size(), 2u);
@@ -224,8 +224,8 @@ TEST(EngineReplayTest, TiedParallelLinksAreNotReplayed) {
       logged_engine(*world, HeuristicKind::kFullOne);
   EXPECT_EQ(run(*engine, *world, HeuristicKind::kFullOne),
             fresh_schedule(scenario, HeuristicKind::kFullOne));
-  EXPECT_EQ(engine->tree_replays(), 0u);
-  EXPECT_EQ(engine->replay_counts().miss(Miss::kVerifyFailed), 1u);
+  EXPECT_EQ(engine->counts().tree_replays, 0u);
+  EXPECT_EQ(engine->counts().miss(Miss::kVerifyFailed), 1u);
 }
 
 /// Chain A->B->C plus a bypass A->D->C that is slower; B holds `b_capacity`.
@@ -257,10 +257,10 @@ TEST(EngineReplayTest, KeptHoldThatNoLongerFitsIsNotReplayed) {
       logged_engine(*before, HeuristicKind::kFullOne);
   const std::string schedule = run(*engine, *after, HeuristicKind::kFullOne);
   EXPECT_EQ(schedule, fresh_schedule(after->scenario, HeuristicKind::kFullOne));
-  EXPECT_EQ(engine->replay_counts().miss(Miss::kHoldMisfit), 1u);
-  EXPECT_EQ(engine->replay_counts().miss(Miss::kStorageRejected), 0u);
-  EXPECT_EQ(engine->replay_counts().miss(Miss::kItemChanged), 1u);  // the new item
-  EXPECT_EQ(engine->tree_replays(), 0u);
+  EXPECT_EQ(engine->counts().miss(Miss::kHoldMisfit), 1u);
+  EXPECT_EQ(engine->counts().miss(Miss::kStorageRejected), 0u);
+  EXPECT_EQ(engine->counts().miss(Miss::kItemChanged), 1u);  // the new item
+  EXPECT_EQ(engine->counts().tree_replays, 0u);
   // Routed around B, through D.
   const Schedule& steps = engine->finish_run();
   ASSERT_FALSE(steps.empty());
@@ -274,9 +274,9 @@ TEST(EngineReplayTest, TreeFromARunWithStorageRejectionsIsNotReplayed) {
       logged_engine(*world, HeuristicKind::kFullOne);
   EXPECT_EQ(run(*engine, *world, HeuristicKind::kFullOne),
             fresh_schedule(world->scenario, HeuristicKind::kFullOne));
-  EXPECT_EQ(engine->tree_replays(), 0u);
-  EXPECT_EQ(engine->replay_counts().miss(Miss::kStorageRejected), 1u);
-  EXPECT_EQ(engine->replay_counts().miss(Miss::kHoldMisfit), 0u);
+  EXPECT_EQ(engine->counts().tree_replays, 0u);
+  EXPECT_EQ(engine->counts().miss(Miss::kStorageRejected), 1u);
+  EXPECT_EQ(engine->counts().miss(Miss::kHoldMisfit), 0u);
 }
 
 TEST(EngineReplayTest, ChangedItemIsNotReplayedOthersAre) {
@@ -297,8 +297,8 @@ TEST(EngineReplayTest, ChangedItemIsNotReplayedOthersAre) {
   const std::vector<obs::TraceEvent> events =
       traced_run(engine, observer, *after, HeuristicKind::kFullOne, &schedule);
   EXPECT_EQ(schedule, fresh_schedule(after->scenario, HeuristicKind::kFullOne));
-  EXPECT_GT(engine.replay_counts().miss(Miss::kItemChanged), 0u);
-  EXPECT_GT(engine.tree_replays(), 0u);
+  EXPECT_GT(engine.counts().miss(Miss::kItemChanged), 0u);
+  EXPECT_GT(engine.counts().tree_replays, 0u);
 
   std::size_t item0_rebuilds = 0;
   for (const obs::TraceEvent& e : events) {
@@ -375,8 +375,8 @@ TEST(EngineReplayTest, DivergingCommitStopsReplayFromThatIteration) {
   }
   EXPECT_EQ(replays_after, 0u);
   EXPECT_GT(dijkstra_after, 0u);
-  EXPECT_EQ(engine.replay_counts().miss(Miss::kDiverged), dijkstra_after);
-  EXPECT_GT(engine.tree_replays(), 0u);
+  EXPECT_EQ(engine.counts().miss(Miss::kDiverged), dijkstra_after);
+  EXPECT_GT(engine.counts().tree_replays, 0u);
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ TEST(StagingEngineTest, ApplyHopCreatesStepAndAdvances) {
   auto best = engine.best_candidate();
   ASSERT_TRUE(best.has_value());
   engine.apply_hop(*best);
-  EXPECT_EQ(engine.iterations(), 1u);
+  EXPECT_EQ(engine.counts().iterations, 1u);
   EXPECT_EQ(engine.network().transfer_count(), 1u);
   EXPECT_EQ(engine.tracker().pending_count(), 1u);  // not at dest yet
 
@@ -129,14 +129,14 @@ TEST(StagingEngineTest, CacheSkipsUnaffectedItems) {
   StagingEngine engine(s, c4_options());
   auto best = engine.best_candidate();  // computes both plans (2 runs)
   ASSERT_TRUE(best.has_value());
-  const std::size_t runs_before = engine.dijkstra_runs();
+  const std::size_t runs_before = engine.counts().dijkstra_runs;
   EXPECT_EQ(runs_before, 2u);
   engine.apply_hop(*best);  // satisfies one item on its own link
   best = engine.best_candidate();
   ASSERT_TRUE(best.has_value());
   // Only the scheduled item was dirty, and it is exhausted now; the other
   // item's plan must have been reused.
-  EXPECT_EQ(engine.dijkstra_runs(), runs_before);
+  EXPECT_EQ(engine.counts().dijkstra_runs, runs_before);
 }
 
 TEST(StagingEngineTest, ConflictingItemsAreInvalidated) {

@@ -109,9 +109,11 @@ RunCounts check_every_commit(const Scenario& scenario, HeuristicKind heuristic,
                      label + " commit " + std::to_string(counts.commits));
     if (::testing::Test::HasFatalFailure()) return counts;
   }
-  counts.repairs = metrics.counter_value("engine.tree_repairs");
-  EXPECT_EQ(counts.repairs, engine.tree_repairs()) << label;
-  EXPECT_EQ(metrics.counter_value("engine.tree_recomputes"), engine.dijkstra_runs())
+  // The registry gets the run's counts when it finishes.
+  engine.finish();
+  counts.repairs = engine.counts().tree_repairs;
+  EXPECT_EQ(metrics.counter_value("engine.tree_repairs"), counts.repairs) << label;
+  EXPECT_EQ(metrics.counter_value("engine.tree_recomputes"), engine.counts().dijkstra_runs)
       << label;
   return counts;
 }
@@ -176,9 +178,11 @@ TEST(SelfRepairParanoidTest, ParanoidNeverRepairs) {
   while (const std::optional<Candidate> best = engine.best_candidate()) {
     engine.apply_full_path_one(*best);
   }
-  EXPECT_GT(engine.dijkstra_runs(), 0u);
-  EXPECT_EQ(engine.tree_repairs(), 0u);
+  engine.finish();
+  EXPECT_GT(engine.counts().dijkstra_runs, 0u);
+  EXPECT_EQ(engine.counts().tree_repairs, 0u);
   EXPECT_EQ(metrics.counter_value("engine.tree_repairs"), 0u);
+  EXPECT_EQ(metrics.counter_value("engine.tree_recomputes"), engine.counts().dijkstra_runs);
 }
 
 // Item 0 travels M0 -> M1 -> M2; item 1 sits on M1 and wants M2 over the same
@@ -213,11 +217,11 @@ TEST(SelfRepairSurgicalTest, OwnHopIsRepairedNotRecomputed) {
   const std::optional<Candidate> first = candidate_of(engine, ItemId(0));
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->hop.to, MachineId(1));
-  const std::size_t runs = engine.dijkstra_runs();
+  const std::size_t runs = engine.counts().dijkstra_runs;
   engine.apply_hop(*first);
   const RouteTree& tree = engine.plan_tree(ItemId(0));
-  EXPECT_EQ(engine.dijkstra_runs(), runs);
-  EXPECT_EQ(engine.tree_repairs(), 1u);
+  EXPECT_EQ(engine.counts().dijkstra_runs, runs);
+  EXPECT_EQ(engine.counts().tree_repairs, 1u);
   EXPECT_FALSE(tree.has_parent(MachineId(1)));  // the receiver is a root now
   EXPECT_EQ(tree.arrival(MachineId(1)), at_sec(1));
   EXPECT_EQ(tree.arrival(MachineId(2)), at_sec(2));
@@ -244,11 +248,11 @@ TEST(SelfRepairSurgicalTest, TightUnrelatedMachineDoesNotBlockTheRepair) {
   const std::optional<Candidate> first = candidate_of(engine, ItemId(0));
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->hop.to, MachineId(1));
-  const std::size_t runs = engine.dijkstra_runs();
+  const std::size_t runs = engine.counts().dijkstra_runs;
   engine.apply_hop(*first);
   const RouteTree& tree = engine.plan_tree(ItemId(0));
-  EXPECT_EQ(engine.dijkstra_runs(), runs);
-  EXPECT_EQ(engine.tree_repairs(), 1u);
+  EXPECT_EQ(engine.counts().dijkstra_runs, runs);
+  EXPECT_EQ(engine.counts().tree_repairs, 1u);
   EXPECT_FALSE(tree.has_parent(MachineId(1)));
   expect_same_tree(tree, fresh_tree(engine, Topology(s), s, ItemId(0)),
                    "tight unrelated machine");
@@ -267,12 +271,12 @@ TEST(SelfRepairSurgicalTest, StorageRejectionInTheItemsRunForcesDijkstra) {
   const std::optional<Candidate> first = candidate_of(engine, ItemId(0));
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->hop.to, MachineId(1));
-  EXPECT_EQ(metrics.counter_value("dijkstra.capacity_rejections"), 1u);
-  const std::size_t runs = engine.dijkstra_runs();
+  EXPECT_EQ(engine.counts().dijkstra.capacity_rejections, 1u);
+  const std::size_t runs = engine.counts().dijkstra_runs;
   engine.apply_hop(*first);
   const RouteTree& tree = engine.plan_tree(ItemId(0));
-  EXPECT_EQ(engine.dijkstra_runs(), runs + 1);
-  EXPECT_EQ(engine.tree_repairs(), 0u);
+  EXPECT_EQ(engine.counts().dijkstra_runs, runs + 1);
+  EXPECT_EQ(engine.counts().tree_repairs, 0u);
   expect_same_tree(tree, fresh_tree(engine, Topology(s), s, ItemId(0)),
                    "rejection in the item's run");
 }
@@ -292,10 +296,10 @@ TEST(SelfRepairSurgicalTest, SecondCommitOnTheSubscribedPathForcesDijkstra) {
   EXPECT_EQ(second->hop.arrival, at_sec(4));
   engine.apply_hop(*first);
   engine.apply_hop(*second);
-  const std::size_t runs = engine.dijkstra_runs();
+  const std::size_t runs = engine.counts().dijkstra_runs;
   const RouteTree& tree = engine.plan_tree(ItemId(0));
-  EXPECT_EQ(engine.dijkstra_runs(), runs + 1);
-  EXPECT_EQ(engine.tree_repairs(), 0u);
+  EXPECT_EQ(engine.counts().dijkstra_runs, runs + 1);
+  EXPECT_EQ(engine.counts().tree_repairs, 0u);
   // M1 -> M2 is busy with item 1 until 4 s, so item 0 arrives at 5 s.
   EXPECT_EQ(tree.arrival(MachineId(2)), at_sec(5));
   expect_same_tree(tree, fresh_tree(engine, Topology(s), s, ItemId(0)),

@@ -227,7 +227,7 @@ TEST(StagerWithdrawalTest, PlanAfterEveryWithdrawalEqualsAFreshEngineRun) {
           if (HasFatalFailure()) return;
         }
         kept += live.counts().withdrawals_kept_plan;
-        shadow_refreshes += live.counts().shadow_refreshes;
+        shadow_refreshes += live.counts().engine.shadow_refreshes;
         live.finish();
       }
     }
@@ -288,7 +288,7 @@ TEST(StagerWithdrawalTest, WithdrawalOfAnUnusedRequestKeepsThePlan) {
   EXPECT_EQ(stager.counts().withdrawals_kept_plan, 1u);
   // It still counts as a replan, and the shadow plan cost refreshes.
   EXPECT_EQ(stager.replans(), replans + 1);
-  EXPECT_GT(stager.counts().shadow_refreshes, 0u);
+  EXPECT_GT(stager.counts().engine.shadow_refreshes, 0u);
   EXPECT_EQ(stager.request_status("d0", MachineId(3)), DynamicRequestStatus::kCancelled);
   EXPECT_EQ(plan_string(stager), before);
   EXPECT_EQ(plan_string(stager), fresh_plan_string(stager));
@@ -328,7 +328,7 @@ TEST(StagerWithdrawalTest, ParanoidStagerAlwaysRunsTheEngine) {
   submit_hopeless(stager, SimTime::zero());
   stager.on_event({SimTime::zero(), CancelRequestEvent{"d0", MachineId(3)}});
   EXPECT_EQ(stager.counts().withdrawals_kept_plan, 0u);
-  EXPECT_EQ(stager.counts().shadow_refreshes, 0u);
+  EXPECT_EQ(stager.counts().engine.shadow_refreshes, 0u);
 }
 
 // The two ways a run with the request commits other than a run without it,

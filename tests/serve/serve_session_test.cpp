@@ -379,13 +379,13 @@ std::vector<CountRecord> count_records(const ServiceSnapshot& snap) {
       {"world_patches", "dynamic.world_patches", d.world_patches},
       {"withdrawals_kept_plan", "dynamic.withdrawals_kept_plan", d.withdrawals_kept_plan},
       {"gc_extensions_refused", "dynamic.gc_extensions_refused", d.gc_extensions_refused},
-      {"shadow_refreshes", "engine.shadow_refreshes", d.shadow_refreshes},
-      {"tree_replays", "engine.tree_replays", d.replay.replays},
-      {"replay_misses", "engine.replay_misses", d.replay.total_misses()},
+      {"shadow_refreshes", "engine.shadow_refreshes", d.engine.shadow_refreshes},
+      {"tree_replays", "engine.tree_replays", d.engine.tree_replays},
+      {"replay_misses", "engine.replay_misses", d.engine.total_misses()},
   };
   for (std::size_t r = 0; r < kReplayMissKinds; ++r) {
     const std::string reason = replay_miss_name(static_cast<ReplayMiss>(r));
-    records.push_back({reason, "engine.replay_misses_" + reason, d.replay.misses[r]});
+    records.push_back({reason, "engine.replay_misses_" + reason, d.engine.replay_misses[r]});
   }
   return records;
 }
@@ -489,8 +489,8 @@ TEST(ServeSessionTest, CountsAgreeInSnapshotRegistryAndStats) {
   EXPECT_GT(snap.dynamic.world_patches, 0u);
   EXPECT_GT(snap.dynamic.residual_builds, 1u);
   EXPECT_GT(snap.dynamic.topology_builds, 1u);
-  EXPECT_GT(snap.dynamic.shadow_refreshes, 0u);
-  EXPECT_GT(snap.dynamic.replay.replays + snap.dynamic.replay.total_misses(), 0u);
+  EXPECT_GT(snap.dynamic.engine.shadow_refreshes, 0u);
+  EXPECT_GT(snap.dynamic.engine.tree_replays + snap.dynamic.engine.total_misses(), 0u);
 }
 
 TEST(ServeSessionTest, SameScriptYieldsIdenticalResponses) {
